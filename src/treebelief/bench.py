@@ -1,5 +1,5 @@
 """Benchmark harness: random model generators, engine wrappers with a shared
-update/query interface, and CSV scaling tables.
+update/query interface (causal trees and polytrees), and CSV scaling tables.
 
 Timing columns (ns) are reported for orientation only; every assertion made
 elsewhere is on the instrumented matrix-op counters, which are deterministic
@@ -17,6 +17,7 @@ from . import exact, linalg
 from .dynamic import DynamicEngine
 from .errors import ScaleError, UsageError
 from .linalg import OpCounter
+from .polytree import Polytree, PolytreeEngine
 from .tree import CausalTree, RawTree, binarize
 
 CSV_HEADER = "engine,shape,N,k,op,count_mv,count_mm,ns_total,ns_per_op"
@@ -170,19 +171,74 @@ class HierarchyEngine:
         return self.counter
 
 
+class PolytreeHierarchyEngine:
+    """Polytree variables through the family-clique join tree and the
+    logarithmic engine."""
+
+    name = "hierarchy"
+
+    def __init__(self, pt: Polytree):
+        self.engine = PolytreeEngine(pt)
+        self.counter = self.engine.counter
+
+    def update(self, var, likelihood) -> None:
+        self.engine.pt_update(var, likelihood)
+
+    def query(self, var) -> np.ndarray:
+        return self.engine.pt_query(var)
+
+    def stats(self) -> OpCounter:
+        return self.counter
+
+
+class PolytreeFullEngine:
+    """Brute-force enumeration baseline for polytree variables."""
+
+    name = "full"
+
+    def __init__(self, pt: Polytree):
+        self.pt = pt
+        self.evidence: dict = {}
+        self.counter = OpCounter()
+
+    def update(self, var, likelihood) -> None:
+        if var not in self.pt.parents:
+            raise UsageError(f"unknown variable {var}")
+        lik = np.asarray(likelihood, dtype=np.float64)
+        if lik.shape != (self.pt.k,):
+            raise UsageError(f"likelihood must have length {self.pt.k}")
+        if np.any(lik < 0):
+            raise UsageError("likelihood entries must be nonnegative")
+        self.evidence[var] = lik
+
+    def query(self, var) -> np.ndarray:
+        if var not in self.pt.parents:
+            raise UsageError(f"unknown variable {var}")
+        return self.pt.joint_conditionals(self.evidence)[var]
+
+    def stats(self) -> OpCounter:
+        return self.counter
+
+
 ENGINE_CLASSES = {
     "full": FullEngine,
     "path": PathEngine,
     "hierarchy": HierarchyEngine,
 }
+POLYTREE_ENGINE_CLASSES = {
+    "hierarchy": PolytreeHierarchyEngine,
+    "full": PolytreeFullEngine,
+}
 
 
-def make_engine(name: str, tree: CausalTree):
+def make_engine(name: str, model):
+    """Engine wrapper `name` over a CausalTree or a Polytree."""
+    classes = POLYTREE_ENGINE_CLASSES if isinstance(model, Polytree) else ENGINE_CLASSES
     try:
-        cls = ENGINE_CLASSES[name]
+        cls = classes[name]
     except KeyError:
         raise UsageError(f"unknown engine {name!r}")
-    return cls(tree)
+    return cls(model)
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +282,9 @@ def make_script(tree: CausalTree, ops: int, rng: np.random.Generator):
     return script
 
 
-def run_script(engine, script) -> list[BenchRecord]:
-    """Execute a script, returning per-op-kind aggregate records (engine,
-    shape, n, k filled in by the caller)."""
+def run_script(engine, script, shape: str, n: int, k: int) -> list[BenchRecord]:
+    """Execute a script, returning one aggregate record per op kind that
+    occurs in it."""
     totals = {"update": [0, 0, 0, 0], "query": [0, 0, 0, 0]}  # mv, mm, ns, ops
     for op, target, lik in script:
         before = engine.counter.snapshot()
@@ -244,7 +300,11 @@ def run_script(engine, script) -> list[BenchRecord]:
         agg[1] += d.mat_mat
         agg[2] += ns
         agg[3] += 1
-    return totals
+    return [
+        BenchRecord(engine.name, shape, n, k, op, *totals[op])
+        for op in ("update", "query")
+        if totals[op][3]
+    ]
 
 
 def run_bench(
@@ -266,15 +326,7 @@ def run_bench(
         base_evidence = {l: v.copy() for l, v in tree.evidence.items()}
         for name in engines:
             tree.evidence = {l: v.copy() for l, v in base_evidence.items()}
-            engine = make_engine(name, tree)
-            totals = run_script(engine, script)
-            for op in ("update", "query"):
-                mv, mm, ns, nops = totals[op]
-                if nops == 0:
-                    continue
-                records.append(
-                    BenchRecord(name, shape, size, k, op, mv, mm, ns, nops)
-                )
+            records += run_script(make_engine(name, tree), script, shape, size, k)
     return records
 
 

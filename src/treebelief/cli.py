@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from .errors import (
     UsageError,
 )
 from .formats import parse_btn, parse_ptn
-from .linalg import OpCounter
-from .polytree import PolytreeEngine
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -96,58 +93,12 @@ def run_session(engine, instream, outstream) -> int:
     return EXIT_OK
 
 
-class _PolytreeHierarchySession:
-    def __init__(self, pt):
-        self.engine = PolytreeEngine(pt)
-
-    def update(self, var, likelihood):
-        self.engine.pt_update(var, likelihood)
-
-    def query(self, var):
-        return self.engine.pt_query(var)
-
-    def stats(self) -> OpCounter:
-        return self.engine.counter
-
-
-class _PolytreeFullSession:
-    """Brute-force enumeration baseline for the polytree session protocol."""
-
-    def __init__(self, pt):
-        self.pt = pt
-        self.evidence: dict = {}
-        self.counter = OpCounter()
-
-    def update(self, var, likelihood):
-        if var not in self.pt.parents:
-            raise UsageError(f"unknown variable {var}")
-        lik = np.asarray(likelihood, dtype=np.float64)
-        if lik.shape != (self.pt.k,):
-            raise UsageError(f"likelihood must have length {self.pt.k}")
-        if np.any(lik < 0):
-            raise UsageError("likelihood entries must be nonnegative")
-        self.evidence[var] = lik
-
-    def query(self, var):
-        if var not in self.pt.parents:
-            raise UsageError(f"unknown variable {var}")
-        return self.pt.joint_conditionals(self.evidence)[var]
-
-    def stats(self) -> OpCounter:
-        return self.counter
-
-
 # ----------------------------------------------------------------------
 # subcommand handlers
 
 
 def cmd_check(args) -> int:
-    kind, model = _load_model(args.file)
-    problems = model.validate()
-    if problems:
-        for p in problems:
-            print(f"violation: {p}")
-        return EXIT_DATA
+    kind, model = _load_model(args.file)  # both parsers raise on any violation
     if kind == "btn":
         n_ev = len(model.evidence)
         print(f"ok: causal tree, {len(model.names)} nodes, k={model.k}, "
@@ -237,10 +188,7 @@ def cmd_polytree_session(args) -> int:
     kind, model = _load_model(args.file)
     if kind != "ptn":
         raise UsageError("polytree session expects a PTN file")
-    if args.engine == "hierarchy":
-        engine = _PolytreeHierarchySession(model)
-    else:
-        engine = _PolytreeFullSession(model)
+    engine = bench_mod.make_engine(args.engine, model)
     return run_session(engine, sys.stdin, sys.stdout)
 
 
@@ -257,35 +205,11 @@ def cmd_polytree_bench(args) -> int:
             script.append(("update", var, rng.random(model.k) + 0.05))
         else:
             script.append(("query", var, None))
-    print(bench_mod.CSV_HEADER)
+    records = []
     for name in [e for e in args.engines.split(",") if e]:
-        if name == "hierarchy":
-            engine = _PolytreeHierarchySession(model)
-        elif name == "full":
-            engine = _PolytreeFullSession(model)
-        else:
-            raise UsageError(f"unknown polytree engine {name!r}")
-        totals = {"update": [0, 0, 0, 0], "query": [0, 0, 0, 0]}
-        for op, var, lik in script:
-            before = engine.stats().snapshot()
-            t0 = time.perf_counter_ns()
-            if op == "update":
-                engine.update(var, lik)
-            else:
-                engine.query(var)
-            ns = time.perf_counter_ns() - t0
-            d = engine.stats().delta(before)
-            agg = totals[op]
-            agg[0] += d.mat_vec
-            agg[1] += d.mat_mat
-            agg[2] += ns
-            agg[3] += 1
-        for op in ("update", "query"):
-            mv, mm, ns, nops = totals[op]
-            if nops == 0:
-                continue
-            per = ns // nops
-            print(f"{name},polytree,{len(variables)},{model.k},{op},{mv},{mm},{ns},{per}")
+        engine = bench_mod.make_engine(name, model)
+        records += bench_mod.run_script(engine, script, "polytree", len(variables), model.k)
+    sys.stdout.write(bench_mod.to_csv(records))
     return EXIT_OK
 
 
@@ -350,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ptsub.add_parser("session", help="update/query session on a PTN model")
     p.add_argument("file")
-    p.add_argument("--engine", choices=("hierarchy", "full"), default="hierarchy")
+    p.add_argument("--engine", choices=list(bench_mod.POLYTREE_ENGINE_CLASSES),
+                   default="hierarchy")
     p.set_defaults(func=cmd_polytree_session)
 
     p = ptsub.add_parser("bench", help="operation counts for a PTN model as CSV")

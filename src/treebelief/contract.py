@@ -4,8 +4,9 @@ Each contraction pass rakes alternating non-extreme leaves (a rake removes a
 leaf together with its parent, folding their effect into a freshly derived
 edge matrix of the grandparent).  Every derived matrix keeps a Recipe -- its
 defining equation in terms of lower-level matrices and one leaf likelihood --
-and each matrix or leaf slot feeds at most one Recipe at the next level, so an
-evidence update touches a single chain of recipes.
+and each matrix or leaf likelihood feeds at most one Recipe at the next level,
+so an evidence update touches a single chain of recipes.  Leaf likelihoods are
+not copied: recipes read them from the tree (`CausalTree.leaf_lambda`).
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ class Recipe:
         self.leaf = leaf
         self.leaf_side = leaf_side  # 'A' if the raked leaf was a left child
 
-    def recompute(self, slots: dict, counter: OpCounter | None = None) -> None:
+    def recompute(self, tree: CausalTree, counter: OpCounter | None = None) -> None:
         self.target.value = linalg.rake_compose(
             self.m_u.value, self.m_diag.value, self.m_pass.value,
-            slots[self.leaf], counter,
+            tree.leaf_lambda(self.leaf), counter,
         )
 
     def inputs(self):
@@ -111,10 +112,9 @@ class LevelTree:
 
 
 class ContractionHierarchy:
-    def __init__(self, tree: CausalTree, slots: dict):
+    def __init__(self, tree: CausalTree):
         self.tree = tree
         self.k = tree.k
-        self.slots = slots  # leaf id -> likelihood vector
         self.levels: list[LevelTree] = []
         self.recipes: list[Recipe] = []
         self.recipe_by_leaf: dict[int, Recipe] = {}
@@ -143,7 +143,7 @@ class ContractionHierarchy:
                 stack.append((lt.left[x], False))
         for x in order:
             if lt.is_leaf(x):
-                lam[x] = self.slots.get(x, np.ones(self.k))
+                lam[x] = self.tree.leaf_lambda(x)
             else:
                 l, r = lt.children_of(x)
                 lam[x] = linalg.rescale_if_tiny(
@@ -195,7 +195,7 @@ def rake(
 
     target = MatCell(None, (u, side_x, nxt.level))
     recipe = Recipe(cur.level, target, m_u, m_diag, m_pass, e, leaf_side)
-    recipe.recompute(hier.slots, counter)
+    recipe.recompute(hier.tree, counter)
 
     # single-successor audit (by construction each input dies after use)
     for cell in recipe.inputs():
@@ -265,20 +265,14 @@ def contract_pass(
 
 
 def build_hierarchy(
-    tree: CausalTree,
-    slots: dict | None = None,
-    counter: OpCounter | None = None,
+    tree: CausalTree, counter: OpCounter | None = None
 ) -> ContractionHierarchy:
     """Repeat CONTRACT until the three-node top tree remains.
 
-    `slots` holds the current leaf likelihoods; when omitted they are taken
-    from the tree's evidence map (missing entries default to all-ones).
+    The tree must already be valid (`binarize` validates it); leaf
+    likelihoods are read from its evidence map.
     """
-    if tree.validate():
-        raise StructureError("tree fails validation: " + "; ".join(tree.validate()))
-    if slots is None:
-        slots = {leaf: tree.leaf_lambda(leaf) for leaf in tree.in_order_leaves()}
-    hier = ContractionHierarchy(tree, slots)
+    hier = ContractionHierarchy(tree)
 
     t0 = LevelTree(0, tree.root)
     t0.contains = set(tree.names)

@@ -3,8 +3,9 @@
 Evidence updates recompute one recipe chain (at most one derived matrix per
 level); belief queries resolve a single triple (pi(x), lambda(left),
 lambda(right)) by walking up the hierarchy, never recursing twice per level.
-The engine does not keep per-node lambda/pi current -- only the leaf slots and
-the derived matrices.
+The engine does not keep per-node lambda/pi current -- only the derived
+matrices.  Leaf likelihoods stay in the tree's evidence map, so once an engine
+is built, evidence changes go through `update_evidence`.
 """
 
 from __future__ import annotations
@@ -26,27 +27,19 @@ class DynamicEngine:
         self.hier: ContractionHierarchy = build_hierarchy(
             tree, counter=self.build_counter
         )
-        self.slots = self.hier.slots
         self.prior = tree.prior
         self.last_recipe_recomputes = 0
 
     # ------------------------------------------------------------------
 
-    def _slot(self, leaf: int) -> np.ndarray:
-        v = self.slots.get(leaf)
-        return v if v is not None else np.ones(self.tree.k)
-
     def update_evidence(self, leaf: int, likelihood) -> None:
         """Store the new leaf likelihood and recompute its recipe chain."""
         tree = self.tree
-        if leaf not in tree.names or not tree.is_leaf(leaf):
-            raise UsageError(f"node {leaf} is not an evidence leaf")
-        tree.set_evidence(leaf, likelihood)  # validates dummy/dims/sign
-        self.slots[leaf] = tree.leaf_lambda(leaf)
+        tree.set_evidence(leaf, likelihood)  # validates leaf/dummy/dims/sign
         self.last_recipe_recomputes = 0
         recipe = self.hier.recipe_by_leaf.get(leaf)
         while recipe is not None:
-            recipe.recompute(self.slots, self.counter)
+            recipe.recompute(tree, self.counter)
             self.last_recipe_recomputes += 1
             recipe = self.hier.successor.get(recipe.target)
 
@@ -62,7 +55,7 @@ class DynamicEngine:
 
     def _lambda(self, x: int) -> np.ndarray:
         if self.tree.is_leaf(x):
-            return self._slot(x)
+            return self.tree.leaf_lambda(x)
         lt = self.hier.levels[self.hier.ind[x]]
         y, z = lt.children_of(x)
         ly = self._lambda(y)
@@ -76,11 +69,11 @@ class DynamicEngine:
 
     def _reconstruct_lambda(self, lt, z: int, lam_survivor: np.ndarray) -> np.ndarray:
         """lambda of an internal node z removed at level lt.level: one child is
-        its raked leaf (slot), the other's lambda is handed down from above."""
+        its raked leaf, the other's lambda is handed down from above."""
         e = self.hier.raked_with[z]
         zl, zr = lt.children_of(z)
-        ll = self._slot(zl) if zl == e else lam_survivor
-        rr = self._slot(zr) if zr == e else lam_survivor
+        ll = self.tree.leaf_lambda(zl) if zl == e else lam_survivor
+        rr = self.tree.leaf_lambda(zr) if zr == e else lam_survivor
         return linalg.rescale_if_tiny(
             linalg.apply(lt.cell[(z, "A")].value, ll, self.counter)
             * linalg.apply(lt.cell[(z, "B")].value, rr, self.counter)
@@ -98,7 +91,7 @@ class DynamicEngine:
     def calc_pi_lambda(self, x: int, i: int):
         """Triple (pi(x), lambda(left child in T_i), lambda(right child in T_i)).
 
-        Case 1: top three-node tree -- prior plus two leaf slots.
+        Case 1: top three-node tree -- prior plus two leaf likelihoods.
         Case 2: x raked away after level i -- recurse on its parent.
         Case 3: x survives to level i+1 -- recurse on x itself.
         """
@@ -109,7 +102,7 @@ class DynamicEngine:
 
         if i == hier.top:
             l, r = lt.children_of(x)
-            return self.prior, self._slot(l), self._slot(r)
+            return self.prior, self.tree.leaf_lambda(l), self.tree.leaf_lambda(r)
 
         nxt = hier.levels[i + 1]
         if x in nxt.contains:
@@ -136,12 +129,12 @@ class DynamicEngine:
                 self.counter,
             )
         )
-        # x's children in T_i: the raked leaf (slot) and the survivor z,
+        # x's children in T_i: the raked leaf and the survivor z,
         # whose lambda is exactly the one returned for u's side_x child.
         e = hier.raked_with[x]
         xl, xr = lt.children_of(x)
-        lam_l = self._slot(xl) if xl == e else lam_on_side_x
-        lam_r = self._slot(xr) if xr == e else lam_on_side_x
+        lam_l = self.tree.leaf_lambda(xl) if xl == e else lam_on_side_x
+        lam_r = self.tree.leaf_lambda(xr) if xr == e else lam_on_side_x
         return pi_x, lam_l, lam_r
 
     # ------------------------------------------------------------------
@@ -154,7 +147,7 @@ class DynamicEngine:
             raise UsageError(f"unknown node {x}")
         if tree.is_leaf(x):
             if x == tree.root:  # single-node tree
-                return linalg.normalize(self.prior * self._slot(x))
+                return linalg.normalize(self.prior * self.tree.leaf_lambda(x))
             lt0 = self.hier.levels[0]
             p = tree.parent[x]
             pp, lam_l, lam_r = self.calc_pi_lambda(p, 0)
@@ -166,7 +159,7 @@ class DynamicEngine:
                 pp * linalg.apply(lt0.cell[(p, side_sib)].value, lam_sib, self.counter),
                 self.counter,
             )
-            return linalg.normalize(self._slot(x) * pi_x)
+            return linalg.normalize(self.tree.leaf_lambda(x) * pi_x)
         i = self.hier.ind[x]
         lt = self.hier.levels[i]
         p, lam_l, lam_r = self.calc_pi_lambda(x, i)
@@ -180,4 +173,4 @@ class DynamicEngine:
 
     def rebuild(self) -> ContractionHierarchy:
         """From-scratch hierarchy on the current evidence (audit helper)."""
-        return build_hierarchy(self.tree, slots=dict(self.slots))
+        return build_hierarchy(self.tree)

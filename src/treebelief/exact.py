@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import InconsistentEvidenceError, ScaleError, UsageError
+from .errors import InconsistentEvidenceError, ScaleError
 from .linalg import OpCounter
 from .tree import CausalTree
 
@@ -149,8 +149,6 @@ class PropagationState:
         """Post new evidence and refresh lambda on the root path; pi is left
         stale by design."""
         tree = self.tree
-        if not tree.is_leaf(leaf):
-            raise UsageError(f"node {leaf} is not a leaf")
         tree.set_evidence(leaf, likelihood)
         self.lam[leaf] = tree.leaf_lambda(leaf)
         self.msg[leaf] = linalg.apply(tree.matrix[leaf], self.lam[leaf], self.counter)

@@ -29,22 +29,36 @@ from .polytree import Polytree
 from .tree import CausalTree, RawTree, binarize
 
 
-def _tokenized_lines(lines):
+# fewest tokens (keyword included) each line kind needs
+BTN_ARITY = {"k": 2, "node": 2, "root": 2, "prior": 2, "edge": 3, "evidence": 2}
+PTN_ARITY = {"k": 2, "node": 2, "parents": 2, "cpt": 3, "prior": 2}
+
+
+def _tokenized_lines(lines, arity):
     for lineno, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        yield lineno, body.split()
+        toks = body.split()
+        need = arity.get(toks[0], 1)
+        if len(toks) < need:
+            raise FormatError(
+                f"`{toks[0]}` needs {need - 1} or more fields, got {len(toks) - 1}",
+                line=lineno,
+            )
+        yield lineno, toks
 
 
 def _floats(tokens, lineno, expected=None):
     try:
-        vals = [float(t) for t in tokens]
+        vals = np.array([float(t) for t in tokens])
     except ValueError as exc:
         raise FormatError(f"bad float: {exc}", line=lineno)
     if expected is not None and len(vals) != expected:
         raise FormatError(f"expected {expected} floats, got {len(vals)}", line=lineno)
-    return np.array(vals)
+    if not np.all(np.isfinite(vals)):
+        raise FormatError("non-finite number", line=lineno)
+    return vals
 
 
 def _int(token, lineno):
@@ -57,9 +71,16 @@ def _int(token, lineno):
     return v
 
 
+def _k(token, lineno):
+    k = _int(token, lineno)
+    if k < 1:
+        raise FormatError("k must be at least 1", line=lineno)
+    return k
+
+
 def parse_btn(lines) -> CausalTree:
     """Parse BTN text (iterable of lines) into a validated CausalTree."""
-    it = _tokenized_lines(lines)
+    it = _tokenized_lines(lines, BTN_ARITY)
     try:
         lineno, header = next(it)
     except StopIteration:
@@ -76,14 +97,14 @@ def parse_btn(lines) -> CausalTree:
         if kw == "k":
             if raw is not None:
                 raise FormatError("duplicate `k` line", line=lineno)
-            raw = RawTree(_int(toks[1], lineno))
+            raw = RawTree(_k(toks[1], lineno))
         elif raw is None:
             raise FormatError(f"`k` must precede `{kw}`", line=lineno)
         elif kw == "node":
-            if len(toks) < 2:
-                raise FormatError("node needs an id", line=lineno)
-            name = toks[2] if len(toks) > 2 else None
-            raw.add_node(_int(toks[1], lineno), name)
+            nid = _int(toks[1], lineno)
+            if nid in raw.names:
+                raise FormatError(f"duplicate node id {nid}", line=lineno)
+            raw.add_node(nid, toks[2] if len(toks) > 2 else None)
         elif kw == "root":
             root = _int(toks[1], lineno)
         elif kw == "prior":
@@ -111,10 +132,7 @@ def parse_btn(lines) -> CausalTree:
         raise FormatError("missing `prior` line for the root")
     raw.set_root(root, prior[1])
     raw.evidence = evidence
-    tree = binarize(raw)
-    for leaf, lik in list(tree.evidence.items()):
-        tree.set_evidence(leaf, lik)  # re-validate through the normal path
-    return tree
+    return binarize(raw)
 
 
 def serialize_btn(tree: CausalTree) -> str:
@@ -142,7 +160,7 @@ def serialize_btn(tree: CausalTree) -> str:
 
 def parse_ptn(lines) -> Polytree:
     """Parse PTN text into a validated Polytree."""
-    it = _tokenized_lines(lines)
+    it = _tokenized_lines(lines, PTN_ARITY)
     try:
         lineno, header = next(it)
     except StopIteration:
@@ -159,11 +177,14 @@ def parse_ptn(lines) -> Polytree:
         if kw == "k":
             if pt is not None:
                 raise FormatError("duplicate `k` line", line=lineno)
-            pt = Polytree(k=_int(toks[1], lineno))
+            pt = Polytree(k=_k(toks[1], lineno))
         elif pt is None:
             raise FormatError(f"`k` must precede `{kw}`", line=lineno)
         elif kw == "node":
-            declared[_int(toks[1], lineno)] = toks[2] if len(toks) > 2 else None
+            nid = _int(toks[1], lineno)
+            if nid in declared:
+                raise FormatError(f"duplicate node id {nid}", line=lineno)
+            declared[nid] = toks[2] if len(toks) > 2 else None
         elif kw == "parents":
             nid = _int(toks[1], lineno)
             parents[nid] = tuple(_int(t, lineno) for t in toks[2:])

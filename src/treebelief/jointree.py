@@ -167,14 +167,3 @@ def marginalize(bel, clique: CliqueNode, var) -> np.ndarray:
     axes = tuple(i for i in range(clique.n) if i != pos)
     return cube.sum(axis=axes)
 
-
-def factored_rake(
-    b_u: FactoredMatrix,
-    a_x: FactoredMatrix,
-    b_x: FactoredMatrix,
-    lam_e,
-    counter: OpCounter | None = None,
-) -> FactoredMatrix:
-    """Rake with every operand factored (left-leaf variant); the new left
-    factor is b_u.left unchanged, the new right factor the bracketed product."""
-    return linalg.rake_compose(b_u, a_x, b_x, lam_e, counter)

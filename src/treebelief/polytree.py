@@ -23,10 +23,9 @@ from .errors import (
 )
 from .jointree import CliqueNode, FactoredMatrix, build_projection, clique_evidence, marginalize
 from .linalg import OpCounter
-from .tree import CausalTree, RawTree, binarize
+from .tree import ROW_SUM_TOL, CausalTree, RawTree, binarize
 
-DEFAULT_MAX_PARENTS = 4
-ROW_SUM_TOL = 1e-9
+MAX_PARENTS = 4  # a family clique has k^(parents+1) values
 
 
 @dataclass
@@ -88,7 +87,7 @@ class Polytree:
                     out.append(f"undirected cycle through {v}")
                     break
                 seen.add(v)
-                stack.extend((w, v) for w in adj[v] if w is not came)
+                stack.extend((w, v) for w in adj[v] if w != came)
             if len(seen) < len(vars_) and not out:
                 out.append("underlying undirected graph is disconnected")
         for v in vars_:
@@ -100,6 +99,8 @@ class Polytree:
             bad = np.where(np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL)[0]
             for r in bad:
                 out.append(f"table of {v}: row {r} sums to {rows[r].sum():.6g}")
+            if np.any(t < 0):
+                out.append(f"table of {v} has negative entries")
         return out
 
     def prior_marginals(self) -> dict:
@@ -163,20 +164,13 @@ class Polytree:
 class PolytreeEngine:
     """Family-clique join tree plus the factored dynamic engine (c = 1)."""
 
-    def __init__(
-        self,
-        pt: Polytree,
-        max_parents: int = DEFAULT_MAX_PARENTS,
-        counter: OpCounter | None = None,
-    ):
+    def __init__(self, pt: Polytree, counter: OpCounter | None = None):
         problems = pt.validate()
         if problems:
             raise StructureError("; ".join(problems))
         p_max = max((len(ps) for ps in pt.parents.values()), default=0)
-        if p_max > max_parents:
-            raise ScaleError(
-                f"max in-degree {p_max} exceeds configured limit {max_parents}"
-            )
+        if p_max > MAX_PARENTS:
+            raise ScaleError(f"max in-degree {p_max} exceeds limit {MAX_PARENTS}")
         self.pt = pt
         self.n_clique = p_max + 1
         self.cliques: dict = {}

@@ -95,10 +95,7 @@ def train(corpus, w: int) -> ChainTables:
     if not corpus:
         raise UsageError("empty training corpus")
     ps_mers = _mers(STRUCTURE_SYMBOLS, w)
-    aa_mers = _mers(AMINO_ACIDS, w) if w == 2 else None
-    # w=3 over 20 symbols gives 8000 columns; index lazily but densely
-    if aa_mers is None:
-        aa_mers = _mers(AMINO_ACIDS, 3)
+    aa_mers = _mers(AMINO_ACIDS, w)
     k, a = len(ps_mers), len(aa_mers)
     ps_idx = {m: i for i, m in enumerate(ps_mers)}
     aa_idx = {m: i for i, m in enumerate(aa_mers)}

@@ -11,6 +11,8 @@ all-ones.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -36,20 +38,34 @@ class RawTree:
         self.children.setdefault(node, [])
 
     def set_root(self, node: int, prior) -> None:
+        v = linalg.as_vector(prior)
+        if not (v.size and v.min() >= 0.0 and 0.0 < v.max() < math.inf):
+            raise DimensionError("prior must be finite, nonnegative and not all zero")
         self.root = node
-        self.prior = linalg.normalize(linalg.as_vector(prior))
+        self.prior = linalg.normalize(v)
 
     def add_edge(self, parent: int, child: int, matrix) -> None:
         if parent not in self.names or child not in self.names:
             raise StructureError(f"edge {parent}->{child} references unknown node")
-        self.children[parent].append(child)
         if hasattr(matrix, "mv"):  # factored matrices pass through unchanged
-            self.matrix[child] = matrix
+            m = matrix
         else:
-            self.matrix[child] = linalg.as_matrix(matrix)
+            m = linalg.as_matrix(matrix)
+            if not np.all(np.isfinite(m)):
+                raise DimensionError(f"edge matrix into {child} has non-finite entries")
+        self.children[parent].append(child)
+        self.matrix[child] = m
 
 
 class CausalTree:
+    """Binary complete causal tree; the single store of leaf evidence.
+
+    `evidence` maps each leaf with posted evidence to its likelihood vector.
+    A contraction hierarchy built on the tree reads it through `leaf_lambda`,
+    so once an engine is built, evidence changes go through the engine's
+    `update_evidence`, which also refreshes the derived matrices.
+    """
+
     def __init__(self, k: int):
         self.k = k
         self.names: dict[int, str] = {}
@@ -63,12 +79,11 @@ class CausalTree:
         self.alias: dict[int, int] = {}  # copy -> original
         self.dummies: set[int] = set()
         self._next_id = 0
+        self._ones = np.ones(k)  # shared likelihood of every leaf without evidence
+        self._ones.flags.writeable = False
 
     # ------------------------------------------------------------------
     # basic structure helpers
-
-    def nodes(self):
-        return self.names.keys()
 
     def is_leaf(self, x: int) -> bool:
         return x not in self.left
@@ -98,10 +113,6 @@ class CausalTree:
             x = self.alias[x]
         return x
 
-    def canonical(self, x: int) -> int:
-        """Map an original node id to the node actually queried (identity)."""
-        return x
-
     def in_order_leaves(self) -> list[int]:
         """Leaves left-to-right under in-order traversal (iterative)."""
         out = []
@@ -116,9 +127,8 @@ class CausalTree:
         return out
 
     def leaf_lambda(self, leaf: int) -> np.ndarray:
-        if leaf in self.evidence:
-            return self.evidence[leaf]
-        return np.ones(self.k)
+        """Current likelihood of a leaf (read-only all-ones without evidence)."""
+        return self.evidence.get(leaf, self._ones)
 
     def depth(self, x: int) -> int:
         d = 0
@@ -138,8 +148,8 @@ class CausalTree:
         v = linalg.as_vector(likelihood)
         if v.shape[0] != self.k:
             raise DimensionError(f"likelihood length {v.shape[0]} != k={self.k}")
-        if np.any(v < 0):
-            raise DimensionError("likelihood entries must be nonnegative")
+        if not (v.min() >= 0.0 and v.max() < math.inf):  # NaN fails the first test
+            raise DimensionError("likelihood entries must be finite and nonnegative")
         self.evidence[leaf] = v.copy()
 
     def attach_evidence_leaf(self, x: int) -> int:
@@ -184,7 +194,7 @@ class CausalTree:
             return ["no root defined"]
         if self.prior is None or self.prior.shape != (self.k,):
             out.append("root prior missing or wrong length")
-        elif abs(self.prior.sum() - 1.0) > 1e-9:
+        elif not abs(self.prior.sum() - 1.0) <= 1e-9:  # NaN fails too
             out.append("root prior does not sum to 1")
         if self.root in self.parent:
             out.append("root has a parent")
@@ -215,10 +225,10 @@ class CausalTree:
             if m.shape != (self.k, self.k):
                 out.append(f"edge matrix into {child} has shape {m.shape}")
                 continue
-            bad = np.where(np.abs(m.sum(axis=1) - 1.0) > ROW_SUM_TOL)[0]
+            bad = np.where(~(np.abs(m.sum(axis=1) - 1.0) <= ROW_SUM_TOL))[0]
             for row in bad:
                 out.append(f"edge matrix into {child}: row {row} sums to {m[row].sum():.6g}")
-            if np.any(m < 0) or np.any(m > 1.0 + 1e-12):
+            if not np.all((m >= 0) & (m <= 1.0 + 1e-12)):
                 out.append(f"edge matrix into {child} has entries outside [0,1]")
         for x in seen:
             if not self.is_leaf(x) and x not in self.matrix and x != self.root:
@@ -226,8 +236,10 @@ class CausalTree:
         for leaf, v in self.evidence.items():
             if leaf not in seen or not self.is_leaf(leaf):
                 out.append(f"evidence on non-leaf node {leaf}")
-            if v.shape != (self.k,) or np.any(v < 0):
-                out.append(f"evidence on {leaf} is not a nonnegative k-vector")
+            elif leaf in self.dummies:
+                out.append(f"evidence on dummy leaf {leaf}")
+            if v.shape != (self.k,) or not np.all(np.isfinite(v) & (v >= 0)):
+                out.append(f"evidence on {leaf} is not a finite nonnegative k-vector")
         return out
 
 

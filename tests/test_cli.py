@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treebelief import cli
-from test_formats import THREE_NODE_BTN, V_STRUCTURE_PTN
+from test_formats import LARGE_ID_PTN, THREE_NODE_BTN, V_STRUCTURE_PTN
 
 GOLDEN_CHAIN_BTN = "\n".join(
     ["BTN 1", "k 2"]
@@ -14,6 +14,50 @@ GOLDEN_CHAIN_BTN = "\n".join(
     + [f"edge {p} {c} 0.9 0.1 0.2 0.8"
        for p, c in [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7), (6, 8)]]
 ) + "\n"
+
+# undeclared id 2 becomes the dummy pad of the single-child root
+DUMMY_EVIDENCE_BTN = (
+    "BTN 1\nk 2\nnode 0 a\nnode 1 b\nroot 0\nprior 0 0.5 0.5\n"
+    "edge 0 1 0.9 0.1 0.2 0.8\nevidence 2 1 0\n"
+)
+
+
+def _bad(name, base, old, new, message):
+    assert old in base
+    return name, base.replace(old, new), message
+
+
+BAD_INPUTS = [
+    _bad("btn-k", THREE_NODE_BTN, "k 2", "k", "line 2:"),
+    _bad("btn-root", THREE_NODE_BTN, "root 0", "root", "line 6:"),
+    _bad("btn-prior", THREE_NODE_BTN, "prior 0 0.5 0.5", "prior", "line 7:"),
+    _bad("btn-edge", THREE_NODE_BTN, "edge 0 1 0.9 0.1 0.2 0.8", "edge 0", "line 8:"),
+    _bad("btn-evidence", THREE_NODE_BTN, "evidence 1 1 0", "evidence", "line 10:"),
+    _bad("btn-duplicate-node", THREE_NODE_BTN, "node 2 Z", "node 1 Z",
+         "duplicate node id 1"),
+    _bad("btn-nan-evidence", THREE_NODE_BTN, "evidence 1 1 0", "evidence 1 nan 0",
+         "non-finite"),
+    _bad("btn-inf-prior", THREE_NODE_BTN, "prior 0 0.5", "prior 0 inf", "non-finite"),
+    _bad("btn-nan-edge", THREE_NODE_BTN, "edge 0 2 0.7", "edge 0 2 nan", "non-finite"),
+    _bad("btn-negative-prior", THREE_NODE_BTN, "prior 0 0.5 0.5", "prior 0 -1 2",
+         "nonnegative"),
+    _bad("btn-zero-prior", THREE_NODE_BTN, "prior 0 0.5 0.5", "prior 0 0 0", "all zero"),
+    _bad("btn-k-zero", THREE_NODE_BTN, "k 2", "k 0", "line 2:"),
+    ("btn-evidence-on-dummy", DUMMY_EVIDENCE_BTN, "dummy leaf 2"),
+    _bad("ptn-k", V_STRUCTURE_PTN, "k 2", "k", "line 2:"),
+    _bad("ptn-k-zero", V_STRUCTURE_PTN, "k 2", "k 0", "line 2:"),
+    _bad("ptn-node", V_STRUCTURE_PTN, "node 2 c", "node", "line 5:"),
+    _bad("ptn-parents", V_STRUCTURE_PTN, "parents 2 0 1", "parents", "line 6:"),
+    _bad("ptn-cpt", V_STRUCTURE_PTN, "cpt 2 0.9 0.1 0.5 0.5 0.4 0.6 0.2 0.8", "cpt 2",
+         "line 9:"),
+    _bad("ptn-prior", V_STRUCTURE_PTN, "prior 0 0.3 0.7", "prior", "line 7:"),
+    _bad("ptn-duplicate-node", V_STRUCTURE_PTN, "node 2 c", "node 1 c",
+         "duplicate node id 1"),
+    _bad("ptn-negative-prior", V_STRUCTURE_PTN, "prior 1 0.6 0.4", "prior 1 -1 2",
+         "negative entries"),
+    _bad("ptn-nan-prior", V_STRUCTURE_PTN, "prior 1 0.6", "prior 1 nan", "non-finite"),
+    _bad("ptn-inf-cpt", V_STRUCTURE_PTN, "cpt 2 0.9", "cpt 2 inf", "non-finite"),
+]
 
 
 @pytest.fixture
@@ -59,6 +103,20 @@ class TestCheck:
         p = tmp_path / "bad.btn"
         p.write_text("BTN 1\nk 2\nnode 0 a\nprior 0 0.5 0.5\n")
         assert cli.main(["check", str(p)]) == 2
+
+    def test_large_id_ptn_ok(self, tmp_path, capsys):
+        p = tmp_path / "large.ptn"
+        p.write_text(LARGE_ID_PTN)
+        assert cli.main(["check", str(p)]) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(text, message, id=name) for name, text, message in BAD_INPUTS
+    ])
+    def test_bad_input_is_data_error(self, tmp_path, capsys, text, message):
+        p = tmp_path / "bad.model"
+        p.write_text(text)
+        assert cli.main(["check", str(p)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSession:

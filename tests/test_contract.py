@@ -9,7 +9,7 @@ from treebelief.tree import RawTree, binarize
 from util import post_random_evidence, random_binarized_tree
 
 
-def golden_chain(rng=None, identity=False):
+def golden_raw(rng=None, identity=False):
     """Length-4 chain: x1..x4 (ids 0,2,4,6), leaves e1..e5 (ids 1,3,5,7,8)."""
     rng = rng or np.random.default_rng(0)
     mk = (lambda: np.eye(2)) if identity else (lambda: random_stochastic(rng, 2, 2))
@@ -20,7 +20,11 @@ def golden_chain(rng=None, identity=False):
     raw.set_root(0, [0.5, 0.5] if identity else random_stochastic(rng, 1, 2)[0])
     for p, c in [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7), (6, 8)]:
         raw.add_edge(p, c, mk())
-    return binarize(raw)
+    return raw
+
+
+def golden_chain(rng=None, identity=False):
+    return binarize(golden_raw(rng, identity))
 
 
 X1, E1, X2, E2, X3, E3, X4, E4, E5 = range(9)
@@ -164,10 +168,12 @@ class TestBuildHierarchy:
             assert len(hier.levels) <= 4 * int(np.ceil(np.log2(max(2, leaves)))) + 2
 
     def test_invalid_tree_rejected(self):
-        t = golden_chain()
-        t.matrix[E1] = np.array([[0.5, 0.4], [0.2, 0.8]])
+        # validation happens once, in binarize: an invalid tree never
+        # reaches build_hierarchy
+        raw = golden_raw()
+        raw.matrix[E1] = np.array([[0.5, 0.4], [0.2, 0.8]])
         with pytest.raises(StructureError):
-            build_hierarchy(t)
+            binarize(raw)
 
     def test_dump_lines_shape(self):
         hier = build_hierarchy(golden_chain())

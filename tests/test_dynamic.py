@@ -5,8 +5,11 @@ from treebelief import exact
 from treebelief.bench import make_chain
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import UsageError
+from treebelief.formats import parse_btn
+from treebelief.tree import CausalTree
 from test_contract import E1, E2, E3, E4, X1, X3, golden_chain
 from test_exact import three_node_tree
+from test_formats import THREE_NODE_BTN
 from util import post_random_evidence, random_binarized_tree, updatable_leaves
 
 
@@ -88,8 +91,8 @@ class TestCalcPiLambda:
         assert np.array_equal(p, eng.prior)
         top = eng.hier.levels[eng.hier.top]
         tl, tr = top.children_of(X1)
-        assert np.array_equal(l, eng._slot(tl))
-        assert np.array_equal(r, eng._slot(tr))
+        assert np.array_equal(l, eng.tree.leaf_lambda(tl))
+        assert np.array_equal(r, eng.tree.leaf_lambda(tr))
 
     def test_pi_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -177,3 +180,17 @@ class TestRebuildEquivalence:
             for a, b in zip(eng.hier.recipes, rebuilt.recipes):
                 assert a.target.key == b.target.key
                 assert np.array_equal(a.target.value, b.target.value)
+
+
+class TestValidationOnce:
+    def test_parse_and_build_validate_once(self, monkeypatch):
+        calls = []
+        validate = CausalTree.validate
+
+        def counted(tree):
+            calls.append(tree)
+            return validate(tree)
+
+        monkeypatch.setattr(CausalTree, "validate", counted)
+        DynamicEngine(parse_btn(THREE_NODE_BTN.splitlines()))
+        assert len(calls) == 1

@@ -30,6 +30,16 @@ prior 1 0.6 0.4
 cpt 2 0.9 0.1 0.5 0.5 0.4 0.6 0.2 0.8
 """
 
+LARGE_ID_PTN = """\
+PTN 1
+k 2
+node 1000 a
+node 1001 b
+parents 1001 1000
+prior 1000 0.3 0.7
+cpt 1001 0.9 0.1 0.2 0.8
+"""
+
 
 class TestParseBtn:
     def test_three_node(self):
@@ -119,6 +129,11 @@ class TestParsePtn:
         )
         with pytest.raises(FormatError, match="expected 8"):
             parse_ptn(bad.splitlines())
+
+    def test_large_ids(self):
+        pt = parse_ptn(LARGE_ID_PTN.splitlines())
+        assert pt.parents[1001] == (1000,)
+        assert pt.validate() == []
 
     def test_not_singly_connected(self):
         bad = V_STRUCTURE_PTN + "node 3 d\nparents 3 0 1\ncpt 3 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n"

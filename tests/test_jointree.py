@@ -10,7 +10,6 @@ from treebelief.jointree import (
     FactoredMatrix,
     build_projection,
     clique_evidence,
-    factored_rake,
     marginalize,
 )
 from treebelief.linalg import OpCounter
@@ -154,7 +153,7 @@ class TestFactoredRake:
                 np.eye(K)[:, rng.permutation(K)[:L]], random_stochastic(rng, L, K)
             )
             lam = rng.random(K)
-            got = factored_rake(b_u, a_x, b_x, lam)
+            got = linalg.rake_compose(b_u, a_x, b_x, lam)
             assert isinstance(got, FactoredMatrix)
             assert got.left is b_u.left
             assert got.left.shape == (K, L) and got.right.shape == (L, K)
@@ -164,7 +163,7 @@ class TestFactoredRake:
     def test_identity_all_ones(self):
         K = 4
         ident = FactoredMatrix.identity(K)
-        got = factored_rake(ident, ident, FactoredMatrix.identity(K), np.ones(K))
+        got = linalg.rake_compose(ident, ident, FactoredMatrix.identity(K), np.ones(K))
         assert np.allclose(got.expand(), np.eye(K), atol=1e-15)
 
 

@@ -47,6 +47,11 @@ class TestPolytreeValidate:
         pt.add_variable(0, (9,))
         assert any("unknown parent" in m for m in pt.validate())
 
+    def test_ids_above_small_int_cache(self):
+        # ints above 256 are distinct objects: identity is not equality
+        pt = random_polytree(np.random.default_rng(4), 300, 2)
+        assert pt.validate() == []
+
 
 class TestPriorMarginals:
     def test_matches_enumeration(self):

@@ -127,6 +127,35 @@ class TestEvidence:
         with pytest.raises(DimensionError):
             t.set_evidence(1, [1, 0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        t = binarize(three_child_raw())
+        with pytest.raises(DimensionError):
+            t.set_evidence(1, [bad, 1.0])
+
+    def test_leaves_without_evidence_share_read_only_ones(self):
+        t = binarize(three_child_raw())
+        a, b = t.leaf_lambda(1), t.leaf_lambda(2)
+        assert a is b and np.array_equal(a, [1.0, 1.0])
+        assert not a.flags.writeable
+
+
+class TestRawInput:
+    @pytest.mark.parametrize("prior", [[np.nan, 0.5], [np.inf, 0.5], [-1.0, 2.0], [0.0, 0.0]])
+    def test_bad_prior_rejected(self, prior):
+        raw = RawTree(2)
+        raw.add_node(0)
+        with pytest.raises(DimensionError):
+            raw.set_root(0, prior)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        raw = RawTree(2)
+        raw.add_node(0)
+        raw.add_node(1)
+        with pytest.raises(DimensionError):
+            raw.add_edge(0, 1, [[bad, 0.5], [0.5, 0.5]])
+
 
 class TestAttachEvidenceLeaf:
     def test_internal_conditioning(self):
@@ -194,6 +223,13 @@ class TestValidate:
         t = binarize(three_child_raw())
         t.prior = None
         assert any("prior" in m for m in t.validate())
+
+    def test_nan_matrix_named(self):
+        t = binarize(three_child_raw())
+        t.matrix[1] = np.array([[np.nan, 0.5], [0.5, 0.5]])
+        msgs = t.validate()
+        assert any("row 0" in m and "into 1" in m for m in msgs)
+        assert any("outside [0,1]" in m for m in msgs)
 
 
 class TestTraversal:
