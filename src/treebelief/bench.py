@@ -214,7 +214,7 @@ class PolytreeFullEngine:
     def query(self, var) -> np.ndarray:
         if var not in self.pt.parents:
             raise UsageError(f"unknown variable {var}")
-        return self.pt.joint_conditionals(self.evidence)[var]
+        return self.pt.joint_conditionals(self.evidence, self.counter)[var]
 
     def stats(self) -> OpCounter:
         return self.counter
@@ -318,6 +318,9 @@ def run_bench(
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise UsageError("sizes must be ascending")
+    unknown = [name for name in engines if name not in ENGINE_CLASSES]
+    if unknown:  # before any model is built or engine run
+        raise UsageError(f"unknown engine {unknown[0]!r}")
     records = []
     for size in sizes:
         rng = np.random.default_rng(seed + size)

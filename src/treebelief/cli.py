@@ -139,9 +139,6 @@ def _parse_sizes(text: str) -> list[int]:
 def cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
     engines = [e for e in args.engines.split(",") if e]
-    for e in engines:
-        if e not in bench_mod.ENGINE_CLASSES:
-            raise UsageError(f"unknown engine {e!r}")
     records = bench_mod.run_bench(args.shape, sizes, args.k, args.ops, args.seed, engines)
     sys.stdout.write(bench_mod.to_csv(records))
     if args.ratio:

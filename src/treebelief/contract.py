@@ -47,16 +47,15 @@ class Recipe:
     reproducible against a full rebuild.
     """
 
-    __slots__ = ("level", "target", "m_u", "m_diag", "m_pass", "leaf", "leaf_side")
+    __slots__ = ("level", "target", "m_u", "m_diag", "m_pass", "leaf")
 
-    def __init__(self, level, target, m_u, m_diag, m_pass, leaf, leaf_side):
+    def __init__(self, level, target, m_u, m_diag, m_pass, leaf):
         self.level = level  # rake happened between level and level+1
         self.target = target
         self.m_u = m_u
         self.m_diag = m_diag
         self.m_pass = m_pass
         self.leaf = leaf
-        self.leaf_side = leaf_side  # 'A' if the raked leaf was a left child
 
     def recompute(self, tree: CausalTree, counter: OpCounter | None = None) -> None:
         self.target.value = linalg.rake_compose(
@@ -69,12 +68,15 @@ class Recipe:
 
 
 class LevelTree:
-    """One contracted tree T_i: structure links plus A/B matrix cells."""
+    """One contracted tree T_i: structure links plus A/B matrix cells.
+
+    The node set is derived from the links (the root plus every node with a
+    parent), not stored.
+    """
 
     def __init__(self, level: int, root: int):
         self.level = level
         self.root = root
-        self.contains: set[int] = set()
         self.left: dict[int, int] = {}
         self.right: dict[int, int] = {}
         self.parent: dict[int, int] = {}
@@ -82,12 +84,15 @@ class LevelTree:
 
     def copy_next(self) -> "LevelTree":
         nxt = LevelTree(self.level + 1, self.root)
-        nxt.contains = set(self.contains)
         nxt.left = dict(self.left)
         nxt.right = dict(self.right)
         nxt.parent = dict(self.parent)
         nxt.cell = dict(self.cell)
         return nxt
+
+    @property
+    def contains(self) -> set[int]:
+        return {self.root, *self.parent}
 
     def is_leaf(self, x: int) -> bool:
         return x not in self.left
@@ -114,7 +119,6 @@ class LevelTree:
 class ContractionHierarchy:
     def __init__(self, tree: CausalTree):
         self.tree = tree
-        self.k = tree.k
         self.levels: list[LevelTree] = []
         self.recipes: list[Recipe] = []
         self.recipe_by_leaf: dict[int, Recipe] = {}
@@ -151,9 +155,6 @@ class ContractionHierarchy:
                     * linalg.apply(lt.cell[(x, "B")].value, lam[r])
                 )
         return lam
-
-    def fresh_matrix_count(self) -> int:
-        return len(self.recipes)
 
     def dump_lines(self) -> list[str]:
         """Diagnostic text: per-level node sets and the recipe graph."""
@@ -194,7 +195,7 @@ def rake(
     m_pass = cur.cell[(x, "B" if leaf_side == "A" else "A")]
 
     target = MatCell(None, (u, side_x, nxt.level))
-    recipe = Recipe(cur.level, target, m_u, m_diag, m_pass, e, leaf_side)
+    recipe = Recipe(cur.level, target, m_u, m_diag, m_pass, e)
     recipe.recompute(hier.tree, counter)
 
     # single-successor audit (by construction each input dies after use)
@@ -207,10 +208,9 @@ def rake(
     hier.recipe_by_leaf[e] = recipe
     hier.recipes.append(recipe)
     hier.raked_with[x] = e
+    hier.ind[e] = hier.ind[x] = cur.level
 
     # splice the next-level tree
-    nxt.contains.discard(e)
-    nxt.contains.discard(x)
     for d in (e, x):
         nxt.parent.pop(d, None)
         nxt.left.pop(d, None)
@@ -275,7 +275,6 @@ def build_hierarchy(
     hier = ContractionHierarchy(tree)
 
     t0 = LevelTree(0, tree.root)
-    t0.contains = set(tree.names)
     t0.left = dict(tree.left)
     t0.right = dict(tree.right)
     t0.parent = dict(tree.parent)
@@ -289,17 +288,16 @@ def build_hierarchy(
         nxt = contract_pass(hier, cur, counter)
         if nxt is None:
             break
-        for node in cur.contains - nxt.contains:
-            hier.ind[node] = cur.level
         hier.levels.append(nxt)
         cur = nxt
-    for node in cur.contains:
+    remaining = cur.contains
+    for node in remaining:
         hier.ind[node] = cur.level
 
     n_leaves = len(t0.leaves_in_order())
-    if n_leaves >= 3 and len(cur.contains) != 3:
+    if n_leaves >= 3 and len(remaining) != 3:
         raise StructureError(
-            f"contraction stalled with {len(cur.contains)} nodes remaining"
+            f"contraction stalled with {len(remaining)} nodes remaining"
         )
     bound = 4 * math.ceil(math.log2(max(2, n_leaves))) + 2
     if len(hier.levels) > bound:

@@ -97,7 +97,7 @@ class DynamicEngine:
         """
         hier = self.hier
         lt = hier.levels[i]
-        if x not in lt.contains or lt.is_leaf(x):
+        if x not in lt.left:
             raise UsageError(f"node {x} is not an internal node of T_{i}")
 
         if i == hier.top:
@@ -105,7 +105,7 @@ class DynamicEngine:
             return self.prior, self.tree.leaf_lambda(l), self.tree.leaf_lambda(r)
 
         nxt = hier.levels[i + 1]
-        if x in nxt.contains:
+        if x in nxt.left:  # a rake never turns an internal node into a leaf
             p, lam_l, lam_r = self.calc_pi_lambda(x, i + 1)
             return (
                 p,
@@ -168,9 +168,3 @@ class DynamicEngine:
             * linalg.apply(lt.cell[(x, "B")].value, lam_r, self.counter)
         )
         return linalg.normalize(lam_x * p)
-
-    # ------------------------------------------------------------------
-
-    def rebuild(self) -> ContractionHierarchy:
-        """From-scratch hierarchy on the current evidence (audit helper)."""
-        return build_hierarchy(self.tree)

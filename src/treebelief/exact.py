@@ -3,8 +3,10 @@
 Three engines of increasing cleverness, used to cross-check each other and
 the logarithmic engine:
 
-* joint_marginals -- brute-force enumeration of the full joint; definitionally
-  correct, exponential, for small trees only.
+* enumerate_marginals -- the one brute-force oracle: enumeration of the full
+  joint of a factor product; definitionally correct, exponential, for small
+  models only.  joint_marginals feeds it a causal tree and
+  Polytree.joint_conditionals a polytree.
 * propagate_all   -- the classical two-pass bottom-up/top-down propagation,
   O(k^2 N).
 * PropagationState + path_update/path_query -- the depth-bounded incremental
@@ -92,46 +94,58 @@ def propagate_all(
     return bel
 
 
-def joint_marginals(
-    tree: CausalTree, counter: OpCounter | None = None
-) -> dict[int, np.ndarray]:
-    """Brute-force oracle: enumerate the joint over every node's value.
+def enumerate_marginals(
+    k: int, factors, counter: OpCounter | None = None
+) -> dict:
+    """Brute-force oracle: every variable's marginal under the normalized
+    product of `factors`.
 
-    Builds the full k^N weight tensor by broadcasting the prior, every edge
-    matrix and every evidence likelihood, then marginalizes per node.
+    Each factor is (variables, table), with one length-k axis of `table` per
+    listed variable, in that order.  The full k^n weight tensor is built by
+    broadcasting every factor, then summed down per variable; each product
+    and each sum adds the tensor size to `counter.flops`.
     """
-    nodes = sorted(tree.names)
-    axis = {n: i for i, n in enumerate(nodes)}
-    k, n = tree.k, len(nodes)
+    variables = sorted({v for vs, _ in factors for v in vs})
+    axis = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
     if k**n > JOINT_STATE_LIMIT:
         raise ScaleError(f"joint state space k^{n} exceeds {JOINT_STATE_LIMIT}")
-
-    def lifted(arr, axes: tuple[int, ...]) -> np.ndarray:
-        if hasattr(arr, "expand"):
-            arr = arr.expand()
+    w = np.ones((k,) * n)
+    for vs, table in factors:
+        axes = [axis[v] for v in vs]
+        t = np.asarray(table, dtype=np.float64).reshape((k,) * len(vs))
         shape = [1] * n
         for a in axes:
             shape[a] = k
-        if len(axes) == 2 and axes[0] > axes[1]:
-            arr = arr.T
-        return arr.reshape(shape)
-
-    w = lifted(tree.prior, (axis[tree.root],))
-    for child, m in tree.matrix.items():
-        if child not in tree.parent:
-            continue
-        w = w * lifted(m, (axis[tree.parent[child]], axis[child]))
-    for leaf in tree.in_order_leaves():
-        w = w * lifted(tree.leaf_lambda(leaf), (axis[leaf],))
+        w = w * np.transpose(t, np.argsort(axes)).reshape(shape)
+        if counter is not None:
+            counter.flops += w.size
 
     total = float(w.sum())
     if total <= 0.0:
         raise InconsistentEvidenceError("evidence has zero joint probability")
     out = {}
-    for node in nodes:
-        others = tuple(i for i in range(n) if i != axis[node])
-        out[node] = w.sum(axis=others) / total
+    for v in variables:
+        others = tuple(i for i in range(n) if i != axis[v])
+        out[v] = w.sum(axis=others) / total
+        if counter is not None:
+            counter.flops += w.size
     return out
+
+
+def joint_marginals(
+    tree: CausalTree, counter: OpCounter | None = None
+) -> dict[int, np.ndarray]:
+    """Brute-force oracle over a causal tree: the prior, every edge matrix and
+    every leaf likelihood, enumerated by `enumerate_marginals`."""
+    factors = [((tree.root,), tree.prior)]
+    for child, m in tree.matrix.items():
+        if child in tree.parent:
+            m = m.expand() if hasattr(m, "expand") else m
+            factors.append(((tree.parent[child], child), m))
+    for leaf in tree.in_order_leaves():
+        factors.append(((leaf,), tree.leaf_lambda(leaf)))
+    return enumerate_marginals(tree.k, factors, counter)
 
 
 class PropagationState:

@@ -57,17 +57,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hadamard(u, v, counter: OpCounter | None = None) -> np.ndarray:
-    """Component-wise product of two equal-length vectors."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape != v.shape:
-        raise DimensionError(f"hadamard length mismatch: {u.shape} vs {v.shape}")
-    if counter is not None:
-        counter.flops += u.size
-    return u * v
-
-
 def apply(m, v, counter: OpCounter | None = None) -> np.ndarray:
     """Matrix-vector product: result[x] = sum_y m[x, y] * v[y].
 
@@ -115,11 +104,6 @@ def matmul(m, n, counter: OpCounter | None = None) -> np.ndarray:
     return m @ n
 
 
-def diag(v) -> np.ndarray:
-    """Square diagonal matrix with v on the diagonal."""
-    return np.diag(as_vector(v))
-
-
 def normalize(v, counter: OpCounter | None = None) -> np.ndarray:
     """Scale a nonnegative vector to sum 1; zero total mass means the posted
     evidence has zero joint probability."""
@@ -149,32 +133,17 @@ def rake_compose(m_u, m_diag, m_pass, lam_e, counter: OpCounter | None = None):
     """The rake matrix equation: m_u . Diag(m_diag . lam_e) . m_pass.
 
     Evaluated strictly left-to-right so an incremental recomputation is
-    bitwise identical to a from-scratch rebuild.  Dense operands count as one
-    matrix-vector product (the diagonal vector) plus one matrix-matrix
-    product; factored operands keep their factored shape (the left factor of
-    m_u carries over untouched) and count every true product.
+    bitwise identical to a from-scratch rebuild.  The diagonal is applied as a
+    column scaling of m_u (of its right factor when m_u is factored, whose
+    left factor carries over untouched), then multiplied by each factor of
+    m_pass; `apply` and `matmul` count every true product.
     """
     d = apply(m_diag, lam_e, counter)
-    if _is_factored(m_u):
-        core = m_u.right * d[np.newaxis, :]
-        if counter is not None:
-            counter.flops += core.size
-        if _is_factored(m_pass):
-            core = matmul(core, m_pass.left, counter)
-            core = matmul(core, m_pass.right, counter)
-        else:
-            core = matmul(core, as_matrix(m_pass), counter)
-        return type(m_u)(m_u.left, rescale_if_tiny(core))
-    m_u = as_matrix(m_u)
-    core = m_u * d[np.newaxis, :]
+    factored = _is_factored(m_u)
+    core = (m_u.right if factored else m_u) * d[np.newaxis, :]
     if counter is not None:
         counter.flops += core.size
-    if _is_factored(m_pass):
-        core = matmul(core, m_pass.left, counter)
-        core = matmul(core, m_pass.right, counter)
-        return rescale_if_tiny(core)
-    if counter is not None:
-        counter.mat_mat += 1
-        counter.flops += core.shape[0] * core.shape[1] * m_pass.shape[1]
-    out = core @ as_matrix(m_pass)
-    return rescale_if_tiny(out)
+    for factor in (m_pass.left, m_pass.right) if _is_factored(m_pass) else (m_pass,):
+        core = matmul(core, factor, counter)
+    core = rescale_if_tiny(core)
+    return type(m_u)(m_u.left, core) if factored else core

@@ -21,6 +21,7 @@ from .errors import (
     StructureError,
     UsageError,
 )
+from .exact import enumerate_marginals
 from .jointree import CliqueNode, FactoredMatrix, build_projection, clique_evidence, marginalize
 from .linalg import OpCounter
 from .tree import ROW_SUM_TOL, CausalTree, RawTree, binarize
@@ -126,39 +127,16 @@ class Polytree:
                 raise StructureError("directed cycle in polytree")
         return marg
 
-    def joint_conditionals(self, evidence: dict | None = None) -> dict:
+    def joint_conditionals(
+        self, evidence: dict | None = None, counter: OpCounter | None = None
+    ) -> dict:
         """Brute-force oracle: conditional marginal of every variable given
-        per-variable likelihood evidence, by enumerating the product joint."""
-        vars_ = sorted(self.parents)
-        axis = {v: i for i, v in enumerate(vars_)}
-        n, k = len(vars_), self.k
-        if k**n > 10**7:
-            raise ScaleError("joint enumeration too large")
-        w = np.ones((k,) * n)
-        for v in vars_:
-            ps = self.parents[v]
-            involved = tuple(axis[q] for q in ps) + (axis[v],)
-            t = self.cpt[v].reshape((k,) * (len(ps) + 1))
-            order = np.argsort(involved)
-            t = np.transpose(t, order)
-            shape = [1] * n
-            for a in involved:
-                shape[a] = k
-            w = w * t.reshape(shape)
-        for v, lik in (evidence or {}).items():
-            shape = [1] * n
-            shape[axis[v]] = k
-            w = w * np.asarray(lik, dtype=np.float64).reshape(shape)
-        total = float(w.sum())
-        if total <= 0:
-            from .errors import InconsistentEvidenceError
-
-            raise InconsistentEvidenceError("evidence has zero joint probability")
-        out = {}
-        for v in vars_:
-            others = tuple(i for i in range(n) if i != axis[v])
-            out[v] = w.sum(axis=others) / total
-        return out
+        per-variable likelihood evidence (`exact.enumerate_marginals`)."""
+        factors = [
+            (self.parents[v] + (v,), self.cpt[v]) for v in sorted(self.parents)
+        ]
+        factors += [((v,), lik) for v, lik in (evidence or {}).items()]
+        return enumerate_marginals(self.k, factors, counter)
 
 
 class PolytreeEngine:

@@ -97,13 +97,13 @@ def test_03_contraction_structure():
         bound = 4 * math.ceil(math.log2(leaves)) + 2
         levels_ok = len(hier.levels) <= bound
         edges = len(t.names) - 1
-        fresh_ok = hier.fresh_matrix_count() <= 2 * edges
+        fresh_ok = len(hier.recipes) <= 2 * edges
         leaf_counts = [len(lt.leaves_in_order()) for lt in hier.levels]
         ratios = [b / a for a, b in zip(leaf_counts, leaf_counts[1:])]
         ok = ok and top_ok and levels_ok and fresh_ok
         details.append(
             f"{name}: {leaves} leaves, {len(hier.levels)} levels (bound {bound}), "
-            f"fresh {hier.fresh_matrix_count()}, "
+            f"fresh {len(hier.recipes)}, "
             f"per-pass leaf ratio {min(ratios):.2f}..{max(ratios):.2f}"
         )
     report(3, "contraction structure (3-node top, level bound, fresh-matrix bound)",
@@ -149,7 +149,7 @@ def test_05_update_rebuild_bitwise():
                 leaves[int(rng.integers(len(leaves)))],
                 np.round(rng.random(2) + 0.01, 6),
             )
-        rebuilt = eng.rebuild()
+        rebuilt = build_hierarchy(eng.tree)
         ok = ok and len(rebuilt.recipes) == len(eng.hier.recipes)
         for a, b in zip(eng.hier.recipes, rebuilt.recipes):
             ok = ok and a.target.key == b.target.key

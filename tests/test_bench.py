@@ -79,6 +79,13 @@ class TestRunBench:
         with pytest.raises(UsageError):
             bench.run_bench("chain", [16, 8], 2, 2, seed=0)
 
+    def test_unknown_engine_rejected_before_any_work(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(bench, "make_model", lambda *a: built.append(a))
+        with pytest.raises(UsageError, match="unknown engine 'bogus'"):
+            bench.run_bench("chain", [8], 2, 4, 0, engines=("full", "bogus"))
+        assert built == []
+
     def test_scaling_trend(self):
         # hierarchy counts grow in log N, full grows in N
         recs = bench.run_bench(

@@ -267,6 +267,12 @@ class TestBench:
             "engine,shape,N,k,op,count_mv,count_mm,ns_total,ns_per_op"
         )
 
+    def test_unknown_engine_usage_error_before_output(self, capsys):
+        assert cli.main(["bench", "--sizes", "8", "--engines", "bogus"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown engine 'bogus'" in captured.err
+
     def test_ratio_reported(self, capsys):
         code = cli.main(
             ["bench", "--shape", "chain", "--sizes", "300", "--ops", "4",
@@ -341,6 +347,16 @@ class TestPolytreeCli:
                 assert np.allclose(va, vb, atol=1e-9)
             else:
                 assert a == b
+
+    def test_full_engine_counts_enumeration(self, ptn_file, monkeypatch, capsys):
+        code, out = run_session(
+            monkeypatch, capsys,
+            ["polytree", "session", ptn_file, "--engine", "full"],
+            "update 2 1 0\nquery 0\nstats\nquit\n",
+        )
+        assert code == 0
+        flops = int(out[-1].split("flops=")[1])
+        assert flops > 0
 
     def test_bench_csv(self, ptn_file, capsys):
         assert cli.main(["polytree", "bench", ptn_file, "--ops", "4"]) == 0

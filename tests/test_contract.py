@@ -149,7 +149,7 @@ class TestBuildHierarchy:
         tree = make_chain(33, 2, np.random.default_rng(5))
         leaves = len(tree.in_order_leaves())
         hier = build_hierarchy(tree)
-        assert hier.fresh_matrix_count() == leaves - 2
+        assert len(hier.recipes) == leaves - 2
 
     def test_build_cost_linear(self):
         from treebelief.linalg import OpCounter

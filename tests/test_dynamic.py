@@ -3,6 +3,7 @@ import pytest
 
 from treebelief import exact
 from treebelief.bench import make_chain
+from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import UsageError
 from treebelief.formats import parse_btn
@@ -10,7 +11,12 @@ from treebelief.tree import CausalTree
 from test_contract import E1, E2, E3, E4, X1, X3, golden_chain
 from test_exact import three_node_tree
 from test_formats import THREE_NODE_BTN
-from util import post_random_evidence, random_binarized_tree, updatable_leaves
+from util import (
+    post_random_evidence,
+    random_binarized_tree,
+    random_join_tree,
+    updatable_leaves,
+)
 
 
 class TestLambdaQuery:
@@ -170,15 +176,25 @@ class TestRebuildEquivalence:
         rng = np.random.default_rng(7)
         for _ in range(30):
             t = random_binarized_tree(rng, int(rng.integers(3, 20)), 2)
-            eng = DynamicEngine(t)
-            leaves = updatable_leaves(t)
-            for _ in range(10):
-                leaf = leaves[int(rng.integers(len(leaves)))]
-                eng.update_evidence(leaf, rng.random(2) + 0.01)
-            rebuilt = eng.rebuild()
-            assert len(rebuilt.recipes) == len(eng.hier.recipes)
-            for a, b in zip(eng.hier.recipes, rebuilt.recipes):
-                assert a.target.key == b.target.key
+            self.check_bitwise(t, updatable_leaves(t), 2, rng)
+        for c in (1, 2):  # factored join-tree edges
+            t, _, leaf_cliques, K = random_join_tree(rng, k=2, n=3, c=c, depth=3)
+            self.check_bitwise(t, leaf_cliques, K, rng)
+
+    @staticmethod
+    def check_bitwise(t, leaves, k, rng):
+        eng = DynamicEngine(t)
+        for _ in range(10):
+            leaf = leaves[int(rng.integers(len(leaves)))]
+            eng.update_evidence(leaf, rng.random(k) + 0.01)
+        rebuilt = build_hierarchy(t)
+        assert len(rebuilt.recipes) == len(eng.hier.recipes)
+        for a, b in zip(eng.hier.recipes, rebuilt.recipes):
+            assert a.target.key == b.target.key
+            if hasattr(a.target.value, "left"):
+                assert np.array_equal(a.target.value.left, b.target.value.left)
+                assert np.array_equal(a.target.value.right, b.target.value.right)
+            else:
                 assert np.array_equal(a.target.value, b.target.value)
 
 

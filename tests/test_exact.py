@@ -113,6 +113,29 @@ class TestJointMarginals:
             exact.joint_marginals(t)
 
 
+class TestEnumerateMarginals:
+    def test_factor_axes_follow_listed_variables(self):
+        joint = np.array([[0.1, 0.2], [0.3, 0.4]])  # joint[b, a]
+        out = exact.enumerate_marginals(2, [(("b", "a"), joint)])
+        assert np.allclose(out["a"], joint.sum(axis=0))
+        assert np.allclose(out["b"], joint.sum(axis=1))
+
+    def test_evidence_factor_conditions(self):
+        out = exact.enumerate_marginals(
+            2, [((0,), [0.5, 0.5]), ((0, 1), np.eye(2)), ((1,), [0.0, 1.0])]
+        )
+        assert np.array_equal(out[0], [0.0, 1.0])
+
+    def test_counts_products_and_sums(self):
+        c = OpCounter()
+        exact.enumerate_marginals(2, [((0,), [0.5, 0.5]), ((0, 1), np.eye(2))], c)
+        assert c.flops == 2 * 4 + 2 * 4 and c.mat_vec == c.mat_mat == 0
+
+    def test_zero_mass_inconsistent(self):
+        with pytest.raises(InconsistentEvidenceError):
+            exact.enumerate_marginals(2, [((0,), [0.0, 0.0])])
+
+
 class TestPathEngine:
     def test_lambda_recomputes_equal_depth(self):
         rng = np.random.default_rng(4)

@@ -14,28 +14,6 @@ def vec(k):
     ).map(np.array)
 
 
-class TestHadamard:
-    def test_ones_identity(self):
-        assert np.array_equal(linalg.hadamard([1, 1], [0.3, 0.7]), [0.3, 0.7])
-        assert np.array_equal(linalg.hadamard([0.9, 0.2], [1, 1]), [0.9, 0.2])
-
-    def test_zero_annihilator(self):
-        assert np.array_equal(linalg.hadamard([0, 0], [0.3, 0.7]), [0, 0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            linalg.hadamard([1, 2], [1, 2, 3])
-
-    @given(vec(3), vec(3), vec(3))
-    def test_commutative_associative(self, u, v, w):
-        assert np.allclose(linalg.hadamard(u, v), linalg.hadamard(v, u), atol=1e-12)
-        assert np.allclose(
-            linalg.hadamard(linalg.hadamard(u, v), w),
-            linalg.hadamard(u, linalg.hadamard(v, w)),
-            atol=1e-12,
-        )
-
-
 class TestApply:
     def test_identity(self):
         v = np.array([0.2, 0.8])
@@ -96,15 +74,28 @@ class TestMatmul:
 
 
 class TestDiag:
+    """The rake kernel's Diag(m_diag . lam), applied as a column scaling and
+    never built as a matrix."""
+
     def test_ones_gives_identity(self):
-        assert np.array_equal(linalg.diag([1, 1]), np.eye(2))
+        rng = np.random.default_rng(4)
+        m_u, m_pass = rng.random((2, 2)), rng.random((2, 2))
+        got = linalg.rake_compose(m_u, np.eye(2), m_pass, np.ones(2))
+        assert np.array_equal(got, m_u @ m_pass)
 
     def test_zero(self):
-        assert np.array_equal(linalg.diag([0, 0]), np.zeros((2, 2)))
+        rng = np.random.default_rng(5)
+        m_u, m_diag, m_pass = (rng.random((2, 2)) for _ in range(3))
+        got = linalg.rake_compose(m_u, m_diag, m_pass, np.zeros(2))
+        assert np.array_equal(got, np.zeros((2, 2)))
 
     @given(vec(3), vec(3))
     def test_diag_matches_hadamard(self, v, w):
-        assert np.allclose(linalg.diag(v) @ w, linalg.hadamard(v, w), atol=1e-12)
+        eye = np.eye(3)
+        tiny = 0.0 < v.max() < linalg.UNDERFLOW_THRESHOLD
+        scale = v.max() if tiny else 1.0  # the kernel rescales to max 1
+        got = linalg.rake_compose(eye, eye, eye, v)
+        assert np.allclose(got @ w, v / scale * w, atol=1e-12)
 
 
 class TestNormalize:
@@ -130,8 +121,8 @@ class TestDiagSandwich:
     def test_apply_diag_product(self, u, v):
         rng = np.random.default_rng(1)
         m = rng.random((3, 3))
-        lhs = linalg.apply(linalg.diag(u) @ m, v)
-        rhs = linalg.hadamard(u, linalg.apply(m, v))
+        lhs = linalg.apply(np.diag(u) @ m, v)
+        rhs = u * linalg.apply(m, v)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -168,3 +159,27 @@ class TestRakeCompose:
             rng.random(2), c,
         )
         assert c.mat_vec == 1 and c.mat_mat == 1
+
+    @pytest.mark.parametrize("u_f", [False, True])
+    @pytest.mark.parametrize("diag_f", [False, True])
+    @pytest.mark.parametrize("pass_f", [False, True])
+    def test_counts_every_form(self, u_f, diag_f, pass_f):
+        from treebelief.jointree import FactoredMatrix
+
+        K, L = 4, 2
+        rng = np.random.default_rng(8)
+
+        def operand(factored):
+            if factored:
+                return FactoredMatrix(rng.random((K, L)), rng.random((L, K)))
+            return rng.random((K, K))
+
+        m_u, m_diag, m_pass = operand(u_f), operand(diag_f), operand(pass_f)
+        c = OpCounter()
+        got = linalg.rake_compose(m_u, m_diag, m_pass, rng.random(K), c)
+        rows = L if u_f else K
+        mv, flops = (2, 2 * K * L) if diag_f else (1, K * K)
+        flops += rows * K
+        mm, flops = (2, flops + 2 * rows * K * L) if pass_f else (1, flops + rows * K * K)
+        assert (c.mat_vec, c.mat_mat, c.flops) == (mv, mm, flops)
+        assert isinstance(got, FactoredMatrix) == u_f
