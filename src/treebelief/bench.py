@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact, linalg
+from . import exact
 from .dynamic import DynamicEngine
 from .errors import ScaleError, UsageError
 from .linalg import OpCounter
 from .polytree import Polytree, PolytreeEngine
-from .tree import CausalTree, RawTree, binarize
+from .tree import CausalTree, RawTree, as_likelihood, binarize
 
 CSV_HEADER = "engine,shape,N,k,op,count_mv,count_mm,ns_total,ns_per_op"
 MAX_BENCH_NODES = 2 * 10**6
@@ -204,12 +204,7 @@ class PolytreeFullEngine:
     def update(self, var, likelihood) -> None:
         if var not in self.pt.parents:
             raise UsageError(f"unknown variable {var}")
-        lik = np.asarray(likelihood, dtype=np.float64)
-        if lik.shape != (self.pt.k,):
-            raise UsageError(f"likelihood must have length {self.pt.k}")
-        if np.any(lik < 0):
-            raise UsageError("likelihood entries must be nonnegative")
-        self.evidence[var] = lik
+        self.evidence[var] = as_likelihood(likelihood, self.pt.k)
 
     def query(self, var) -> np.ndarray:
         if var not in self.pt.parents:
@@ -326,10 +321,18 @@ def run_bench(
         rng = np.random.default_rng(seed + size)
         tree = make_model(shape, size, k, rng)
         script = make_script(tree, ops, rng)
-        base_evidence = {l: v.copy() for l, v in tree.evidence.items()}
-        for name in engines:
-            tree.evidence = {l: v.copy() for l, v in base_evidence.items()}
-            records += run_script(make_engine(name, tree), script, shape, size, k)
+        records += run_engines(tree, engines, script, shape, size)
+    return records
+
+
+def run_engines(tree: CausalTree, engines, script, shape: str, n: int) -> list[BenchRecord]:
+    """Run the script on a fresh engine of each name, every engine starting
+    from the evidence the tree holds on entry."""
+    base_evidence = {l: v.copy() for l, v in tree.evidence.items()}
+    records = []
+    for name in engines:
+        tree.evidence = {l: v.copy() for l, v in base_evidence.items()}
+        records += run_script(make_engine(name, tree), script, shape, n, tree.k)
     return records
 
 
@@ -344,25 +347,12 @@ def cycle_op_ratio(length: int, k: int, cycles: int, seed: int) -> dict:
     hierarchy engine; the headline speedup figure."""
     rng = np.random.default_rng(seed)
     tree = make_model("chain", length, k, rng)
-    leaves = [l for l in tree.in_order_leaves() if l not in tree.dummies]
-    nodes = [n for n in tree.names if n not in tree.dummies]
-    cycle_script = []
-    for _ in range(cycles):
-        leaf = leaves[int(rng.integers(len(leaves)))]
-        lik = rng.random(k) + 0.05
-        node = nodes[int(rng.integers(len(nodes)))]
-        cycle_script.append((leaf, lik, node))
-
+    script = make_script(tree, 2 * cycles, rng)
+    names = ("full", "hierarchy")
+    totals = dict.fromkeys(names, 0)
+    for r in run_engines(tree, names, script, "chain", length):
+        totals[r.engine] += r.count_mv + r.count_mm
     out = {"nodes": len(tree.names), "k": k, "cycles": cycles}
-    base_evidence = {l: v.copy() for l, v in tree.evidence.items()}
-    for name in ("full", "hierarchy"):
-        tree.evidence = {l: v.copy() for l, v in base_evidence.items()}
-        engine = make_engine(name, tree)
-        start = engine.counter.snapshot()
-        for leaf, lik, node in cycle_script:
-            engine.update(leaf, lik)
-            engine.query(node)
-        d = engine.counter.delta(start)
-        out[name] = (d.mat_vec + d.mat_mat) / cycles
+    out.update((name, ops / cycles) for name, ops in totals.items())
     out["ratio"] = out["full"] / out["hierarchy"]
     return out

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import linalg
 from .errors import StructureError
 from .linalg import OpCounter
-from .tree import CausalTree
+from .tree import BinaryLinks, CausalTree
 
 
 class MatCell:
@@ -32,7 +30,9 @@ class MatCell:
 
     def __init__(self, value, key):
         self.value = value
-        self.key = key  # (node, side, birth level), diagnostic only
+        # the paper's name A_i(x) / B_i(x): (parent x, "A" for its left edge
+        # or "B" for its right one, birth level i); diagnostic only
+        self.key = key
 
     def __repr__(self):
         return f"MatCell{self.key}"
@@ -67,20 +67,18 @@ class Recipe:
         return (self.m_u, self.m_diag, self.m_pass)
 
 
-class LevelTree:
-    """One contracted tree T_i: structure links plus A/B matrix cells.
+class LevelTree(BinaryLinks):
+    """One contracted tree T_i: structure links plus edge-matrix cells.
 
-    The node set is derived from the links (the root plus every node with a
-    parent), not stored.
+    `cell[c]` holds the matrix on the edge into c, so its keys are the keys
+    of `parent`.  The node set is derived from the links (the root plus every
+    node with a parent), not stored.
     """
 
     def __init__(self, level: int, root: int):
+        super().__init__(root)
         self.level = level
-        self.root = root
-        self.left: dict[int, int] = {}
-        self.right: dict[int, int] = {}
-        self.parent: dict[int, int] = {}
-        self.cell: dict[tuple[int, str], MatCell] = {}
+        self.cell: dict[int, MatCell] = {}
 
     def copy_next(self) -> "LevelTree":
         nxt = LevelTree(self.level + 1, self.root)
@@ -94,26 +92,20 @@ class LevelTree:
     def contains(self) -> set[int]:
         return {self.root, *self.parent}
 
-    def is_leaf(self, x: int) -> bool:
-        return x not in self.left
+    def lambda_up(self, l: int, r: int, lam_l, lam_r, counter: OpCounter | None = None):
+        """lambda of the parent of children l and r, from their lambdas."""
+        return linalg.rescale_if_tiny(
+            linalg.apply(self.cell[l].value, lam_l, counter)
+            * linalg.apply(self.cell[r].value, lam_r, counter)
+        )
 
-    def children_of(self, x: int) -> tuple[int, int]:
-        return self.left[x], self.right[x]
-
-    def side_of(self, parent: int, child: int) -> str:
-        return "A" if self.left[parent] == child else "B"
-
-    def leaves_in_order(self) -> list[int]:
-        out = []
-        stack = [self.root]
-        while stack:
-            x = stack.pop()
-            if self.is_leaf(x):
-                out.append(x)
-            else:
-                stack.append(self.right[x])
-                stack.append(self.left[x])
-        return out
+    def pi_down(self, x: int, sib: int, pi_parent, lam_sib, counter: OpCounter | None = None):
+        """pi of x (unscaled) from its parent's pi and its sibling's lambda."""
+        return linalg.apply_transpose(
+            self.cell[x].value,
+            pi_parent * linalg.apply(self.cell[sib].value, lam_sib, counter),
+            counter,
+        )
 
 
 class ContractionHierarchy:
@@ -124,37 +116,11 @@ class ContractionHierarchy:
         self.recipe_by_leaf: dict[int, Recipe] = {}
         self.successor: dict[MatCell, Recipe] = {}
         self.ind: dict[int, int] = {}
-        self.raked_with: dict[int, int] = {}  # removed parent -> its raked leaf
         self.rakes_per_pass: list[int] = []
 
     @property
     def top(self) -> int:
         return len(self.levels) - 1
-
-    def level_lambdas(self, i: int, counter: OpCounter | None = None):
-        """Run the exact bottom-up recursion inside T_i (consistency audits)."""
-        lt = self.levels[i]
-        lam: dict[int, np.ndarray] = {}
-        order = []
-        stack = [(lt.root, False)]
-        while stack:
-            x, expanded = stack.pop()
-            if lt.is_leaf(x) or expanded:
-                order.append(x)
-            else:
-                stack.append((x, True))
-                stack.append((lt.right[x], False))
-                stack.append((lt.left[x], False))
-        for x in order:
-            if lt.is_leaf(x):
-                lam[x] = self.tree.leaf_lambda(x)
-            else:
-                l, r = lt.children_of(x)
-                lam[x] = linalg.rescale_if_tiny(
-                    linalg.apply(lt.cell[(x, "A")].value, lam[l])
-                    * linalg.apply(lt.cell[(x, "B")].value, lam[r])
-                )
-        return lam
 
     def dump_lines(self) -> list[str]:
         """Diagnostic text: per-level node sets and the recipe graph."""
@@ -187,15 +153,10 @@ def rake(
     u = cur.parent[x]
     xl, xr = cur.children_of(x)
     z = xr if e == xl else xl
-    leaf_side = "A" if e == xl else "B"
-    side_x = cur.side_of(u, x)
+    x_is_left = cur.left[u] == x
 
-    m_u = cur.cell[(u, side_x)]
-    m_diag = cur.cell[(x, leaf_side)]
-    m_pass = cur.cell[(x, "B" if leaf_side == "A" else "A")]
-
-    target = MatCell(None, (u, side_x, nxt.level))
-    recipe = Recipe(cur.level, target, m_u, m_diag, m_pass, e)
+    target = MatCell(None, (u, "A" if x_is_left else "B", nxt.level))
+    recipe = Recipe(cur.level, target, cur.cell[x], cur.cell[e], cur.cell[z], e)
     recipe.recompute(hier.tree, counter)
 
     # single-successor audit (by construction each input dies after use)
@@ -207,22 +168,19 @@ def rake(
         raise StructureError(f"leaf {e} raked twice")
     hier.recipe_by_leaf[e] = recipe
     hier.recipes.append(recipe)
-    hier.raked_with[x] = e
     hier.ind[e] = hier.ind[x] = cur.level
 
-    # splice the next-level tree
+    # splice the next-level tree: z takes x's place under u
     for d in (e, x):
-        nxt.parent.pop(d, None)
-        nxt.left.pop(d, None)
-        nxt.right.pop(d, None)
-        nxt.cell.pop((d, "A"), None)
-        nxt.cell.pop((d, "B"), None)
-    if side_x == "A":
+        del nxt.parent[d]
+        del nxt.cell[d]
+    del nxt.left[x], nxt.right[x]
+    if x_is_left:
         nxt.left[u] = z
     else:
         nxt.right[u] = z
     nxt.parent[z] = u
-    nxt.cell[(u, side_x)] = target
+    nxt.cell[z] = target
     return recipe
 
 
@@ -235,7 +193,7 @@ def contract_pass(
     is skipped (without shifting parity) when an earlier rake this pass
     already removed its parent or refreshed one of its input matrices.
     """
-    leaves = cur.leaves_in_order()
+    leaves = cur.in_order_leaves()
     if len(leaves) < 3:
         return None
     eligible = [e for e in leaves[1:-1] if cur.parent[e] != cur.root]
@@ -278,9 +236,10 @@ def build_hierarchy(
     t0.left = dict(tree.left)
     t0.right = dict(tree.right)
     t0.parent = dict(tree.parent)
-    for x in tree.left:
-        t0.cell[(x, "A")] = MatCell(tree.matrix[tree.left[x]], (x, "A", 0))
-        t0.cell[(x, "B")] = MatCell(tree.matrix[tree.right[x]], (x, "B", 0))
+    for x, l in tree.left.items():
+        r = tree.right[x]
+        t0.cell[l] = MatCell(tree.matrix[l], (x, "A", 0))
+        t0.cell[r] = MatCell(tree.matrix[r], (x, "B", 0))
     hier.levels.append(t0)
 
     cur = t0
@@ -294,7 +253,7 @@ def build_hierarchy(
     for node in remaining:
         hier.ind[node] = cur.level
 
-    n_leaves = len(t0.leaves_in_order())
+    n_leaves = len(t0.in_order_leaves())
     if n_leaves >= 3 and len(remaining) != 3:
         raise StructureError(
             f"contraction stalled with {len(remaining)} nodes remaining"

@@ -3,8 +3,9 @@
 Evidence updates recompute one recipe chain (at most one derived matrix per
 level); belief queries resolve a single triple (pi(x), lambda(left),
 lambda(right)) by walking up the hierarchy, never recursing twice per level.
-The engine does not keep per-node lambda/pi current -- only the derived
-matrices.  Leaf likelihoods stay in the tree's evidence map, so once an engine
+Each product is one of the two `LevelTree` kernels: lambda up through a node
+(`lambda_up`) or pi down one edge (`pi_down`).  The engine does not keep
+per-node lambda/pi current -- only the derived matrices.  Leaf likelihoods stay in the tree's evidence map, so once an engine
 is built, evidence changes go through `update_evidence`.
 """
 
@@ -45,48 +46,22 @@ class DynamicEngine:
 
     # ------------------------------------------------------------------
 
-    def lambda_query(self, x: int) -> np.ndarray:
-        """lambda(x) via the level-ind(x) equation; one recursive resolution
-        per level, at most two matrix-vector products each."""
-        x = self.tree.resolve(x)
-        if x not in self.hier.ind:
-            raise UsageError(f"unknown node {x}")
-        return self._lambda(x)
-
-    def _lambda(self, x: int) -> np.ndarray:
-        if self.tree.is_leaf(x):
-            return self.tree.leaf_lambda(x)
-        lt = self.hier.levels[self.hier.ind[x]]
-        y, z = lt.children_of(x)
-        ly = self._lambda(y)
-        lz = self._lambda(z)
-        return linalg.rescale_if_tiny(
-            linalg.apply(lt.cell[(x, "A")].value, ly, self.counter)
-            * linalg.apply(lt.cell[(x, "B")].value, lz, self.counter)
-        )
-
-    # ------------------------------------------------------------------
-
-    def _reconstruct_lambda(self, lt, z: int, lam_survivor: np.ndarray) -> np.ndarray:
-        """lambda of an internal node z removed at level lt.level: one child is
-        its raked leaf, the other's lambda is handed down from above."""
-        e = self.hier.raked_with[z]
-        zl, zr = lt.children_of(z)
-        ll = self.tree.leaf_lambda(zl) if zl == e else lam_survivor
-        rr = self.tree.leaf_lambda(zr) if zr == e else lam_survivor
-        return linalg.rescale_if_tiny(
-            linalg.apply(lt.cell[(z, "A")].value, ll, self.counter)
-            * linalg.apply(lt.cell[(z, "B")].value, rr, self.counter)
-        )
-
-    def _child_lambda(self, lt, nxt, x: int, side: str, lam_next: np.ndarray):
-        """lambda of x's level-i child on one side, given the lambda returned
-        for x's level-(i+1) child on the same side."""
-        c_i = lt.left[x] if side == "A" else lt.right[x]
-        c_next = nxt.left[x] if side == "A" else nxt.right[x]
-        if c_i == c_next:
+    def _lambda_below(self, lt, nxt, c: int, lam_next: np.ndarray) -> np.ndarray:
+        """lambda of c in T_i, given lam_next for the node in c's place in
+        T_{i+1}: c itself if it survives, else c's surviving child."""
+        if c in nxt.parent:
             return lam_next
-        return self._reconstruct_lambda(lt, c_i, lam_next)
+        l, r = lt.left[c], lt.right[c]
+        lam_l, lam_r = self._raked_or_survivor(nxt, l, r, lam_next)
+        return lt.lambda_up(l, r, lam_l, lam_r, self.counter)
+
+    def _raked_or_survivor(self, nxt, l: int, r: int, lam_survivor: np.ndarray):
+        """(lambda(l), lambda(r)) for the T_i children of a node raked away
+        after level i: the raked leaf is the child missing from T_{i+1}; the
+        survivor, re-parented there, has lambda lam_survivor."""
+        if l in nxt.parent:
+            return lam_survivor, self.tree.leaf_lambda(r)
+        return self.tree.leaf_lambda(l), lam_survivor
 
     def calc_pi_lambda(self, x: int, i: int):
         """Triple (pi(x), lambda(left child in T_i), lambda(right child in T_i)).
@@ -99,9 +74,9 @@ class DynamicEngine:
         lt = hier.levels[i]
         if x not in lt.left:
             raise UsageError(f"node {x} is not an internal node of T_{i}")
+        l, r = lt.left[x], lt.right[x]
 
         if i == hier.top:
-            l, r = lt.children_of(x)
             return self.prior, self.tree.leaf_lambda(l), self.tree.leaf_lambda(r)
 
         nxt = hier.levels[i + 1]
@@ -109,33 +84,21 @@ class DynamicEngine:
             p, lam_l, lam_r = self.calc_pi_lambda(x, i + 1)
             return (
                 p,
-                self._child_lambda(lt, nxt, x, "A", lam_l),
-                self._child_lambda(lt, nxt, x, "B", lam_r),
+                self._lambda_below(lt, nxt, l, lam_l),
+                self._lambda_below(lt, nxt, r, lam_r),
             )
 
-        # x was removed between levels i and i+1
+        # x was raked away with one child; the other, z, took x's place under
+        # u, so u's triple carries lambda(z) on x's side
         u = lt.parent[x]
-        side_x = lt.side_of(u, x)
-        side_v = "B" if side_x == "A" else "A"
-        v = lt.right[u] if side_x == "A" else lt.left[u]
         pu, lam_ul, lam_ur = self.calc_pi_lambda(u, i + 1)
-        lam_on_side_x = lam_ul if side_x == "A" else lam_ur
-        lam_on_side_v = lam_ur if side_x == "A" else lam_ul
-        lam_v = self._child_lambda(lt, nxt, u, side_v, lam_on_side_v)
-        pi_x = linalg.rescale_if_tiny(
-            linalg.apply_transpose(
-                lt.cell[(u, side_x)].value,
-                pu * linalg.apply(lt.cell[(u, side_v)].value, lam_v, self.counter),
-                self.counter,
-            )
-        )
-        # x's children in T_i: the raked leaf and the survivor z,
-        # whose lambda is exactly the one returned for u's side_x child.
-        e = hier.raked_with[x]
-        xl, xr = lt.children_of(x)
-        lam_l = self.tree.leaf_lambda(xl) if xl == e else lam_on_side_x
-        lam_r = self.tree.leaf_lambda(xr) if xr == e else lam_on_side_x
-        return pi_x, lam_l, lam_r
+        if lt.left[u] == x:
+            v, lam_z, lam_v = lt.right[u], lam_ul, lam_ur
+        else:
+            v, lam_z, lam_v = lt.left[u], lam_ur, lam_ul
+        lam_v = self._lambda_below(lt, nxt, v, lam_v)
+        pi_x = linalg.rescale_if_tiny(lt.pi_down(x, v, pu, lam_v, self.counter))
+        return (pi_x, *self._raked_or_survivor(nxt, l, r, lam_z))
 
     # ------------------------------------------------------------------
 
@@ -151,20 +114,14 @@ class DynamicEngine:
             lt0 = self.hier.levels[0]
             p = tree.parent[x]
             pp, lam_l, lam_r = self.calc_pi_lambda(p, 0)
-            side_x = lt0.side_of(p, x)
-            lam_sib = lam_r if side_x == "A" else lam_l
-            side_sib = "B" if side_x == "A" else "A"
-            pi_x = linalg.apply_transpose(
-                lt0.cell[(p, side_x)].value,
-                pp * linalg.apply(lt0.cell[(p, side_sib)].value, lam_sib, self.counter),
-                self.counter,
-            )
+            if lt0.left[p] == x:
+                sib, lam_sib = lt0.right[p], lam_r
+            else:
+                sib, lam_sib = lt0.left[p], lam_l
+            pi_x = lt0.pi_down(x, sib, pp, lam_sib, self.counter)
             return linalg.normalize(self.tree.leaf_lambda(x) * pi_x)
         i = self.hier.ind[x]
         lt = self.hier.levels[i]
         p, lam_l, lam_r = self.calc_pi_lambda(x, i)
-        lam_x = linalg.rescale_if_tiny(
-            linalg.apply(lt.cell[(x, "A")].value, lam_l, self.counter)
-            * linalg.apply(lt.cell[(x, "B")].value, lam_r, self.counter)
-        )
+        lam_x = lt.lambda_up(lt.left[x], lt.right[x], lam_l, lam_r, self.counter)
         return linalg.normalize(lam_x * p)

@@ -15,16 +15,11 @@ import numpy as np
 
 from . import linalg
 from .dynamic import DynamicEngine
-from .errors import (
-    DimensionError,
-    ScaleError,
-    StructureError,
-    UsageError,
-)
+from .errors import ScaleError, StructureError, UsageError
 from .exact import enumerate_marginals
 from .jointree import CliqueNode, FactoredMatrix, build_projection, clique_evidence, marginalize
 from .linalg import OpCounter
-from .tree import ROW_SUM_TOL, CausalTree, RawTree, binarize
+from .tree import ROW_SUM_TOL, CausalTree, RawTree, as_likelihood, binarize
 
 MAX_PARENTS = 4  # a family clique has k^(parents+1) values
 
@@ -283,9 +278,7 @@ class PolytreeEngine:
         through the factored hierarchy."""
         if var not in self.ev_leaf:
             raise UsageError(f"unknown variable {var}")
-        lik = linalg.as_vector(likelihood)
-        if lik.shape[0] != self.pt.k:
-            raise DimensionError(f"likelihood length {lik.shape[0]} != k={self.pt.k}")
+        lik = as_likelihood(likelihood, self.pt.k)
         lifted = clique_evidence(self.cliques[var], var, lik)
         self.engine.update_evidence(self.ev_leaf[var], lifted)
 
@@ -295,11 +288,3 @@ class PolytreeEngine:
             raise UsageError(f"unknown variable {var}")
         bel = self.engine.bel_query(self._var_node[var])
         return linalg.normalize(marginalize(bel, self.cliques[var], var))
-
-    def query_via_clique(self, var, home) -> np.ndarray:
-        """Marginal of var read out of another clique containing it (audit)."""
-        cl = self.cliques[home]
-        if var not in cl.members:
-            raise UsageError(f"variable {var} not in clique of {home}")
-        bel = self.engine.bel_query(self._var_node[home])
-        return linalg.normalize(marginalize(bel, cl, var))

@@ -57,7 +57,48 @@ class RawTree:
         self.matrix[child] = m
 
 
-class CausalTree:
+def as_likelihood(likelihood, k: int) -> np.ndarray:
+    """The one check of a posted likelihood: a length-k vector with finite,
+    nonnegative entries."""
+    v = linalg.as_vector(likelihood)
+    if v.shape[0] != k:
+        raise DimensionError(f"likelihood length {v.shape[0]} != k={k}")
+    if not (v.min() >= 0.0 and v.max() < math.inf):  # NaN fails the first test
+        raise DimensionError("likelihood entries must be finite and nonnegative")
+    return v
+
+
+class BinaryLinks:
+    """Root and child/parent links of a binary complete tree (every node in
+    `left` also has a `right` child)."""
+
+    def __init__(self, root: int | None = None):
+        self.root = root
+        self.left: dict[int, int] = {}
+        self.right: dict[int, int] = {}
+        self.parent: dict[int, int] = {}
+
+    def is_leaf(self, x: int) -> bool:
+        return x not in self.left
+
+    def children_of(self, x: int) -> tuple[int, int]:
+        return self.left[x], self.right[x]
+
+    def in_order_leaves(self) -> list[int]:
+        """Leaves left-to-right under in-order traversal (iterative)."""
+        out = []
+        stack = [self.root]
+        while stack:
+            x = stack.pop()
+            if self.is_leaf(x):
+                out.append(x)
+            else:
+                stack.append(self.right[x])
+                stack.append(self.left[x])
+        return out
+
+
+class CausalTree(BinaryLinks):
     """Binary complete causal tree; the single store of leaf evidence.
 
     `evidence` maps each leaf with posted evidence to its likelihood vector.
@@ -67,13 +108,10 @@ class CausalTree:
     """
 
     def __init__(self, k: int):
+        super().__init__()
         self.k = k
         self.names: dict[int, str] = {}
-        self.root: int | None = None
         self.prior: np.ndarray | None = None
-        self.parent: dict[int, int] = {}
-        self.left: dict[int, int] = {}
-        self.right: dict[int, int] = {}
         self.matrix: dict[int, np.ndarray] = {}  # edge matrix, keyed by child
         self.evidence: dict[int, np.ndarray] = {}  # leaf id -> likelihood
         self.alias: dict[int, int] = {}  # copy -> original
@@ -84,12 +122,6 @@ class CausalTree:
 
     # ------------------------------------------------------------------
     # basic structure helpers
-
-    def is_leaf(self, x: int) -> bool:
-        return x not in self.left
-
-    def children_of(self, x: int) -> tuple[int, int]:
-        return self.left[x], self.right[x]
 
     def fresh_id(self) -> int:
         while self._next_id in self.names:
@@ -113,29 +145,9 @@ class CausalTree:
             x = self.alias[x]
         return x
 
-    def in_order_leaves(self) -> list[int]:
-        """Leaves left-to-right under in-order traversal (iterative)."""
-        out = []
-        stack = [self.root]
-        while stack:
-            x = stack.pop()
-            if self.is_leaf(x):
-                out.append(x)
-            else:
-                stack.append(self.right[x])
-                stack.append(self.left[x])
-        return out
-
     def leaf_lambda(self, leaf: int) -> np.ndarray:
         """Current likelihood of a leaf (read-only all-ones without evidence)."""
         return self.evidence.get(leaf, self._ones)
-
-    def depth(self, x: int) -> int:
-        d = 0
-        while x != self.root:
-            x = self.parent[x]
-            d += 1
-        return d
 
     # ------------------------------------------------------------------
     # evidence
@@ -145,12 +157,7 @@ class CausalTree:
             raise UsageError(f"node {leaf} is not a leaf")
         if leaf in self.dummies:
             raise UsageError(f"node {leaf} is a dummy leaf and not updatable")
-        v = linalg.as_vector(likelihood)
-        if v.shape[0] != self.k:
-            raise DimensionError(f"likelihood length {v.shape[0]} != k={self.k}")
-        if not (v.min() >= 0.0 and v.max() < math.inf):  # NaN fails the first test
-            raise DimensionError("likelihood entries must be finite and nonnegative")
-        self.evidence[leaf] = v.copy()
+        self.evidence[leaf] = as_likelihood(likelihood, self.k).copy()
 
     def attach_evidence_leaf(self, x: int) -> int:
         """Give node x a dedicated identity-linked evidence leaf; returns its id.

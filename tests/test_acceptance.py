@@ -98,7 +98,7 @@ def test_03_contraction_structure():
         levels_ok = len(hier.levels) <= bound
         edges = len(t.names) - 1
         fresh_ok = len(hier.recipes) <= 2 * edges
-        leaf_counts = [len(lt.leaves_in_order()) for lt in hier.levels]
+        leaf_counts = [len(lt.in_order_leaves()) for lt in hier.levels]
         ratios = [b / a for a, b in zip(leaf_counts, leaf_counts[1:])]
         ok = ok and top_ok and levels_ok and fresh_ok
         details.append(

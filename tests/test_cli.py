@@ -348,6 +348,20 @@ class TestPolytreeCli:
             else:
                 assert a == b
 
+    @pytest.mark.parametrize("engine", ["hierarchy", "full"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_likelihood_rejected(
+        self, ptn_file, monkeypatch, capsys, engine, value
+    ):
+        code, out = run_session(
+            monkeypatch, capsys,
+            ["polytree", "session", ptn_file, "--engine", engine],
+            f"update 2 {value} 1\nquery 0\nquit\n",
+        )
+        assert code == 0
+        assert out[0] == "err likelihood entries must be finite and nonnegative"
+        assert np.all(np.isfinite([float(x) for x in out[1].split()[1:]]))
+
     def test_full_engine_counts_enumeration(self, ptn_file, monkeypatch, capsys):
         code, out = run_session(
             monkeypatch, capsys,

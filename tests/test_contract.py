@@ -6,7 +6,7 @@ from treebelief.bench import make_chain, random_stochastic
 from treebelief.contract import build_hierarchy, contract_pass
 from treebelief.errors import StructureError
 from treebelief.tree import RawTree, binarize
-from util import post_random_evidence, random_binarized_tree
+from util import level_lambdas, post_random_evidence, random_binarized_tree
 
 
 def golden_raw(rng=None, identity=False):
@@ -55,7 +55,7 @@ class TestGoldenChain:
         a0_x2 = tree.matrix[E2]
         b0_x2 = tree.matrix[X3]
         want = b0_x1 @ np.diag(a0_x2 @ np.array([0.3, 0.9])) @ b0_x2
-        got = hier.levels[1].cell[(X1, "B")].value
+        got = hier.levels[1].cell[X3].value  # X3 took X2's place under X1
         assert np.allclose(got, want, atol=1e-12)
 
     def test_identity_matrices_compose_to_identity(self):
@@ -71,9 +71,9 @@ class TestRakeSemantics:
             t = random_binarized_tree(rng, int(rng.integers(3, 15)), 2)
             post_random_evidence(t, rng, 3, hard_prob=0.0)
             hier = build_hierarchy(t)
-            lam0 = hier.level_lambdas(0)
+            lam0 = level_lambdas(hier, 0)
             for i in range(1, len(hier.levels)):
-                lam_i = hier.level_lambdas(i)
+                lam_i = level_lambdas(hier, i)
                 for node, v in lam_i.items():
                     a, b = lam0[node], v
                     # compare up to positive scale (underflow rescaling)
@@ -83,7 +83,29 @@ class TestRakeSemantics:
         hier = build_hierarchy(golden_chain())
         t0, t1 = hier.levels[0], hier.levels[1]
         # A-side of x1 (edge to e1) is untouched by the first pass
-        assert t1.cell[(X1, "A")] is t0.cell[(X1, "A")]
+        assert t1.cell[E1] is t0.cell[E1]
+        assert t1.cell[E1].key == (X1, "A", 0)
+
+    def test_cells_keyed_by_child(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            t = random_binarized_tree(rng, int(rng.integers(3, 40)), 2)
+            hier = build_hierarchy(t)
+            made = {}  # level -> cells derived by the pass that made it
+            for r in hier.recipes:
+                made.setdefault(r.level + 1, set()).add(r.target)
+            for lt in hier.levels:
+                assert lt.cell.keys() == lt.parent.keys()
+                for c, cell in lt.cell.items():
+                    x = lt.parent[c]
+                    side = "A" if lt.left[x] == c else "B"
+                    if lt.level == 0:
+                        assert cell.value is t.matrix[c]
+                        assert cell.key == (x, side, 0)
+                    elif cell in made.get(lt.level, ()):
+                        assert cell.key == (x, side, lt.level)
+                    else:
+                        assert cell is hier.levels[lt.level - 1].cell[c]
 
     def test_single_successor(self):
         rng = np.random.default_rng(2)
@@ -174,6 +196,16 @@ class TestBuildHierarchy:
         raw.matrix[E1] = np.array([[0.5, 0.4], [0.2, 0.8]])
         with pytest.raises(StructureError):
             binarize(raw)
+
+    def test_dump_lines_golden_chain(self):
+        assert build_hierarchy(golden_chain()).dump_lines() == [
+            "level 0 nodes 0 1 2 3 4 5 6 7 8",
+            "level 1 nodes 0 1 4 5 8",
+            "level 2 nodes 0 1 8",
+            "level 1 0.B <- 0.B@0 2.A@0 2.B@0 lambda(3)",
+            "level 1 4.B <- 4.B@0 6.A@0 6.B@0 lambda(7)",
+            "level 2 0.B <- 0.B@1 4.A@0 4.B@1 lambda(5)",
+        ]
 
     def test_dump_lines_shape(self):
         hier = build_hierarchy(golden_chain())

@@ -8,7 +8,7 @@ from treebelief.dynamic import DynamicEngine
 from treebelief.errors import UsageError
 from treebelief.formats import parse_btn
 from treebelief.tree import CausalTree
-from test_contract import E1, E2, E3, E4, X1, X3, golden_chain
+from test_contract import E1, E3, E4, X1, X3, golden_chain
 from test_exact import three_node_tree
 from test_formats import THREE_NODE_BTN
 from util import (
@@ -17,41 +17,6 @@ from util import (
     random_join_tree,
     updatable_leaves,
 )
-
-
-class TestLambdaQuery:
-    def test_leaf_returns_slot(self):
-        eng = DynamicEngine(golden_chain())
-        eng.update_evidence(E2, [0.3, 0.9])
-        before = eng.counter.snapshot()
-        assert np.array_equal(eng.lambda_query(E2), [0.3, 0.9])
-        assert eng.counter.delta(before).mat_vec == 0
-
-    def test_matches_exact_lambda(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            t = random_binarized_tree(rng, int(rng.integers(3, 12)), 2)
-            post_random_evidence(t, rng, 3, hard_prob=0.0)
-            eng = DynamicEngine(t)
-            lam, _ = exact.lambda_pass(t)
-            for node in t.names:
-                # lambda_query resolves binarization copies to their originals
-                a = eng.lambda_query(node)
-                b = lam[t.resolve(node)]
-                assert np.allclose(a * b.sum(), b * a.sum(), atol=1e-9)
-
-    def test_bounded_products_per_level(self):
-        t = make_chain(64, 2, np.random.default_rng(1))
-        eng = DynamicEngine(t)
-        for node in list(t.names)[:20]:
-            before = eng.counter.snapshot()
-            eng.lambda_query(node)
-            assert eng.counter.delta(before).mat_vec <= 2 * len(eng.hier.levels)
-
-    def test_unknown_node(self):
-        eng = DynamicEngine(golden_chain())
-        with pytest.raises(UsageError):
-            eng.lambda_query(999)
 
 
 class TestUpdateEvidence:
@@ -127,6 +92,11 @@ class TestBelQuery:
         eng = DynamicEngine(three_node_tree())
         assert np.allclose(eng.bel_query(0), [9 / 11, 2 / 11], atol=1e-12)
 
+    def test_unknown_node(self):
+        eng = DynamicEngine(golden_chain())
+        with pytest.raises(UsageError):
+            eng.bel_query(999)
+
     def test_vacuous_evidence_prior(self):
         t = golden_chain()
         eng = DynamicEngine(t)
@@ -163,12 +133,18 @@ class TestBelQuery:
             assert np.allclose(e1.bel_query(n), e2.bel_query(n), atol=1e-12)
 
     def test_query_cost_bounded(self):
-        t = make_chain(256, 2, np.random.default_rng(6))
-        eng = DynamicEngine(t)
-        for node in list(t.names)[::37]:
-            before = eng.counter.snapshot()
-            eng.bel_query(node)
-            assert eng.counter.delta(before).mat_vec <= 6 * len(eng.hier.levels)
+        # at most four mat-vecs per level above the node's own, two at the node
+        rng = np.random.default_rng(7)
+        trees = [make_chain(256, 2, np.random.default_rng(6))]
+        trees += [random_binarized_tree(rng, int(rng.integers(3, 80)), 2) for _ in range(20)]
+        for t in trees:
+            eng = DynamicEngine(t)
+            for node in t.names:
+                x = t.resolve(node)
+                i = 0 if t.is_leaf(x) else eng.hier.ind[x]
+                before = eng.counter.snapshot()
+                eng.bel_query(node)
+                assert eng.counter.delta(before).mat_vec <= 4 * (eng.hier.top - i) + 2
 
 
 class TestRebuildEquivalence:

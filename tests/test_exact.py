@@ -6,7 +6,7 @@ from treebelief.bench import random_stochastic
 from treebelief.errors import InconsistentEvidenceError, ScaleError, UsageError
 from treebelief.linalg import OpCounter
 from treebelief.tree import RawTree, binarize
-from util import post_random_evidence, random_binarized_tree, updatable_leaves
+from util import depth, post_random_evidence, random_binarized_tree, updatable_leaves
 
 
 def three_node_tree():
@@ -150,7 +150,7 @@ class TestPathEngine:
         t = binarize(raw)
         st = exact.PropagationState(t)
         st.path_update(5, [1, 0])
-        assert st.last_lambda_recomputes == t.depth(5)
+        assert st.last_lambda_recomputes == depth(t, 5)
 
     def test_pi_recomputes_equal_depth(self):
         rng = np.random.default_rng(5)
@@ -158,7 +158,7 @@ class TestPathEngine:
         st = exact.PropagationState(t)
         leaf = updatable_leaves(t)[-1]
         st.path_query(leaf)
-        assert st.last_pi_recomputes == t.depth(leaf)
+        assert st.last_pi_recomputes == depth(t, leaf)
 
     def test_idempotent_repost(self):
         rng = np.random.default_rng(6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treebelief import linalg
 from treebelief.bench import random_stochastic
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import (
@@ -9,6 +10,7 @@ from treebelief.errors import (
     StructureError,
     UsageError,
 )
+from treebelief.jointree import marginalize
 from treebelief.polytree import Polytree, PolytreeEngine
 from treebelief.tree import RawTree, binarize
 from util import random_polytree
@@ -151,7 +153,9 @@ class TestQueriesAndUpdates:
         eng.pt_update(2, rng.random(2) + 0.1)
         # parent 0 also lives in the family clique of 2
         a = eng.pt_query(0)
-        b = eng.query_via_clique(0, 2)
+        b = linalg.normalize(
+            marginalize(eng.engine.bel_query(eng._var_node[2]), eng.cliques[2], 0)
+        )
         assert np.allclose(a, b, atol=1e-9)
 
     def test_causal_tree_special_case(self):

@@ -5,7 +5,7 @@ from treebelief import exact
 from treebelief.bench import random_stochastic
 from treebelief.errors import DimensionError, StructureError, UsageError
 from treebelief.tree import RawTree, binarize
-from util import random_binarized_tree, random_raw_tree
+from util import depth, random_binarized_tree, random_raw_tree
 
 
 def three_child_raw():
@@ -247,5 +247,5 @@ class TestTraversal:
 
     def test_depth(self):
         t = binarize(three_child_raw())
-        assert t.depth(t.root) == 0
-        assert t.depth(1) == 1
+        assert depth(t, t.root) == 0
+        assert depth(t, 1) == 1

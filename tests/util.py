@@ -32,6 +32,33 @@ def random_binarized_tree(rng, n_raw_nodes: int, k: int) -> CausalTree:
     return binarize(random_raw_tree(rng, n_raw_nodes, k))
 
 
+def depth(tree: CausalTree, x: int) -> int:
+    d = 0
+    while x != tree.root:
+        x = tree.parent[x]
+        d += 1
+    return d
+
+
+def level_lambdas(hier, i: int) -> dict:
+    """lambda of every node of T_i by the exact bottom-up recursion inside T_i."""
+    lt = hier.levels[i]
+    order, stack = [], [lt.root]
+    while stack:  # pre-order: every node before its children
+        x = stack.pop()
+        order.append(x)
+        if not lt.is_leaf(x):
+            stack += lt.children_of(x)
+    lam = {}
+    for x in reversed(order):
+        if lt.is_leaf(x):
+            lam[x] = hier.tree.leaf_lambda(x)
+        else:
+            l, r = lt.children_of(x)
+            lam[x] = lt.lambda_up(l, r, lam[l], lam[r])
+    return lam
+
+
 def updatable_leaves(tree: CausalTree) -> list[int]:
     return [l for l in tree.in_order_leaves() if l not in tree.dummies]
 
