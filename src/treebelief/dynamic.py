@@ -1,15 +1,29 @@
 """The logarithmic-time engine over a contraction hierarchy.
 
-Evidence updates recompute one recipe chain (at most one derived matrix per
-level); belief queries resolve a single triple (pi(x), lambda(left),
-lambda(right)) by walking up the hierarchy, never recursing twice per level.
+Three operations, one write path:
+
+* `update_many(items)` posts every likelihood of a batch, then recomputes the
+  union of their recipe chains, each recipe once, in level order (at most one
+  derived matrix per level per leaf).  `update_evidence` is the one-item
+  batch.
+* `bel_query(x)` resolves a single triple (pi(x), lambda(left),
+  lambda(right)) by walking up the hierarchy, never recursing twice per level:
+  O(log N) products.
+* `bel_all()` returns every belief from one top-down sweep over the same
+  hierarchy: one `lambda_up` per internal node and one `pi_down` per non-root
+  node, O(N) products.
+
 Each product is one of the two `LevelTree` kernels: lambda up through a node
 (`lambda_up`) or pi down one edge (`pi_down`).  The engine does not keep
-per-node lambda/pi current -- only the derived matrices.  Leaf likelihoods stay in the tree's evidence map, so once an engine
-is built, evidence changes go through `update_evidence`.
+per-node lambda/pi current -- only the derived matrices.  Leaf likelihoods
+stay in the tree's evidence map, so once an engine is built, evidence changes
+go through `update_many`/`update_evidence`.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,14 +49,43 @@ class DynamicEngine:
 
     def update_evidence(self, leaf: int, likelihood) -> None:
         """Store the new leaf likelihood and recompute its recipe chain."""
-        tree = self.tree
-        tree.set_evidence(leaf, likelihood)  # validates leaf/dummy/dims/sign
-        self.last_recipe_recomputes = 0
-        recipe = self.hier.recipe_by_leaf.get(leaf)
-        while recipe is not None:
+        self.update_many([(leaf, likelihood)])
+
+    def update_many(self, items) -> None:
+        """Store every (leaf, likelihood) of `items`, in order (a repeated
+        leaf keeps its last likelihood), then recompute each recipe on their
+        chains once, in level order.
+
+        Each recipe is a pure function of its inputs and the level order is a
+        topological order, so the cells end bitwise equal to posting the
+        items one at a time.  A bad item raises before any recipe is
+        recomputed and puts back the evidence stored before it.
+        """
+        tree, hier = self.tree, self.hier
+        items = list(items)
+        saved = [(leaf, tree.evidence.get(leaf)) for leaf, _ in items]
+        try:
+            for leaf, likelihood in items:
+                tree.set_evidence(leaf, likelihood)  # validates leaf/dummy/dims/sign
+        except BaseException:  # put the evidence back, then re-raise
+            for leaf, old in saved:
+                if old is None:
+                    tree.evidence.pop(leaf, None)
+                else:
+                    tree.evidence[leaf] = old
+            raise
+        chain, seen = [], set()
+        for leaf, _ in items:
+            recipe = hier.recipe_by_leaf.get(leaf)
+            # past the first recipe already collected, the chains coincide
+            while recipe is not None and recipe not in seen:
+                seen.add(recipe)
+                chain.append(recipe)
+                recipe = hier.successor.get(recipe.target)
+        chain.sort(key=attrgetter("level"))
+        for recipe in chain:
             recipe.recompute(tree, self.counter)
-            self.last_recipe_recomputes += 1
-            recipe = self.hier.successor.get(recipe.target)
+        self.last_recipe_recomputes = len(chain)
 
     # ------------------------------------------------------------------
 
@@ -125,3 +168,52 @@ class DynamicEngine:
         p, lam_l, lam_r = self.calc_pi_lambda(x, i)
         lam_x = lt.lambda_up(lt.left[x], lt.right[x], lam_l, lam_r, self.counter)
         return linalg.normalize(lam_x * p)
+
+    def bel_all(self) -> dict[int, np.ndarray]:
+        """Posterior marginal of every node of the (binarized) tree.
+
+        One top-down sweep over the hierarchy: for each pass, from the top
+        one down, lambda of every node it raked away, then pi of each.  A
+        node's lambda and pi are the ones `calc_pi_lambda` reaches at the
+        level where the node is raked, from the same kernels and operands in
+        the same order, so each belief is bitwise equal to `bel_query`'s.
+        """
+        tree, hier, counter = self.tree, self.hier, self.counter
+        root = tree.root
+        if tree.is_leaf(root):  # single-node tree
+            return {root: linalg.normalize(self.prior * tree.leaf_lambda(root))}
+        lam: dict[int, np.ndarray] = {}
+
+        def lam_of(c):
+            return lam[c] if c in lam else tree.leaf_lambda(c)
+
+        top = hier.levels[hier.top]
+        l, r = top.children_of(root)
+        lam[root] = top.lambda_up(l, r, lam_of(l), lam_of(r), counter)
+        pi = {root: self.prior}
+        # recipes are appended pass by pass, so each pass is one run; a pass
+        # may rake two siblings, so every lambda of a pass precedes its pi
+        for level, run in groupby(reversed(hier.recipes), key=attrgetter("level")):
+            lt = hier.levels[level]
+            raked = [lt.parent[rec.leaf] for rec in run]
+            for x in raked:
+                l, r = lt.children_of(x)
+                lam[x] = lt.lambda_up(l, r, lam_of(l), lam_of(r), counter)
+            for x in raked:
+                u = lt.parent[x]
+                v = lt.right[u] if lt.left[u] == x else lt.left[u]
+                pi[x] = linalg.rescale_if_tiny(
+                    lt.pi_down(x, v, pi[u], lam_of(v), counter)
+                )
+
+        lt0 = hier.levels[0]
+        bel = {}
+        for x in tree.names:
+            if x in lam:
+                bel[x] = linalg.normalize(lam[x] * pi[x])
+                continue
+            p = tree.parent[x]
+            sib = lt0.right[p] if lt0.left[p] == x else lt0.left[p]
+            pi_x = lt0.pi_down(x, sib, pi[p], lam_of(sib), counter)
+            bel[x] = linalg.normalize(tree.leaf_lambda(x) * pi_x)
+        return bel

@@ -8,15 +8,18 @@ instrumentation counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InconsistentEvidenceError
 
-# Below this max-entry threshold likelihood vectors / derived matrices are
-# rescaled to max 1; beliefs are invariant under positive scaling.
-UNDERFLOW_THRESHOLD = 1e-100
+# Outside this max-entry range likelihood vectors / derived matrices are
+# rescaled by a power of two into [0.5, 1); beliefs are invariant under
+# positive scaling, and a power of two scales every entry exactly.
+SCALE_MIN = 2.0**-128
+SCALE_MAX = 2.0**128
 
 
 @dataclass
@@ -117,12 +120,15 @@ def normalize(v, counter: OpCounter | None = None) -> np.ndarray:
 
 
 def rescale_if_tiny(v: np.ndarray) -> np.ndarray:
-    """Underflow guard: rescale to max-entry 1 when the max drops below
-    UNDERFLOW_THRESHOLD. No scale tracking; normalization absorbs it."""
-    m = np.max(np.abs(v)) if v.size else 0.0
-    if 0.0 < m < UNDERFLOW_THRESHOLD:
-        return v / m
-    return v
+    """Under- and overflow guard for a nonnegative vector or matrix: when its
+    max entry leaves [SCALE_MIN, SCALE_MAX], multiply by the power of two that
+    brings the max into [0.5, 1); otherwise return v itself.  The scaling is
+    exact, so rebuilt and recomputed values stay bitwise equal.  No scale
+    tracking; normalization absorbs it."""
+    m = v.max() if v.size else 0.0
+    if SCALE_MIN <= m <= SCALE_MAX or not 0.0 < m < math.inf:
+        return v
+    return np.ldexp(v, -np.frexp(m)[1])
 
 
 def _is_factored(m) -> bool:

@@ -4,8 +4,9 @@ PS-nodes are w-length windows over the structure alphabet {h, e, c}; each
 window carries one evidence leaf whose likelihood is the emission column of
 the observed amino-acid window.  Consecutive windows must agree on their
 (w-1)-overlap, enforced as structural zeros in the transition matrix.
-Mutation experiments re-post the evidence for the windows covering a site and
-re-query watch windows, exercising the logarithmic engine.
+Mutation experiments re-post the evidence for the windows covering a site as
+one batch (`update_many`) and re-query watch windows, exercising the
+logarithmic engine; predictions read every window from one `bel_all` sweep.
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ class ProteinChain:
         return self.tables.emission[:, self.tables.aa_index(mer)].copy()
 
     def window_beliefs(self) -> list[np.ndarray]:
-        return [self.engine.bel_query(t) for t in self.ps_nodes]
+        bel = self.engine.bel_all()
+        return [bel[t] for t in self.ps_nodes]
 
     def predict(self) -> str:
         """Per-position structure: majority vote over the argmax window labels
@@ -205,8 +207,9 @@ class ProteinChain:
         self.sequence[site] = residue
         w = self.tables.w
         touched = range(max(0, site - w + 1), min(self.n_windows - 1, site) + 1)
-        for t in touched:
-            self.engine.update_evidence(self.ev_nodes[t], self._window_likelihood(t))
+        self.engine.update_many(
+            (self.ev_nodes[t], self._window_likelihood(t)) for t in touched
+        )
         return list(touched)
 
 

@@ -146,8 +146,10 @@ class CausalTree(BinaryLinks):
         return x
 
     def leaf_lambda(self, leaf: int) -> np.ndarray:
-        """Current likelihood of a leaf (read-only all-ones without evidence)."""
-        return self.evidence.get(leaf, self._ones)
+        """Current likelihood of a leaf (read-only all-ones without evidence),
+        under the same scale guard as every derived vector; the stored
+        evidence stays as posted."""
+        return linalg.rescale_if_tiny(self.evidence.get(leaf, self._ones))
 
     # ------------------------------------------------------------------
     # evidence

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from treebelief import exact
-from treebelief.bench import make_chain
+from treebelief import exact, protein
+from treebelief.bench import make_chain, random_stochastic
 from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
-from treebelief.errors import UsageError
+from treebelief.errors import DimensionError, UsageError
 from treebelief.formats import parse_btn
-from treebelief.tree import CausalTree
+from treebelief.tree import CausalTree, RawTree, binarize
 from test_contract import E1, E3, E4, X1, X3, golden_chain
 from test_exact import three_node_tree
 from test_formats import THREE_NODE_BTN
@@ -15,8 +15,46 @@ from util import (
     post_random_evidence,
     random_binarized_tree,
     random_join_tree,
+    random_likelihood,
     updatable_leaves,
 )
+
+
+def assert_bel_all_is_bel_query(eng):
+    """bel_all answers every node, bitwise as bel_query does (copies are
+    answered under their original's id)."""
+    bel = eng.bel_all()
+    assert set(bel) == set(eng.tree.names)
+    for x in eng.tree.names:
+        assert np.array_equal(bel[eng.tree.resolve(x)], eng.bel_query(x)), x
+    return bel
+
+
+def assert_same_cells(hier_a, hier_b):
+    assert len(hier_a.recipes) == len(hier_b.recipes)
+    for a, b in zip(hier_a.recipes, hier_b.recipes):
+        assert a.target.key == b.target.key
+        if hasattr(a.target.value, "left"):
+            assert np.array_equal(a.target.value.left, b.target.value.left)
+            assert np.array_equal(a.target.value.right, b.target.value.right)
+        else:
+            assert np.array_equal(a.target.value, b.target.value)
+
+
+def sibling_rake_tree(rng):
+    """root 0 -> (u 1, leaf 2); u -> (x 3, v 4); x -> (5, 6); v -> (7, 8).
+    The first CONTRACT pass rakes leaf 6 with x and leaf 8 with v: two
+    siblings raked away in the same pass."""
+    raw = RawTree(2)
+    for n in range(9):
+        raw.add_node(n)
+    raw.set_root(0, random_stochastic(rng, 1, 2)[0])
+    for p, cs in ((0, (1, 2)), (1, (3, 4)), (3, (5, 6)), (4, (7, 8))):
+        for c in cs:
+            raw.add_edge(p, c, random_stochastic(rng, 2, 2))
+    for leaf in (2, 5, 6, 7, 8):
+        raw.evidence[leaf] = rng.random(2) + 0.05
+    return binarize(raw)
 
 
 class TestUpdateEvidence:
@@ -147,6 +185,169 @@ class TestBelQuery:
                 assert eng.counter.delta(before).mat_vec <= 4 * (eng.hier.top - i) + 2
 
 
+class TestBelAll:
+    def test_bitwise_random_trees(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            k = int(rng.integers(2, 5))
+            t = random_binarized_tree(rng, int(rng.integers(2, 60)), k)
+            post_random_evidence(t, rng, 3, hard_prob=0.3)
+            eng = DynamicEngine(t)
+            leaves = updatable_leaves(t)
+            eng.update_many(
+                (leaves[int(rng.integers(len(leaves)))], random_likelihood(rng, k))
+                for _ in range(4)
+            )
+            assert_bel_all_is_bel_query(eng)
+
+    def test_bitwise_chain(self):
+        rng = np.random.default_rng(12)
+        t = make_chain(200, 3, rng)
+        eng = DynamicEngine(t)
+        leaves = updatable_leaves(t)
+        eng.update_many((leaf, rng.random(3) + 0.05) for leaf in leaves[::3])
+        assert_bel_all_is_bel_query(eng)
+
+    def test_bitwise_factored_join_tree(self):
+        rng = np.random.default_rng(13)
+        t, _, leaf_cliques, K = random_join_tree(rng, k=2, n=3, c=2, depth=3)
+        eng = DynamicEngine(t)
+        eng.update_many((leaf, rng.random(K) + 0.05) for leaf in leaf_cliques[::2])
+        assert_bel_all_is_bel_query(eng)
+
+    def test_bitwise_protein_chain(self):
+        chain = protein.ProteinChain("GSATGSTAG", protein.train([("GSAT", "cchh")], w=2))
+        chain.mutate(4, "A")
+        assert_bel_all_is_bel_query(chain.engine)
+
+    def test_single_node_and_three_node(self):
+        raw = RawTree(2)
+        raw.add_node(0)
+        raw.set_root(0, [0.3, 0.7])
+        single = binarize(raw)
+        single.set_evidence(0, [0.2, 0.6])
+        assert np.allclose(assert_bel_all_is_bel_query(DynamicEngine(single))[0],
+                           [0.125, 0.875], atol=1e-12)
+        bel = assert_bel_all_is_bel_query(DynamicEngine(three_node_tree()))
+        assert np.allclose(bel[0], [9 / 11, 2 / 11], atol=1e-12)
+
+    def test_siblings_raked_in_one_pass(self):
+        # lambda of both siblings must exist before pi of either is formed
+        for seed in range(5):
+            t = sibling_rake_tree(np.random.default_rng(seed))
+            eng = DynamicEngine(t)
+            lt0 = eng.hier.levels[0]
+            assert eng.hier.ind[3] == eng.hier.ind[4] == 0
+            assert lt0.parent[3] == lt0.parent[4] == 1
+            bel = assert_bel_all_is_bel_query(eng)
+            oracle = exact.joint_marginals(t)
+            for x in t.names:
+                assert np.allclose(bel[x], oracle[x], atol=1e-12)
+
+    def test_mat_vec_count(self):
+        # one lambda_up (two mat-vecs) per internal node, one pi_down (two
+        # mat-vecs) per non-root node
+        rng = np.random.default_rng(14)
+        trees = [make_chain(100, 2, rng), sibling_rake_tree(rng), three_node_tree()]
+        trees += [random_binarized_tree(rng, int(rng.integers(2, 80)), 3) for _ in range(10)]
+        for t in trees:
+            eng = DynamicEngine(t)
+            before = eng.counter.snapshot()
+            eng.bel_all()
+            n_internal, n_nodes = len(t.left), len(t.names)
+            assert eng.counter.delta(before).mat_vec == 2 * n_internal + 2 * (n_nodes - 1)
+
+    def test_keys_and_values_match_propagate_all(self):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            t = random_binarized_tree(rng, int(rng.integers(2, 40)), 2)
+            post_random_evidence(t, rng, 4)
+            bel, full = DynamicEngine(t).bel_all(), exact.propagate_all(t)
+            assert set(bel) == set(full)
+            for x in full:
+                assert np.allclose(bel[x], full[x], atol=1e-12)
+
+
+class TestUpdateMany:
+    @staticmethod
+    def check_batches(make_tree, leaves, k, rng):
+        batched, sequential = DynamicEngine(make_tree()), DynamicEngine(make_tree())
+        for _ in range(6):
+            picks = rng.integers(len(leaves), size=int(rng.integers(1, 6)))
+            items = [(leaves[int(i)], rng.random(k) + 0.01) for i in picks]
+            items.append(items[0][:1] + (rng.random(k) + 0.01,))  # a repeat: last wins
+            batched.update_many(items)
+            for leaf, lik in items:
+                sequential.update_evidence(leaf, lik)
+            assert batched.tree.evidence.keys() == sequential.tree.evidence.keys()
+            for leaf, v in sequential.tree.evidence.items():
+                assert np.array_equal(batched.tree.evidence[leaf], v)
+            assert_same_cells(batched.hier, sequential.hier)
+            assert_same_cells(batched.hier, build_hierarchy(batched.tree))
+
+    def test_bitwise_dense(self):
+        rng = np.random.default_rng(21)
+        for seed in range(20):
+            make = lambda: random_binarized_tree(
+                np.random.default_rng(seed), 3 + seed * 3, 2
+            )
+            self.check_batches(make, updatable_leaves(make()), 2, rng)
+
+    def test_bitwise_factored(self):
+        rng = np.random.default_rng(22)
+        for c in (1, 2):
+            make = lambda: random_join_tree(np.random.default_rng(c), k=2, n=3, c=c)
+            _, _, leaf_cliques, K = make()
+            self.check_batches(lambda: make()[0], leaf_cliques, K, rng)
+
+    def test_each_recipe_once(self):
+        t = make_chain(64, 2, np.random.default_rng(23))
+        eng = DynamicEngine(t)
+        leaves = updatable_leaves(t)[20:23]
+        single = 0
+        for leaf in leaves:
+            eng.update_evidence(leaf, [0.3, 0.6])
+            single += eng.last_recipe_recomputes
+        distinct = set()
+        for leaf in leaves:
+            recipe = eng.hier.recipe_by_leaf.get(leaf)
+            while recipe is not None:
+                distinct.add(recipe)
+                recipe = eng.hier.successor.get(recipe.target)
+        before = eng.counter.snapshot()
+        eng.update_many((leaf, [0.6, 0.3]) for leaf in leaves)
+        assert eng.last_recipe_recomputes == len(distinct) < single
+        assert eng.counter.delta(before).mat_mat == len(distinct)
+
+    @pytest.mark.parametrize(
+        "bad, exc",
+        [("dummy", UsageError), ([np.nan, 1.0], DimensionError), ([0.5], DimensionError)],
+    )
+    def test_bad_item_changes_nothing(self, bad, exc):
+        rng = np.random.default_rng(24)
+        t = random_binarized_tree(rng, 12, 2)
+        while not t.dummies:
+            t = random_binarized_tree(rng, 12, 2)
+        a, b = updatable_leaves(t)[:2]
+        t.set_evidence(a, [0.4, 0.8])  # restored to this value
+        t.evidence.pop(b, None)  # restored to no evidence
+        eng = DynamicEngine(t)
+        third = (next(iter(t.dummies)), [0.5, 0.5]) if bad == "dummy" else (a, bad)
+        with pytest.raises(exc):
+            eng.update_evidence(*third)
+        evidence = {leaf: v.copy() for leaf, v in t.evidence.items()}
+        cells = [r.target.value.copy() for r in eng.hier.recipes]
+        counter = eng.counter.snapshot()
+        with pytest.raises(exc):
+            eng.update_many([(a, [0.9, 0.1]), (b, [0.2, 0.7]), third, (b, [1.0, 0.0])])
+        assert t.evidence.keys() == evidence.keys()
+        for leaf, v in evidence.items():
+            assert np.array_equal(t.evidence[leaf], v)
+        for v, r in zip(cells, eng.hier.recipes):
+            assert np.array_equal(v, r.target.value)
+        assert eng.counter == counter
+
+
 class TestRebuildEquivalence:
     def test_bitwise_after_updates(self):
         rng = np.random.default_rng(7)
@@ -163,15 +364,7 @@ class TestRebuildEquivalence:
         for _ in range(10):
             leaf = leaves[int(rng.integers(len(leaves)))]
             eng.update_evidence(leaf, rng.random(k) + 0.01)
-        rebuilt = build_hierarchy(t)
-        assert len(rebuilt.recipes) == len(eng.hier.recipes)
-        for a, b in zip(eng.hier.recipes, rebuilt.recipes):
-            assert a.target.key == b.target.key
-            if hasattr(a.target.value, "left"):
-                assert np.array_equal(a.target.value.left, b.target.value.left)
-                assert np.array_equal(a.target.value.right, b.target.value.right)
-            else:
-                assert np.array_equal(a.target.value, b.target.value)
+        assert_same_cells(eng.hier, build_hierarchy(t))
 
 
 class TestValidationOnce:

@@ -92,10 +92,13 @@ class TestDiag:
     @given(vec(3), vec(3))
     def test_diag_matches_hadamard(self, v, w):
         eye = np.eye(3)
-        tiny = 0.0 < v.max() < linalg.UNDERFLOW_THRESHOLD
-        scale = v.max() if tiny else 1.0  # the kernel rescales to max 1
+        # the kernel rescales by a power of two when the max leaves the range
+        e = np.frexp(v.max())[1] if 0.0 < v.max() < linalg.SCALE_MIN else 0
         got = linalg.rake_compose(eye, eye, eye, v)
-        assert np.allclose(got @ w, v / scale * w, atol=1e-12)
+        assert np.array_equal(got, np.ldexp(np.diag(v), -e))
+        if e:
+            assert 0.5 <= got.max() < 1.0
+        assert np.allclose(got @ w, np.ldexp(v, -e) * w, atol=1e-12)
 
 
 class TestNormalize:
@@ -130,8 +133,34 @@ class TestRescale:
     def test_tiny_vector_rescaled(self):
         v = np.array([1e-200, 5e-201])
         out = linalg.rescale_if_tiny(v)
-        assert out.max() == 1.0
-        assert np.allclose(out / out.sum(), v / v.sum())
+        e = np.frexp(v.max())[1]
+        assert np.array_equal(out, np.ldexp(v, -e))
+        assert 0.5 <= out.max() < 1.0
+
+    def test_huge_vector_rescaled(self):
+        v = np.array([3e200, 1e200, 0.0])
+        out = linalg.rescale_if_tiny(v)
+        assert np.array_equal(out, np.ldexp(v, -np.frexp(v.max())[1]))
+        assert 0.5 <= out.max() < 1.0
+
+    def test_range_edges_untouched(self):
+        for v in (np.array([linalg.SCALE_MIN, 0.0]), np.array([linalg.SCALE_MAX, 1.0])):
+            assert linalg.rescale_if_tiny(v) is v
+
+    @given(vec(4), st.integers(-1000, 1000))
+    def test_exact_power_of_two(self, v, p):
+        # scaling by a power of two commutes with the guard up to its own
+        # power of two, so beliefs built on either side agree bitwise
+        v = np.ldexp(v, p)
+        out = linalg.rescale_if_tiny(v)
+        if out is not v:
+            assert 0.5 <= out.max() < 1.0
+            assert np.array_equal(np.ldexp(out, np.frexp(v.max())[1]), v)
+
+    def test_matrix_rescaled_by_its_max(self):
+        m = np.array([[1e-150, 2e-150], [0.0, 4e-150]])
+        out = linalg.rescale_if_tiny(m)
+        assert np.array_equal(out, np.ldexp(m, -np.frexp(4e-150)[1]))
 
     def test_normal_vector_untouched(self):
         v = np.array([0.5, 0.25])

@@ -143,6 +143,32 @@ class TestMutagenesis:
             protein.mutagenesis(chain, 0, "A", watch_sites=[7])
 
 
+class TestBatchedMutation:
+    def test_mutate_is_one_batch(self):
+        tables = protein.train([("GSATGSATKL", "ccchhheecc")], w=3)
+        batched = protein.ProteinChain("GSATGSATKLGS", tables)
+        single = protein.ProteinChain("GSATGSATKLGS", tables)
+        site = 6
+        touched = batched.mutate(site, "K")
+        assert touched == [4, 5, 6]
+        single.sequence[site] = "K"
+        chains = 0
+        for t in touched:
+            single.engine.update_evidence(single.ev_nodes[t], single._window_likelihood(t))
+            chains += single.engine.last_recipe_recomputes
+        assert 0 < batched.engine.last_recipe_recomputes < chains
+        for a, b in zip(batched.window_beliefs(), single.window_beliefs()):
+            assert np.array_equal(a, b)
+        for a, b in zip(batched.engine.hier.recipes, single.engine.hier.recipes):
+            assert np.array_equal(a.target.value, b.target.value)
+
+    def test_window_beliefs_make_no_single_queries(self, monkeypatch):
+        chain = protein.ProteinChain("GSATGS", toy_tables())
+        monkeypatch.setattr(chain.engine, "bel_query", None)  # not callable
+        assert len(chain.window_beliefs()) == chain.n_windows
+        assert len(chain.predict()) == len(chain.sequence)
+
+
 class TestCorpus:
     def test_parse(self):
         lines = ["# comment", "", "GSAT cchh", "AS ce  # trailing"]
