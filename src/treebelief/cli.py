@@ -37,10 +37,12 @@ def _fmt_vec(v) -> str:
 
 def _read_lines(path: str) -> list[str]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.readlines()
     except OSError as exc:
         raise FormatError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: byte {exc.start} ({exc.reason})")
 
 
 def _load_model(path: str):

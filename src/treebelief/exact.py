@@ -8,7 +8,13 @@ the logarithmic engine:
   models only.  joint_marginals feeds it a causal tree and
   Polytree.joint_conditionals a polytree.
 * propagate_all   -- the classical two-pass bottom-up/top-down propagation,
-  O(k^2 N).
+  O(k^2 N), swept one depth level at a time.  Nodes are numbered
+  breadth-first, and lambda, the edge messages and pi are rows of (N, k)
+  arrays in that order.  A level of at least BATCH_MIN_WIDTH nodes whose
+  edge matrices are all dense, or all factored with one pair of factor
+  shapes, runs each direction as one stacked product and one row-wise
+  rescale; a narrower level (a chain has two nodes per level), or one that
+  mixes edge kinds or shapes, runs the per-node apply/rescale loop.
 * PropagationState + path_update/path_query -- the depth-bounded incremental
   variant that keeps only the bottom-up vectors current, O(k^2 D) per
   operation.
@@ -16,82 +22,181 @@ the logarithmic engine:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import compress
+
 import numpy as np
 
 from . import linalg
 from .errors import InconsistentEvidenceError, ScaleError
+from .jointree import FactoredMatrix
 from .linalg import OpCounter
 from .tree import CausalTree
 
 JOINT_STATE_LIMIT = 10**7
 
+# Levels narrower than this keep the per-node loop: below it numpy's fixed
+# cost per stacked call outweighs the per-node calls it replaces.
+BATCH_MIN_WIDTH = 8
 
-def _post_order(tree: CausalTree) -> list[int]:
-    order = []
-    stack = [(tree.root, False)]
-    while stack:
-        x, expanded = stack.pop()
-        if tree.is_leaf(x):
-            order.append(x)
-        elif expanded:
-            order.append(x)
-        else:
-            stack.append((x, True))
-            stack.append((tree.right[x], False))
-            stack.append((tree.left[x], False))
-    return order
+
+class _Levels:
+    """Breadth-first numbering of a binary complete tree.
+
+    order[i] is the node at position i and pos its inverse; depth d spans
+    positions bounds[d]:bounds[d + 1]; inner[d] holds the positions of the
+    internal nodes of depth d, and the children of inner[d][j] sit at
+    bounds[d + 1] + 2j (left) and + 2j + 1 (right).  stacks[d] is the stacked
+    form of depth d's edge matrices (see `_stack`), or None where depth d
+    runs the per-node loop.
+    """
+
+    def __init__(self, tree: CausalTree):
+        order = [tree.root]
+        self.bounds = [0]
+        self.inner: list[list[int]] = []
+        self.stacks: list = [None]
+        start = 0
+        while start < len(order):
+            stop = len(order)
+            nodes = order[start:stop]
+            internal = list(map(tree.left.__contains__, nodes))
+            parents = list(compress(nodes, internal))
+            children = [0] * (2 * len(parents))
+            children[0::2] = map(tree.left.__getitem__, parents)
+            children[1::2] = map(tree.right.__getitem__, parents)
+            order += children
+            self.bounds.append(stop)
+            self.inner.append(list(compress(range(start, stop), internal)))
+            if start:
+                self.stacks.append(_stack(list(map(tree.matrix.__getitem__, nodes))))
+            start = stop
+        self.order = order
+        self.pos = dict(zip(order, range(len(order))))
+
+    def depths(self) -> range:
+        return range(len(self.inner))
+
+    def span(self, d: int) -> tuple[int, int]:
+        return self.bounds[d], self.bounds[d + 1]
+
+
+def _stack(mats):
+    """A level's edge matrices as one (n, k, k) stack when all are dense, or
+    as a left and a right factor stack when all are factored with equal
+    factor shapes; None when the level is narrow or mixed."""
+    if len(mats) < BATCH_MIN_WIDTH:
+        return None
+    kinds = set(map(type, mats))
+    if kinds == {np.ndarray}:
+        return (_stacked(mats),)
+    if kinds == {FactoredMatrix}:
+        lefts = [m.left for m in mats]
+        rights = [m.right for m in mats]
+        if len(set(map(np.shape, lefts))) == 1 == len(set(map(np.shape, rights))):
+            return _stacked(lefts), _stacked(rights)
+    return None
+
+
+def _stacked(mats) -> np.ndarray:
+    """Equally shaped matrices as one (n, a, b) array."""
+    return np.concatenate(mats).reshape(len(mats), *mats[0].shape)
+
+
+class NodeRows(Mapping):
+    """Per-node view of an (N, k) array whose rows follow a breadth-first
+    numbering; assigning to a node writes its row."""
+
+    def __init__(self, levels: _Levels, rows: np.ndarray):
+        self.levels = levels
+        self.rows = rows
+
+    def __getitem__(self, x: int) -> np.ndarray:
+        return self.rows[self.levels.pos[x]]
+
+    def __setitem__(self, x: int, v) -> None:
+        self.rows[self.levels.pos[x]] = v
+
+    def __iter__(self):
+        return iter(self.levels.order)
+
+    def __len__(self) -> int:
+        return len(self.levels.order)
 
 
 def lambda_pass(tree: CausalTree, counter: OpCounter | None = None):
-    """Bottom-up sweep; returns (lambda vectors, cached edge messages).
+    """Bottom-up sweep; returns (lambda vectors, cached edge messages) as
+    per-node views of breadth-first (N, k) arrays.
 
-    msg[c] = M_c . lambda(c) is cached per edge so the top-down pass can reuse
-    sibling messages, keeping the total at one matrix-vector product per edge
-    per direction.
+    msg[c] = M_c . lambda(c) is cached per non-root node (the root's row stays
+    zero) so the top-down pass can reuse sibling messages, keeping the total
+    at one matrix-vector product per edge per direction.  Leaf rows hold
+    `CausalTree.leaf_lambda`, read for all posted evidence at once.
     """
-    lam: dict[int, np.ndarray] = {}
-    msg: dict[int, np.ndarray] = {}
-    for x in _post_order(tree):
-        if tree.is_leaf(x):
-            lam[x] = tree.leaf_lambda(x)
+    lv = _Levels(tree)
+    lam = np.ones((len(lv.order), tree.k))
+    msg = np.zeros_like(lam)
+    if tree.evidence:
+        rows = [lv.pos[x] for x in tree.evidence]
+        lam[rows] = linalg.rescale_rows(np.array(list(tree.evidence.values())))
+    for d in reversed(lv.depths()):
+        start, stop = lv.span(d)
+        if lv.inner[d]:
+            c0, c1 = lv.span(d + 1)
+            if stop - start >= BATCH_MIN_WIDTH:
+                lam[lv.inner[d]] = linalg.rescale_rows(msg[c0:c1:2] * msg[c0 + 1 : c1 : 2])
+            else:
+                for i, c in zip(lv.inner[d], range(c0, c1, 2)):
+                    lam[i] = linalg.rescale_if_tiny(msg[c] * msg[c + 1])
+        if d == 0:
+            break
+        stack = lv.stacks[d]
+        if stack is not None:
+            msg[start:stop] = linalg.apply_stacked(stack, lam[start:stop], counter)
         else:
-            l, r = tree.children_of(x)
-            lam[x] = linalg.rescale_if_tiny(msg[l] * msg[r])
-        if x != tree.root:
-            msg[x] = linalg.apply(tree.matrix[x], lam[x], counter)
-    return lam, msg
+            for i in range(start, stop):
+                msg[i] = linalg.apply(tree.matrix[lv.order[i]], lam[i], counter)
+    return NodeRows(lv, lam), NodeRows(lv, msg)
 
 
 def propagate_all(
     tree: CausalTree, counter: OpCounter | None = None
-) -> dict[int, np.ndarray]:
+) -> Mapping[int, np.ndarray]:
     """Full two-pass propagation; Bel(x) for every node at current evidence."""
     lam, msg = lambda_pass(tree, counter)
-    pi: dict[int, np.ndarray] = {tree.root: tree.prior}
-    bel: dict[int, np.ndarray] = {}
-    stack = [tree.root]
-    order = []
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        if not tree.is_leaf(x):
-            l, r = tree.children_of(x)
-            pi[l] = linalg.rescale_if_tiny(
-                linalg.apply_transpose(tree.matrix[l], pi[x] * msg[r], counter)
+    lv, msg = lam.levels, msg.rows
+    pi = np.empty_like(msg)
+    pi[0] = tree.prior
+    for d in lv.depths()[1:]:
+        start, stop = lv.span(d)
+        parents = lv.inner[d - 1]
+        stack = lv.stacks[d]
+        if stack is not None:
+            # pi(p) . msg(sibling) for every child: left children at even offsets
+            p = pi[parents]
+            v = np.empty((stop - start, tree.k))
+            v[0::2] = p * msg[start + 1 : stop : 2]
+            v[1::2] = p * msg[start:stop:2]
+            pi[start:stop] = linalg.rescale_rows(
+                linalg.apply_transpose_stacked(stack, v, counter)
             )
-            pi[r] = linalg.rescale_if_tiny(
-                linalg.apply_transpose(tree.matrix[r], pi[x] * msg[l], counter)
-            )
-            stack.append(l)
-            stack.append(r)
-    for x in order:
-        try:
-            bel[x] = linalg.normalize(lam[x] * pi[x])
-        except InconsistentEvidenceError:
-            raise InconsistentEvidenceError(
-                f"evidence has zero joint probability (first seen at node {x})"
-            )
-    return bel
+        else:
+            for p, l in zip(parents, range(start, stop, 2)):
+                for c, sib in ((l, l + 1), (l + 1, l)):
+                    pi[c] = linalg.rescale_if_tiny(
+                        linalg.apply_transpose(
+                            tree.matrix[lv.order[c]], pi[p] * msg[sib], counter
+                        )
+                    )
+    bel = lam.rows * pi
+    mass = bel.sum(axis=1)
+    zero = np.flatnonzero(~((mass > 0.0) & (mass < np.inf)))
+    if zero.size:
+        raise InconsistentEvidenceError(
+            f"evidence has zero joint probability (first seen at node {lv.order[zero[0]]})"
+        )
+    bel /= mass[:, np.newaxis]
+    return NodeRows(lv, bel)
 
 
 def enumerate_marginals(

@@ -210,7 +210,5 @@ def parse_ptn(lines) -> Polytree:
                 f"node {nid}: expected {want} floats in table, got {table.size}"
             )
         pt.set_cpt(nid, table)
-    problems = pt.validate()
-    if problems:
-        raise StructureError("; ".join(problems))
+    pt.check()
     return pt

@@ -131,6 +131,43 @@ def rescale_if_tiny(v: np.ndarray) -> np.ndarray:
     return np.ldexp(v, -np.frexp(m)[1])
 
 
+def rescale_rows(v: np.ndarray) -> np.ndarray:
+    """`rescale_if_tiny` applied to each row of a 2-D array at once, bitwise
+    equal to it row by row; returns v itself when no row is rescaled."""
+    m = v.max(axis=1, initial=0.0)
+    out = ((m < SCALE_MIN) | (m > SCALE_MAX)) & (0.0 < m) & (m < math.inf)
+    if not out.any():
+        return v
+    return np.ldexp(v, -np.where(out, np.frexp(m)[1], 0)[:, np.newaxis])
+
+
+def apply_stacked(factors, v: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
+    """Row-wise `apply` over stacked matrices: result[n] = M_n . v[n], where
+    M_n = factors[0][n] . factors[1][n] ... (one (n, a, b) stack per factor,
+    as for a run of dense or of equally shaped factored matrices).  Counts
+    one mat-vec per factor per row, as `apply` does."""
+    for f in reversed(factors):
+        v = np.einsum("nij,nj->ni", f, v)
+    _count_stacked(factors, counter)
+    return v
+
+
+def apply_transpose_stacked(
+    factors, v: np.ndarray, counter: OpCounter | None = None
+) -> np.ndarray:
+    """Row-wise `apply_transpose` over stacked matrices: result[n] = M_n^T . v[n]."""
+    for f in factors:
+        v = np.einsum("nji,nj->ni", f, v)
+    _count_stacked(factors, counter)
+    return v
+
+
+def _count_stacked(factors, counter: OpCounter | None) -> None:
+    if counter is not None:
+        counter.mat_vec += len(factors) * len(factors[0])
+        counter.flops += sum(f.size for f in factors)
+
+
 def _is_factored(m) -> bool:
     return hasattr(m, "left") and hasattr(m, "right")
 

@@ -30,21 +30,26 @@ class Polytree:
 
     cpt[v] has shape (k^p_v, k): row index is the mixed-radix code of the
     parent value tuple (first parent most significant), column the child
-    value.  Parentless variables carry a (k,) prior instead.
+    value.  Parentless variables carry a (k,) prior instead.  Variables and
+    tables change through add_variable and set_cpt, which clear the record
+    that `check` passed.
     """
 
     k: int
     parents: dict = field(default_factory=dict)  # var -> tuple of vars
     cpt: dict = field(default_factory=dict)
     names: dict = field(default_factory=dict)
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def add_variable(self, var, parents=(), cpt=None, name=None):
+        self._checked = False
         self.parents[var] = tuple(parents)
         self.names[var] = name if name is not None else str(var)
         if cpt is not None:
             self.set_cpt(var, cpt)
 
     def set_cpt(self, var, cpt):
+        self._checked = False
         p = len(self.parents[var])
         arr = np.asarray(cpt, dtype=np.float64)
         want = (self.k**p, self.k) if p else (self.k,)
@@ -99,6 +104,17 @@ class Polytree:
                 out.append(f"table of {v} has negative entries")
         return out
 
+    def check(self) -> None:
+        """Raise StructureError naming every `validate` violation.  Once passed,
+        it is not repeated until add_variable or set_cpt changes the polytree,
+        so parsing and then building an engine validate once."""
+        if self._checked:
+            return
+        problems = self.validate()
+        if problems:
+            raise StructureError("; ".join(problems))
+        self._checked = True
+
     def prior_marginals(self) -> dict:
         """No-evidence marginal of every variable (parents of any node sit in
         disjoint subtrees, hence are independent)."""
@@ -138,9 +154,7 @@ class PolytreeEngine:
     """Family-clique join tree plus the factored dynamic engine (c = 1)."""
 
     def __init__(self, pt: Polytree, counter: OpCounter | None = None):
-        problems = pt.validate()
-        if problems:
-            raise StructureError("; ".join(problems))
+        pt.check()
         p_max = max((len(ps) for ps in pt.parents.values()), default=0)
         if p_max > MAX_PARENTS:
             raise ScaleError(f"max in-degree {p_max} exceeds limit {MAX_PARENTS}")

@@ -1,7 +1,12 @@
+import contextlib
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebelief import cli
 from test_formats import LARGE_ID_PTN, THREE_NODE_BTN, V_STRUCTURE_PTN
@@ -103,6 +108,12 @@ class TestCheck:
         p = tmp_path / "bad.btn"
         p.write_text("BTN 1\nk 2\nnode 0 a\nprior 0 0.5 0.5\n")
         assert cli.main(["check", str(p)]) == 2
+
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.btn"
+        p.write_bytes(b"\x80" + THREE_NODE_BTN.encode())
+        assert cli.main(["check", str(p)]) == 2
+        assert "not UTF-8 text: byte 0" in capsys.readouterr().err
 
     def test_large_id_ptn_ok(self, tmp_path, capsys):
         p = tmp_path / "large.ptn"
@@ -381,3 +392,57 @@ class TestPolytreeCli:
     def test_btn_file_rejected(self, btn_file, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
         assert cli.main(["polytree", "session", btn_file]) == 1
+
+
+# the fuzz alphabet: format keywords, numbers of every sign and size, and
+# bytes that are not text at all
+FUZZ_TOKENS = [
+    "BTN", "PTN", "1", "k", "node", "root", "prior", "edge", "evidence", "parents",
+    "cpt", "0", "2", "3", "-1", "0.5", "1e308", "1e-320", "nan", "inf", "#", "\n",
+    " ", "99999999999999999999", "é",
+]
+
+
+@st.composite
+def mutated_model(draw):
+    """A valid BTN or PTN text after a few random token or byte edits."""
+    text = draw(st.sampled_from([THREE_NODE_BTN, GOLDEN_CHAIN_BTN, V_STRUCTURE_PTN,
+                                 LARGE_ID_PTN]))
+    lines = text.splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "token", "truncate"]))
+        if edit == "drop" and len(lines) > 1:
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "token":
+            toks = lines[i].split()
+            pos = draw(st.integers(0, len(toks)))
+            toks[pos:pos + draw(st.integers(0, 1))] = [draw(st.sampled_from(FUZZ_TOKENS))]
+            lines[i] = " ".join(toks) + "\n"
+        else:
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+    data = "".join(lines).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+class TestCheckFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_model())
+    def test_only_exit_codes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.model")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["check", path])  # any exception fails the test
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from treebelief import exact
-from treebelief.bench import random_stochastic
+from treebelief import exact, linalg
+from treebelief.bench import make_balanced, make_random, random_stochastic
+from treebelief.dynamic import DynamicEngine
 from treebelief.errors import InconsistentEvidenceError, ScaleError, UsageError
+from treebelief.jointree import CliqueNode, FactoredMatrix, build_projection
 from treebelief.linalg import OpCounter
 from treebelief.tree import RawTree, binarize
-from util import depth, post_random_evidence, random_binarized_tree, updatable_leaves
+from util import (
+    depth,
+    post_random_evidence,
+    random_binarized_tree,
+    random_join_tree,
+    updatable_leaves,
+)
 
 
 def three_node_tree():
@@ -60,7 +68,7 @@ class TestPropagateAll:
         t.matrix[1] = np.eye(2)
         t.set_evidence(1, [1, 0])
         t.set_evidence(2, [0, 0])
-        with pytest.raises(InconsistentEvidenceError):
+        with pytest.raises(InconsistentEvidenceError, match="at node 0"):
             exact.propagate_all(t)
 
     def test_beliefs_sum_to_one(self):
@@ -70,6 +78,177 @@ class TestPropagateAll:
             post_random_evidence(t, rng, 3, hard_prob=0.0)
             for b in exact.propagate_all(t).values():
                 assert abs(b.sum() - 1.0) <= 1e-12
+
+
+def mixed_join_tree(rng, k=2, n=2, c=1, depth=5):
+    """Join tree whose cliques have one to three children, so `binarize` puts
+    dense identity pads and copies beside the factored clique edges."""
+    K = k**n
+    fresh = iter(range(10**6))  # variable names
+    cliques = {0: CliqueNode(members=tuple(next(fresh) for _ in range(n)), k=k)}
+    raw = RawTree(K)
+    raw.add_node(0)
+    raw.set_root(0, random_stochastic(rng, 1, K)[0])
+    frontier = [0]
+    for _ in range(depth):
+        below = []
+        for p in frontier:
+            for _ in range(int(rng.integers(1, 4))):
+                members = cliques[p].members
+                shared = tuple(members[i] for i in sorted(rng.choice(n, size=c, replace=False)))
+                clique = CliqueNode(
+                    members=shared + tuple(next(fresh) for _ in range(n - c)),
+                    k=k, intersection=shared,
+                )
+                nid = len(cliques)
+                cliques[nid] = clique
+                raw.add_node(nid)
+                table = random_stochastic(rng, k**c, K)
+                raw.add_edge(p, nid, build_projection(clique, cliques[p], table))
+                below.append(nid)
+        frontier = below
+    return binarize(raw)
+
+
+class TestPropagateAllBatched:
+    """Trees with levels of at least BATCH_MIN_WIDTH nodes, where each
+    direction of a level is one stacked product."""
+
+    @pytest.fixture
+    def stacked_calls(self, monkeypatch):
+        calls = []
+        stacked = linalg.apply_stacked
+
+        def counted(factors, v, counter=None):
+            calls.append(len(v))
+            return stacked(factors, v, counter)
+
+        monkeypatch.setattr(linalg, "apply_stacked", counted)
+        return calls
+
+    @staticmethod
+    def check(t, mv_per_edge=None):
+        """propagate_all against bel_all and against the per-node loop alone;
+        one mat-vec per edge per direction (two per factored edge)."""
+        c = OpCounter()
+        full = exact.propagate_all(t, c)
+        every = DynamicEngine(t).bel_all()
+        assert set(full) == set(every) == set(t.names)
+        for x in t.names:
+            assert np.allclose(full[x], every[x], rtol=0.0, atol=1e-12), x
+        if mv_per_edge is None:
+            mv_per_edge = {x: 1 for x in t.parent}
+        assert c.mat_vec == 2 * sum(mv_per_edge.values())
+        return full, c
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_random_and_balanced_match_bel_all(self, k, stacked_calls):
+        rng = np.random.default_rng(40 + k)
+        for t in (make_random(300, k, rng), make_balanced(256, k, rng)):
+            post_random_evidence(t, rng, 60)
+            stacked_calls.clear()
+            self.check(t)
+            assert stacked_calls and min(stacked_calls) >= exact.BATCH_MIN_WIDTH
+
+    def test_batched_equals_per_node_loop(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        t = make_random(500, 3, rng)
+        post_random_evidence(t, rng, 100)
+        c_batched, c_loop = OpCounter(), OpCounter()
+        batched = exact.propagate_all(t, c_batched)
+        monkeypatch.setattr(exact, "BATCH_MIN_WIDTH", len(t.names) + 1)
+        loop = exact.propagate_all(t, c_loop)
+        assert c_batched == c_loop
+        for x in t.names:
+            assert np.allclose(batched[x], loop[x], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_factored_join_tree(self, c, stacked_calls):
+        rng = np.random.default_rng(50 + c)
+        t, _, leaves, K = random_join_tree(rng, k=2, n=3, c=c, depth=4)
+        for leaf in leaves[::3]:
+            t.set_evidence(leaf, rng.random(K) + 0.05)
+        assert all(isinstance(m, FactoredMatrix) for m in t.matrix.values())
+        self.check(t, {x: 2 for x in t.parent})
+        assert max(stacked_calls) == 16
+
+    def test_mixed_level_runs_per_node(self, stacked_calls):
+        rng = np.random.default_rng(53)
+        t = mixed_join_tree(rng)
+        for leaf in updatable_leaves(t)[::2]:
+            t.set_evidence(leaf, rng.random(t.k) + 0.05)
+        kinds = {x: type(t.matrix[x]) for x in t.parent}
+        assert set(kinds.values()) == {np.ndarray, FactoredMatrix}
+        at_depth = {}
+        for x in t.parent:
+            at_depth.setdefault(depth(t, x), []).append(kinds[x])
+        # wide levels whose dense pads sit beside factored edges
+        assert any(
+            len(ks) >= exact.BATCH_MIN_WIDTH and len(set(ks)) == 2
+            for ks in at_depth.values()
+        )
+        self.check(t, {x: 2 if kinds[x] is FactoredMatrix else 1 for x in t.parent})
+        assert stacked_calls == []
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200, 1e-200])
+    def test_extreme_scales_on_wide_tree(self, scale):
+        # 4,096 leaves: lambda at the root is a product of thousands of
+        # messages below 1, far under 1e-308 without the row-wise guard
+        rng = np.random.default_rng(60)
+        t = make_balanced(4096, 2, rng)
+        items = [(leaf, rng.random(2) + 0.05) for leaf in updatable_leaves(t)]
+        for leaf, lik in items:
+            t.set_evidence(leaf, lik)
+        reference = exact.propagate_all(t)
+        for leaf, lik in items:
+            t.set_evidence(leaf, lik * scale)
+        full, _ = self.check(t)
+        for x in t.names:
+            assert np.allclose(full[x], reference[x], rtol=0.0, atol=1e-9), x
+
+    def test_pi_guard_on_wide_combs(self):
+        # 16 parallel combs: every level holds 16 spine nodes and 16 evidence
+        # leaves, and each step down multiplies pi by an evidence leaf's
+        # message near 2^-120, which the guard leaves as it is
+        rng = np.random.default_rng(62)
+        raw = RawTree(2)
+        raw.add_node(0)
+        raw.set_root(0, [0.4, 0.6])
+        tops, ids = [0], iter(range(1, 10**6))
+        for _ in range(4):
+            below = []
+            for p in tops:
+                for _ in range(2):
+                    below.append(next(ids))
+                    raw.add_node(below[-1])
+                    raw.add_edge(p, below[-1], random_stochastic(rng, 2, 2))
+            tops = below
+        evidence = []
+        for spine in tops:
+            for _ in range(12):
+                ev, nxt = next(ids), next(ids)
+                for x in (ev, nxt):
+                    raw.add_node(x)
+                    raw.add_edge(spine, x, random_stochastic(rng, 2, 2))
+                evidence.append((ev, rng.random(2) + 0.05))
+                spine = nxt
+        t = binarize(raw)
+        for leaf, lik in evidence:
+            t.set_evidence(leaf, lik)
+        reference = exact.propagate_all(t)
+        for leaf, lik in evidence:
+            t.set_evidence(leaf, np.ldexp(lik, -120))
+        full, _ = self.check(t)
+        for x in t.names:
+            assert np.allclose(full[x], reference[x], rtol=0.0, atol=1e-9), x
+
+    def test_zero_mass_on_wide_tree_names_node(self):
+        rng = np.random.default_rng(61)
+        t = make_balanced(64, 2, rng)
+        leaves = updatable_leaves(t)
+        t.set_evidence(leaves[5], [0.0, 0.0])
+        with pytest.raises(InconsistentEvidenceError, match=f"at node {t.root}"):
+            exact.propagate_all(t)
 
 
 class TestJointMarginals:

@@ -171,6 +171,67 @@ class TestRescale:
         assert np.array_equal(linalg.rescale_if_tiny(v), v)
 
 
+# a row's entries: zeros, the guard's range edges, normal values and values
+# near 1e-300 and 1e300
+ROW_ENTRY = st.one_of(
+    st.just(0.0),
+    st.sampled_from([linalg.SCALE_MIN, linalg.SCALE_MAX, np.nextafter(linalg.SCALE_MIN, 0),
+                     np.nextafter(linalg.SCALE_MAX, np.inf)]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-305, max_value=1e-295),
+    st.floats(min_value=1e295, max_value=1e305),
+)
+
+
+class TestRescaleRows:
+    @given(st.integers(1, 5).flatmap(
+        lambda k: st.lists(st.lists(ROW_ENTRY, min_size=k, max_size=k), min_size=1, max_size=8)
+    ))
+    def test_rows_bitwise_equal_rescale_if_tiny(self, rows):
+        v = np.array(rows)
+        out = linalg.rescale_rows(v)
+        assert out.shape == v.shape
+        for row, got in zip(v, out):
+            assert np.array_equal(got, linalg.rescale_if_tiny(row))
+
+    def test_untouched_rows_return_input(self):
+        v = np.array([[0.5, 0.25], [0.0, 0.0], [linalg.SCALE_MIN, linalg.SCALE_MAX]])
+        assert linalg.rescale_rows(v) is v
+
+    def test_only_out_of_range_rows_scaled(self):
+        v = np.array([[1e-300, 2e-300], [0.5, 0.25], [0.0, 0.0], [3e300, 1.0]])
+        out = linalg.rescale_rows(v)
+        assert np.array_equal(out[1:3], v[1:3])
+        assert 0.5 <= out[0].max() < 1.0 and 0.5 <= out[3].max() < 1.0
+
+
+class TestApplyStacked:
+    def test_dense_rows_match_apply(self):
+        rng = np.random.default_rng(7)
+        m, v = rng.random((5, 3, 3)), rng.random((5, 3))
+        c, c_one = OpCounter(), OpCounter()
+        got = linalg.apply_stacked((m,), v, c)
+        got_t = linalg.apply_transpose_stacked((m,), v, c)
+        for i in range(5):
+            assert np.allclose(got[i], linalg.apply(m[i], v[i], c_one), atol=1e-15)
+            assert np.allclose(got_t[i], linalg.apply_transpose(m[i], v[i], c_one), atol=1e-15)
+        assert c == c_one
+
+    def test_factored_rows_match_mv(self):
+        from treebelief.jointree import FactoredMatrix
+
+        rng = np.random.default_rng(8)
+        left, right, v = rng.random((4, 6, 2)), rng.random((4, 2, 6)), rng.random((4, 6))
+        c, c_one = OpCounter(), OpCounter()
+        got = linalg.apply_stacked((left, right), v, c)
+        got_t = linalg.apply_transpose_stacked((left, right), v, c)
+        for i in range(4):
+            fm = FactoredMatrix(left[i], right[i])
+            assert np.allclose(got[i], fm.mv(v[i], c_one), atol=1e-15)
+            assert np.allclose(got_t[i], fm.mv_t(v[i], c_one), atol=1e-15)
+        assert c == c_one
+
+
 class TestRakeCompose:
     def test_dense_matches_explicit(self):
         rng = np.random.default_rng(2)

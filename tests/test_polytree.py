@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treebelief import linalg
-from treebelief.bench import random_stochastic
+from treebelief.bench import make_engine, random_stochastic
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import (
     InconsistentEvidenceError,
@@ -10,9 +10,11 @@ from treebelief.errors import (
     StructureError,
     UsageError,
 )
+from treebelief.formats import parse_ptn
 from treebelief.jointree import marginalize
 from treebelief.polytree import Polytree, PolytreeEngine
 from treebelief.tree import RawTree, binarize
+from test_formats import V_STRUCTURE_PTN
 from util import random_polytree
 
 
@@ -104,6 +106,35 @@ class TestEngineStructure:
         del pt.cpt[2]
         with pytest.raises(StructureError):
             PolytreeEngine(pt)
+
+    def test_invalid_after_set_cpt_rejected(self):
+        # a polytree that passed its check is checked again once changed
+        pt = parse_ptn(V_STRUCTURE_PTN.splitlines())
+        pt.set_cpt(2, np.full((4, 2), 0.7))
+        with pytest.raises(StructureError, match="row 0"):
+            make_engine("hierarchy", pt)
+
+
+class TestValidationOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        validate = Polytree.validate
+
+        def counted(pt):
+            calls.append(pt)
+            return validate(pt)
+
+        monkeypatch.setattr(Polytree, "validate", counted)
+        return calls
+
+    def test_parse_and_build_validate_once(self, calls):
+        make_engine("hierarchy", parse_ptn(V_STRUCTURE_PTN.splitlines()))
+        assert len(calls) == 1
+
+    def test_code_built_validates_at_build(self, calls):
+        PolytreeEngine(v_structure())
+        assert len(calls) == 1
 
 
 class TestQueriesAndUpdates:
