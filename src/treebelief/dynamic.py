@@ -1,6 +1,6 @@
 """The logarithmic-time engine over a contraction hierarchy.
 
-Three operations, one write path:
+One write path and one read path:
 
 * `update_many(items)` posts every likelihood of a batch, then recomputes the
   union of their recipe chains, each recipe once, in level order (at most one
@@ -9,9 +9,8 @@ Three operations, one write path:
 * `bel_query(x)` resolves a single triple (pi(x), lambda(left),
   lambda(right)) by walking up the hierarchy, never recursing twice per level:
   O(log N) products.
-* `bel_all()` returns every belief from one top-down sweep over the same
-  hierarchy: one `lambda_up` per internal node and one `pi_down` per non-root
-  node, O(N) products.
+
+All beliefs at once are `exact.propagate_all`, the O(N) two-pass sweep.
 
 Each product is one of the two `LevelTree` kernels: lambda up through a node
 (`lambda_up`) or pi down one edge (`pi_down`).  The engine does not keep
@@ -22,7 +21,6 @@ go through `update_many`/`update_evidence`.
 
 from __future__ import annotations
 
-from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
@@ -168,52 +166,3 @@ class DynamicEngine:
         p, lam_l, lam_r = self.calc_pi_lambda(x, i)
         lam_x = lt.lambda_up(lt.left[x], lt.right[x], lam_l, lam_r, self.counter)
         return linalg.normalize(lam_x * p)
-
-    def bel_all(self) -> dict[int, np.ndarray]:
-        """Posterior marginal of every node of the (binarized) tree.
-
-        One top-down sweep over the hierarchy: for each pass, from the top
-        one down, lambda of every node it raked away, then pi of each.  A
-        node's lambda and pi are the ones `calc_pi_lambda` reaches at the
-        level where the node is raked, from the same kernels and operands in
-        the same order, so each belief is bitwise equal to `bel_query`'s.
-        """
-        tree, hier, counter = self.tree, self.hier, self.counter
-        root = tree.root
-        if tree.is_leaf(root):  # single-node tree
-            return {root: linalg.normalize(self.prior * tree.leaf_lambda(root))}
-        lam: dict[int, np.ndarray] = {}
-
-        def lam_of(c):
-            return lam[c] if c in lam else tree.leaf_lambda(c)
-
-        top = hier.levels[hier.top]
-        l, r = top.children_of(root)
-        lam[root] = top.lambda_up(l, r, lam_of(l), lam_of(r), counter)
-        pi = {root: self.prior}
-        # recipes are appended pass by pass, so each pass is one run; a pass
-        # may rake two siblings, so every lambda of a pass precedes its pi
-        for level, run in groupby(reversed(hier.recipes), key=attrgetter("level")):
-            lt = hier.levels[level]
-            raked = [lt.parent[rec.leaf] for rec in run]
-            for x in raked:
-                l, r = lt.children_of(x)
-                lam[x] = lt.lambda_up(l, r, lam_of(l), lam_of(r), counter)
-            for x in raked:
-                u = lt.parent[x]
-                v = lt.right[u] if lt.left[u] == x else lt.left[u]
-                pi[x] = linalg.rescale_if_tiny(
-                    lt.pi_down(x, v, pi[u], lam_of(v), counter)
-                )
-
-        lt0 = hier.levels[0]
-        bel = {}
-        for x in tree.names:
-            if x in lam:
-                bel[x] = linalg.normalize(lam[x] * pi[x])
-                continue
-            p = tree.parent[x]
-            sib = lt0.right[p] if lt0.left[p] == x else lt0.left[p]
-            pi_x = lt0.pi_down(x, sib, pi[p], lam_of(sib), counter)
-            bel[x] = linalg.normalize(tree.leaf_lambda(x) * pi_x)
-        return bel

@@ -30,11 +30,6 @@ class OpCounter:
     mat_mat: int = 0
     flops: int = 0
 
-    def reset(self) -> None:
-        self.mat_vec = 0
-        self.mat_mat = 0
-        self.flops = 0
-
     def snapshot(self) -> "OpCounter":
         return OpCounter(self.mat_vec, self.mat_mat, self.flops)
 

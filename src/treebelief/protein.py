@@ -6,16 +6,18 @@ the observed amino-acid window.  Consecutive windows must agree on their
 (w-1)-overlap, enforced as structural zeros in the transition matrix.
 Mutation experiments re-post the evidence for the windows covering a site as
 one batch (`update_many`) and re-query watch windows, exercising the
-logarithmic engine; predictions read every window from one `bel_all` sweep.
+logarithmic engine; predictions read every window from one
+`exact.propagate_all` sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
+from . import exact
 from .dynamic import DynamicEngine
 from .errors import FormatError, UsageError
 from .tree import RawTree, binarize
@@ -39,6 +41,13 @@ class ChainTables:
     transition: np.ndarray  # (k, k), structural zeros off the overlap
     emission: np.ndarray  # (k, len(aa_mers))
     initial: np.ndarray  # (k,)
+    # window -> position, derived from the lists (not saved)
+    ps_idx: dict = field(init=False, repr=False, compare=False)
+    aa_idx: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.ps_idx = {m: i for i, m in enumerate(self.ps_mers)}
+        self.aa_idx = {m: i for i, m in enumerate(self.aa_mers)}
 
     @property
     def k(self) -> int:
@@ -46,15 +55,15 @@ class ChainTables:
 
     def ps_index(self, mer: str) -> int:
         try:
-            return self.ps_mers.index(mer)
-        except ValueError:
-            raise UsageError(f"unknown structure window {mer!r}")
+            return self.ps_idx[mer]
+        except KeyError:
+            raise UsageError(f"unknown structure window {mer!r}") from None
 
     def aa_index(self, mer: str) -> int:
         try:
-            return self.aa_mers.index(mer)
-        except ValueError:
-            raise UsageError(f"unknown amino-acid window {mer!r}")
+            return self.aa_idx[mer]
+        except KeyError:
+            raise UsageError(f"unknown amino-acid window {mer!r}") from None
 
     def save(self, path) -> None:
         np.savez(
@@ -98,12 +107,11 @@ def train(corpus, w: int) -> ChainTables:
     ps_mers = _mers(STRUCTURE_SYMBOLS, w)
     aa_mers = _mers(AMINO_ACIDS, w)
     k, a = len(ps_mers), len(aa_mers)
-    ps_idx = {m: i for i, m in enumerate(ps_mers)}
-    aa_idx = {m: i for i, m in enumerate(aa_mers)}
-
-    trans = np.zeros((k, k))
-    emit = np.zeros((k, a))
-    init = np.zeros(k)
+    tables = ChainTables(
+        w, ps_mers, aa_mers, np.zeros((k, k)), np.zeros((k, a)), np.zeros(k)
+    )
+    ps_idx, aa_idx = tables.ps_idx, tables.aa_idx
+    trans, emit, init = tables.transition, tables.emission, tables.initial
     for aa_seq, ss_seq in corpus:
         if len(aa_seq) != len(ss_seq):
             raise FormatError(
@@ -133,7 +141,8 @@ def train(corpus, w: int) -> ChainTables:
     emit = emit + 1.0
     emit /= emit.sum(axis=1, keepdims=True)
     init = (init + 1.0) / (init + 1.0).sum()
-    return ChainTables(w, ps_mers, aa_mers, trans, emit, init)
+    tables.transition, tables.emission, tables.initial = trans, emit, init
+    return tables
 
 
 class ProteinChain:
@@ -174,16 +183,19 @@ class ProteinChain:
         return self.tables.emission[:, self.tables.aa_index(mer)].copy()
 
     def window_beliefs(self) -> list[np.ndarray]:
-        bel = self.engine.bel_all()
-        return [bel[t] for t in self.ps_nodes]
+        """The logarithmic engine's own answer for each window, one `bel_query`
+        per window: `predict` reads the O(N) sweep instead, so comparing these
+        with `exact.propagate_all` checks the engine, not the sweep with
+        itself."""
+        return [self.engine.bel_query(t) for t in self.ps_nodes]
 
     def predict(self) -> str:
         """Per-position structure: majority vote over the argmax window labels
-        covering each position, ties broken toward 'c'."""
+        covering each position, ties broken toward 'c'.  Every window belief
+        comes from one `exact.propagate_all` sweep."""
         w = self.tables.w
-        labels = [
-            self.tables.ps_mers[int(np.argmax(b))] for b in self.window_beliefs()
-        ]
+        bel = exact.propagate_all(self.tree, self.engine.counter)
+        labels = [self.tables.ps_mers[int(np.argmax(bel[t]))] for t in self.ps_nodes]
         out = []
         for pos in range(len(self.sequence)):
             votes = {}

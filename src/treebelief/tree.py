@@ -161,38 +161,6 @@ class CausalTree(BinaryLinks):
             raise UsageError(f"node {leaf} is a dummy leaf and not updatable")
         self.evidence[leaf] = as_likelihood(likelihood, self.k).copy()
 
-    def attach_evidence_leaf(self, x: int) -> int:
-        """Give node x a dedicated identity-linked evidence leaf; returns its id.
-
-        Internal nodes are copied so the tree stays binary complete; the copy
-        is aliased back to x and its identity edge leaves all beliefs intact.
-        """
-        if x not in self.names:
-            raise UsageError(f"unknown node {x}")
-        ident = np.eye(self.k)
-        e = self.fresh_id()
-        self.add_node(e, f"{self.names[x]}_ev")
-        if self.is_leaf(x):
-            # x becomes internal; its evidence (if any) moves to the new leaf
-            d = self.fresh_id()
-            self.add_node(d, f"{self.names[x]}_pad")
-            self.dummies.add(d)
-            if x in self.evidence:
-                self.evidence[e] = self.evidence.pop(x)
-            self.matrix[e] = ident.copy()
-            self.matrix[d] = ident.copy()
-            self.link(x, e, d)
-        else:
-            cp = self.fresh_id()
-            self.add_node(cp, f"{self.names[x]}_cp")
-            self.alias[cp] = x
-            l, r = self.left[x], self.right[x]
-            self.link(cp, l, r)
-            self.matrix[cp] = ident.copy()
-            self.matrix[e] = ident.copy()
-            self.link(x, e, cp)
-        return e
-
     # ------------------------------------------------------------------
     # validation
 
@@ -240,7 +208,7 @@ class CausalTree(BinaryLinks):
             if not np.all((m >= 0) & (m <= 1.0 + 1e-12)):
                 out.append(f"edge matrix into {child} has entries outside [0,1]")
         for x in seen:
-            if not self.is_leaf(x) and x not in self.matrix and x != self.root:
+            if x not in self.matrix and x != self.root:
                 out.append(f"edge into {x} has no matrix")
         for leaf, v in self.evidence.items():
             if leaf not in seen or not self.is_leaf(leaf):

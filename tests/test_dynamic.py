@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treebelief import exact, protein
+from treebelief import exact
 from treebelief.bench import make_chain, random_stochastic
 from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
@@ -15,19 +15,8 @@ from util import (
     post_random_evidence,
     random_binarized_tree,
     random_join_tree,
-    random_likelihood,
     updatable_leaves,
 )
-
-
-def assert_bel_all_is_bel_query(eng):
-    """bel_all answers every node, bitwise as bel_query does (copies are
-    answered under their original's id)."""
-    bel = eng.bel_all()
-    assert set(bel) == set(eng.tree.names)
-    for x in eng.tree.names:
-        assert np.array_equal(bel[eng.tree.resolve(x)], eng.bel_query(x)), x
-    return bel
 
 
 def assert_same_cells(hier_a, hier_b):
@@ -184,88 +173,29 @@ class TestBelQuery:
                 eng.bel_query(node)
                 assert eng.counter.delta(before).mat_vec <= 4 * (eng.hier.top - i) + 2
 
-
-class TestBelAll:
-    def test_bitwise_random_trees(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            k = int(rng.integers(2, 5))
-            t = random_binarized_tree(rng, int(rng.integers(2, 60)), k)
-            post_random_evidence(t, rng, 3, hard_prob=0.3)
-            eng = DynamicEngine(t)
-            leaves = updatable_leaves(t)
-            eng.update_many(
-                (leaves[int(rng.integers(len(leaves)))], random_likelihood(rng, k))
-                for _ in range(4)
-            )
-            assert_bel_all_is_bel_query(eng)
-
-    def test_bitwise_chain(self):
-        rng = np.random.default_rng(12)
-        t = make_chain(200, 3, rng)
-        eng = DynamicEngine(t)
-        leaves = updatable_leaves(t)
-        eng.update_many((leaf, rng.random(3) + 0.05) for leaf in leaves[::3])
-        assert_bel_all_is_bel_query(eng)
-
-    def test_bitwise_factored_join_tree(self):
-        rng = np.random.default_rng(13)
-        t, _, leaf_cliques, K = random_join_tree(rng, k=2, n=3, c=2, depth=3)
-        eng = DynamicEngine(t)
-        eng.update_many((leaf, rng.random(K) + 0.05) for leaf in leaf_cliques[::2])
-        assert_bel_all_is_bel_query(eng)
-
-    def test_bitwise_protein_chain(self):
-        chain = protein.ProteinChain("GSATGSTAG", protein.train([("GSAT", "cchh")], w=2))
-        chain.mutate(4, "A")
-        assert_bel_all_is_bel_query(chain.engine)
-
     def test_single_node_and_three_node(self):
         raw = RawTree(2)
         raw.add_node(0)
         raw.set_root(0, [0.3, 0.7])
         single = binarize(raw)
         single.set_evidence(0, [0.2, 0.6])
-        assert np.allclose(assert_bel_all_is_bel_query(DynamicEngine(single))[0],
-                           [0.125, 0.875], atol=1e-12)
-        bel = assert_bel_all_is_bel_query(DynamicEngine(three_node_tree()))
-        assert np.allclose(bel[0], [9 / 11, 2 / 11], atol=1e-12)
+        bel = DynamicEngine(single).bel_query(0)
+        assert np.allclose(bel, [0.125, 0.875], atol=1e-12)
+        t = three_node_tree()
+        eng, oracle = DynamicEngine(t), exact.joint_marginals(t)
+        for x in t.names:
+            assert np.allclose(eng.bel_query(x), oracle[x], atol=1e-12), x
 
     def test_siblings_raked_in_one_pass(self):
-        # lambda of both siblings must exist before pi of either is formed
         for seed in range(5):
             t = sibling_rake_tree(np.random.default_rng(seed))
             eng = DynamicEngine(t)
             lt0 = eng.hier.levels[0]
             assert eng.hier.ind[3] == eng.hier.ind[4] == 0
             assert lt0.parent[3] == lt0.parent[4] == 1
-            bel = assert_bel_all_is_bel_query(eng)
             oracle = exact.joint_marginals(t)
             for x in t.names:
-                assert np.allclose(bel[x], oracle[x], atol=1e-12)
-
-    def test_mat_vec_count(self):
-        # one lambda_up (two mat-vecs) per internal node, one pi_down (two
-        # mat-vecs) per non-root node
-        rng = np.random.default_rng(14)
-        trees = [make_chain(100, 2, rng), sibling_rake_tree(rng), three_node_tree()]
-        trees += [random_binarized_tree(rng, int(rng.integers(2, 80)), 3) for _ in range(10)]
-        for t in trees:
-            eng = DynamicEngine(t)
-            before = eng.counter.snapshot()
-            eng.bel_all()
-            n_internal, n_nodes = len(t.left), len(t.names)
-            assert eng.counter.delta(before).mat_vec == 2 * n_internal + 2 * (n_nodes - 1)
-
-    def test_keys_and_values_match_propagate_all(self):
-        rng = np.random.default_rng(15)
-        for _ in range(10):
-            t = random_binarized_tree(rng, int(rng.integers(2, 40)), 2)
-            post_random_evidence(t, rng, 4)
-            bel, full = DynamicEngine(t).bel_all(), exact.propagate_all(t)
-            assert set(bel) == set(full)
-            for x in full:
-                assert np.allclose(bel[x], full[x], atol=1e-12)
+                assert np.allclose(eng.bel_query(x), oracle[x], atol=1e-12), x
 
 
 class TestUpdateMany:

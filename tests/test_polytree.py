@@ -15,7 +15,7 @@ from treebelief.jointree import marginalize
 from treebelief.polytree import Polytree, PolytreeEngine
 from treebelief.tree import RawTree, binarize
 from test_formats import V_STRUCTURE_PTN
-from util import random_polytree
+from util import attach_evidence_leaf, random_polytree
 
 
 def v_structure(rng=None):
@@ -210,7 +210,7 @@ class TestQueriesAndUpdates:
         for v in range(1, 6):
             raw.add_edge(pt.parents[v][0], v, mats[v])
         tree = binarize(raw)
-        ev = {v: tree.attach_evidence_leaf(v) for v in range(6)}
+        ev = {v: attach_evidence_leaf(tree, v) for v in range(6)}
         direct = DynamicEngine(tree)
 
         for _ in range(5):

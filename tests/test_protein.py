@@ -162,11 +162,25 @@ class TestBatchedMutation:
         for a, b in zip(batched.engine.hier.recipes, single.engine.hier.recipes):
             assert np.array_equal(a.target.value, b.target.value)
 
-    def test_window_beliefs_make_no_single_queries(self, monkeypatch):
-        chain = protein.ProteinChain("GSATGS", toy_tables())
-        monkeypatch.setattr(chain.engine, "bel_query", None)  # not callable
-        assert len(chain.window_beliefs()) == chain.n_windows
-        assert len(chain.predict()) == len(chain.sequence)
+    def test_predict_makes_no_single_queries(self, monkeypatch):
+        # predict reads one propagate_all sweep; its window labels are the
+        # argmax of beliefs within 1e-12 of the engine's own bel_query answers
+        chain = protein.ProteinChain("GSATGSATKL", toy_tables())
+        chain.mutate(3, "W")
+        swept, propagate_all = [], exact.propagate_all
+
+        def sweep(tree, counter=None):
+            swept.append(propagate_all(tree, counter))
+            return swept[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(protein.exact, "propagate_all", sweep)
+            m.setattr(chain.engine, "bel_query", None)  # not callable
+            assert len(chain.predict()) == len(chain.sequence)
+        assert len(swept) == 1
+        for t, b in zip(chain.ps_nodes, chain.window_beliefs()):
+            assert np.allclose(swept[0][t], b, rtol=0.0, atol=1e-12), t
+            assert np.argmax(swept[0][t]) == np.argmax(b), t
 
 
 class TestCorpus:

@@ -4,8 +4,8 @@ import pytest
 from treebelief import exact
 from treebelief.bench import random_stochastic
 from treebelief.errors import DimensionError, StructureError, UsageError
-from treebelief.tree import RawTree, binarize
-from util import depth, random_binarized_tree, random_raw_tree
+from treebelief.tree import CausalTree, RawTree, binarize
+from util import attach_evidence_leaf, depth, random_binarized_tree, random_raw_tree
 
 
 def three_child_raw():
@@ -162,7 +162,7 @@ class TestAttachEvidenceLeaf:
         rng = np.random.default_rng(6)
         t = random_binarized_tree(rng, 5, 2)
         internal = next(n for n in t.names if not t.is_leaf(n) and n != t.root)
-        e = t.attach_evidence_leaf(internal)
+        e = attach_evidence_leaf(t, internal)
         assert t.validate() == []
         t.set_evidence(e, [1, 0])
         bel = exact.joint_marginals(t)
@@ -173,7 +173,7 @@ class TestAttachEvidenceLeaf:
         t = random_binarized_tree(rng, 5, 2)
         before = exact.joint_marginals(t)
         x = next(n for n in t.names if not t.is_leaf(n))
-        e = t.attach_evidence_leaf(x)
+        e = attach_evidence_leaf(t, x)
         t.set_evidence(e, [1, 1])
         after = exact.joint_marginals(t)
         for n in before:
@@ -186,10 +186,10 @@ class TestAttachEvidenceLeaf:
         nodes = [n for n in t1.names if not t1.is_leaf(n)][:2]
         assert len(nodes) == 2
         a, b = nodes
-        t1.attach_evidence_leaf(a)
-        t1.attach_evidence_leaf(b)
-        t2.attach_evidence_leaf(b)
-        t2.attach_evidence_leaf(a)
+        attach_evidence_leaf(t1, a)
+        attach_evidence_leaf(t1, b)
+        attach_evidence_leaf(t2, b)
+        attach_evidence_leaf(t2, a)
         b1 = exact.joint_marginals(t1)
         b2 = exact.joint_marginals(t2)
         for n in (a, b, t1.root):
@@ -198,7 +198,7 @@ class TestAttachEvidenceLeaf:
     def test_leaf_keeps_old_evidence(self):
         t = binarize(three_child_raw())
         t.set_evidence(1, [0.2, 0.8])
-        e = t.attach_evidence_leaf(1)
+        e = attach_evidence_leaf(t, 1)
         assert t.validate() == []
         assert np.allclose(t.leaf_lambda(e), [0.2, 0.8])
         assert 1 not in t.evidence
@@ -230,6 +230,18 @@ class TestValidate:
         msgs = t.validate()
         assert any("row 0" in m and "into 1" in m for m in msgs)
         assert any("outside [0,1]" in m for m in msgs)
+
+    def test_leaf_without_matrix_named(self):
+        # a tree built in code: 0 -> (1, 2) with no matrix into leaf 2
+        t = CausalTree(2)
+        for n in range(3):
+            t.add_node(n)
+        t.root, t.prior = 0, np.array([0.5, 0.5])
+        t.link(0, 1, 2)
+        t.matrix[1] = np.eye(2)
+        assert t.validate() == ["edge into 2 has no matrix"]
+        t.matrix[2] = np.eye(2)
+        assert t.validate() == []
 
 
 class TestTraversal:

@@ -40,6 +40,36 @@ def depth(tree: CausalTree, x: int) -> int:
     return d
 
 
+def attach_evidence_leaf(tree: CausalTree, x: int) -> int:
+    """Give node x a dedicated identity-linked evidence leaf; returns its id.
+
+    Internal nodes are copied so the tree stays binary complete; the copy is
+    aliased back to x and its identity edge leaves all beliefs intact.
+    """
+    ident = np.eye(tree.k)
+    e = tree.fresh_id()
+    tree.add_node(e, f"{tree.names[x]}_ev")
+    if tree.is_leaf(x):
+        # x becomes internal; its evidence (if any) moves to the new leaf
+        d = tree.fresh_id()
+        tree.add_node(d, f"{tree.names[x]}_pad")
+        tree.dummies.add(d)
+        if x in tree.evidence:
+            tree.evidence[e] = tree.evidence.pop(x)
+        tree.matrix[e] = ident.copy()
+        tree.matrix[d] = ident.copy()
+        tree.link(x, e, d)
+    else:
+        cp = tree.fresh_id()
+        tree.add_node(cp, f"{tree.names[x]}_cp")
+        tree.alias[cp] = x
+        tree.link(cp, tree.left[x], tree.right[x])
+        tree.matrix[cp] = ident.copy()
+        tree.matrix[e] = ident.copy()
+        tree.link(x, e, cp)
+    return e
+
+
 def level_lambdas(hier, i: int) -> dict:
     """lambda of every node of T_i by the exact bottom-up recursion inside T_i."""
     lt = hier.levels[i]
