@@ -118,12 +118,16 @@ def rescale_if_tiny(v: np.ndarray) -> np.ndarray:
     """Under- and overflow guard for a nonnegative vector or matrix: when its
     max entry leaves [SCALE_MIN, SCALE_MAX], multiply by the power of two that
     brings the max into [0.5, 1); otherwise return v itself.  The scaling is
-    exact, so rebuilt and recomputed values stay bitwise equal.  No scale
+    exact, so rebuilt and recomputed values stay bitwise equal: a shift that
+    would round an entry (one more than 2**1021 below the max, pushed below
+    the normal range) is not made, and v is returned as it is.  No scale
     tracking; normalization absorbs it."""
     m = v.max() if v.size else 0.0
     if SCALE_MIN <= m <= SCALE_MAX or not 0.0 < m < math.inf:
         return v
-    return np.ldexp(v, -np.frexp(m)[1])
+    e = np.frexp(m)[1]
+    out = np.ldexp(v, -e)
+    return out if np.array_equal(np.ldexp(out, e), v) else v
 
 
 def rescale_rows(v: np.ndarray) -> np.ndarray:
@@ -133,7 +137,14 @@ def rescale_rows(v: np.ndarray) -> np.ndarray:
     out = ((m < SCALE_MIN) | (m > SCALE_MAX)) & (0.0 < m) & (m < math.inf)
     if not out.any():
         return v
-    return np.ldexp(v, -np.where(out, np.frexp(m)[1], 0)[:, np.newaxis])
+    e = np.where(out, np.frexp(m)[1], 0)[:, np.newaxis]
+    scaled = np.ldexp(v, -e)
+    exact = (np.ldexp(scaled, e) == v).all(axis=1)
+    if exact.all():
+        return scaled
+    if not (out & exact).any():
+        return v
+    return np.where(exact[:, np.newaxis], scaled, v)
 
 
 def apply_stacked(factors, v: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

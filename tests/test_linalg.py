@@ -157,6 +157,15 @@ class TestRescale:
             assert 0.5 <= out.max() < 1.0
             assert np.array_equal(np.ldexp(out, np.frexp(v.max())[1]), v)
 
+    def test_lossy_shift_not_made(self):
+        # bringing 2**129 into [0.5, 1) would round 2**-945 to zero
+        v = np.ldexp(np.array([0.0, 1.0, 5e-324]), 129)
+        assert linalg.rescale_if_tiny(v) is v
+        rows = np.array([v, [1e-300, 2e-300, 0.0]])
+        out = linalg.rescale_rows(rows)
+        assert np.array_equal(out[0], v)
+        assert np.array_equal(out[1], linalg.rescale_if_tiny(rows[1]))
+
     def test_matrix_rescaled_by_its_max(self):
         m = np.array([[1e-150, 2e-150], [0.0, 4e-150]])
         out = linalg.rescale_if_tiny(m)
