@@ -144,12 +144,9 @@ def rake(
     e: int,
     counter: OpCounter | None = None,
 ) -> Recipe:
-    """Apply one rake of leaf e (read from T_i `cur`, applied to `nxt`)."""
-    if not cur.is_leaf(e):
-        raise StructureError(f"rake target {e} is not a leaf of T_{cur.level}")
-    x = cur.parent.get(e)
-    if x is None or x == cur.root:
-        raise StructureError(f"leaf {e} has no rakeable parent")
+    """Apply one rake of leaf e (read from T_i `cur`, applied to `nxt`); e is
+    one of `contract_pass`'s eligible leaves, so its parent is not the root."""
+    x = cur.parent[e]
     u = cur.parent[x]
     xl, xr = cur.children_of(x)
     z = xr if e == xl else xl

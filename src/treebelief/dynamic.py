@@ -33,6 +33,9 @@ from .tree import CausalTree
 
 
 class DynamicEngine:
+    """The logarithmic engine over a tree that came from `binarize` or passes
+    `CausalTree.validate()`; nothing here checks the tree again."""
+
     def __init__(self, tree: CausalTree, counter: OpCounter | None = None):
         self.tree = tree
         self.counter = counter if counter is not None else OpCounter()

@@ -50,7 +50,6 @@ class FactoredMatrix:
         return FactoredMatrix(self.left.copy(), self.right.copy())
 
     def mv(self, v, counter: OpCounter | None = None) -> np.ndarray:
-        v = linalg.as_vector(v)
         if counter is not None:
             counter.mat_vec += 2
             counter.flops += self.left.size + self.right.size
@@ -58,7 +57,6 @@ class FactoredMatrix:
 
     def mv_t(self, v, counter: OpCounter | None = None) -> np.ndarray:
         # (left . right)^T v = right^T (left^T v); factors transposed lazily
-        v = linalg.as_vector(v)
         if counter is not None:
             counter.mat_vec += 2
             counter.flops += self.left.size + self.right.size

@@ -3,7 +3,8 @@
 Vectors are 1-D float64 numpy arrays (likelihood or belief vectors),
 matrices are 2-D float64 arrays with entry (x, y) = Pr(child=y | parent=x).
 All functions are pure; the optional OpCounter argument only accumulates
-instrumentation counts.
+instrumentation counts.  The product kernels trust their operands, which
+were converted and checked once, where they entered the program.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ def apply(m, v, counter: OpCounter | None = None) -> np.ndarray:
     """
     if hasattr(m, "mv"):
         return m.mv(v, counter)
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise DimensionError(f"apply mismatch: {m.shape} vs {v.shape}")
     if counter is not None:
         counter.mat_vec += 1
         counter.flops += m.size
@@ -80,10 +77,6 @@ def apply_transpose(m, v, counter: OpCounter | None = None) -> np.ndarray:
     """
     if hasattr(m, "mv_t"):
         return m.mv_t(v, counter)
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[0] != v.shape[0]:
-        raise DimensionError(f"apply_transpose mismatch: {m.shape} vs {v.shape}")
     if counter is not None:
         counter.mat_vec += 1
         counter.flops += m.size
@@ -92,10 +85,6 @@ def apply_transpose(m, v, counter: OpCounter | None = None) -> np.ndarray:
 
 def matmul(m, n, counter: OpCounter | None = None) -> np.ndarray:
     """Plain matrix product (naive cubic; matrices here are tiny)."""
-    m = as_matrix(m)
-    n = as_matrix(n)
-    if m.shape[1] != n.shape[0]:
-        raise DimensionError(f"matmul mismatch: {m.shape} vs {n.shape}")
     if counter is not None:
         counter.mat_mat += 1
         counter.flops += m.shape[0] * m.shape[1] * n.shape[1]

@@ -19,7 +19,7 @@ from .errors import ScaleError, StructureError, UsageError
 from .exact import enumerate_marginals
 from .jointree import CliqueNode, FactoredMatrix, build_projection, clique_evidence, marginalize
 from .linalg import OpCounter
-from .tree import ROW_SUM_TOL, CausalTree, RawTree, as_likelihood, binarize
+from .tree import ROW_SUM_TOL, CausalTree, RawTree, binarize
 
 MAX_PARENTS = 4  # a family clique has k^(parents+1) values
 
@@ -292,8 +292,8 @@ class PolytreeEngine:
         through the factored hierarchy."""
         if var not in self.ev_leaf:
             raise UsageError(f"unknown variable {var}")
-        lik = as_likelihood(likelihood, self.pt.k)
-        lifted = clique_evidence(self.cliques[var], var, lik)
+        # clique_evidence checks the length, set_evidence the entries
+        lifted = clique_evidence(self.cliques[var], var, likelihood)
         self.engine.update_evidence(self.ev_leaf[var], lifted)
 
     def pt_query(self, var) -> np.ndarray:

@@ -12,8 +12,9 @@ logarithmic engine; predictions read every window from one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -25,15 +26,40 @@ from .tree import RawTree, binarize
 # 'c' first so argmax ties resolve toward coil
 STRUCTURE_SYMBOLS = ("c", "e", "h")
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
+WINDOW_LENGTHS = (2, 3)
+_PS_DIGIT = {s: i for i, s in enumerate(STRUCTURE_SYMBOLS)}
+_AA_DIGIT = {s: i for i, s in enumerate(AMINO_ACIDS)}
 
 
 def _mers(symbols, w):
     return ["".join(p) for p in product(symbols, repeat=w)]
 
 
+def _window_codes(seq: str, digit: dict, w: int) -> list[int]:
+    """Position in `_mers(symbols, w)` of every w-window of `seq`: its
+    mixed-radix code over the symbols' digits, first symbol most significant.
+    A symbol outside them reads as digit -base**w, which makes the code of
+    every window holding it negative."""
+    base = len(digit)
+    d = [digit.get(ch, -(base**w)) for ch in seq]
+    codes = d[: max(len(d) - w + 1, 0)]
+    for j in range(1, w):
+        codes = [c * base + x for c, x in zip(codes, d[j:])]
+    return codes
+
+
+def _window_index(mer: str, digit: dict, w: int, what: str) -> int:
+    code = _window_codes(mer, digit, w)[0] if len(mer) == w else -1
+    if code < 0:
+        raise UsageError(f"unknown {what} {mer!r}")
+    return code
+
+
 @dataclass
 class ChainTables:
-    """Trained model: window transition, emission, and start tables."""
+    """Trained model: window transition, emission, and start tables.  The
+    window lists are the product-ordered windows for w, so a window's index
+    is computed from its symbols."""
 
     w: int
     ps_mers: list
@@ -41,52 +67,60 @@ class ChainTables:
     transition: np.ndarray  # (k, k), structural zeros off the overlap
     emission: np.ndarray  # (k, len(aa_mers))
     initial: np.ndarray  # (k,)
-    # window -> position, derived from the lists (not saved)
-    ps_idx: dict = field(init=False, repr=False, compare=False)
-    aa_idx: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.ps_idx = {m: i for i, m in enumerate(self.ps_mers)}
-        self.aa_idx = {m: i for i, m in enumerate(self.aa_mers)}
 
     @property
     def k(self) -> int:
         return len(self.ps_mers)
 
     def ps_index(self, mer: str) -> int:
-        try:
-            return self.ps_idx[mer]
-        except KeyError:
-            raise UsageError(f"unknown structure window {mer!r}") from None
+        return _window_index(mer, _PS_DIGIT, self.w, "structure window")
 
     def aa_index(self, mer: str) -> int:
-        try:
-            return self.aa_idx[mer]
-        except KeyError:
-            raise UsageError(f"unknown amino-acid window {mer!r}") from None
+        return _window_index(mer, _AA_DIGIT, self.w, "amino-acid window")
 
     def save(self, path) -> None:
-        np.savez(
-            path,
-            w=self.w,
-            ps_mers=np.array(self.ps_mers),
-            aa_mers=np.array(self.aa_mers),
-            transition=self.transition,
-            emission=self.emission,
-            initial=self.initial,
-        )
+        try:
+            np.savez(
+                path,
+                w=self.w,
+                ps_mers=np.array(self.ps_mers),
+                aa_mers=np.array(self.aa_mers),
+                transition=self.transition,
+                emission=self.emission,
+                initial=self.initial,
+            )
+        except OSError as exc:
+            raise FormatError(f"cannot write protein model: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "ChainTables":
-        z = np.load(path, allow_pickle=False)
-        return cls(
-            w=int(z["w"]),
-            ps_mers=[str(s) for s in z["ps_mers"]],
-            aa_mers=[str(s) for s in z["aa_mers"]],
-            transition=z["transition"],
-            emission=z["emission"],
-            initial=z["initial"],
-        )
+        """The one check of a model file: an .npz holding every table, its
+        window lists the product-ordered windows for w, its arrays shaped
+        to match them."""
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                tables = cls(
+                    int(z["w"]),
+                    [str(s) for s in z["ps_mers"]],
+                    [str(s) for s in z["aa_mers"]],
+                    *(np.asarray(z[t], np.float64)
+                      for t in ("transition", "emission", "initial")),
+                )
+        except (
+            OSError, EOFError, BadZipFile, KeyError, ValueError, TypeError, AttributeError
+        ) as exc:
+            raise FormatError(f"cannot read protein model: {exc}") from None
+        w = tables.w
+        if w not in WINDOW_LENGTHS:
+            raise FormatError(f"protein model window length {w} is not 2 or 3")
+        ps_mers, aa_mers = _mers(STRUCTURE_SYMBOLS, w), _mers(AMINO_ACIDS, w)
+        if tables.ps_mers != ps_mers or tables.aa_mers != aa_mers:
+            raise FormatError(f"protein model windows are not the {w}-windows in order")
+        k = len(ps_mers)
+        shapes = (tables.transition.shape, tables.emission.shape, tables.initial.shape)
+        if shapes != ((k, k), (k, len(aa_mers)), (k,)):
+            raise FormatError("protein model tables do not match its windows")
+        return tables
 
 
 def _consistent(a: str, b: str) -> bool:
@@ -99,18 +133,17 @@ def train(corpus, w: int) -> ChainTables:
     Transition smoothing runs only over overlap-consistent successors;
     inconsistent transitions stay exactly zero.
     """
-    if w not in (2, 3):
+    if w not in WINDOW_LENGTHS:
         raise UsageError(f"window length must be 2 or 3, got {w}")
     corpus = list(corpus)
     if not corpus:
         raise UsageError("empty training corpus")
     ps_mers = _mers(STRUCTURE_SYMBOLS, w)
     aa_mers = _mers(AMINO_ACIDS, w)
-    k, a = len(ps_mers), len(aa_mers)
+    k = len(ps_mers)
     tables = ChainTables(
-        w, ps_mers, aa_mers, np.zeros((k, k)), np.zeros((k, a)), np.zeros(k)
+        w, ps_mers, aa_mers, np.zeros((k, k)), np.zeros((k, len(aa_mers))), np.zeros(k)
     )
-    ps_idx, aa_idx = tables.ps_idx, tables.aa_idx
     trans, emit, init = tables.transition, tables.emission, tables.initial
     for aa_seq, ss_seq in corpus:
         if len(aa_seq) != len(ss_seq):
@@ -119,19 +152,16 @@ def train(corpus, w: int) -> ChainTables:
             )
         if len(aa_seq) < w:
             continue
-        windows = [
-            (aa_seq[i : i + w], ss_seq[i : i + w])
-            for i in range(len(aa_seq) - w + 1)
-        ]
-        for aa_mer, ss_mer in windows:
-            if ss_mer not in ps_idx:
-                raise FormatError(f"structure symbols outside h/e/c: {ss_mer!r}")
-            if aa_mer not in aa_idx:
-                raise FormatError(f"unknown amino acid in window {aa_mer!r}")
-            emit[ps_idx[ss_mer], aa_idx[aa_mer]] += 1
-        init[ps_idx[windows[0][1]]] += 1
-        for (_, s1), (_, s2) in zip(windows, windows[1:]):
-            trans[ps_idx[s1], ps_idx[s2]] += 1
+        s = _window_codes(ss_seq, _PS_DIGIT, w)
+        a = _window_codes(aa_seq, _AA_DIGIT, w)
+        if min(s) < 0 or min(a) < 0:  # name the first bad window
+            i = next(i for i, (x, y) in enumerate(zip(s, a)) if x < 0 or y < 0)
+            if s[i] < 0:
+                raise FormatError(f"structure symbols outside h/e/c: {ss_seq[i : i + w]!r}")
+            raise FormatError(f"unknown amino acid in window {aa_seq[i : i + w]!r}")
+        np.add.at(emit, (s, a), 1)
+        init[s[0]] += 1
+        np.add.at(trans, (s[:-1], s[1:]), 1)
 
     consistent = np.array(
         [[_consistent(x, y) for y in ps_mers] for x in ps_mers], dtype=float

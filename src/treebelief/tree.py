@@ -225,29 +225,11 @@ def binarize(raw: RawTree) -> CausalTree:
 
     Over-full nodes hang their surplus children off a right spine of
     identity-linked copies; single-child nodes get an all-ones dummy leaf.
-    Node count at most doubles.
+    Node count at most doubles.  The raw tree is linked as given and checked
+    once, by `CausalTree.validate`, which raises `StructureError` for any defect.
     """
     if raw.root is None or raw.prior is None:
         raise StructureError("raw tree has no root/prior")
-    # reject multiple parents / cycles
-    parent_count: dict[int, int] = {}
-    for p, cs in raw.children.items():
-        for c in cs:
-            parent_count[c] = parent_count.get(c, 0) + 1
-            if parent_count[c] > 1:
-                raise StructureError(f"node {c} has multiple parents")
-    # reachability check
-    seen = set()
-    stack = [raw.root]
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            raise StructureError(f"cycle through node {x}")
-        seen.add(x)
-        stack.extend(raw.children.get(x, []))
-    if seen != set(raw.names):
-        raise StructureError("raw tree has nodes unreachable from the root")
-
     t = CausalTree(raw.k)
     ident = np.eye(raw.k)
     for n, name in raw.names.items():

@@ -339,6 +339,41 @@ class TestProtein:
              "--site", "99", "--residue", "A", "--watch", "0"]
         ) == 1
 
+    @pytest.mark.parametrize("kind", ["missing", "not-npz", "no-ps-mers", "shuffled"])
+    @pytest.mark.parametrize("command", ["predict", "mutate"])
+    def test_bad_model_file_data_error(self, tmp_path, capsys, kind, command):
+        model = tmp_path / "m.npz"
+        if kind == "not-npz":
+            model.write_text("GSAT cchh\n")
+        elif kind != "missing":
+            corpus = tmp_path / "c.txt"
+            corpus.write_text("GSAT cchh\n")
+            cli.main(["protein", "train", "--corpus", str(corpus), "--w", "2",
+                      "--out", str(model)])
+            with np.load(model) as z:
+                arrays = dict(z)
+            if kind == "no-ps-mers":
+                del arrays["ps_mers"]
+            else:
+                arrays["ps_mers"] = arrays["ps_mers"][::-1]
+            np.savez(model, **arrays)
+        capsys.readouterr()
+        args = ["protein", command, "--model", str(model), "--sequence", "GSAT"]
+        if command == "mutate":
+            args += ["--site", "1", "--residue", "W", "--watch", "0"]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_train_out_in_missing_directory_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("GSAT cchh\n")
+        out = str(tmp_path / "missing_dir" / "m.npz")
+        assert cli.main(
+            ["protein", "train", "--corpus", str(corpus), "--w", "2", "--out", out]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestPolytreeCli:
     def test_session_engines_agree(self, ptn_file, monkeypatch, capsys):

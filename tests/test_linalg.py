@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebelief import linalg
-from treebelief.errors import DimensionError, InconsistentEvidenceError
+from treebelief import exact, linalg
+from treebelief.bench import make_random
+from treebelief.dynamic import DynamicEngine
+from treebelief.errors import InconsistentEvidenceError
 from treebelief.linalg import OpCounter
+from util import updatable_leaves
 
 
 def vec(k):
@@ -42,10 +45,6 @@ class TestApply:
         m = np.array([[0.9, 0.1], [0.2, 0.8]])
         v = np.array([0.4, 0.6])
         assert np.allclose(linalg.apply_transpose(m, v), m.T @ v)
-
-    def test_mismatch(self):
-        with pytest.raises(DimensionError):
-            linalg.apply(np.eye(2), np.ones(3))
 
 
 class TestMatmul:
@@ -282,3 +281,38 @@ class TestRakeCompose:
         mm, flops = (2, flops + 2 * rows * K * L) if pass_f else (1, flops + rows * K * K)
         assert (c.mat_vec, c.mat_mat, c.flops) == (mv, mm, flops)
         assert isinstance(got, FactoredMatrix) == u_f
+
+
+class TestValidatedOnce:
+    """Operands are converted and checked where they enter the program; the
+    kernels under an update or a query convert nothing again."""
+
+    def test_no_conversions_under_updates_and_queries(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        tree = make_random(60, 3, rng)  # the boundary: converted here
+        calls = {"as_matrix": 0, "as_vector": 0}
+        for name in calls:
+            def counted(x, _name=name, _f=getattr(linalg, name)):
+                calls[_name] += 1
+                return _f(x)
+            monkeypatch.setattr(linalg, name, counted)
+
+        leaves = updatable_leaves(tree)
+        nodes = sorted(tree.names)
+        engines = [DynamicEngine(tree), exact.PropagationState(tree)]
+
+        def op(f, *args):
+            before = calls["as_vector"]
+            f(*args)
+            assert calls["as_vector"] - before <= 1
+
+        for i in range(200):
+            leaf, node = leaves[i % len(leaves)], nodes[(7 * i) % len(nodes)]
+            lik = rng.random(3) + 0.05
+            op(engines[0].update_evidence, leaf, lik)
+            op(engines[0].bel_query, node)
+            op(engines[1].path_update, leaf, lik)
+            op(engines[1].path_query, node)
+        op(exact.propagate_all, tree)
+        assert calls["as_matrix"] == 0
+        assert calls["as_vector"] > 0  # the boundary checks still run

@@ -57,6 +57,67 @@ class TestTrain:
         assert np.array_equal(loaded.transition, tables.transition)
         assert np.array_equal(loaded.emission, tables.emission)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"ps_mers": np.array(["cc", "ce"])},  # too few windows
+            {"aa_mers": np.array(protein._mers(protein.AMINO_ACIDS, 2)[::-1])},
+            {"w": 3},  # windows of another length
+            {"w": 7},
+            {"emission": np.ones((9, 5))},
+        ],
+        ids=["short-ps", "reversed-aa", "other-w", "bad-w", "emission-shape"],
+    )
+    def test_load_rejects_tables_that_do_not_match_w(self, tmp_path, change):
+        path = tmp_path / "m.npz"
+        toy_tables().save(path)
+        with np.load(path) as z:
+            arrays = {**z, **change}
+        np.savez(path, **arrays)
+        with pytest.raises(FormatError):
+            protein.ChainTables.load(path)
+
+    @pytest.mark.parametrize("w", [2, 3])
+    def test_counts_match_window_loop(self, w):
+        """`train` counts windows by their codes in one batch per sequence;
+        the tables equal a per-window loop over the mer lists bitwise."""
+        rng = np.random.default_rng(w)
+        corpus = [
+            ("".join(rng.choice(list(protein.AMINO_ACIDS), n)),
+             "".join(rng.choice(list("ceh"), n)))
+            for n in rng.integers(1, 30, size=40)
+        ]
+        tables = protein.train(corpus, w)
+        ps, aa = tables.ps_mers, tables.aa_mers
+        trans, emit, init = np.zeros((len(ps), len(ps))), np.zeros((len(ps), len(aa))), np.zeros(len(ps))
+        for a_seq, s_seq in corpus:
+            states = [ps.index(s_seq[i : i + w]) for i in range(len(s_seq) - w + 1)]
+            for i, s in enumerate(states):
+                emit[s, aa.index(a_seq[i : i + w])] += 1
+            if states:
+                init[states[0]] += 1
+            for s1, s2 in zip(states, states[1:]):
+                trans[s1, s2] += 1
+        consistent = np.array([[x[1:] == y[:-1] for y in ps] for x in ps], dtype=float)
+        trans = (trans + 1.0) * consistent
+        assert np.array_equal(tables.transition, trans / trans.sum(axis=1, keepdims=True))
+        emit = emit + 1.0
+        assert np.array_equal(tables.emission, emit / emit.sum(axis=1, keepdims=True))
+        assert np.array_equal(tables.initial, (init + 1.0) / (init + 1.0).sum())
+
+    def test_window_index_is_product_position(self):
+        for w in (2, 3):
+            tables = protein.train([("GSATW", "cchhe")], w=w)
+            for i, m in enumerate(tables.ps_mers):
+                assert tables.ps_index(m) == i
+            for i in (0, 1, 19, 20, 399, len(tables.aa_mers) - 1):
+                assert tables.aa_index(tables.aa_mers[i]) == i
+            for bad in ("", "c" * (w + 1), "x" * w):
+                with pytest.raises(UsageError):
+                    tables.ps_index(bad)
+                with pytest.raises(UsageError):
+                    tables.aa_index(bad)
+
 
 class TestChain:
     def test_structure(self):

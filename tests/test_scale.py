@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treebelief import exact
-from treebelief.bench import make_chain
+from treebelief.bench import ENGINES, make_chain, make_engine, make_model
 from treebelief.dynamic import DynamicEngine
 from util import updatable_leaves
 
@@ -43,3 +43,25 @@ def test_stored_evidence_stays_as_posted():
     leaf, v = next(iter(eng.tree.evidence.items()))
     assert v.max() < 1e-150
     assert 0.5 <= eng.tree.leaf_lambda(leaf).max() < 1.0
+
+
+SHAPE_SIZES = {"chain": 40, "random": 40, "balanced": 32}
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150, 1e-200, 1e200, 1e-300, 1e300])
+@pytest.mark.parametrize("shape", list(SHAPE_SIZES))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_engine_at_extreme_scales(engine, shape, scale):
+    """Every evidence leaf posted at `scale` through the engine protocol gives
+    the beliefs of the same evidence posted at scale 1."""
+    rng = np.random.default_rng(7)
+    t = make_model(shape, SHAPE_SIZES[shape], 3, rng)
+    items = [(leaf, rng.random(3) + 0.05) for leaf in updatable_leaves(t)]
+    for leaf, lik in items:
+        t.set_evidence(leaf, lik)
+    reference = exact.propagate_all(t)
+    eng = make_engine(engine, t)
+    for leaf, lik in items:
+        eng.update(leaf, lik * scale)
+    for x in t.names:
+        assert np.allclose(eng.query(x), reference[x], rtol=0.0, atol=1e-9), x

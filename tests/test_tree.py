@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treebelief import exact
-from treebelief.bench import random_stochastic
+from treebelief.bench import ENGINES, make_engine, random_stochastic
 from treebelief.errors import DimensionError, StructureError, UsageError
 from treebelief.tree import CausalTree, RawTree, binarize
 from util import attach_evidence_leaf, depth, random_binarized_tree, random_raw_tree
@@ -74,6 +74,37 @@ class TestBinarize:
         with pytest.raises(StructureError):
             binarize(raw)
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(1, 0)], "root has a parent"),  # cycle through the root
+            ([(1, 1)], "reachable twice"),  # self-loop
+            ([(8, 9), (9, 8)], "node 8 unreachable"),  # orphan cycle
+            ([(0, 1)], "reachable twice"),  # duplicate edge
+            ([(9, 0)], "root has a parent"),
+        ],
+        ids=["cycle-through-root", "self-loop", "orphan-cycle", "duplicate-edge",
+             "root-with-parent"],
+    )
+    def test_bad_structure_rejected_by_validate(self, edges, message):
+        """binarize links the raw tree as given; its one check, `validate`,
+        names the defect."""
+        raw = three_child_raw()
+        for p, c in edges:
+            for n in (p, c):
+                if n not in raw.names:
+                    raw.add_node(n)
+            raw.add_edge(p, c, np.eye(2))
+        with pytest.raises(StructureError, match=message):
+            binarize(raw)
+
+    def test_wrong_shape_matrix_rejected(self):
+        raw = three_child_raw()
+        raw.add_node(4)
+        raw.add_edge(3, 4, np.eye(3))  # a 3x3 edge matrix in a k=2 tree
+        with pytest.raises(StructureError, match=r"into 4 has shape \(3, 3\)"):
+            binarize(raw)
+
     def test_beliefs_preserved_for_originals(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -126,6 +157,12 @@ class TestEvidence:
         t = binarize(three_child_raw())
         with pytest.raises(DimensionError):
             t.set_evidence(1, [1, 0, 0])
+        # the engines' kernels do not check lengths: their updates reach this
+        # check before any product
+        for name in ENGINES:
+            eng = make_engine(name, binarize(three_child_raw()))
+            with pytest.raises(DimensionError):
+                eng.update(1, np.ones(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
