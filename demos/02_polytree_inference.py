@@ -54,19 +54,19 @@ print(f"clique size after padding: {engine.n_clique} members "
 # Prior marginals, before any finding is posted.
 
 for var in ("B", "E", "A", "J", "M"):
-    print(f"P({var}) = {engine.pt_query(var)}")
+    print(f"P({var}) = {engine.bel_query(var)}")
 
 # ----------------------------------------------------------------------
 # John calls.  Then Mary also calls.  Watch the burglary posterior climb.
 
 print("\nposting J=1 (John calls)")
-engine.pt_update("J", [0, 1])
-print(f"P(B | J=1) = {engine.pt_query('B')}")
+engine.update_evidence("J", [0, 1])
+print(f"P(B | J=1) = {engine.bel_query('B')}")
 
 print("posting M=1 (Mary calls)")
-engine.pt_update("M", [0, 1])
-post_b = engine.pt_query("B")
-post_e = engine.pt_query("E")
+engine.update_evidence("M", [0, 1])
+post_b = engine.bel_query("B")
+post_e = engine.bel_query("E")
 print(f"P(B | J=1, M=1) = {post_b}")
 print(f"P(E | J=1, M=1) = {post_e}")
 
@@ -97,12 +97,12 @@ for assign in itertools.product(range(2), repeat=len(order)):
 
 for v in ("B", "E"):
     brute = marg[v] / marg[v].sum()
-    got = engine.pt_query(v)
+    got = engine.bel_query(v)
     assert np.allclose(got, brute, atol=1e-12), (v, got, brute)
 print("\nbrute-force enumeration over the joint agrees to 1e-12")
 
 # Soft evidence works the same way: a likelihood vector rather than a
 # hard finding.  Retracting is just posting all-ones again.
-engine.pt_update("J", [1, 1])
-engine.pt_update("M", [1, 1])
-print(f"after retracting both findings, P(B) = {engine.pt_query('B')}")
+engine.update_evidence("J", [1, 1])
+engine.update_evidence("M", [1, 1])
+print(f"after retracting both findings, P(B) = {engine.bel_query('B')}")

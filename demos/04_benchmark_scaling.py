@@ -1,6 +1,6 @@
 """Walkthrough: how per-operation cost scales with model size.
 
-Three engines share one update/query interface:
+Three engines answer one protocol (update_evidence, bel_query, counter):
 
 * full       - reruns two-pass propagation on every query (linear)
 * path       - keeps bottom-up messages current, walks root-to-node per

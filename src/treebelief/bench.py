@@ -1,5 +1,5 @@
-"""Benchmark harness: random model generators, engine wrappers with a shared
-update/query interface (causal trees and polytrees), and CSV scaling tables.
+"""Benchmark harness: random model generators, the engine registries (causal
+trees and polytrees) with the two baseline engines, and CSV scaling tables.
 
 Timing columns (ns) are reported for orientation only; every assertion made
 elsewhere is on the instrumented matrix-op counters, which are deterministic
@@ -24,7 +24,6 @@ CSV_HEADER = "engine,shape,N,k,op,count_mv,count_mm,ns_total,ns_per_op"
 MAX_BENCH_NODES = 2 * 10**6
 
 SHAPES = ("chain", "balanced", "random")
-ENGINES = ("full", "path", "hierarchy")
 
 
 def random_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -111,123 +110,58 @@ def make_model(shape: str, size: int, k: int, rng: np.random.Generator) -> Causa
 
 
 # ----------------------------------------------------------------------
-# engine wrappers sharing one update/query surface
+# engines: every one answers update_evidence(node, likelihood), bel_query(node)
+# and counter, and is built as cls(model, counter=None)
 
 
 class FullEngine:
     """Linear baseline: every query reruns the full two-pass propagation."""
 
-    name = "full"
-
-    def __init__(self, tree: CausalTree):
+    def __init__(self, tree: CausalTree, counter: OpCounter | None = None):
         self.tree = tree
-        self.counter = OpCounter()
+        self.counter = counter if counter is not None else OpCounter()
 
-    def update(self, leaf: int, likelihood) -> None:
+    def update_evidence(self, leaf: int, likelihood) -> None:
         self.tree.set_evidence(leaf, likelihood)
 
-    def query(self, node: int) -> np.ndarray:
-        return exact.propagate_all(self.tree, self.counter)[self.tree.resolve(node)]
-
-    def stats(self) -> OpCounter:
-        return self.counter
-
-
-class PathEngine:
-    """Depth-bounded engine: lambda kept current, pi walked per query."""
-
-    name = "path"
-
-    def __init__(self, tree: CausalTree):
-        self.state = exact.PropagationState(tree)
-        self.counter = self.state.counter
-
-    def update(self, leaf: int, likelihood) -> None:
-        self.state.path_update(leaf, likelihood)
-
-    def query(self, node: int) -> np.ndarray:
-        return self.state.path_query(self.state.tree.resolve(node))
-
-    def stats(self) -> OpCounter:
-        return self.counter
-
-
-class HierarchyEngine:
-    """Logarithmic engine over the contraction hierarchy."""
-
-    name = "hierarchy"
-
-    def __init__(self, tree: CausalTree):
-        self.engine = DynamicEngine(tree)
-        self.counter = self.engine.counter
-
-    def update(self, leaf: int, likelihood) -> None:
-        self.engine.update_evidence(leaf, likelihood)
-
-    def query(self, node: int) -> np.ndarray:
-        return self.engine.bel_query(node)
-
-    def stats(self) -> OpCounter:
-        return self.counter
-
-
-class PolytreeHierarchyEngine:
-    """Polytree variables through the family-clique join tree and the
-    logarithmic engine."""
-
-    name = "hierarchy"
-
-    def __init__(self, pt: Polytree):
-        self.engine = PolytreeEngine(pt)
-        self.counter = self.engine.counter
-
-    def update(self, var, likelihood) -> None:
-        self.engine.pt_update(var, likelihood)
-
-    def query(self, var) -> np.ndarray:
-        return self.engine.pt_query(var)
-
-    def stats(self) -> OpCounter:
-        return self.counter
+    def bel_query(self, x: int) -> np.ndarray:
+        x = self.tree.resolve(x)
+        return exact.propagate_all(self.tree, self.counter)[x]
 
 
 class PolytreeFullEngine:
     """Brute-force enumeration baseline for polytree variables."""
 
-    name = "full"
-
-    def __init__(self, pt: Polytree):
+    def __init__(self, pt: Polytree, counter: OpCounter | None = None):
         self.pt = pt
         self.evidence: dict = {}
-        self.counter = OpCounter()
+        self.counter = counter if counter is not None else OpCounter()
 
-    def update(self, var, likelihood) -> None:
+    def update_evidence(self, var, likelihood) -> None:
         if var not in self.pt.parents:
             raise UsageError(f"unknown variable {var}")
         self.evidence[var] = as_likelihood(likelihood, self.pt.k)
 
-    def query(self, var) -> np.ndarray:
+    def bel_query(self, var) -> np.ndarray:
         if var not in self.pt.parents:
             raise UsageError(f"unknown variable {var}")
         return self.pt.joint_conditionals(self.evidence, self.counter)[var]
 
-    def stats(self) -> OpCounter:
-        return self.counter
-
 
 ENGINE_CLASSES = {
     "full": FullEngine,
-    "path": PathEngine,
-    "hierarchy": HierarchyEngine,
+    "path": exact.PropagationState,
+    "hierarchy": DynamicEngine,
 }
 POLYTREE_ENGINE_CLASSES = {
-    "hierarchy": PolytreeHierarchyEngine,
+    "hierarchy": PolytreeEngine,
     "full": PolytreeFullEngine,
 }
+ENGINES = tuple(ENGINE_CLASSES)
 
 
 def make_engine(name: str, model):
-    """Engine wrapper `name` over a CausalTree or a Polytree."""
+    """Engine `name` over a CausalTree or a Polytree."""
     classes = POLYTREE_ENGINE_CLASSES if isinstance(model, Polytree) else ENGINE_CLASSES
     try:
         cls = classes[name]
@@ -277,17 +211,17 @@ def make_script(tree: CausalTree, ops: int, rng: np.random.Generator):
     return script
 
 
-def run_script(engine, script, shape: str, n: int, k: int) -> list[BenchRecord]:
-    """Execute a script, returning one aggregate record per op kind that
-    occurs in it."""
+def run_script(name: str, engine, script, shape: str, n: int, k: int) -> list[BenchRecord]:
+    """Execute a script on the engine registered as `name`, returning one
+    aggregate record per op kind that occurs in it."""
     totals = {"update": [0, 0, 0, 0], "query": [0, 0, 0, 0]}  # mv, mm, ns, ops
     for op, target, lik in script:
         before = engine.counter.snapshot()
         t0 = time.perf_counter_ns()
         if op == "update":
-            engine.update(target, lik)
+            engine.update_evidence(target, lik)
         else:
-            engine.query(target)
+            engine.bel_query(target)
         ns = time.perf_counter_ns() - t0
         d = engine.counter.delta(before)
         agg = totals[op]
@@ -296,7 +230,7 @@ def run_script(engine, script, shape: str, n: int, k: int) -> list[BenchRecord]:
         agg[2] += ns
         agg[3] += 1
     return [
-        BenchRecord(engine.name, shape, n, k, op, *totals[op])
+        BenchRecord(name, shape, n, k, op, *totals[op])
         for op in ("update", "query")
         if totals[op][3]
     ]
@@ -332,7 +266,7 @@ def run_engines(tree: CausalTree, engines, script, shape: str, n: int) -> list[B
     records = []
     for name in engines:
         tree.evidence = {l: v.copy() for l, v in base_evidence.items()}
-        records += run_script(make_engine(name, tree), script, shape, n, tree.k)
+        records += run_script(name, make_engine(name, tree), script, shape, n, tree.k)
     return records
 
 

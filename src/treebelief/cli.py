@@ -15,14 +15,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import protein as protein_mod
 from .contract import build_hierarchy
-from .errors import (
-    FormatError,
-    InconsistentEvidenceError,
-    ScaleError,
-    StructureError,
-    TreeBeliefError,
-    UsageError,
-)
+from .errors import FormatError, InconsistentEvidenceError, TreeBeliefError, UsageError
 from .formats import parse_btn, parse_ptn
 
 EXIT_OK = 0
@@ -63,6 +56,35 @@ def _load_model(path: str):
 # session protocol
 
 
+class SessionEngine:
+    """The update/query/stats surface `run_session` drives, over any engine
+    of the protocol (update_evidence, bel_query, counter)."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def update(self, node, likelihood) -> None:
+        self.engine.update_evidence(node, likelihood)
+
+    def query(self, node):
+        return self.engine.bel_query(node)
+
+    def stats(self):
+        return self.engine.counter
+
+
+def _parse(convert, toks: list[str], what: str) -> list:
+    """`toks` converted by `convert`; UsageError naming the first token it
+    rejects."""
+    out = []
+    try:
+        for tok in toks:
+            out.append(convert(tok))
+    except ValueError:
+        raise UsageError(f"not a {what}: {tok!r}")
+    return out
+
+
 def run_session(engine, instream, outstream) -> int:
     """Line protocol: update/query/stats/quit; errors keep the session alive."""
     for line in instream:
@@ -76,12 +98,14 @@ def run_session(engine, instream, outstream) -> int:
             elif cmd == "update":
                 if len(toks) < 3:
                     raise UsageError("update needs a leaf id and k floats")
-                engine.update(int(toks[1]), [float(t) for t in toks[2:]])
+                [leaf] = _parse(int, toks[1:2], "node id")
+                engine.update(leaf, _parse(float, toks[2:], "number"))
                 outstream.write("ok\n")
             elif cmd == "query":
                 if len(toks) != 2:
                     raise UsageError("query needs exactly one node id")
-                outstream.write(f"bel {_fmt_vec(engine.query(int(toks[1])))}\n")
+                [x] = _parse(int, toks[1:], "node id")
+                outstream.write(f"bel {_fmt_vec(engine.query(x))}\n")
             elif cmd == "stats":
                 c = engine.stats()
                 outstream.write(f"stats mv={c.mat_vec} mm={c.mat_mat} flops={c.flops}\n")
@@ -89,7 +113,7 @@ def run_session(engine, instream, outstream) -> int:
                 raise UsageError(f"unknown command {cmd!r}")
         except InconsistentEvidenceError:
             outstream.write("err inconsistent\n")
-        except (TreeBeliefError, ValueError) as exc:
+        except TreeBeliefError as exc:
             outstream.write(f"err {exc}\n")
         outstream.flush()
     return EXIT_OK
@@ -115,7 +139,7 @@ def cmd_session(args) -> int:
     if kind != "btn":
         raise UsageError("session expects a BTN file (use `polytree session` for PTN)")
     engine = bench_mod.make_engine(args.engine, model)
-    return run_session(engine, sys.stdin, sys.stdout)
+    return run_session(SessionEngine(engine), sys.stdin, sys.stdout)
 
 
 def cmd_contract_dump(args) -> int:
@@ -188,7 +212,7 @@ def cmd_polytree_session(args) -> int:
     if kind != "ptn":
         raise UsageError("polytree session expects a PTN file")
     engine = bench_mod.make_engine(args.engine, model)
-    return run_session(engine, sys.stdin, sys.stdout)
+    return run_session(SessionEngine(engine), sys.stdin, sys.stdout)
 
 
 def cmd_polytree_bench(args) -> int:
@@ -207,7 +231,7 @@ def cmd_polytree_bench(args) -> int:
     records = []
     for name in [e for e in args.engines.split(",") if e]:
         engine = bench_mod.make_engine(name, model)
-        records += bench_mod.run_script(engine, script, "polytree", len(variables), model.k)
+        records += bench_mod.run_script(name, engine, script, "polytree", len(variables), model.k)
     sys.stdout.write(bench_mod.to_csv(records))
     return EXIT_OK
 
@@ -301,9 +325,6 @@ def main(argv=None) -> int:
     except InconsistentEvidenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (FormatError, StructureError, ScaleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except TreeBeliefError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -150,8 +150,6 @@ class DynamicEngine:
         """Posterior marginal of x under the current evidence."""
         tree = self.tree
         x = tree.resolve(x)
-        if x not in tree.names:
-            raise UsageError(f"unknown node {x}")
         if tree.is_leaf(x):
             if x == tree.root:  # single-node tree
                 return linalg.normalize(self.prior * self.tree.leaf_lambda(x))

@@ -15,9 +15,10 @@ the logarithmic engine:
   shapes, runs each direction as one stacked product and one row-wise
   rescale; a narrower level (a chain has two nodes per level), or one that
   mixes edge kinds or shapes, runs the per-node apply/rescale loop.
-* PropagationState + path_update/path_query -- the depth-bounded incremental
-  variant that keeps only the bottom-up vectors current, O(k^2 D) per
-  operation.
+* PropagationState -- the depth-bounded incremental engine that keeps only
+  the bottom-up vectors current, O(k^2 D) per operation.  It answers the
+  engine protocol (update_evidence, bel_query, counter) that
+  `dynamic.DynamicEngine` and `bench.FullEngine` answer too.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ class PropagationState:
         self.last_lambda_recomputes = 0
         self.last_pi_recomputes = 0
 
-    def path_update(self, leaf: int, likelihood) -> None:
+    def update_evidence(self, leaf: int, likelihood) -> None:
         """Post new evidence and refresh lambda on the root path; pi is left
         stale by design."""
         tree = self.tree
@@ -281,10 +282,11 @@ class PropagationState:
                 self.msg[x] = linalg.apply(tree.matrix[x], self.lam[x], self.counter)
             x = tree.parent.get(x)
 
-    def path_query(self, x: int) -> np.ndarray:
+    def bel_query(self, x: int) -> np.ndarray:
         """Bel(x) computed by walking pi down the root path; transient, never
         cached."""
         tree = self.tree
+        x = tree.resolve(x)
         path = [x]
         while path[-1] != tree.root:
             path.append(tree.parent[path[-1]])

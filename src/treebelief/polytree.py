@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .dynamic import DynamicEngine
-from .errors import ScaleError, StructureError, UsageError
+from .errors import DimensionError, ScaleError, StructureError, UsageError
 from .exact import enumerate_marginals
 from .jointree import CliqueNode, FactoredMatrix, build_projection, clique_evidence, marginalize
 from .linalg import OpCounter
@@ -52,9 +52,10 @@ class Polytree:
         self._checked = False
         p = len(self.parents[var])
         arr = np.asarray(cpt, dtype=np.float64)
-        want = (self.k**p, self.k) if p else (self.k,)
-        arr = arr.reshape(want)
-        self.cpt[var] = arr
+        size = self.k ** (p + 1)
+        if arr.size != size:
+            raise DimensionError(f"table of variable {var} has {arr.size} entries, expected {size}")
+        self.cpt[var] = arr.reshape((self.k**p, self.k) if p else (self.k,))
 
     def variables(self):
         return list(self.parents)
@@ -151,7 +152,8 @@ class Polytree:
 
 
 class PolytreeEngine:
-    """Family-clique join tree plus the factored dynamic engine (c = 1)."""
+    """Family-clique join tree plus the factored dynamic engine (c = 1),
+    answering the engine protocol per polytree variable."""
 
     def __init__(self, pt: Polytree, counter: OpCounter | None = None):
         pt.check()
@@ -287,7 +289,7 @@ class PolytreeEngine:
 
     # ------------------------------------------------------------------
 
-    def pt_update(self, var, likelihood) -> None:
+    def update_evidence(self, var, likelihood) -> None:
         """Absorb variable-level evidence: lift to the clique domain and push
         through the factored hierarchy."""
         if var not in self.ev_leaf:
@@ -296,7 +298,7 @@ class PolytreeEngine:
         lifted = clique_evidence(self.cliques[var], var, likelihood)
         self.engine.update_evidence(self.ev_leaf[var], lifted)
 
-    def pt_query(self, var) -> np.ndarray:
+    def bel_query(self, var) -> np.ndarray:
         """Posterior marginal of one variable, via its own family clique."""
         if var not in self.cliques:
             raise UsageError(f"unknown variable {var}")

@@ -140,9 +140,13 @@ class CausalTree(BinaryLinks):
         self.parent[right] = parent
 
     def resolve(self, x: int) -> int:
-        """Follow alias links from a normalization copy to its original."""
+        """The one check of a queried node id: follow alias links from a
+        normalization copy to its original; UsageError for an id not in the
+        tree."""
         while x in self.alias:
             x = self.alias[x]
+        if x not in self.names:
+            raise UsageError(f"unknown node {x}")
         return x
 
     def leaf_lambda(self, leaf: int) -> np.ndarray:

@@ -226,10 +226,10 @@ def test_08_polytree_end_to_end():
             var = int(rng.integers(n))
             lik = rng.random(k) + 0.01
             evidence[var] = lik
-            eng.pt_update(var, lik)
+            eng.update_evidence(var, lik)
         oracle = pt.joint_conditionals(evidence)
         for v in pt.variables():
-            worst = max(worst, float(np.max(np.abs(eng.pt_query(v) - oracle[v]))))
+            worst = max(worst, float(np.max(np.abs(eng.bel_query(v) - oracle[v]))))
     report(8, "polytree end-to-end vs brute force (300 nets, <= 12 vars, p <= 3)",
            worst <= 1e-9, f"max |delta| = {worst:.2e}")
 
@@ -285,7 +285,7 @@ def test_10_inconsistent_evidence_fuzzing():
                     beliefs = [eng.bel_query(n) for n in t.names]
                 else:
                     st = exact.PropagationState(t)
-                    beliefs = [st.path_query(n) for n in t.names]
+                    beliefs = [st.bel_query(n) for n in t.names]
                 ok = ok and all(np.all(np.isfinite(b)) for b in beliefs)
                 outcomes.append("ok")
             except InconsistentEvidenceError:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from treebelief import bench
+from treebelief import bench, exact
+from treebelief.dynamic import DynamicEngine
 from treebelief.errors import UsageError
 
 
@@ -40,13 +41,27 @@ class TestEngineWrappers:
             out = []
             for op, target, lik in script:
                 if op == "update":
-                    engine.update(target, lik)
+                    engine.update_evidence(target, lik)
                 else:
-                    out.append(engine.query(target))
+                    out.append(engine.bel_query(target))
             answers[name] = out
         for name in ("path", "hierarchy"):
             for a, b in zip(answers["full"], answers[name]):
                 assert np.allclose(a, b, atol=1e-9)
+
+
+class TestEngineRegistry:
+    def test_names_map_to_engine_classes(self):
+        tree = bench.make_model("chain", 4, 2, np.random.default_rng(0))
+        assert bench.ENGINES == ("full", "path", "hierarchy")
+        assert isinstance(bench.make_engine("hierarchy", tree), DynamicEngine)
+        assert isinstance(bench.make_engine("path", tree), exact.PropagationState)
+
+    @pytest.mark.parametrize("name", bench.ENGINES)
+    def test_unknown_node_query_usage_error(self, name):
+        engine = bench.make_engine(name, bench.make_model("chain", 4, 2, np.random.default_rng(0)))
+        with pytest.raises(UsageError, match="unknown node 999"):
+            engine.bel_query(999)
 
 
 class TestRunBench:

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebelief import cli
+from treebelief.bench import ENGINE_CLASSES, POLYTREE_ENGINE_CLASSES, make_engine
+from treebelief.formats import parse_btn, parse_ptn
 from test_formats import LARGE_ID_PTN, THREE_NODE_BTN, V_STRUCTURE_PTN
 
 GOLDEN_CHAIN_BTN = "\n".join(
@@ -211,6 +213,25 @@ class TestSession:
             monkeypatch, capsys, ["session", btn_file], "query 0\nstats\nquit\n"
         )
         assert out[1].startswith("stats mv=")
+
+    @pytest.mark.parametrize("engine", ["full", "path"])
+    def test_unknown_node_query_errs(self, btn_file, monkeypatch, capsys, engine):
+        code, out = run_session(
+            monkeypatch, capsys, ["session", btn_file, "--engine", engine],
+            "query 999\nquit\n",
+        )
+        assert code == 0
+        assert out == ["err unknown node 999"]
+
+    def test_bad_tokens_named(self, btn_file, ptn_file, monkeypatch, capsys):
+        code, out = run_session(
+            monkeypatch, capsys, ["session", btn_file], "update 1 x\nquery y\nquit\n"
+        )
+        assert (code, out) == (0, ["err not a number: 'x'", "err not a node id: 'y'"])
+        code, out = run_session(
+            monkeypatch, capsys, ["polytree", "session", ptn_file], "query x\nquit\n"
+        )
+        assert (code, out) == (0, ["err not a node id: 'x'"])
 
 
 class TestDifferential:
@@ -481,3 +502,63 @@ class TestCheckFuzz:
                 code = cli.main(["check", path])  # any exception fails the test
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+
+
+# the root has three children, so binarize hangs two of them off an alias
+# copy (id 5); node 3 has one child, so it gets a dummy pad (id 6)
+FANOUT_BTN = """BTN 1
+k 2
+node 0 r
+node 1 a
+node 2 b
+node 3 c
+node 4 d
+root 0
+prior 0 0.5 0.5
+edge 0 1 0.9 0.1 0.2 0.8
+edge 0 2 0.7 0.3 0.3 0.7
+edge 0 3 0.6 0.4 0.1 0.9
+edge 3 4 0.8 0.2 0.4 0.6
+"""
+
+SESSION_IDS = ["0", "1", "2", "3", "4", "5", "6", "7", "999", "-1", "x", "1e3"]
+SESSION_NUMBERS = ["0", "0.5", "1", "1e308", "1e-320", "-0.5", "nan", "inf", "-inf", "x"]
+SESSION_TOKENS = SESSION_IDS + SESSION_NUMBERS + ["99999999999999999999"]
+
+# well-formed queries and two-entry updates of any id, and lines of any
+# command, arity and tokens
+session_line = st.one_of(
+    st.builds("query {}".format, st.sampled_from(SESSION_IDS)),
+    st.builds(
+        "update {} {} {}".format,
+        st.sampled_from(SESSION_IDS),
+        st.sampled_from(SESSION_NUMBERS),
+        st.sampled_from(SESSION_NUMBERS),
+    ),
+    st.builds(
+        lambda cmd, args: " ".join([cmd, *args]),
+        st.sampled_from(["update", "query", "stats", "frob"]),
+        st.lists(st.sampled_from(SESSION_TOKENS), max_size=4),
+    ),
+)
+
+SESSION_CASES = [
+    *(pytest.param(name, parse_btn, FANOUT_BTN, id=f"btn-{name}") for name in ENGINE_CLASSES),
+    *(pytest.param(name, parse_ptn, V_STRUCTURE_PTN, id=f"ptn-{name}")
+      for name in POLYTREE_ENGINE_CLASSES),
+]
+
+
+class TestSessionFuzz:
+    @pytest.mark.parametrize("engine, parse, text", SESSION_CASES)
+    @settings(max_examples=40, deadline=None)
+    @given(lines=st.lists(session_line, min_size=1, max_size=12))
+    def test_every_line_answers(self, engine, parse, text, lines):
+        out = io.StringIO()
+        session = cli.SessionEngine(make_engine(engine, parse(text.splitlines())))
+        code = cli.run_session(session, io.StringIO("\n".join(lines) + "\n"), out)
+        answers = out.getvalue().splitlines()
+        assert code == 0
+        assert len(answers) == len(lines)
+        for answer in answers:
+            assert answer == "ok" or answer.startswith(("bel ", "stats ", "err ")), answer

@@ -328,7 +328,7 @@ class TestPathEngine:
             prev = n
         t = binarize(raw)
         st = exact.PropagationState(t)
-        st.path_update(5, [1, 0])
+        st.update_evidence(5, [1, 0])
         assert st.last_lambda_recomputes == depth(t, 5)
 
     def test_pi_recomputes_equal_depth(self):
@@ -336,7 +336,7 @@ class TestPathEngine:
         t = random_binarized_tree(rng, 12, 2)
         st = exact.PropagationState(t)
         leaf = updatable_leaves(t)[-1]
-        st.path_query(leaf)
+        st.bel_query(leaf)
         assert st.last_pi_recomputes == depth(t, leaf)
 
     def test_idempotent_repost(self):
@@ -344,16 +344,16 @@ class TestPathEngine:
         t = random_binarized_tree(rng, 10, 2)
         st = exact.PropagationState(t)
         leaf = updatable_leaves(t)[0]
-        st.path_update(leaf, [0.3, 0.9])
+        st.update_evidence(leaf, [0.3, 0.9])
         lam1 = {n: v.copy() for n, v in st.lam.items()}
-        st.path_update(leaf, [0.3, 0.9])
+        st.update_evidence(leaf, [0.3, 0.9])
         for n in lam1:
             assert np.array_equal(lam1[n], st.lam[n])
 
     def test_root_query_is_lambda_times_prior(self):
         t = three_node_tree()
         st = exact.PropagationState(t)
-        got = st.path_query(t.root)
+        got = st.bel_query(t.root)
         want = st.lam[t.root] * t.prior
         assert np.allclose(got, want / want.sum(), atol=1e-12)
 
@@ -361,7 +361,7 @@ class TestPathEngine:
         t = three_node_tree()
         st = exact.PropagationState(t)
         with pytest.raises(UsageError):
-            st.path_update(t.root, [1, 0])
+            st.update_evidence(t.root, [1, 0])
 
     def test_matches_oracle_500_cases(self):
         rng = np.random.default_rng(7)
@@ -373,8 +373,8 @@ class TestPathEngine:
             nodes = list(t.names)
             for _ in range(5):
                 leaf = leaves[int(rng.integers(len(leaves)))]
-                st.path_update(leaf, rng.random(2) + 0.01)
+                st.update_evidence(leaf, rng.random(2) + 0.01)
                 node = nodes[int(rng.integers(len(nodes)))]
                 bel = exact.propagate_all(t)
-                assert np.allclose(st.path_query(node), bel[node], atol=1e-9)
+                assert np.allclose(st.bel_query(node), bel[node], atol=1e-9)
                 cases += 1

@@ -311,8 +311,8 @@ class TestValidatedOnce:
             lik = rng.random(3) + 0.05
             op(engines[0].update_evidence, leaf, lik)
             op(engines[0].bel_query, node)
-            op(engines[1].path_update, leaf, lik)
-            op(engines[1].path_query, node)
+            op(engines[1].update_evidence, leaf, lik)
+            op(engines[1].bel_query, node)
         op(exact.propagate_all, tree)
         assert calls["as_matrix"] == 0
         assert calls["as_vector"] > 0  # the boundary checks still run

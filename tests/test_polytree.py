@@ -5,6 +5,7 @@ from treebelief import linalg
 from treebelief.bench import make_engine, random_stochastic
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import (
+    DimensionError,
     InconsistentEvidenceError,
     ScaleError,
     StructureError,
@@ -137,28 +138,38 @@ class TestValidationOnce:
         assert len(calls) == 1
 
 
+class TestSetCpt:
+    def test_wrong_size_is_dimension_error(self):
+        pt = Polytree(k=2)
+        pt.add_variable(0)
+        with pytest.raises(DimensionError, match="variable 0 has 3 entries, expected 2"):
+            pt.set_cpt(0, [0.2, 0.3, 0.5])
+        with pytest.raises(DimensionError, match="variable 1 has 2 entries, expected 4"):
+            pt.add_variable(1, (0,), cpt=[0.5, 0.5])
+
+
 class TestQueriesAndUpdates:
     def test_prior_query_no_evidence(self):
         pt = v_structure()
         eng = PolytreeEngine(pt)
         marg = pt.prior_marginals()
         for v in pt.variables():
-            assert np.allclose(eng.pt_query(v), marg[v], atol=1e-9)
+            assert np.allclose(eng.bel_query(v), marg[v], atol=1e-9)
 
     def test_all_ones_update_vacuous(self):
         pt = v_structure()
         eng = PolytreeEngine(pt)
-        before = {v: eng.pt_query(v) for v in pt.variables()}
-        eng.pt_update(2, [1.0, 1.0])
+        before = {v: eng.bel_query(v) for v in pt.variables()}
+        eng.update_evidence(2, [1.0, 1.0])
         for v in pt.variables():
-            assert np.allclose(eng.pt_query(v), before[v], atol=1e-12)
+            assert np.allclose(eng.bel_query(v), before[v], atol=1e-12)
 
     def test_unknown_variable(self):
         eng = PolytreeEngine(v_structure())
         with pytest.raises(UsageError):
-            eng.pt_update(99, [1, 0])
+            eng.update_evidence(99, [1, 0])
         with pytest.raises(UsageError):
-            eng.pt_query(99)
+            eng.bel_query(99)
 
     def test_matches_enumeration_random(self):
         rng = np.random.default_rng(4)
@@ -172,18 +183,18 @@ class TestQueriesAndUpdates:
                 var = int(rng.integers(n))
                 lik = rng.random(k) + 0.01
                 evidence[var] = lik
-                eng.pt_update(var, lik)
+                eng.update_evidence(var, lik)
                 oracle = pt.joint_conditionals(evidence)
                 for v in pt.variables():
-                    assert np.allclose(eng.pt_query(v), oracle[v], atol=1e-9)
+                    assert np.allclose(eng.bel_query(v), oracle[v], atol=1e-9)
 
     def test_cross_clique_consistency(self):
         rng = np.random.default_rng(5)
         pt = v_structure(rng)
         eng = PolytreeEngine(pt)
-        eng.pt_update(2, rng.random(2) + 0.1)
+        eng.update_evidence(2, rng.random(2) + 0.1)
         # parent 0 also lives in the family clique of 2
-        a = eng.pt_query(0)
+        a = eng.bel_query(0)
         b = linalg.normalize(
             marginalize(eng.engine.bel_query(eng._var_node[2]), eng.cliques[2], 0)
         )
@@ -216,10 +227,10 @@ class TestQueriesAndUpdates:
         for _ in range(5):
             var = int(rng.integers(6))
             lik = rng.random(2) + 0.05
-            eng.pt_update(var, lik)
+            eng.update_evidence(var, lik)
             direct.update_evidence(ev[var], lik)
             for v in range(6):
-                assert np.allclose(eng.pt_query(v), direct.bel_query(v), atol=1e-9)
+                assert np.allclose(eng.bel_query(v), direct.bel_query(v), atol=1e-9)
 
     def test_hard_evidence_inconsistent(self):
         pt = Polytree(k=2)
@@ -228,6 +239,6 @@ class TestQueriesAndUpdates:
         pt.set_cpt(0, [1.0, 0.0])
         pt.set_cpt(1, np.eye(2))
         eng = PolytreeEngine(pt)
-        eng.pt_update(1, [0.0, 1.0])
+        eng.update_evidence(1, [0.0, 1.0])
         with pytest.raises(InconsistentEvidenceError):
-            eng.pt_query(0)
+            eng.bel_query(0)

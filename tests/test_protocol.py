@@ -1,0 +1,131 @@
+"""Stateful differential test over the engine protocol.
+
+One engine per `bench.ENGINE_CLASSES` entry, each on its own copy of one
+tree, gets the same random writes and reads.  After every step all of them
+must agree with `exact.propagate_all` on a reference copy that holds the same
+evidence at scale 1, and the hierarchy engine's cells must be bitwise equal to
+a fresh `build_hierarchy` on its evidence.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from treebelief import exact
+from treebelief.bench import ENGINE_CLASSES, make_balanced, make_chain
+from treebelief.contract import build_hierarchy
+from treebelief.errors import DimensionError
+from test_dynamic import assert_same_cells
+from util import random_binarized_tree, updatable_leaves
+
+TOL = 1e-9
+
+# one tree per (shape, k, seed); the random shape has fan-out up to three, so
+# it carries alias copies and dummy pads
+SHAPES = {
+    "chain": lambda rng, k: make_chain(int(rng.integers(1, 8)), k, rng),
+    "random": lambda rng, k: random_binarized_tree(rng, int(rng.integers(2, 16)), k),
+    "balanced": lambda rng, k: make_balanced(int(rng.integers(2, 9)), k, rng),
+}
+
+index = st.integers(0, 10**6)  # taken modulo the pool it picks from
+values = st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4)  # cut to k
+
+
+class EngineProtocol(RuleBasedStateMachine):
+    @initialize(
+        shape=st.sampled_from(sorted(SHAPES)),
+        k=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def build(self, shape, k, seed):
+        make = lambda: SHAPES[shape](np.random.default_rng(seed), k)
+        self.k = k
+        self.reference = make()
+        self.leaves = updatable_leaves(self.reference)
+        self.nodes = sorted(self.reference.names)
+        self.engines = {name: cls(make()) for name, cls in ENGINE_CLASSES.items()}
+        self.hierarchy = self.engines["hierarchy"]
+
+    def item(self, i, v):
+        return self.leaves[i % len(self.leaves)], np.array(v[: self.k])
+
+    def items(self, picks):
+        return [self.item(i, v) for i, v in picks]
+
+    def post(self, items, scale=1.0):
+        """Post items to the reference at scale 1, to the hierarchy engine as
+        one batch and to every other engine one at a time."""
+        for leaf, lik in items:
+            self.reference.set_evidence(leaf, lik)
+        for name, eng in self.engines.items():
+            if name == "hierarchy":
+                eng.update_many([(leaf, lik * scale) for leaf, lik in items])
+            else:
+                for leaf, lik in items:
+                    eng.update_evidence(leaf, lik * scale)
+
+    @rule(i=index, v=values)
+    def update_evidence(self, i, v):
+        leaf, lik = self.item(i, v)
+        self.reference.set_evidence(leaf, lik)
+        for eng in self.engines.values():
+            eng.update_evidence(leaf, lik)
+
+    @rule(picks=st.lists(st.tuples(index, values), min_size=1, max_size=5), v=values)
+    def update_many(self, picks, v):
+        self.post(self.items(picks + [(picks[0][0], v)]))  # a repeated leaf: last wins
+
+    @rule(
+        picks=st.lists(st.tuples(index, values), max_size=4),
+        last=index,
+        length=st.sampled_from([-1, 1]),
+    )
+    def rejected_batch(self, picks, last, length):
+        eng = self.hierarchy
+        items = self.items(picks)
+        items.append((self.leaves[last % len(self.leaves)], np.ones(self.k + length)))
+        evidence = {leaf: v.copy() for leaf, v in eng.tree.evidence.items()}
+        cells = [r.target.value.copy() for r in eng.hier.recipes]
+        counter = eng.counter.snapshot()
+        with pytest.raises(DimensionError):
+            eng.update_many(items)
+        assert eng.tree.evidence.keys() == evidence.keys()
+        for leaf, v in evidence.items():
+            assert np.array_equal(eng.tree.evidence[leaf], v)
+        for v, r in zip(cells, eng.hier.recipes):
+            assert np.array_equal(v, r.target.value)
+        assert eng.counter == counter
+
+    @rule(i=index, v=values, scale=st.sampled_from([1e300, 1e-300]))
+    def scale_jump(self, i, v, scale):
+        self.post([self.item(i, v)], scale)
+
+    @rule(i=index)
+    def bel_query(self, i):
+        x = self.nodes[i % len(self.nodes)]  # alias copies and dummies included
+        want = exact.propagate_all(self.reference)[x]
+        for name, eng in self.engines.items():
+            assert np.allclose(eng.bel_query(x), want, rtol=0.0, atol=TOL), (name, x)
+
+    @invariant()
+    def engines_agree_with_propagate_all(self):
+        bel = exact.propagate_all(self.reference)
+        for name in ("path", "hierarchy"):
+            eng = self.engines[name]
+            for x in self.nodes:
+                assert np.allclose(eng.bel_query(x), bel[x], rtol=0.0, atol=TOL), (name, x)
+        root = self.reference.root
+        assert np.allclose(self.engines["full"].bel_query(root), bel[root], rtol=0.0, atol=TOL)
+
+    @invariant()
+    def cells_equal_a_fresh_build(self):
+        assert_same_cells(self.hierarchy.hier, build_hierarchy(self.hierarchy.tree))
+
+
+EngineProtocol.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=12, deadline=None
+)
+TestEngineProtocol = EngineProtocol.TestCase

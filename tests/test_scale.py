@@ -62,6 +62,6 @@ def test_every_engine_at_extreme_scales(engine, shape, scale):
     reference = exact.propagate_all(t)
     eng = make_engine(engine, t)
     for leaf, lik in items:
-        eng.update(leaf, lik * scale)
+        eng.update_evidence(leaf, lik * scale)
     for x in t.names:
-        assert np.allclose(eng.query(x), reference[x], rtol=0.0, atol=1e-9), x
+        assert np.allclose(eng.bel_query(x), reference[x], rtol=0.0, atol=1e-9), x

@@ -162,7 +162,7 @@ class TestEvidence:
         for name in ENGINES:
             eng = make_engine(name, binarize(three_child_raw()))
             with pytest.raises(DimensionError):
-                eng.update(1, np.ones(3))
+                eng.update_evidence(1, np.ones(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
