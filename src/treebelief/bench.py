@@ -111,15 +111,15 @@ def make_model(shape: str, size: int, k: int, rng: np.random.Generator) -> Causa
 
 # ----------------------------------------------------------------------
 # engines: every one answers update_evidence(node, likelihood), bel_query(node)
-# and counter, and is built as cls(model, counter=None)
+# and counter, and is built as cls(model)
 
 
 class FullEngine:
     """Linear baseline: every query reruns the full two-pass propagation."""
 
-    def __init__(self, tree: CausalTree, counter: OpCounter | None = None):
+    def __init__(self, tree: CausalTree):
         self.tree = tree
-        self.counter = counter if counter is not None else OpCounter()
+        self.counter = OpCounter()
 
     def update_evidence(self, leaf: int, likelihood) -> None:
         self.tree.set_evidence(leaf, likelihood)
@@ -132,10 +132,10 @@ class FullEngine:
 class PolytreeFullEngine:
     """Brute-force enumeration baseline for polytree variables."""
 
-    def __init__(self, pt: Polytree, counter: OpCounter | None = None):
+    def __init__(self, pt: Polytree):
         self.pt = pt
         self.evidence: dict = {}
-        self.counter = counter if counter is not None else OpCounter()
+        self.counter = OpCounter()
 
     def update_evidence(self, var, likelihood) -> None:
         if var not in self.pt.parents:

@@ -57,12 +57,6 @@ class TestEngineRegistry:
         assert isinstance(bench.make_engine("hierarchy", tree), DynamicEngine)
         assert isinstance(bench.make_engine("path", tree), exact.PropagationState)
 
-    @pytest.mark.parametrize("name", bench.ENGINES)
-    def test_unknown_node_query_usage_error(self, name):
-        engine = bench.make_engine(name, bench.make_model("chain", 4, 2, np.random.default_rng(0)))
-        with pytest.raises(UsageError, match="unknown node 999"):
-            engine.bel_query(999)
-
 
 class TestRunBench:
     def test_csv_shape(self):
