@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact
+from . import exact, linalg
 from .dynamic import DynamicEngine
 from .errors import ScaleError, UsageError
 from .linalg import OpCounter
@@ -140,7 +140,7 @@ class PolytreeFullEngine:
     def update_evidence(self, var, likelihood) -> None:
         if var not in self.pt.parents:
             raise UsageError(f"unknown variable {var}")
-        self.evidence[var] = as_likelihood(likelihood, self.pt.k)
+        self.evidence[var] = linalg.rescale_if_tiny(as_likelihood(likelihood, self.pt.k))
 
     def bel_query(self, var) -> np.ndarray:
         if var not in self.pt.parents:

@@ -9,12 +9,13 @@ the logarithmic engine:
   Polytree.joint_conditionals a polytree.
 * propagate_all   -- the classical two-pass bottom-up/top-down propagation,
   O(k^2 N), swept one depth level at a time.  Nodes are numbered
-  breadth-first, and lambda, the edge messages and pi are rows of (N, k)
-  arrays in that order.  A level of at least BATCH_MIN_WIDTH nodes whose
-  edge matrices are all dense, or all factored with one pair of factor
-  shapes, runs each direction as one stacked product and one row-wise
-  rescale; a narrower level (a chain has two nodes per level), or one that
-  mixes edge kinds or shapes, runs the per-node apply/rescale loop.
+  breadth-first, computed once per tree (`CausalTree.numbering`), and
+  lambda, the edge messages and pi are rows of (N, k) arrays in that order.
+  A level of at least BATCH_MIN_WIDTH nodes whose edge matrices are all
+  dense, or all factored with one pair of factor shapes, runs each direction
+  as one stacked product and one row-wise rescale; a narrower level (a chain
+  has two nodes per level), or one that mixes edge kinds or shapes, runs the
+  per-node apply/rescale loop.
 * PropagationState -- the depth-bounded incremental engine that keeps only
   the bottom-up vectors current, O(k^2 D) per operation.  It answers the
   engine protocol (update_evidence, bel_query, counter) that
@@ -24,91 +25,22 @@ the logarithmic engine:
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import compress
 
 import numpy as np
 
 from . import linalg
 from .errors import InconsistentEvidenceError, ScaleError
-from .jointree import FactoredMatrix
 from .linalg import OpCounter
-from .tree import CausalTree
+from .tree import BATCH_MIN_WIDTH, CausalTree, Levels
 
 JOINT_STATE_LIMIT = 10**7
-
-# Levels narrower than this keep the per-node loop: below it numpy's fixed
-# cost per stacked call outweighs the per-node calls it replaces.
-BATCH_MIN_WIDTH = 8
-
-
-class _Levels:
-    """Breadth-first numbering of a binary complete tree.
-
-    order[i] is the node at position i and pos its inverse; depth d spans
-    positions bounds[d]:bounds[d + 1]; inner[d] holds the positions of the
-    internal nodes of depth d, and the children of inner[d][j] sit at
-    bounds[d + 1] + 2j (left) and + 2j + 1 (right).  stacks[d] is the stacked
-    form of depth d's edge matrices (see `_stack`), or None where depth d
-    runs the per-node loop.
-    """
-
-    def __init__(self, tree: CausalTree):
-        order = [tree.root]
-        self.bounds = [0]
-        self.inner: list[list[int]] = []
-        self.stacks: list = [None]
-        start = 0
-        while start < len(order):
-            stop = len(order)
-            nodes = order[start:stop]
-            internal = list(map(tree.left.__contains__, nodes))
-            parents = list(compress(nodes, internal))
-            children = [0] * (2 * len(parents))
-            children[0::2] = map(tree.left.__getitem__, parents)
-            children[1::2] = map(tree.right.__getitem__, parents)
-            order += children
-            self.bounds.append(stop)
-            self.inner.append(list(compress(range(start, stop), internal)))
-            if start:
-                self.stacks.append(_stack(list(map(tree.matrix.__getitem__, nodes))))
-            start = stop
-        self.order = order
-        self.pos = dict(zip(order, range(len(order))))
-
-    def depths(self) -> range:
-        return range(len(self.inner))
-
-    def span(self, d: int) -> tuple[int, int]:
-        return self.bounds[d], self.bounds[d + 1]
-
-
-def _stack(mats):
-    """A level's edge matrices as one (n, k, k) stack when all are dense, or
-    as a left and a right factor stack when all are factored with equal
-    factor shapes; None when the level is narrow or mixed."""
-    if len(mats) < BATCH_MIN_WIDTH:
-        return None
-    kinds = set(map(type, mats))
-    if kinds == {np.ndarray}:
-        return (_stacked(mats),)
-    if kinds == {FactoredMatrix}:
-        lefts = [m.left for m in mats]
-        rights = [m.right for m in mats]
-        if len(set(map(np.shape, lefts))) == 1 == len(set(map(np.shape, rights))):
-            return _stacked(lefts), _stacked(rights)
-    return None
-
-
-def _stacked(mats) -> np.ndarray:
-    """Equally shaped matrices as one (n, a, b) array."""
-    return np.concatenate(mats).reshape(len(mats), *mats[0].shape)
 
 
 class NodeRows(Mapping):
     """Per-node view of an (N, k) array whose rows follow a breadth-first
     numbering; assigning to a node writes its row."""
 
-    def __init__(self, levels: _Levels, rows: np.ndarray):
+    def __init__(self, levels: Levels, rows: np.ndarray):
         self.levels = levels
         self.rows = rows
 
@@ -134,7 +66,7 @@ def lambda_pass(tree: CausalTree, counter: OpCounter | None = None):
     at one matrix-vector product per edge per direction.  Leaf rows hold
     `CausalTree.leaf_lambda`, read for all posted evidence at once.
     """
-    lv = _Levels(tree)
+    lv = tree.numbering()
     lam = np.ones((len(lv.order), tree.k))
     msg = np.zeros_like(lam)
     if tree.evidence:

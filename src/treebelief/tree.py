@@ -12,13 +12,19 @@ all-ones.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionError, StructureError, UsageError
+from .jointree import FactoredMatrix
 
 ROW_SUM_TOL = 1e-9
+
+# Levels narrower than this keep the per-node loop: below it numpy's fixed
+# cost per stacked call outweighs the per-node calls it replaces.
+BATCH_MIN_WIDTH = 8
 
 
 class RawTree:
@@ -105,6 +111,10 @@ class CausalTree(BinaryLinks):
     A contraction hierarchy built on the tree reads it through `leaf_lambda`,
     so once an engine is built, evidence changes go through the engine's
     `update_evidence`, which also refreshes the derived matrices.
+
+    Edge matrices are fixed once `binarize` returns.  `link` is the one
+    structural writer and drops the cached `numbering`; writing `matrix` after
+    a sweep is unsupported, since the numbering keeps its own stacked copies.
     """
 
     def __init__(self, k: int):
@@ -119,6 +129,7 @@ class CausalTree(BinaryLinks):
         self._next_id = 0
         self._ones = np.ones(k)  # shared likelihood of every leaf without evidence
         self._ones.flags.writeable = False
+        self._numbering: Levels | None = None
 
     # ------------------------------------------------------------------
     # basic structure helpers
@@ -138,6 +149,15 @@ class CausalTree(BinaryLinks):
         self.right[parent] = right
         self.parent[left] = parent
         self.parent[right] = parent
+        self._numbering = None
+
+    def numbering(self) -> Levels:
+        """The breadth-first `Levels` of the tree, built on first call and
+        kept until `link`.  It holds a second copy of each wide level's edge
+        matrices, so the first sweep builds it, not the tree's set-up."""
+        if self._numbering is None:
+            self._numbering = Levels(self)
+        return self._numbering
 
     def resolve(self, x: int) -> int:
         """The one check of a queried node id: follow alias links from a
@@ -222,6 +242,69 @@ class CausalTree(BinaryLinks):
             if v.shape != (self.k,) or not np.all(np.isfinite(v) & (v >= 0)):
                 out.append(f"evidence on {leaf} is not a finite nonnegative k-vector")
         return out
+
+
+class Levels:
+    """Breadth-first numbering of a binary complete tree.
+
+    order[i] is the node at position i and pos its inverse; depth d spans
+    positions bounds[d]:bounds[d + 1]; inner[d] holds the positions of the
+    internal nodes of depth d, and the children of inner[d][j] sit at
+    bounds[d + 1] + 2j (left) and + 2j + 1 (right).  stacks[d] is the stacked
+    form of depth d's edge matrices (see `_stack`), or None where depth d
+    runs the per-node loop.
+    """
+
+    def __init__(self, tree: CausalTree):
+        order = [tree.root]
+        self.bounds = [0]
+        self.inner: list[list[int]] = []
+        self.stacks: list = [None]
+        start = 0
+        while start < len(order):
+            stop = len(order)
+            nodes = order[start:stop]
+            internal = list(map(tree.left.__contains__, nodes))
+            parents = list(compress(nodes, internal))
+            children = [0] * (2 * len(parents))
+            children[0::2] = map(tree.left.__getitem__, parents)
+            children[1::2] = map(tree.right.__getitem__, parents)
+            order += children
+            self.bounds.append(stop)
+            self.inner.append(list(compress(range(start, stop), internal)))
+            if start:
+                self.stacks.append(_stack(list(map(tree.matrix.__getitem__, nodes))))
+            start = stop
+        self.order = order
+        self.pos = dict(zip(order, range(len(order))))
+
+    def depths(self) -> range:
+        return range(len(self.inner))
+
+    def span(self, d: int) -> tuple[int, int]:
+        return self.bounds[d], self.bounds[d + 1]
+
+
+def _stack(mats):
+    """A level's edge matrices as one (n, k, k) stack when all are dense, or
+    as a left and a right factor stack when all are factored with equal
+    factor shapes; None when the level is narrow or mixed."""
+    if len(mats) < BATCH_MIN_WIDTH:
+        return None
+    kinds = set(map(type, mats))
+    if kinds == {np.ndarray}:
+        return (_stacked(mats),)
+    if kinds == {FactoredMatrix}:
+        lefts = [m.left for m in mats]
+        rights = [m.right for m in mats]
+        if len(set(map(np.shape, lefts))) == 1 == len(set(map(np.shape, rights))):
+            return _stacked(lefts), _stacked(rights)
+    return None
+
+
+def _stacked(mats) -> np.ndarray:
+    """Equally shaped matrices as one (n, a, b) array."""
+    return np.concatenate(mats).reshape(len(mats), *mats[0].shape)
 
 
 def binarize(raw: RawTree) -> CausalTree:

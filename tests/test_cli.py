@@ -415,6 +415,22 @@ class TestPolytreeCli:
             else:
                 assert a == b
 
+    @pytest.mark.parametrize("second", [1, 2])
+    @pytest.mark.parametrize("scale", ["1e308", "1e-320"])
+    def test_full_engine_at_extreme_scales(
+        self, ptn_file, monkeypatch, capsys, scale, second
+    ):
+        script = f"update 0 {scale} {scale}\nupdate {second} {scale} {scale}\nquery 2\nquit\n"
+        bels = {}
+        for eng in ("hierarchy", "full"):
+            code, out = run_session(
+                monkeypatch, capsys,
+                ["polytree", "session", ptn_file, "--engine", eng], script,
+            )
+            assert code == 0 and out[:2] == ["ok", "ok"] and out[2].startswith("bel "), out
+            bels[eng] = np.array([float(x) for x in out[2].split()[1:]])
+        assert np.allclose(bels["full"], bels["hierarchy"], rtol=0.0, atol=1e-9)
+
     @pytest.mark.parametrize("engine", ["hierarchy", "full"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_likelihood_rejected(

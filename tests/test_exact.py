@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from treebelief import exact, linalg
-from treebelief.bench import make_balanced, make_random, random_stochastic
+from treebelief import tree as tree_mod
+from treebelief.bench import FullEngine, make_balanced, make_random, random_stochastic
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import InconsistentEvidenceError, ScaleError, UsageError
 from treebelief.jointree import CliqueNode, FactoredMatrix, build_projection
 from treebelief.linalg import OpCounter
 from treebelief.tree import RawTree, binarize
 from util import (
+    attach_evidence_leaf,
     depth,
     post_random_evidence,
     random_binarized_tree,
@@ -151,12 +153,17 @@ class TestPropagateAllBatched:
             assert stacked_calls and min(stacked_calls) >= exact.BATCH_MIN_WIDTH
 
     def test_batched_equals_per_node_loop(self, monkeypatch):
-        rng = np.random.default_rng(44)
-        t = make_random(500, 3, rng)
-        post_random_evidence(t, rng, 100)
+        def model():
+            rng = np.random.default_rng(44)
+            t = make_random(500, 3, rng)
+            post_random_evidence(t, rng, 100)
+            return t
+
         c_batched, c_loop = OpCounter(), OpCounter()
-        batched = exact.propagate_all(t, c_batched)
-        monkeypatch.setattr(exact, "BATCH_MIN_WIDTH", len(t.names) + 1)
+        batched = exact.propagate_all(model(), c_batched)
+        t = model()  # a second tree, so its numbering is built under the patch
+        for module in (exact, tree_mod):
+            monkeypatch.setattr(module, "BATCH_MIN_WIDTH", len(t.names) + 1)
         loop = exact.propagate_all(t, c_loop)
         assert c_batched == c_loop
         for x in t.names:
@@ -249,6 +256,68 @@ class TestPropagateAllBatched:
         t.set_evidence(leaves[5], [0.0, 0.0])
         with pytest.raises(InconsistentEvidenceError, match=f"at node {t.root}"):
             exact.propagate_all(t)
+
+
+class TestNumbering:
+    """The breadth-first numbering is built once per tree, on first use, and
+    dropped by `CausalTree.link`."""
+
+    @staticmethod
+    def grown(swept_first: bool):
+        """A random tree with evidence leaves attached to an internal node and
+        to a leaf; the first tree is swept before they are attached."""
+        rng = np.random.default_rng(70)
+        t = random_binarized_tree(rng, 40, 3)
+        post_random_evidence(t, rng, 10)
+        before = exact.propagate_all(t) if swept_first else None
+        inner = next(x for x in t.left if x != t.root)
+        for x in (inner, updatable_leaves(t)[0]):
+            t.set_evidence(attach_evidence_leaf(t, x), rng.random(3) + 0.05)
+        return t, before
+
+    def test_link_drops_stale_numbering(self):
+        t, before = self.grown(swept_first=True)
+        fresh, _ = self.grown(swept_first=False)
+        got, want = exact.propagate_all(t), exact.propagate_all(fresh)
+        assert len(got) == len(t.names) > len(before)
+        for x in t.names:
+            assert np.array_equal(got[x], want[x]), x
+
+    def test_link_drops_stale_numbering_small_tree(self):
+        rng = np.random.default_rng(72)
+        t = random_binarized_tree(rng, 6, 2)
+        exact.propagate_all(t)
+        for x in (t.root, updatable_leaves(t)[-1]):
+            t.set_evidence(attach_evidence_leaf(t, x), rng.random(2) + 0.05)
+        got, want = exact.propagate_all(t), exact.joint_marginals(t)
+        for x in t.names:
+            assert np.allclose(got[x], want[x], rtol=0.0, atol=1e-9), x
+
+    @pytest.mark.parametrize("shape", ["random-k4", "mixed-join-tree"])
+    def test_cached_sweep_is_bitwise_equal(self, shape, monkeypatch):
+        built = []
+
+        class Counted(tree_mod.Levels):
+            def __init__(self, tree):
+                built.append(self)
+                super().__init__(tree)
+
+        monkeypatch.setattr(tree_mod, "Levels", Counted)
+        rng = np.random.default_rng(71)
+        t = make_random(300, 4, rng) if shape == "random-k4" else mixed_join_tree(rng)
+        for leaf in updatable_leaves(t)[::3]:
+            t.set_evidence(leaf, rng.random(t.k) + 0.05)
+        DynamicEngine(t)
+        assert built == []  # the numbering stays lazy
+        c_first, c_cached = OpCounter(), OpCounter()
+        first = exact.propagate_all(t, c_first)
+        cached = exact.propagate_all(t, c_cached)
+        assert c_first == c_cached
+        assert np.array_equal(first.rows, cached.rows)
+        state = exact.PropagationState(t)
+        FullEngine(t).bel_query(t.root)
+        assert built == [t.numbering()]
+        assert first.levels is cached.levels is state.lam.levels is built[0]
 
 
 class TestJointMarginals:

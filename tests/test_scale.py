@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from treebelief import exact
-from treebelief.bench import ENGINES, make_chain, make_engine, make_model
+from treebelief.bench import ENGINES, POLYTREE_ENGINE_CLASSES, make_chain, make_engine, make_model
 from treebelief.dynamic import DynamicEngine
-from util import updatable_leaves
+from util import random_polytree, updatable_leaves
 
 
 def scaled_chain_beliefs(length, scale, seed):
@@ -65,3 +65,19 @@ def test_every_engine_at_extreme_scales(engine, shape, scale):
         eng.update_evidence(leaf, lik * scale)
     for x in t.names:
         assert np.allclose(eng.bel_query(x), reference[x], rtol=0.0, atol=1e-9), x
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150, 1e-200, 1e200, 1e-300, 1e300])
+@pytest.mark.parametrize("engine", list(POLYTREE_ENGINE_CLASSES))
+def test_every_polytree_engine_at_extreme_scales(engine, scale):
+    """The same invariance for polytree variables, against enumeration of the
+    evidence at scale 1."""
+    rng = np.random.default_rng(8)
+    pt = random_polytree(rng, 8, 3, max_parents=2)
+    evidence = {v: rng.random(3) + 0.05 for v in range(0, 8, 2)}
+    reference = pt.joint_conditionals(evidence)
+    eng = make_engine(engine, pt)
+    for v, lik in evidence.items():
+        eng.update_evidence(v, lik * scale)
+    for v in range(8):
+        assert np.allclose(eng.bel_query(v), reference[v], rtol=0.0, atol=1e-9), v
