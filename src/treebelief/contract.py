@@ -116,7 +116,6 @@ class ContractionHierarchy:
         self.recipe_by_leaf: dict[int, Recipe] = {}
         self.successor: dict[MatCell, Recipe] = {}
         self.ind: dict[int, int] = {}
-        self.rakes_per_pass: list[int] = []
 
     @property
     def top(self) -> int:
@@ -200,7 +199,6 @@ def contract_pass(
     nxt = cur.copy_next()
     removed: set[int] = set()
     fresh_targets: set[int] = set()
-    rakes = 0
     for idx, e in enumerate(eligible):
         if idx % 2 != 0:
             continue
@@ -212,11 +210,7 @@ def contract_pass(
         removed.add(x)
         removed.add(e)
         fresh_targets.add(u)
-        rakes += 1
-    if rakes == 0:
-        return None
-    hier.rakes_per_pass.append(rakes)
-    return nxt
+    return nxt if removed else None
 
 
 def build_hierarchy(

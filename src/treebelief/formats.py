@@ -18,6 +18,9 @@ PTN: polytree files:
     parents <id> <parent-ids...>
     cpt <id> <k^(parents+1) floats>      # row = mixed-radix parent tuple
     prior <id> <k floats>                # parentless nodes
+
+Each PTN node has at most one `parents` line and one table (`cpt` or
+`prior`), and the node they are for must be declared by a `node` line.
 """
 
 from __future__ import annotations
@@ -172,6 +175,7 @@ def parse_ptn(lines) -> Polytree:
     declared: dict[int, str | None] = {}
     parents: dict[int, tuple] = {}
     tables: dict[int, np.ndarray] = {}
+    line_of: dict[tuple, int] = {}  # ("parents" or "table", node id) -> line
     for lineno, toks in it:
         kw = toks[0]
         if kw == "k":
@@ -185,29 +189,32 @@ def parse_ptn(lines) -> Polytree:
             if nid in declared:
                 raise FormatError(f"duplicate node id {nid}", line=lineno)
             declared[nid] = toks[2] if len(toks) > 2 else None
-        elif kw == "parents":
+        elif kw in ("parents", "cpt", "prior"):
             nid = _int(toks[1], lineno)
-            parents[nid] = tuple(_int(t, lineno) for t in toks[2:])
-        elif kw == "cpt":
-            nid = _int(toks[1], lineno)
-            tables[nid] = _floats(toks[2:], lineno)
-        elif kw == "prior":
-            nid = _int(toks[1], lineno)
-            tables[nid] = _floats(toks[2:], lineno, pt.k)
+            key = ("parents" if kw == "parents" else "table", nid)
+            if key in line_of:
+                raise FormatError(f"duplicate {key[0]} for node {nid}", line=lineno)
+            line_of[key] = lineno
+            if kw == "parents":
+                parents[nid] = tuple(_int(t, lineno) for t in toks[2:])
+            else:
+                tables[nid] = _floats(toks[2:], lineno, pt.k if kw == "prior" else None)
         else:
             raise FormatError(f"unknown keyword {kw!r}", line=lineno)
     if pt is None:
         raise FormatError("missing `k` line")
+    for (what, nid), lineno in line_of.items():
+        if nid not in declared:
+            raise FormatError(f"{what} for undeclared node {nid}", line=lineno)
     for nid, name in declared.items():
         pt.add_variable(nid, parents.get(nid, ()), name=name)
     for nid, table in tables.items():
-        if nid not in declared:
-            raise FormatError(f"table for undeclared node {nid}")
         p = len(pt.parents[nid])
         want = pt.k ** (p + 1) if p else pt.k
         if table.size != want:
             raise FormatError(
-                f"node {nid}: expected {want} floats in table, got {table.size}"
+                f"node {nid}: expected {want} floats in table, got {table.size}",
+                line=line_of["table", nid],
             )
         pt.set_cpt(nid, table)
     pt.check()

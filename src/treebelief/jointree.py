@@ -1,11 +1,12 @@
 """Join-tree specialization: factored clique-edge matrices.
 
 A directed join tree is an ordinary causal tree whose variables are cliques
-(domain size K = k^n).  Because a clique depends on its parent clique only
-through their intersection (L = k^c values), every edge matrix factors as a
-K x L selection matrix times an L x K conditional table; rakes preserve the
-factored form, so derived matrices cost O(K L^2) instead of O(K^3) to
-recompute.
+(domain size K = k^n).  A clique value is the C-order flat index of a
+(k,)*n array with one axis per member, in listed order.  Because a clique
+depends on its parent clique only through their intersection (L = k^c
+values), every edge matrix factors as a K x L selection matrix times an
+L x K conditional table; rakes preserve the factored form, so derived
+matrices cost O(K L^2) instead of O(K^3) to recompute.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ class FactoredMatrix:
 
 @dataclass
 class CliqueNode:
-    """One clique variable: ordered members, mixed-radix value encoding with
-    the first-listed member most significant."""
+    """One clique variable: ordered members, one value axis each."""
 
     members: tuple
     k: int
@@ -85,47 +85,19 @@ class CliqueNode:
     def K(self) -> int:
         return self.k ** len(self.members)
 
-    @property
-    def L(self) -> int:
-        return self.k ** len(self.intersection)
-
     def position(self, var) -> int:
         try:
             return self.members.index(var)
         except ValueError:
             raise UsageError(f"variable {var} not in clique {self.members}")
 
-    def coords(self, value: int) -> tuple:
-        digits = []
-        for _ in range(self.n):
-            digits.append(value % self.k)
-            value //= self.k
-        return tuple(reversed(digits))
-
-    def encode(self, coords) -> int:
-        v = 0
-        for d in coords:
-            v = v * self.k + int(d)
-        return v
-
-    def coord_of(self, value: int, var) -> int:
-        pos = self.position(var)
-        return (value // self.k ** (self.n - 1 - pos)) % self.k
-
-    def project(self, value: int, variables) -> int:
-        """Mixed-radix code of the given member variables, in listed order."""
-        v = 0
-        for var in variables:
-            v = v * self.k + self.coord_of(value, var)
-        return v
-
 
 def build_projection(clique: CliqueNode, parent: CliqueNode, table) -> FactoredMatrix:
     """Factor the parent->clique edge as J . table.
 
-    J maps each parent-clique value to its intersection code (one 1 per row);
-    `table` is the L x K conditional of the child clique given the
-    intersection.
+    J maps each parent-clique value to its intersection code, the flat index
+    of the intersection's values in listed order (one 1 per row); `table` is
+    the L x K conditional of the child clique given the intersection.
     """
     inter = clique.intersection
     for var in inter:
@@ -135,9 +107,12 @@ def build_projection(clique: CliqueNode, parent: CliqueNode, table) -> FactoredM
     L, K = clique.k ** len(inter), clique.K
     if table.shape != (L, K):
         raise DimensionError(f"conditional table must be {L}x{K}, got {table.shape}")
+    digits = np.indices((parent.k,) * parent.n).reshape(parent.n, parent.K)
+    code = np.ravel_multi_index(
+        tuple(digits[parent.position(var)] for var in inter), (parent.k,) * len(inter)
+    )
     j = np.zeros((parent.K, L))
-    for r in range(parent.K):
-        j[r, parent.project(r, inter)] = 1.0
+    j[np.arange(parent.K), code] = 1.0
     return FactoredMatrix(j, table)
 
 
@@ -149,9 +124,7 @@ def clique_evidence(clique: CliqueNode, var, likelihood) -> np.ndarray:
     pos = clique.position(var)
     shape = [1] * clique.n
     shape[pos] = clique.k
-    out = np.broadcast_to(
-        lik.reshape(shape), (clique.k,) * clique.n
-    )
+    out = np.broadcast_to(lik.reshape(shape), (clique.k,) * clique.n)
     return out.reshape(clique.K).copy()
 
 

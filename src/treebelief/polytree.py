@@ -119,24 +119,29 @@ class Polytree:
     def prior_marginals(self) -> dict:
         """No-evidence marginal of every variable (parents of any node sit in
         disjoint subtrees, hence are independent)."""
+        children: dict = {}
+        waiting = {v: len(ps) for v, ps in self.parents.items()}
+        for v, ps in self.parents.items():
+            for q in ps:
+                children.setdefault(q, []).append(v)
+        ready = [v for v, count in waiting.items() if count == 0]
         marg: dict = {}
-        pending = dict(self.parents)
-        while pending:
-            progressed = False
-            for v in list(pending):
-                ps = pending[v]
-                if all(q in marg for q in ps):
-                    if not ps:
-                        marg[v] = self.cpt[v].copy()
-                    else:
-                        joint = np.ones(1)
-                        for q in ps:
-                            joint = np.multiply.outer(joint, marg[q])
-                        marg[v] = joint.reshape(-1) @ self.cpt[v]
-                    del pending[v]
-                    progressed = True
-            if not progressed:
-                raise StructureError("directed cycle in polytree")
+        while ready:  # Kahn's algorithm: a variable once all its parents are done
+            v = ready.pop()
+            ps = self.parents[v]
+            if not ps:
+                marg[v] = self.cpt[v].copy()
+            else:
+                joint = np.ones(1)
+                for q in ps:
+                    joint = np.multiply.outer(joint, marg[q])
+                marg[v] = joint.reshape(-1) @ self.cpt[v]
+            for w in children.get(v, ()):
+                waiting[w] -= 1
+                if waiting[w] == 0:
+                    ready.append(w)
+        if len(marg) < len(self.parents):
+            raise StructureError("directed cycle in polytree")
         return marg
 
     def joint_conditionals(
@@ -149,6 +154,14 @@ class Polytree:
         ]
         factors += [((v,), lik) for v, lik in (evidence or {}).items()]
         return enumerate_marginals(self.k, factors, counter)
+
+
+def _pad_zero(family, n: int) -> np.ndarray:
+    """Embed an array over a clique's leading members into its (k,)*n array,
+    the pad members after them pinned to value 0."""
+    out = np.zeros(family.shape[:1] * n)
+    out[(...,) + (0,) * (n - family.ndim)] = family
+    return out
 
 
 class PolytreeEngine:
@@ -176,20 +189,10 @@ class PolytreeEngine:
         K = k**n
         marg = pt.prior_marginals()
 
-        # family clique per variable, dummy-padded to uniform size n
-        next_dummy = [0]
-
-        def dummies(count):
-            out = []
-            for _ in range(count):
-                out.append(("_pad", next_dummy[0]))
-                next_dummy[0] += 1
-            return tuple(out)
-
-        for v in pt.parents:
-            members = (v,) + pt.parents[v]
-            members = members + dummies(n - len(members))
-            self.cliques[v] = CliqueNode(members=members, k=k)
+        # family clique per variable, padded to uniform size n
+        for v, ps in pt.parents.items():
+            pads = tuple(("_pad", v, i) for i in range(n - 1 - len(ps)))
+            self.cliques[v] = CliqueNode(members=(v,) + ps + pads, k=k)
 
         # adjacency between families: one undirected edge per polytree edge
         adj: dict = {v: [] for v in pt.parents}
@@ -198,34 +201,23 @@ class PolytreeEngine:
                 adj[v].append((q, q))  # neighbor family, shared variable
                 adj[q].append((v, q))
 
-        roots = [v for v, ps in pt.parents.items() if not ps]
-        root = min(roots)
+        root = min(v for v, ps in pt.parents.items() if not ps)
         order = []
         jparent: dict = {root: (None, None)}
         stack = [root]
-        seen = {root}
         while stack:
             v = stack.pop()
             order.append(v)
             for w, shared in adj[v]:
-                if w not in seen:
-                    seen.add(w)
+                if w not in jparent:
                     jparent[w] = (v, shared)
                     stack.append(w)
 
         raw = RawTree(K)
         var_ids = {v: i for i, v in enumerate(sorted(pt.parents))}
-        ev_base = len(var_ids)
         for v in order:
             raw.add_node(var_ids[v], f"C({pt.names[v]})")
-        # root prior over the padded clique: variable marginal x dummy deltas
-        root_cl = self.cliques[root]
-        prior = clique_evidence(root_cl, root, marg[root])
-        for mvar in root_cl.members[1:]:
-            delta = np.zeros(k)
-            delta[0] = 1.0
-            prior = prior * clique_evidence(root_cl, mvar, delta)
-        raw.set_root(var_ids[root], prior)
+        raw.set_root(var_ids[root], _pad_zero(marg[root], n).reshape(K))
 
         for v in order:
             parent_family, shared = jparent[v]
@@ -239,7 +231,7 @@ class PolytreeEngine:
 
         # per-variable evidence leaf on its own family clique, identity edge
         for i, v in enumerate(sorted(pt.parents)):
-            leaf = ev_base + i
+            leaf = len(var_ids) + i
             raw.add_node(leaf, f"ev({pt.names[v]})")
             raw.add_edge(var_ids[v], leaf, FactoredMatrix.identity(K))
             self.ev_leaf[v] = leaf
@@ -249,42 +241,27 @@ class PolytreeEngine:
     def _clique_conditional(self, v, shared, marg) -> np.ndarray:
         """L x K table Pr(family(v) | shared variable); rows are values of the
         shared variable, columns padded-clique values."""
-        pt = self.pt
-        k = pt.k
+        k, ps = self.pt.k, self.pt.parents[v]
         clique = self.cliques[v]
-        ps = pt.parents[v]
-        K = clique.K
-        table = np.zeros((k, K))
-        cpt = pt.cpt[v].reshape((k,) * len(ps) + (k,)) if ps else pt.cpt[v]
-        for val in range(K):
-            coords = clique.coords(val)
-            v_val = coords[0]
-            par_vals = coords[1 : 1 + len(ps)]
-            pad_vals = coords[1 + len(ps) :]
-            if any(pad_vals):  # dummy members pinned to value 0
-                continue
-            p_v = cpt[tuple(par_vals) + (v_val,)] if ps else cpt[v_val]
-            if shared == v:
-                weight = p_v
-                for q, q_val in zip(ps, par_vals):
-                    weight *= marg[q][q_val]
-                m_v = marg[v][v_val]
-                table[v_val, val] = weight / m_v if m_v > 0 else 0.0
-            else:
-                weight = p_v
-                for q, q_val in zip(ps, par_vals):
-                    if q != shared:
-                        weight *= marg[q][q_val]
-                s_val = par_vals[ps.index(shared)]
-                table[s_val, val] = weight
+        # axes (v, *parents): Pr(v | parents) times each unshared parent's
+        # marginal, a (k, 1, ..., 1) column broadcast onto that parent's axis
+        family = np.moveaxis(self.pt.cpt[v].reshape((k,) * (len(ps) + 1)), -1, 0)
+        for i, q in enumerate(ps):
+            if q != shared:
+                family = family * marg[q].reshape((k,) + (1,) * (len(ps) - 1 - i))
+        if shared == v:
+            m_v = marg[v].reshape((k,) + (1,) * len(ps))
+            family = np.divide(family, m_v, out=np.zeros(family.shape), where=m_v > 0)
+        pos = clique.position(shared)
+        select = np.eye(k).reshape((k,) + (1,) * pos + (k,) + (1,) * (clique.n - 1 - pos))
+        table = (select * _pad_zero(family, clique.n)).reshape(k, clique.K)
         # a shared-variable value of prior probability zero yields an all-zero
         # row; pin it to an arbitrary consistent clique value to keep the
         # table stochastic (the row is unreachable)
-        for r in range(k):
-            if table[r].sum() <= 0:
-                coords = [0] * clique.n
-                coords[clique.position(shared)] = r
-                table[r, clique.encode(coords)] = 1.0
+        for r in np.flatnonzero(table.sum(axis=1) <= 0):
+            digits = [0] * clique.n
+            digits[pos] = r
+            table[r, np.ravel_multi_index(digits, (k,) * clique.n)] = 1.0
         return table
 
     # ------------------------------------------------------------------

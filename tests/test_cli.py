@@ -64,6 +64,16 @@ BAD_INPUTS = [
          "negative entries"),
     _bad("ptn-nan-prior", V_STRUCTURE_PTN, "prior 1 0.6", "prior 1 nan", "non-finite"),
     _bad("ptn-inf-cpt", V_STRUCTURE_PTN, "cpt 2 0.9", "cpt 2 inf", "non-finite"),
+    ("ptn-undeclared-parents", V_STRUCTURE_PTN + "parents 9 0\n",
+     "line 10: parents for undeclared node 9"),
+    ("ptn-repeated-parents", V_STRUCTURE_PTN + "parents 2 0\n",
+     "line 10: duplicate parents for node 2"),
+    ("ptn-repeated-prior", V_STRUCTURE_PTN + "prior 0 0.5 0.5\n",
+     "line 10: duplicate table for node 0"),
+    ("ptn-repeated-cpt", V_STRUCTURE_PTN + "cpt 2 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n",
+     "line 10: duplicate table for node 2"),
+    ("ptn-cpt-then-prior", V_STRUCTURE_PTN + "prior 2 0.5 0.5\n",
+     "line 10: duplicate table for node 2"),
 ]
 
 
@@ -460,6 +470,16 @@ class TestPolytreeCli:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "engine,shape,N,k,op,count_mv,count_mm,ns_total,ns_per_op"
         assert any(l.startswith("hierarchy,polytree,3,2,") for l in lines)
+
+    def test_bench_op_counts(self, ptn_file, capsys):
+        assert cli.main(["polytree", "bench", ptn_file, "--ops", "20", "--seed", "1"]) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [(r[0], r[4], r[5], r[6]) for r in rows] == [
+            ("hierarchy", "update", "10", "10"),
+            ("hierarchy", "query", "66", "0"),
+            ("full", "update", "0", "0"),
+            ("full", "query", "0", "0"),
+        ]
 
     def test_btn_file_rejected(self, btn_file, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -151,8 +153,10 @@ class TestContractPass:
         hier = build_hierarchy(binarize(raw))
         # every pass rakes >= 2 leaves, except the last which may have only
         # one eligible leaf left (5-node tree -> 3-node tree)
-        assert all(r >= 2 for r in hier.rakes_per_pass[:-1])
-        assert hier.rakes_per_pass[-1] >= 1
+        per_level = Counter(r.level for r in hier.recipes)
+        rakes_per_pass = [per_level[level] for level in range(hier.top)]
+        assert all(r >= 2 for r in rakes_per_pass[:-1])
+        assert rakes_per_pass[-1] >= 1
         assert len(hier.levels) <= 12
         assert len(hier.levels[-1].contains) == 3
 

@@ -41,19 +41,6 @@ class TestFactoredMatrix:
 
 
 class TestCliqueNode:
-    def test_encoding_first_member_most_significant(self):
-        cl = CliqueNode(members=("a", "b"), k=2)
-        assert cl.coords(2) == (1, 0)
-        assert cl.encode((1, 0)) == 2
-        assert cl.coord_of(2, "a") == 1
-        assert cl.coord_of(2, "b") == 0
-
-    def test_project(self):
-        cl = CliqueNode(members=("a", "b", "c"), k=2)
-        # value 0b101 -> a=1, b=0, c=1
-        assert cl.project(5, ("a", "c")) == 3
-        assert cl.project(5, ("b",)) == 0
-
     def test_unknown_member(self):
         cl = CliqueNode(members=("a",), k=2)
         with pytest.raises(UsageError):
@@ -68,6 +55,14 @@ class TestBuildProjection:
         fm = build_projection(child, parent, table)
         assert np.array_equal(fm.left, [[1, 0], [1, 0], [0, 1], [0, 1]])
         assert np.array_equal(fm.right, table)
+
+    def test_intersection_in_listed_order(self):
+        # parent value a b c (a most significant) -> intersection code c a
+        parent = CliqueNode(members=("a", "b", "c"), k=2)
+        child = CliqueNode(members=("c", "a", "d"), k=2, intersection=("c", "a"))
+        table = random_stochastic(np.random.default_rng(9), 4, 8)
+        fm = build_projection(child, parent, table)
+        assert np.array_equal(fm.left, np.eye(4)[[0, 2, 0, 2, 1, 3, 1, 3]])
 
     def test_full_intersection_identity(self):
         parent = CliqueNode(members=("a", "b"), k=2)
@@ -114,14 +109,14 @@ class TestCliqueEvidence:
         rng = np.random.default_rng(6)
         cl = CliqueNode(members=("a", "b", "c"), k=2)
         la, lb = rng.random(2), rng.random(2)
-        assert np.allclose(
+        assert np.array_equal(
             clique_evidence(cl, "a", la) * clique_evidence(cl, "b", lb),
-            clique_evidence(cl, "a", la) * clique_evidence(cl, "b", lb),
+            np.multiply.outer(np.multiply.outer(la, lb), np.ones(2)).ravel(),
         )
         # lifting respects coordinates
         lifted = clique_evidence(cl, "b", lb)
-        for val in range(8):
-            assert lifted[val] == lb[cl.coord_of(val, "b")]
+        b_of = np.unravel_index(np.arange(8), (2, 2, 2))[cl.position("b")]
+        assert np.array_equal(lifted, lb[b_of])
 
 
 class TestMarginalize:

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,31 @@ def v_structure(rng=None):
     pt.set_cpt(1, random_stochastic(rng, 1, 2)[0])
     pt.set_cpt(2, random_stochastic(rng, 4, 2))
     return pt
+
+
+def loop_clique_conditional(eng, v, shared, marg):
+    """Per-value reference for PolytreeEngine._clique_conditional: one clique
+    value at a time, its member values read off in C order."""
+    pt, clique = eng.pt, eng.cliques[v]
+    k, ps = pt.k, pt.parents[v]
+    cpt = pt.cpt[v].reshape((k,) * (len(ps) + 1))  # axes (*parents, v)
+    pos = clique.position(shared)
+    table = np.zeros((k, clique.K))
+    for val, digits in enumerate(itertools.product(range(k), repeat=clique.n)):
+        if any(digits[1 + len(ps):]):  # pad members pinned to value 0
+            continue
+        weight = cpt[digits[1 : 1 + len(ps)] + digits[:1]]
+        for q, d in zip(ps, digits[1:]):
+            if q != shared:
+                weight *= marg[q][d]
+        if shared == v:
+            m_v = marg[v][digits[0]]
+            weight = weight / m_v if m_v > 0 else 0.0
+        table[digits[pos], val] = weight
+    for r in range(k):
+        if table[r].sum() <= 0:
+            table[r, r * k ** (clique.n - 1 - pos)] = 1.0
+    return table
 
 
 class TestPolytreeValidate:
@@ -68,6 +96,35 @@ class TestPriorMarginals:
             for v in pt.variables():
                 assert np.allclose(marg[v], oracle[v], atol=1e-12)
 
+    def test_child_first_chain_in_one_pass(self):
+        # variable i has parent i + 1: declared child first, a rescan of every
+        # pending variable per finished one is quadratic in the chain length
+        n = 5000
+        rng = np.random.default_rng(7)
+        tables = [random_stochastic(rng, 2, 2) for _ in range(n - 1)]
+        tables.append(random_stochastic(rng, 1, 2)[0])
+
+        def chain(order):
+            pt = Polytree(k=2)
+            for i in order:
+                pt.add_variable(i, (i + 1,) if i < n - 1 else (), cpt=tables[i])
+            return pt
+
+        child_first = chain(range(n))
+        start = time.perf_counter()
+        got = child_first.prior_marginals()
+        elapsed = time.perf_counter() - start
+        want = chain(reversed(range(n))).prior_marginals()
+        assert all(np.array_equal(got[v], want[v]) for v in range(n))
+        assert elapsed < 1.0
+
+    def test_directed_cycle(self):
+        pt = Polytree(k=2)
+        pt.add_variable(0, (1,), cpt=np.eye(2))
+        pt.add_variable(1, (0,), cpt=np.eye(2))
+        with pytest.raises(StructureError, match="directed cycle"):
+            pt.prior_marginals()
+
 
 class TestJointConditionals:
     def test_zero_mass_inconsistent(self):
@@ -90,6 +147,31 @@ class TestEngineStructure:
             shared = set(eng.cliques[v].members) & set(cl.members)
             shared = {s for s in shared if not (isinstance(s, tuple) and s[0] == "_pad")}
             assert len(shared) == 1
+
+    def test_compiled_tables_match_per_value_loops(self):
+        # the broadcast compile is the per-value loop's arithmetic, bitwise,
+        # including zero-probability values of parentless variables
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            k = int(rng.integers(2, 4))
+            pt = random_polytree(rng, int(rng.integers(2, 9)), k)
+            for v in pt.variables():
+                if not pt.parents[v] and rng.random() < 0.5:
+                    prior = rng.random(k) + 0.05
+                    prior[rng.integers(k)] = 0.0
+                    pt.set_cpt(v, prior / prior.sum())
+            eng = PolytreeEngine(pt)
+            marg = pt.prior_marginals()
+            root = min(v for v in pt.variables() if not pt.parents[v])
+            root_prior = np.zeros((k, eng.cliques[root].K // k))
+            root_prior[:, 0] = marg[root]
+            assert np.array_equal(eng.tree.prior, linalg.normalize(root_prior.ravel()))
+            for v, clique in eng.cliques.items():
+                if v == root:
+                    continue
+                (shared,) = clique.intersection
+                want = loop_clique_conditional(eng, v, shared, marg)
+                assert np.array_equal(eng._clique_conditional(v, shared, marg), want)
 
     def test_max_parents_scale_error(self):
         rng = np.random.default_rng(3)
@@ -187,6 +269,24 @@ class TestQueriesAndUpdates:
                 oracle = pt.joint_conditionals(evidence)
                 for v in pt.variables():
                     assert np.allclose(eng.bel_query(v), oracle[v], atol=1e-9)
+
+    def test_zero_prior_value_pins_unreachable_row(self):
+        # b's value 1 has prior 0.  The join tree reaches b's family through
+        # c's, sharing b, so b's conditional divides by Pr(b) = 0 there and
+        # pins its all-zero row to a consistent clique value.
+        pt = v_structure(np.random.default_rng(10))
+        pt.set_cpt(1, [1.0, 0.0])
+        eng = PolytreeEngine(pt)
+        assert eng.cliques[1].intersection == (1,)
+        rng = np.random.default_rng(11)
+        evidence = {}
+        for var in (None, 2, 0):
+            if var is not None:
+                evidence[var] = rng.random(2) + 0.05
+                eng.update_evidence(var, evidence[var])
+            oracle = pt.joint_conditionals(evidence)
+            for v in pt.variables():
+                assert np.allclose(eng.bel_query(v), oracle[v], rtol=0, atol=1e-12)
 
     def test_cross_clique_consistency(self):
         rng = np.random.default_rng(5)
