@@ -41,6 +41,25 @@ class TestFactoredMatrix:
 
 
 class TestCliqueNode:
+    def test_encoding_first_member_most_significant(self):
+        cl = CliqueNode(members=("a", "b"), k=2)
+        # value 2 is a=1, b=0: the first member's axis varies slowest
+        assert np.ravel_multi_index((1, 0), (cl.k,) * cl.n) == 2
+        delta = np.zeros(cl.K)
+        delta[2] = 1.0
+        assert np.array_equal(marginalize(delta, cl, "a"), [0, 1])
+        assert np.array_equal(marginalize(delta, cl, "b"), [1, 0])
+        assert clique_evidence(cl, "a", [0, 1])[2] == 1
+        assert clique_evidence(cl, "b", [1, 0])[2] == 1
+
+    def test_project(self):
+        cl = CliqueNode(members=("a", "b", "c"), k=2)
+        # value 0b101 -> a=1, b=0, c=1; J's row 5 holds its intersection code
+        to_ac = CliqueNode(members=("a", "c"), k=2, intersection=("a", "c"))
+        to_b = CliqueNode(members=("b",), k=2, intersection=("b",))
+        assert np.argmax(build_projection(to_ac, cl, np.eye(4)).left[5]) == 3
+        assert np.argmax(build_projection(to_b, cl, np.eye(2)).left[5]) == 0
+
     def test_unknown_member(self):
         cl = CliqueNode(members=("a",), k=2)
         with pytest.raises(UsageError):
