@@ -6,9 +6,13 @@ One write path and one read path:
   union of their recipe chains, each recipe once, in level order (at most one
   derived matrix per level per leaf).  `update_evidence` is the one-item
   batch.
-* `bel_query(x)` resolves a single triple (pi(x), lambda(left),
-  lambda(right)) by walking up the hierarchy, never recursing twice per level:
-  O(log N) products.
+* `bel_many(nodes)` resolves every id, then answers each node from one triple
+  (pi(x), lambda(left), lambda(right)) found by walking up the hierarchy,
+  never recursing twice per level: O(log N) products per node.  The nodes of
+  one batch share a memo keyed by `(x, level)`, so a triple that several
+  walks pass through is computed once; the memo lives for that batch only, as
+  the next write changes the triples.  `bel_query(x)` is the one-node case
+  and takes the same step without a memo.
 
 All beliefs at once are `exact.propagate_all`, the O(N) two-pass sweep.
 
@@ -107,13 +111,18 @@ class DynamicEngine:
             return lam_survivor, self.tree.leaf_lambda(r)
         return self.tree.leaf_lambda(l), lam_survivor
 
-    def calc_pi_lambda(self, x: int, i: int):
+    def calc_pi_lambda(self, x: int, i: int, memo: dict | None = None):
         """Triple (pi(x), lambda(left child in T_i), lambda(right child in T_i)).
 
         Case 1: top three-node tree -- prior plus two leaf likelihoods.
         Case 2: x raked away after level i -- recurse on its parent.
         Case 3: x survives to level i+1 -- recurse on x itself.
+
+        With a `memo`, a triple already in it is returned as it is and a new
+        one is stored under `(x, i)`, for this call and its recursion.
         """
+        if memo is not None and (x, i) in memo:
+            return memo[x, i]
         hier = self.hier
         lt = hier.levels[i]
         if x not in lt.left:
@@ -121,49 +130,66 @@ class DynamicEngine:
         l, r = lt.left[x], lt.right[x]
 
         if i == hier.top:
-            return self.prior, self.tree.leaf_lambda(l), self.tree.leaf_lambda(r)
-
-        nxt = hier.levels[i + 1]
-        if x in nxt.left:  # a rake never turns an internal node into a leaf
-            p, lam_l, lam_r = self.calc_pi_lambda(x, i + 1)
-            return (
-                p,
-                self._lambda_below(lt, nxt, l, lam_l),
-                self._lambda_below(lt, nxt, r, lam_r),
-            )
-
-        # x was raked away with one child; the other, z, took x's place under
-        # u, so u's triple carries lambda(z) on x's side
-        u = lt.parent[x]
-        pu, lam_ul, lam_ur = self.calc_pi_lambda(u, i + 1)
-        if lt.left[u] == x:
-            v, lam_z, lam_v = lt.right[u], lam_ul, lam_ur
+            triple = self.prior, self.tree.leaf_lambda(l), self.tree.leaf_lambda(r)
         else:
-            v, lam_z, lam_v = lt.left[u], lam_ur, lam_ul
-        lam_v = self._lambda_below(lt, nxt, v, lam_v)
-        pi_x = linalg.rescale_if_tiny(lt.pi_down(x, v, pu, lam_v, self.counter))
-        return (pi_x, *self._raked_or_survivor(nxt, l, r, lam_z))
+            nxt = hier.levels[i + 1]
+            if x in nxt.left:  # a rake never turns an internal node into a leaf
+                p, lam_l, lam_r = self.calc_pi_lambda(x, i + 1, memo)
+                triple = (
+                    p,
+                    self._lambda_below(lt, nxt, l, lam_l),
+                    self._lambda_below(lt, nxt, r, lam_r),
+                )
+            else:
+                # x was raked away with one child; the other, z, took x's
+                # place under u, so u's triple carries lambda(z) on x's side
+                u = lt.parent[x]
+                pu, lam_ul, lam_ur = self.calc_pi_lambda(u, i + 1, memo)
+                if lt.left[u] == x:
+                    v, lam_z, lam_v = lt.right[u], lam_ul, lam_ur
+                else:
+                    v, lam_z, lam_v = lt.left[u], lam_ur, lam_ul
+                lam_v = self._lambda_below(lt, nxt, v, lam_v)
+                pi_x = linalg.rescale_if_tiny(lt.pi_down(x, v, pu, lam_v, self.counter))
+                triple = (pi_x, *self._raked_or_survivor(nxt, l, r, lam_z))
+        if memo is not None:
+            memo[x, i] = triple
+        return triple
 
     # ------------------------------------------------------------------
 
     def bel_query(self, x: int) -> np.ndarray:
-        """Posterior marginal of x under the current evidence."""
+        """Posterior marginal of x under the current evidence: `bel_many` of
+        one node, without building a memo."""
+        return self._belief(self.tree.resolve(x), None)
+
+    def bel_many(self, nodes) -> list[np.ndarray]:
+        """Posterior marginal of each of `nodes`, in order (a repeated id is
+        answered again).  Every id is resolved before any product, so an
+        unknown one raises UsageError with `counter` untouched.  The walks
+        share one memo, so each `(x, level)` triple is computed once per
+        batch; each belief is bitwise equal to `bel_query`'s."""
+        xs = [self.tree.resolve(x) for x in nodes]
+        memo: dict = {}
+        return [self._belief(x, memo) for x in xs]
+
+    def _belief(self, x: int, memo: dict | None) -> np.ndarray:
+        """Posterior marginal of the resolved node x."""
         tree = self.tree
-        x = tree.resolve(x)
         if tree.is_leaf(x):
             if x == tree.root:  # single-node tree
-                return linalg.normalize(self.prior * self.tree.leaf_lambda(x))
+                return linalg.normalize(self.prior * tree.leaf_lambda(x))
             lt0 = self.hier.levels[0]
             p = tree.parent[x]
-            pp, lam_l, lam_r = self.calc_pi_lambda(p, 0)
+            pp, lam_l, lam_r = self.calc_pi_lambda(p, 0, memo)
             if lt0.left[p] == x:
                 sib, lam_sib = lt0.right[p], lam_r
             else:
                 sib, lam_sib = lt0.left[p], lam_l
             pi_x = lt0.pi_down(x, sib, pp, lam_sib, self.counter)
-            return linalg.normalize(self.tree.leaf_lambda(x) * pi_x)
+            return linalg.normalize(tree.leaf_lambda(x) * pi_x)
         i = self.hier.ind[x]
         lt = self.hier.levels[i]
-        p, lam_l, lam_r = self.calc_pi_lambda(x, i)
+        p, lam_l, lam_r = self.calc_pi_lambda(x, i, memo)
         lam_x = lt.lambda_up(lt.left[x], lt.right[x], lam_l, lam_r, self.counter)
         return linalg.normalize(lam_x * p)

@@ -97,8 +97,11 @@ class Polytree:
             if t is None:
                 out.append(f"variable {v} has no table")
                 continue
+            if not np.all(np.isfinite(t)):
+                out.append(f"table of {v} has non-finite entries")
+                continue
             rows = t.reshape(-1, self.k) if t.ndim > 1 else t.reshape(1, self.k)
-            bad = np.where(np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL)[0]
+            bad = np.where(~(np.abs(rows.sum(axis=1) - 1.0) <= ROW_SUM_TOL))[0]
             for r in bad:
                 out.append(f"table of {v}: row {r} sums to {rows[r].sum():.6g}")
             if np.any(t < 0):

@@ -5,9 +5,9 @@ window carries one evidence leaf whose likelihood is the emission column of
 the observed amino-acid window.  Consecutive windows must agree on their
 (w-1)-overlap, enforced as structural zeros in the transition matrix.
 Mutation experiments re-post the evidence for the windows covering a site as
-one batch (`update_many`) and re-query watch windows, exercising the
-logarithmic engine; predictions read every window from one
-`exact.propagate_all` sweep.
+one batch (`update_many`) and read the watch windows before and after as one
+batch each (`bel_many`), exercising the logarithmic engine; predictions read
+every window from one `exact.propagate_all` sweep.
 """
 
 from __future__ import annotations
@@ -213,11 +213,11 @@ class ProteinChain:
         return self.tables.emission[:, self.tables.aa_index(mer)].copy()
 
     def window_beliefs(self) -> list[np.ndarray]:
-        """The logarithmic engine's own answer for each window, one `bel_query`
-        per window: `predict` reads the O(N) sweep instead, so comparing these
-        with `exact.propagate_all` checks the engine, not the sweep with
+        """The logarithmic engine's own answer for each window, read as one
+        `bel_many` batch: `predict` reads the O(N) sweep instead, so comparing
+        these with `exact.propagate_all` checks the engine, not the sweep with
         itself."""
-        return [self.engine.bel_query(t) for t in self.ps_nodes]
+        return self.engine.bel_many(self.ps_nodes)
 
     def predict(self) -> str:
         """Per-position structure: majority vote over the argmax window labels
@@ -269,16 +269,18 @@ class MutationRecord:
 
 
 def mutagenesis(chain: ProteinChain, site: int, residue: str, watch_sites):
-    """One mutation step: before/after beliefs at each watch window."""
+    """One mutation step: before/after beliefs at each watch window, each side
+    read as one `bel_many` batch."""
     watch_sites = list(watch_sites)
     for ws in watch_sites:
         if not 0 <= ws < chain.n_windows:
             raise UsageError(f"watch window {ws} out of range")
-    before = {ws: chain.engine.bel_query(ws) for ws in watch_sites}
+    before = chain.engine.bel_many(watch_sites)
     chain.mutate(site, residue)
+    after = chain.engine.bel_many(watch_sites)
     return [
-        MutationRecord(site, residue, ws, before[ws], chain.engine.bel_query(ws))
-        for ws in watch_sites
+        MutationRecord(site, residue, ws, b, a)
+        for ws, b, a in zip(watch_sites, before, after)
     ]
 
 

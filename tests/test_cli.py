@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebelief import cli
+from treebelief import cli, protein
 from treebelief.bench import ENGINE_CLASSES, POLYTREE_ENGINE_CLASSES, make_engine
+from treebelief.dynamic import DynamicEngine
 from treebelief.formats import parse_btn, parse_ptn
 from test_formats import LARGE_ID_PTN, THREE_NODE_BTN, V_STRUCTURE_PTN
 
@@ -75,6 +76,40 @@ BAD_INPUTS = [
     ("ptn-cpt-then-prior", V_STRUCTURE_PTN + "prior 2 0.5 0.5\n",
      "line 10: duplicate table for node 2"),
 ]
+
+
+MUTATE_CORPUS = (
+    "GSATKLVEHH cchhhhheec\nMKVLAAGWPE ccceeehhhc\n"
+    "PQRSTVWYAC hhhhccceee\nDEFGHIKLMN cceeeecchh\n"
+)
+MUTATE_ARGS = ["--sequence", "GSATKLVEHHMKVLAAGWPE", "--site", "9", "--residue", "W",
+               "--watch", "7,8,9"]
+# `protein mutate` output for MUTATE_CORPUS (w=2) and MUTATE_ARGS, taken when
+# each watch window was read with its own `bel_query`
+MUTATE_CSV = (
+    "site,watch_site,bel_before_0,bel_before_1,bel_before_2,bel_before_3,"
+    "bel_before_4,bel_before_5,bel_before_6,bel_before_7,bel_before_8,bel_after_0,"
+    "bel_after_1,bel_after_2,bel_after_3,bel_after_4,bel_after_5,bel_after_6,"
+    "bel_after_7,bel_after_8,argmax_changed\n"
+    "9,7,0.081911670014343269,0.071143796419513627,0.052716924455258121,"
+    "0.064060873490374703,0.37077277196895886,0.059119257045682813,"
+    "0.067568334725860033,0.067617667264023407,0.1650887046159851,"
+    "0.09157681928835508,0.068687251460786733,0.05893724622427654,"
+    "0.071619722001211306,0.32196966678236727,0.066095020623877995,"
+    "0.075541045344597005,0.061004918697646252,0.18456830957688181,0\n"
+    "9,8,0.086277221993548786,0.068465122383168986,0.058798533853860267,"
+    "0.21108287772210974,0.218020046546715,0.080431311383671197,0.065624624664178635,"
+    "0.055320460000501552,0.15597980145224591,0.096457483601799274,"
+    "0.076543649261951244,0.065736453770412845,0.1179947774513615,0.2437452734189301,"
+    "0.08992178607050863,0.073367987646757518,0.061847985366767673,"
+    "0.17438460341151121,0\n"
+    "9,9,0.19208761666835927,0.089892978231107701,0.081004129480370252,"
+    "0.1255380292092057,0.15951271871409159,0.056754881007088268,0.10343243434033746,"
+    "0.05162472725205422,0.14015248509738568,0.14646738012395122,"
+    "0.075480083838981638,0.06587278473698549,0.14035086102742841,"
+    "0.17833438645942243,0.063451660560798137,0.11563692141157812,"
+    "0.057716175455147588,0.15668974638570693,1\n"
+)
 
 
 @pytest.fixture
@@ -351,6 +386,36 @@ class TestProtein:
         assert lines[0].startswith("site,watch_site,bel_before_0")
         assert lines[0].endswith("argmax_changed")
         assert len(lines) == 3
+
+    def test_mutate_csv_pinned_and_watch_reads_batched(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(MUTATE_CORPUS)
+        model = str(tmp_path / "model.npz")
+        assert cli.main(
+            ["protein", "train", "--corpus", str(corpus), "--w", "2", "--out", model]
+        ) == 0
+        costs, mutagenesis = [], protein.mutagenesis
+
+        def measured(chain, *args):
+            before = chain.engine.counter.snapshot()
+            records = mutagenesis(chain, *args)
+            costs.append(chain.engine.counter.delta(before))
+            return records
+
+        monkeypatch.setattr(protein, "mutagenesis", measured)
+        argv = ["protein", "mutate", "--model", model] + MUTATE_ARGS
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == MUTATE_CSV
+        # the same run with every watch window read on its own
+        monkeypatch.setattr(
+            DynamicEngine, "bel_many", lambda self, nodes: [self.bel_query(x) for x in nodes]
+        )
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == MUTATE_CSV
+        batched, per_node = costs
+        assert (batched.mat_vec, per_node.mat_vec) == (53, 65)
+        assert batched.mat_mat == per_node.mat_mat  # the same mutation
 
     def test_bad_corpus_data_error(self, tmp_path):
         corpus = tmp_path / "bad.txt"

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from treebelief import exact
-from treebelief.bench import make_chain, random_stochastic
+from treebelief import exact, protein
+from treebelief.bench import make_balanced, make_chain, make_random, random_stochastic
 from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import DimensionError, UsageError
 from treebelief.formats import parse_btn
 from treebelief.tree import CausalTree, RawTree, binarize
 from test_contract import E1, E3, E4, X1, X3, golden_chain
-from test_exact import three_node_tree
+from test_exact import mixed_join_tree, three_node_tree
 from test_formats import THREE_NODE_BTN
 from util import (
     post_random_evidence,
@@ -196,6 +196,107 @@ class TestBelQuery:
             oracle = exact.joint_marginals(t)
             for x in t.names:
                 assert np.allclose(eng.bel_query(x), oracle[x], atol=1e-12), x
+
+
+# bel_many shapes: (name, tree from (rng, k)); the fan-out-three random tree
+# carries alias copies and dummy pads
+BEL_MANY_SHAPES = [
+    ("chain", lambda rng, k: make_chain(int(rng.integers(1, 40)), k, rng)),
+    ("make-random", lambda rng, k: make_random(int(rng.integers(1, 40)), k, rng)),
+    ("fan-out-3", lambda rng, k: random_binarized_tree(rng, int(rng.integers(2, 40)), k)),
+    ("balanced", lambda rng, k: make_balanced(int(rng.integers(2, 33)), k, rng)),
+    ("mixed-join-tree", lambda rng, k: mixed_join_tree(rng, k=k, depth=3)),
+]
+
+
+def spy_triples(monkeypatch):
+    """Record (x, level, memo) of every `calc_pi_lambda` call, memo hits included."""
+    calls, calc = [], DynamicEngine.calc_pi_lambda
+
+    def spy(self, x, i, memo=None):
+        calls.append((x, i, memo))
+        return calc(self, x, i, memo)
+
+    monkeypatch.setattr(DynamicEngine, "calc_pi_lambda", spy)
+    return calls
+
+
+class TestBelMany:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [name for name, _ in BEL_MANY_SHAPES])
+    def test_bitwise_equal_to_bel_query(self, shape, k):
+        make = dict(BEL_MANY_SHAPES)[shape]
+        rng = np.random.default_rng(31 + k)
+        for _ in range(4):
+            t = make(rng, k)
+            eng = DynamicEngine(t)
+            leaves = updatable_leaves(t)
+            eng.update_many(
+                (leaves[int(i)], rng.random(t.k) + 0.01)
+                for i in rng.integers(len(leaves), size=3)
+            )
+            # every node (leaves, internal nodes, the root, dummies) and every
+            # alias copy, shuffled, with repeats
+            nodes = sorted(t.names) + sorted(t.alias)
+            batch = [nodes[int(i)] for i in rng.permutation(len(nodes))]
+            batch += [t.root] + batch[: len(batch) // 3]
+            got = eng.bel_many(batch)
+            assert len(got) == len(batch)
+            bel = exact.propagate_all(t)
+            for x, b in zip(batch, got):
+                assert np.array_equal(b, eng.bel_query(x)), x
+                assert np.allclose(b, bel[t.resolve(x)], rtol=0.0, atol=1e-9), x
+
+    def test_empty_batch(self):
+        eng = DynamicEngine(golden_chain())
+        assert eng.bel_many([]) == []
+        assert eng.bel_many(iter(())) == []
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_unknown_node_raises_before_any_product(self, where):
+        eng = DynamicEngine(golden_chain())
+        batch = [X1, E3, X3, E4]
+        batch.insert(where, 999)
+        counter = eng.counter.snapshot()
+        with pytest.raises(UsageError, match="unknown node 999"):
+            eng.bel_many(batch)
+        assert eng.counter == counter
+
+    def test_single_query_builds_no_memo(self, monkeypatch):
+        calls = spy_triples(monkeypatch)
+        eng = DynamicEngine(make_chain(32, 2, np.random.default_rng(8)))
+        eng.bel_query(3)
+        memos = [memo for _, _, memo in calls]
+        assert memos and all(memo is None for memo in memos)
+        del calls[:]
+        eng.bel_many([3])
+        memos = [memo for _, _, memo in calls]
+        assert memos and all(memo is memos[0] is not None for memo in memos)
+
+    def test_protein_watch_batch_computes_each_triple_once(self, monkeypatch):
+        tables = protein.train(
+            [("GSATKLVEHHMKVLAAGWPE", "cchhhhheecccceeehhhc"),
+             ("PQRSTVWYACDEFGHIKLMN", "hhhhccceeecceeeecchh")],
+            w=3,
+        )
+        chain = protein.ProteinChain("GSATKLVEHHMKVLAAGWPEPQRSTVWYACDEFGHIKLMN" * 3, tables)
+        eng, watch = chain.engine, [57, 58, 59]
+        calls = spy_triples(monkeypatch)
+        before = eng.counter.snapshot()
+        single = [eng.bel_query(x) for x in watch]
+        single_calls, single_cost = len(calls), eng.counter.delta(before)
+        del calls[:]
+        before = eng.counter.snapshot()
+        batch = eng.bel_many(watch)
+        batch_cost = eng.counter.delta(before)
+        for a, b in zip(batch, single):
+            assert np.array_equal(a, b)
+        # the three walks pass 23 triples, 10 of them distinct; the batch
+        # computes those 10, and its 2 other calls are memo hits that return
+        # at once
+        distinct = {(x, i) for x, i, _ in calls}
+        assert (single_calls, len(distinct), len(calls)) == (23, 10, 12)
+        assert (single_cost.mat_vec, batch_cost.mat_vec) == (46, 24)
 
 
 class TestUpdateMany:

@@ -75,6 +75,29 @@ class TestPolytreeValidate:
         pt.cpt[2] = np.array([[0.5, 0.4], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         assert any("row 0" in m for m in pt.validate())
 
+    @pytest.mark.parametrize(
+        "var, table",
+        [
+            (1, [[np.nan, 1.0], [0.5, 0.5]]),
+            (1, [[np.inf, 1.0], [0.5, 0.5]]),
+            (0, [np.nan, 1.0]),  # a root prior
+            (0, [-np.inf, 1.0]),
+        ],
+    )
+    def test_non_finite_table_names_the_variable(self, var, table):
+        def make():
+            pt = Polytree(k=2)
+            pt.add_variable(0, (), [0.3, 0.7])
+            pt.add_variable(1, (0,), [[0.9, 0.1], [0.2, 0.8]])
+            pt.set_cpt(var, table)
+            return pt
+
+        assert make().validate() == [f"table of {var} has non-finite entries"]
+        with pytest.raises(StructureError, match=f"^table of {var} has non-finite entries$"):
+            make().check()
+        with pytest.raises(StructureError, match=f"^table of {var} has non-finite entries$"):
+            PolytreeEngine(make())
+
     def test_unknown_parent(self):
         pt = Polytree(k=2)
         pt.add_variable(0, (9,))

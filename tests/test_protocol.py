@@ -1,10 +1,11 @@
 """Stateful differential test over the engine protocol.
 
 One engine per `bench.ENGINE_CLASSES` entry, each on its own copy of one
-tree, gets the same random writes and reads.  After every step all of them
-must agree with `exact.propagate_all` on a reference copy that holds the same
-evidence at scale 1, and the hierarchy engine's cells must be bitwise equal to
-a fresh `build_hierarchy` on its evidence.
+tree, gets the same random writes and reads; the hierarchy engine also answers
+batched reads (`bel_many`), each bitwise equal to its single read.  After every
+step all of them must agree with `exact.propagate_all` on a reference copy that
+holds the same evidence at scale 1, and the hierarchy engine's cells must be
+bitwise equal to a fresh `build_hierarchy` on its evidence.
 """
 
 import numpy as np
@@ -109,6 +110,18 @@ class EngineProtocol(RuleBasedStateMachine):
         want = exact.propagate_all(self.reference)[x]
         for name, eng in self.engines.items():
             assert np.allclose(eng.bel_query(x), want, rtol=0.0, atol=TOL), (name, x)
+
+    @rule(picks=st.lists(index, max_size=8), repeat=index)
+    def bel_many(self, picks, repeat):
+        nodes = [self.nodes[i % len(self.nodes)] for i in picks]
+        nodes += nodes[repeat % len(nodes) :] if nodes else []  # repeated ids
+        eng = self.hierarchy
+        bel = exact.propagate_all(self.reference)
+        got = eng.bel_many(nodes)
+        assert len(got) == len(nodes)
+        for x, b in zip(nodes, got):
+            assert np.array_equal(b, eng.bel_query(x)), x
+            assert np.allclose(b, bel[x], rtol=0.0, atol=TOL), x
 
     @invariant()
     def engines_agree_with_propagate_all(self):
