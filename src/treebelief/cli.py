@@ -152,18 +152,18 @@ def cmd_contract_dump(args) -> int:
     return EXIT_OK
 
 
-def _parse_sizes(text: str) -> list[int]:
+def _parse_ints(text: str, option: str) -> list[int]:
+    """The integers of a comma-separated list option such as `--sizes 64,256`.
+    Every field must be an integer, so an empty value or an empty field is a
+    UsageError naming `option`."""
     try:
-        sizes = [int(t) for t in text.split(",") if t]
+        return [int(t) for t in text.split(",")]
     except ValueError:
-        raise UsageError(f"sizes must be comma-separated integers, got {text!r}")
-    if not sizes:
-        raise UsageError("no sizes given")
-    return sizes
+        raise UsageError(f"{option} must be comma-separated integers, got {text!r}")
 
 
 def cmd_bench(args) -> int:
-    sizes = _parse_sizes(args.sizes)
+    sizes = _parse_ints(args.sizes, "--sizes")
     engines = [e for e in args.engines.split(",") if e]
     records = bench_mod.run_bench(args.shape, sizes, args.k, args.ops, args.seed, engines)
     sys.stdout.write(bench_mod.to_csv(records))
@@ -194,7 +194,7 @@ def cmd_protein_predict(args) -> int:
 def cmd_protein_mutate(args) -> int:
     tables = protein_mod.ChainTables.load(args.model)
     chain = protein_mod.ProteinChain(args.sequence, tables)
-    watch = _parse_sizes(args.watch)
+    watch = _parse_ints(args.watch, "--watch")
     records = protein_mod.mutagenesis(chain, args.site, args.residue, watch)
     k = tables.k
     before_cols = ",".join(f"bel_before_{i}" for i in range(k))

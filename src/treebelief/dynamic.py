@@ -123,16 +123,16 @@ class DynamicEngine:
         """
         if memo is not None and (x, i) in memo:
             return memo[x, i]
-        hier = self.hier
-        lt = hier.levels[i]
+        levels = self.hier.levels
+        lt = levels[i]
         if x not in lt.left:
             raise UsageError(f"node {x} is not an internal node of T_{i}")
         l, r = lt.left[x], lt.right[x]
 
-        if i == hier.top:
+        if i + 1 == len(levels):  # the top tree
             triple = self.prior, self.tree.leaf_lambda(l), self.tree.leaf_lambda(r)
         else:
-            nxt = hier.levels[i + 1]
+            nxt = levels[i + 1]
             if x in nxt.left:  # a rake never turns an internal node into a leaf
                 p, lam_l, lam_r = self.calc_pi_lambda(x, i + 1, memo)
                 triple = (

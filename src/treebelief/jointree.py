@@ -45,7 +45,7 @@ class FactoredMatrix:
         return (self.left.shape[0], self.right.shape[1])
 
     def expand(self) -> np.ndarray:
-        return self.left @ self.right
+        return self.left.dot(self.right)
 
     def copy(self) -> "FactoredMatrix":
         return FactoredMatrix(self.left.copy(), self.right.copy())
@@ -54,14 +54,14 @@ class FactoredMatrix:
         if counter is not None:
             counter.mat_vec += 2
             counter.flops += self.left.size + self.right.size
-        return self.left @ (self.right @ v)
+        return self.left.dot(self.right.dot(v))
 
     def mv_t(self, v, counter: OpCounter | None = None) -> np.ndarray:
-        # (left . right)^T v = right^T (left^T v); factors transposed lazily
+        # (left . right)^T v = right^T (left^T v) = (v . left) . right
         if counter is not None:
             counter.mat_vec += 2
             counter.flops += self.left.size + self.right.size
-        return self.right.T @ (self.left.T @ v)
+        return v.dot(self.left).dot(self.right)
 
     @classmethod
     def identity(cls, size: int) -> "FactoredMatrix":

@@ -170,10 +170,12 @@ class CausalTree(BinaryLinks):
         return x
 
     def leaf_lambda(self, leaf: int) -> np.ndarray:
-        """Current likelihood of a leaf (read-only all-ones without evidence),
-        under the same scale guard as every derived vector; the stored
-        evidence stays as posted."""
-        return linalg.rescale_if_tiny(self.evidence.get(leaf, self._ones))
+        """Current likelihood of a leaf.  Without evidence it is the shared
+        read-only all-ones vector `_ones` itself, which needs no scale guard;
+        posted evidence goes through the same guard as every derived vector,
+        and the stored evidence stays as posted."""
+        v = self.evidence.get(leaf)
+        return self._ones if v is None else linalg.rescale_if_tiny(v)
 
     # ------------------------------------------------------------------
     # evidence
@@ -218,19 +220,7 @@ class CausalTree(BinaryLinks):
         for x in self.names:
             if x not in seen:
                 out.append(f"node {x} unreachable from root")
-        for child, m in self.matrix.items():
-            if child not in seen:
-                continue
-            if hasattr(m, "expand"):
-                m = m.expand()  # row-stochasticity is checked on the product
-            if m.shape != (self.k, self.k):
-                out.append(f"edge matrix into {child} has shape {m.shape}")
-                continue
-            bad = np.where(~(np.abs(m.sum(axis=1) - 1.0) <= ROW_SUM_TOL))[0]
-            for row in bad:
-                out.append(f"edge matrix into {child}: row {row} sums to {m[row].sum():.6g}")
-            if not np.all((m >= 0) & (m <= 1.0 + 1e-12)):
-                out.append(f"edge matrix into {child} has entries outside [0,1]")
+        out += self._edge_violations(seen)
         for x in seen:
             if x not in self.matrix and x != self.root:
                 out.append(f"edge into {x} has no matrix")
@@ -241,6 +231,37 @@ class CausalTree(BinaryLinks):
                 out.append(f"evidence on dummy leaf {leaf}")
             if v.shape != (self.k,) or not np.all(np.isfinite(v) & (v >= 0)):
                 out.append(f"evidence on {leaf} is not a finite nonnegative k-vector")
+        return out
+
+    def _edge_violations(self, seen: set[int]) -> list[str]:
+        """Shape, row-sum and range violations of the edge matrices into
+        `seen`, in edge order.  A factored matrix is checked on its product.
+        The k x k matrices are checked as one stack; Python only visits the
+        edges that fail."""
+        k = self.k
+        edges = [
+            (c, m.expand() if hasattr(m, "expand") else m)
+            for c, m in self.matrix.items()
+            if c in seen
+        ]
+        square = [m.shape == (k, k) for _, m in edges]
+        stack = np.array(list(compress((m for _, m in edges), square))).reshape(-1, k, k)
+        square = np.array(square, dtype=bool)
+        row_bad = ~(np.abs(stack.sum(axis=2) - 1.0) <= ROW_SUM_TOL)  # NaN fails too
+        range_bad = ~((stack >= 0) & (stack <= 1.0 + 1e-12)).all(axis=(1, 2))
+        flagged = np.zeros(len(edges), dtype=bool)
+        flagged[square] = row_bad.any(axis=1) | range_bad
+        at = np.cumsum(square) - 1  # stack position of each square edge
+        out = []
+        for i in np.flatnonzero(~square | flagged):
+            child, m = edges[i]
+            if not square[i]:
+                out.append(f"edge matrix into {child} has shape {m.shape}")
+                continue
+            for row in np.flatnonzero(row_bad[at[i]]):
+                out.append(f"edge matrix into {child}: row {row} sums to {m[row].sum():.6g}")
+            if range_bad[at[i]]:
+                out.append(f"edge matrix into {child} has entries outside [0,1]")
         return out
 
 

@@ -364,6 +364,15 @@ class TestBench:
     def test_descending_sizes_usage_error(self, capsys):
         assert cli.main(["bench", "--sizes", "16,8"]) == 1
 
+    @pytest.mark.parametrize("sizes", ["", "8,,16", "8,", ",8", "8,x"])
+    def test_bad_sizes_name_the_option(self, capsys, sizes):
+        assert cli.main(["bench", "--sizes", sizes, "--ops", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --sizes must be comma-separated integers, got {sizes!r}\n"
+        )
+
 
 class TestProtein:
     def test_train_predict_mutate(self, tmp_path, capsys):
@@ -416,6 +425,23 @@ class TestProtein:
         batched, per_node = costs
         assert (batched.mat_vec, per_node.mat_vec) == (53, 65)
         assert batched.mat_mat == per_node.mat_mat  # the same mutation
+
+    @pytest.mark.parametrize("watch", ["", "0,,2", "0,", "a"])
+    def test_bad_watch_names_the_option(self, tmp_path, capsys, watch):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("GSAT cchh\n")
+        model = str(tmp_path / "m.npz")
+        cli.main(["protein", "train", "--corpus", str(corpus), "--w", "2", "--out", model])
+        capsys.readouterr()
+        assert cli.main(
+            ["protein", "mutate", "--model", model, "--sequence", "GSAT",
+             "--site", "1", "--residue", "W", "--watch", watch]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --watch must be comma-separated integers, got {watch!r}\n"
+        )
 
     def test_bad_corpus_data_error(self, tmp_path):
         corpus = tmp_path / "bad.txt"

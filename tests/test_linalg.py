@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from treebelief import exact, linalg
 from treebelief.bench import make_random
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import InconsistentEvidenceError
+from treebelief.jointree import FactoredMatrix
 from treebelief.linalg import OpCounter
 from util import updatable_leaves
 
@@ -45,6 +49,42 @@ class TestApply:
         m = np.array([[0.9, 0.1], [0.2, 0.8]])
         v = np.array([0.4, 0.6])
         assert np.allclose(linalg.apply_transpose(m, v), m.T @ v)
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def spread(rng, shape):
+    """Random nonnegative entries over 60 binades, with some zeros."""
+    a = np.ldexp(rng.random(shape), rng.integers(-30, 30, shape))
+    return np.where(rng.random(shape) < 0.1, 0.0, a)
+
+
+class TestDotKernels:
+    """The kernels' `ndarray.dot` calls are bitwise equal to the `@` forms."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 27])
+    def test_dense_bitwise_equal_matmul_operator(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(25):
+            m, n, v = spread(rng, (k, k)), spread(rng, (k, k)), spread(rng, k)
+            assert bits(linalg.apply(m, v)) == bits(m @ v)
+            assert bits(linalg.apply_transpose(m, v)) == bits(m.T @ v)
+            assert bits(linalg.matmul(m, n)) == bits(m @ n)
+
+    def test_factored_bitwise_equal_matmul_operator(self):
+        rng = np.random.default_rng(27)
+        for _ in range(25):
+            left, right, v = spread(rng, (27, 3)), spread(rng, (3, 27)), spread(rng, 27)
+            fm = FactoredMatrix(left, right)
+            assert bits(fm.mv(v)) == bits(left @ (right @ v))
+            assert bits(fm.mv_t(v)) == bits(right.T @ (left.T @ v))
+            # the factored rake's products: core (3 x 27) by each pass factor
+            core = spread(rng, (3, 27))
+            assert bits(linalg.matmul(core, left)) == bits(core @ left)
+            small = spread(rng, (3, 3))
+            assert bits(linalg.matmul(small, right)) == bits(small @ right)
 
 
 class TestMatmul:
@@ -177,6 +217,55 @@ class TestRescale:
     def test_zero_untouched(self):
         v = np.zeros(2)
         assert np.array_equal(linalg.rescale_if_tiny(v), v)
+
+
+def max_only_rescale(v):
+    """The guard's rule on the max entry alone, without the fast accept."""
+    m = v.max() if v.size else 0.0
+    if linalg.SCALE_MIN <= m <= linalg.SCALE_MAX or not 0.0 < m < math.inf:
+        return v
+    e = np.frexp(m)[1]
+    out = np.ldexp(v, -e)
+    return out if np.array_equal(np.ldexp(out, e), v) else v
+
+
+# zeros, subnormals and 2**e * m for e in -140..140 (often near the guard's
+# range edges at +-128 and its fast-accept bounds at +-125), m in [1, 2)
+GUARD_ENTRY = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=np.nextafter(2.0**-1022, 0.0)),
+    st.builds(
+        math.ldexp,
+        st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+        st.one_of(st.integers(-140, 140), st.integers(122, 131), st.integers(-131, -122)),
+    ),
+)
+GUARD_SHAPE = st.one_of(
+    st.tuples(st.integers(1, 30)),
+    st.tuples(st.integers(1, 27), st.integers(1, 27)),
+)
+
+
+class TestRescaleFastAccept:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, GUARD_SHAPE, elements=GUARD_ENTRY))
+    @example(np.array([2.0**129]))  # max above the range, sum of squares 2**258
+    @example(np.array([2.0**-129]))  # max below the range
+    @example(np.array([2.0**128, 2.0**128]))  # max on the upper edge
+    @example(np.full(729, 2.0**-128))  # max on the lower edge, 729 entries
+    @example(np.array([np.nextafter(2.0**-128, 0.0), 1e-310]))
+    def test_bitwise_equal_max_only_rule(self, v):
+        want = max_only_rescale(v)
+        got = linalg.rescale_if_tiny(v)
+        assert got.shape == v.shape and bits(got) == bits(want)
+        assert (got is v) == (want is v)
+
+    @pytest.mark.parametrize("v", [
+        np.zeros(3), np.array([]), np.array([np.nan, 1.0]), np.array([np.inf, 0.0]),
+        np.zeros((3, 4)),
+    ])
+    def test_degenerate_inputs_returned_as_given(self, v):
+        assert linalg.rescale_if_tiny(v) is v
 
 
 # a row's entries: zeros, the guard's range edges, normal values and values

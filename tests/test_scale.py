@@ -45,6 +45,18 @@ def test_stored_evidence_stays_as_posted():
     assert 0.5 <= eng.tree.leaf_lambda(leaf).max() < 1.0
 
 
+def test_leaf_without_evidence_reads_shared_ones():
+    t = make_chain(4, 2, np.random.default_rng(3))
+    posted, *bare = updatable_leaves(t)
+    t.set_evidence(posted, [1e-160, 2e-160])
+    for leaf in [*bare, *t.dummies]:
+        ones = t.leaf_lambda(leaf)
+        assert ones is t._ones and not ones.flags.writeable
+    scaled = np.ldexp([1e-160, 2e-160], -np.frexp(2e-160)[1])
+    assert np.array_equal(t.leaf_lambda(posted), scaled)
+    assert np.array_equal(t.evidence[posted], [1e-160, 2e-160])
+
+
 SHAPE_SIZES = {"chain": 40, "random": 40, "balanced": 32}
 
 

@@ -4,7 +4,8 @@ import pytest
 from treebelief import exact
 from treebelief.bench import ENGINES, make_engine, random_stochastic
 from treebelief.errors import DimensionError, StructureError, UsageError
-from treebelief.tree import CausalTree, RawTree, binarize
+from treebelief.jointree import FactoredMatrix
+from treebelief.tree import ROW_SUM_TOL, CausalTree, RawTree, binarize
 from util import attach_evidence_leaf, depth, random_binarized_tree, random_raw_tree
 
 
@@ -279,6 +280,67 @@ class TestValidate:
         assert t.validate() == ["edge into 2 has no matrix"]
         t.matrix[2] = np.eye(2)
         assert t.validate() == []
+
+    def test_single_node_tree_clean(self):
+        t = CausalTree(3)
+        t.add_node(0)
+        t.root, t.prior = 0, np.full(3, 1 / 3)
+        assert t.validate() == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_edge_check_matches_per_edge_loop(self, seed):
+        """The edge messages of `validate` are, in order, those of the
+        per-edge loop it replaced, on trees with every kind of bad matrix."""
+        rng = np.random.default_rng(seed)
+        k = 3
+        t = random_binarized_tree(rng, 40, k)
+        good = random_stochastic(rng, k, k)
+
+        def broken(kind):
+            m = good.copy()
+            if kind == "row":
+                m[rng.integers(k)] *= 0.5
+            elif kind == "negative":
+                m[0, 0] = -1e-3
+            elif kind == "above_one":
+                m[1] = [1.5, -0.5, 0.0]
+            elif kind == "nan":
+                m[rng.integers(k), rng.integers(k)] = np.nan
+            elif kind == "inf":
+                m[2, 1] = np.inf
+            elif kind == "shape":
+                m = np.eye(k + 1)
+            elif kind == "factored":
+                m = FactoredMatrix(np.eye(k)[:, :2], rng.random((2, k)))
+            elif kind == "factored_ok":
+                m = FactoredMatrix(np.eye(k), good)
+            return m
+
+        kinds = ["row", "negative", "above_one", "nan", "inf", "shape", "factored",
+                 "factored_ok", "ok"]
+        children = sorted(t.matrix)
+        for c in rng.choice(children, size=len(children) // 3, replace=False):
+            t.matrix[int(c)] = broken(kinds[int(rng.integers(len(kinds)))])
+        t.add_node(999)  # unreachable, its matrix is not checked
+        t.matrix[999] = np.full((k, k), np.nan)
+        t.prior = np.full(k, 1 / k)
+
+        seen = set(t.names) - {999}
+        want = []
+        for child, m in t.matrix.items():
+            if child not in seen:
+                continue
+            if hasattr(m, "expand"):
+                m = m.expand()
+            if m.shape != (k, k):
+                want.append(f"edge matrix into {child} has shape {m.shape}")
+                continue
+            for row in np.where(~(np.abs(m.sum(axis=1) - 1.0) <= ROW_SUM_TOL))[0]:
+                want.append(f"edge matrix into {child}: row {row} sums to {m[row].sum():.6g}")
+            if not np.all((m >= 0) & (m <= 1.0 + 1e-12)):
+                want.append(f"edge matrix into {child} has entries outside [0,1]")
+        got = [m for m in t.validate() if m.startswith("edge matrix into")]
+        assert got == want and len(want) > 0
 
 
 class TestTraversal:
