@@ -18,8 +18,8 @@ from .errors import (
 )
 from .exact import PropagationState, joint_marginals, propagate_all
 from .formats import parse_btn, parse_ptn, serialize_btn
-from .jointree import CliqueNode, FactoredMatrix, build_projection, clique_evidence, marginalize
-from .linalg import OpCounter
+from .jointree import CliqueNode, build_projection, clique_evidence, marginalize
+from .linalg import FactoredMatrix, OpCounter
 from .polytree import Polytree, PolytreeEngine
 from .protein import ChainTables, ProteinChain, mutagenesis, parse_corpus, train
 from .tree import CausalTree, RawTree, binarize

@@ -193,22 +193,24 @@ class BenchRecord:
         )
 
 
-def make_script(tree: CausalTree, ops: int, rng: np.random.Generator):
-    """Deterministic alternating update/query op list shared by all engines."""
-    leaves = [
-        l for l in tree.in_order_leaves() if l not in tree.dummies
-    ]
-    nodes = [n for n in tree.names if n not in tree.dummies]
+def make_script(updates, queries, k: int, ops: int, rng: np.random.Generator):
+    """Deterministic alternating update/query op list shared by all engines.
+    An update draws its target from `updates`, then k likelihood entries; a
+    query draws its target from `queries`."""
     script = []
     for i in range(ops):
         if i % 2 == 0:
-            leaf = leaves[int(rng.integers(len(leaves)))]
-            lik = rng.random(tree.k) + 0.05
-            script.append(("update", leaf, lik))
+            target = updates[int(rng.integers(len(updates)))]
+            script.append(("update", target, rng.random(k) + 0.05))
         else:
-            node = nodes[int(rng.integers(len(nodes)))]
-            script.append(("query", node, None))
+            script.append(("query", queries[int(rng.integers(len(queries)))], None))
     return script
+
+
+def tree_targets(tree: CausalTree) -> tuple[list[int], list[int]]:
+    """`make_script`'s pools: the updatable leaves in order, the non-dummies."""
+    leaves = [l for l in tree.in_order_leaves() if l not in tree.dummies]
+    return leaves, [n for n in tree.names if n not in tree.dummies]
 
 
 def run_script(name: str, engine, script, shape: str, n: int, k: int) -> list[BenchRecord]:
@@ -254,7 +256,7 @@ def run_bench(
     for size in sizes:
         rng = np.random.default_rng(seed + size)
         tree = make_model(shape, size, k, rng)
-        script = make_script(tree, ops, rng)
+        script = make_script(*tree_targets(tree), k, ops, rng)
         records += run_engines(tree, engines, script, shape, size)
     return records
 
@@ -281,7 +283,7 @@ def cycle_op_ratio(length: int, k: int, cycles: int, seed: int) -> dict:
     hierarchy engine; the headline speedup figure."""
     rng = np.random.default_rng(seed)
     tree = make_model("chain", length, k, rng)
-    script = make_script(tree, 2 * cycles, rng)
+    script = make_script(*tree_targets(tree), k, 2 * cycles, rng)
     names = ("full", "hierarchy")
     totals = dict.fromkeys(names, 0)
     for r in run_engines(tree, names, script, "chain", length):

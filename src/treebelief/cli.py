@@ -221,13 +221,7 @@ def cmd_polytree_bench(args) -> int:
         raise UsageError("polytree bench expects a PTN file")
     rng = np.random.default_rng(args.seed)
     variables = sorted(model.parents)
-    script = []
-    for i in range(args.ops):
-        var = variables[int(rng.integers(len(variables)))]
-        if i % 2 == 0:
-            script.append(("update", var, rng.random(model.k) + 0.05))
-        else:
-            script.append(("query", var, None))
+    script = bench_mod.make_script(variables, variables, model.k, args.ops, rng)
     records = []
     for name in [e for e in args.engines.split(",") if e]:
         engine = bench_mod.make_engine(name, model)

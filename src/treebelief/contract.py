@@ -219,14 +219,14 @@ def build_hierarchy(
     """Repeat CONTRACT until the three-node top tree remains.
 
     The tree must already be valid (`binarize` validates it); leaf
-    likelihoods are read from its evidence map.
+    likelihoods are read from its evidence map.  Level 0 reads the tree's
+    own `left`/`right`/`parent` dicts, not copies: a rake writes only the
+    next level, which `copy_next` copies from its predecessor.
     """
     hier = ContractionHierarchy(tree)
 
     t0 = LevelTree(0, tree.root)
-    t0.left = dict(tree.left)
-    t0.right = dict(tree.right)
-    t0.parent = dict(tree.parent)
+    t0.left, t0.right, t0.parent = tree.left, tree.right, tree.parent
     for x, l in tree.left.items():
         r = tree.right[x]
         t0.cell[l] = MatCell(tree.matrix[l], (x, "A", 0))

@@ -179,8 +179,7 @@ def joint_marginals(
     factors = [((tree.root,), tree.prior)]
     for child, m in tree.matrix.items():
         if child in tree.parent:
-            m = m.expand() if hasattr(m, "expand") else m
-            factors.append(((tree.parent[child], child), m))
+            factors.append(((tree.parent[child], child), linalg.dense(m)))
     for leaf in tree.in_order_leaves():
         factors.append(((leaf,), tree.leaf_lambda(leaf)))
     return enumerate_marginals(tree.k, factors, counter)

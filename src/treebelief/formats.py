@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .errors import FormatError, StructureError
 from .polytree import Polytree
 from .tree import CausalTree, RawTree, binarize
@@ -150,10 +151,7 @@ def serialize_btn(tree: CausalTree) -> str:
         if tree.is_leaf(nid):
             continue
         for child in tree.children_of(nid):
-            m = tree.matrix[child]
-            if hasattr(m, "expand"):
-                m = m.expand()
-            flat = " ".join(f"{v:.17g}" for v in np.asarray(m).ravel())
+            flat = " ".join(f"{v:.17g}" for v in linalg.dense(tree.matrix[child]).ravel())
             out.append(f"edge {nid} {child} {flat}")
     for leaf in sorted(tree.evidence):
         flat = " ".join(f"{v:.17g}" for v in tree.evidence[leaf])

@@ -1,4 +1,4 @@
-"""Join-tree specialization: factored clique-edge matrices.
+"""Join-tree specialization: cliques and their factored edge matrices.
 
 A directed join tree is an ordinary causal tree whose variables are cliques
 (domain size K = k^n).  A clique value is the C-order flat index of a
@@ -6,7 +6,9 @@ A directed join tree is an ordinary causal tree whose variables are cliques
 depends on its parent clique only through their intersection (L = k^c
 values), every edge matrix factors as a K x L selection matrix times an
 L x K conditional table; rakes preserve the factored form, so derived
-matrices cost O(K L^2) instead of O(K^3) to recompute.
+matrices cost O(K L^2) instead of O(K^3) to recompute.  The factored kind,
+`linalg.FactoredMatrix`, lives with the kernels that apply it; this module
+builds one per clique edge (`build_projection`).
 """
 
 from __future__ import annotations
@@ -17,56 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, StructureError, UsageError
-from .linalg import OpCounter
-
-
-class FactoredMatrix:
-    """Edge matrix in product form: semantic value = left @ right.
-
-    left is K x L, right is L x K; level-0 left factors are 0/1 selection
-    matrices with exactly one 1 per row.  Applications and rakes never expand
-    the product.
-    """
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        left = linalg.as_matrix(left)
-        right = linalg.as_matrix(right)
-        if left.shape[1] != right.shape[0]:
-            raise DimensionError(
-                f"factored shapes do not chain: {left.shape} x {right.shape}"
-            )
-        self.left = left
-        self.right = right
-
-    @property
-    def shape(self):
-        return (self.left.shape[0], self.right.shape[1])
-
-    def expand(self) -> np.ndarray:
-        return self.left.dot(self.right)
-
-    def copy(self) -> "FactoredMatrix":
-        return FactoredMatrix(self.left.copy(), self.right.copy())
-
-    def mv(self, v, counter: OpCounter | None = None) -> np.ndarray:
-        if counter is not None:
-            counter.mat_vec += 2
-            counter.flops += self.left.size + self.right.size
-        return self.left.dot(self.right.dot(v))
-
-    def mv_t(self, v, counter: OpCounter | None = None) -> np.ndarray:
-        # (left . right)^T v = right^T (left^T v) = (v . left) . right
-        if counter is not None:
-            counter.mat_vec += 2
-            counter.flops += self.left.size + self.right.size
-        return v.dot(self.left).dot(self.right)
-
-    @classmethod
-    def identity(cls, size: int) -> "FactoredMatrix":
-        eye = np.eye(size)
-        return cls(eye, eye.copy())
+from .linalg import FactoredMatrix
 
 
 @dataclass

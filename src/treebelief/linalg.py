@@ -1,7 +1,11 @@
-"""Small dense vector/matrix kernels shared by every engine.
+"""Small vector/matrix kernels shared by every engine, and both kinds of
+edge matrix.
 
-Vectors are 1-D float64 numpy arrays (likelihood or belief vectors),
-matrices are 2-D float64 arrays with entry (x, y) = Pr(child=y | parent=x).
+Vectors are 1-D float64 numpy arrays (likelihood or belief vectors).  An
+edge matrix (entry (x, y) = Pr(child=y | parent=x)) is a 2-D float64 array
+or a `FactoredMatrix`; `isinstance(m, FactoredMatrix)` is the one test of
+its kind, and `dense(m)` reads either kind as an array.
+
 All functions are pure; the optional OpCounter argument only accumulates
 instrumentation counts.  The product kernels trust their operands, which
 were converted and checked once, where they entered the program.
@@ -66,13 +70,62 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+class FactoredMatrix:
+    """Edge matrix in product form: semantic value = left . right.
+
+    left is K x L, right is L x K; level-0 left factors are 0/1 selection
+    matrices with exactly one 1 per row.  Applications and rakes never expand
+    the product.
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        left = as_matrix(left)
+        right = as_matrix(right)
+        if left.shape[1] != right.shape[0]:
+            raise DimensionError(
+                f"factored shapes do not chain: {left.shape} x {right.shape}"
+            )
+        self.left = left
+        self.right = right
+
+    @property
+    def shape(self):
+        return (self.left.shape[0], self.right.shape[1])
+
+    def expand(self) -> np.ndarray:
+        return self.left.dot(self.right)
+
+    def copy(self) -> "FactoredMatrix":
+        return FactoredMatrix(self.left.copy(), self.right.copy())
+
+    def mv(self, v, counter: OpCounter | None = None) -> np.ndarray:
+        if counter is not None:
+            counter.mat_vec += 2
+            counter.flops += self.left.size + self.right.size
+        return self.left.dot(self.right.dot(v))
+
+    def mv_t(self, v, counter: OpCounter | None = None) -> np.ndarray:
+        # (left . right)^T v = right^T (left^T v) = (v . left) . right
+        if counter is not None:
+            counter.mat_vec += 2
+            counter.flops += self.left.size + self.right.size
+        return v.dot(self.left).dot(self.right)
+
+
+def dense(m) -> np.ndarray:
+    """An edge matrix of either kind as a 2-D array (a factored one expanded)."""
+    return m.expand() if isinstance(m, FactoredMatrix) else m
+
+
 def apply(m, v, counter: OpCounter | None = None) -> np.ndarray:
     """Matrix-vector product: result[x] = sum_y m[x, y] * v[y].
 
-    Dispatches on factored matrices (anything exposing .mv) so the contraction
-    and query code paths stay representation-agnostic.
+    A factored matrix applies its two factors (`FactoredMatrix.mv`), so the
+    contraction and query code paths take either kind.
     """
-    if hasattr(m, "mv"):
+    if isinstance(m, FactoredMatrix):
         return m.mv(v, counter)
     if counter is not None:
         counter.mat_vec += 1
@@ -85,7 +138,7 @@ def apply_transpose(m, v, counter: OpCounter | None = None) -> np.ndarray:
 
     Transposes are taken lazily here, never materialized or cached.
     """
-    if hasattr(m, "mv_t"):
+    if isinstance(m, FactoredMatrix):
         return m.mv_t(v, counter)
     if counter is not None:
         counter.mat_vec += 1
@@ -105,8 +158,8 @@ def normalize(v, counter: OpCounter | None = None) -> np.ndarray:
     """Scale a nonnegative vector to sum 1; zero total mass means the posted
     evidence has zero joint probability."""
     v = as_vector(v)
-    s = float(v.sum())
-    if s <= 0.0 or not np.isfinite(s):
+    s = v.sum()
+    if not 0.0 < s < math.inf:  # NaN fails too
         raise InconsistentEvidenceError("evidence has zero joint probability")
     if counter is not None:
         counter.flops += v.size
@@ -185,10 +238,6 @@ def _count_stacked(factors, counter: OpCounter | None) -> None:
         counter.flops += sum(f.size for f in factors)
 
 
-def _is_factored(m) -> bool:
-    return hasattr(m, "left") and hasattr(m, "right")
-
-
 def rake_compose(m_u, m_diag, m_pass, lam_e, counter: OpCounter | None = None):
     """The rake matrix equation: m_u . Diag(m_diag . lam_e) . m_pass.
 
@@ -199,11 +248,12 @@ def rake_compose(m_u, m_diag, m_pass, lam_e, counter: OpCounter | None = None):
     m_pass; `apply` and `matmul` count every true product.
     """
     d = apply(m_diag, lam_e, counter)
-    factored = _is_factored(m_u)
+    factored = isinstance(m_u, FactoredMatrix)
     core = (m_u.right if factored else m_u) * d[np.newaxis, :]
     if counter is not None:
         counter.flops += core.size
-    for factor in (m_pass.left, m_pass.right) if _is_factored(m_pass) else (m_pass,):
+    passing = (m_pass.left, m_pass.right) if isinstance(m_pass, FactoredMatrix) else (m_pass,)
+    for factor in passing:
         core = matmul(core, factor, counter)
     core = rescale_if_tiny(core)
-    return type(m_u)(m_u.left, core) if factored else core
+    return FactoredMatrix(m_u.left, core) if factored else core

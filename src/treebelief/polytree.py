@@ -17,7 +17,7 @@ from . import linalg
 from .dynamic import DynamicEngine
 from .errors import DimensionError, ScaleError, StructureError, UsageError
 from .exact import enumerate_marginals
-from .jointree import CliqueNode, FactoredMatrix, build_projection, clique_evidence, marginalize
+from .jointree import CliqueNode, build_projection, clique_evidence, marginalize
 from .linalg import OpCounter
 from .tree import ROW_SUM_TOL, CausalTree, RawTree, binarize
 
@@ -232,11 +232,17 @@ class PolytreeEngine:
             fm = build_projection(clique, self.cliques[parent_family], table)
             raw.add_edge(var_ids[parent_family], var_ids[v], fm)
 
-        # per-variable evidence leaf on its own family clique, identity edge
+        # per-variable evidence leaf under its family clique, sharing v; the
+        # lifted likelihood depends on v alone, so T's row a can be one-hot at
+        # the value (v=a, others 0), flat index a * k^(n-1) (v is first)
+        one_hot = np.zeros((k, K))
+        one_hot[np.arange(k), np.arange(k) * k ** (n - 1)] = 1.0
         for i, v in enumerate(sorted(pt.parents)):
             leaf = len(var_ids) + i
+            family = self.cliques[v]
+            ev_clique = CliqueNode(members=family.members, k=k, intersection=(v,))
             raw.add_node(leaf, f"ev({pt.names[v]})")
-            raw.add_edge(var_ids[v], leaf, FactoredMatrix.identity(K))
+            raw.add_edge(var_ids[v], leaf, build_projection(ev_clique, family, one_hot))
             self.ev_leaf[v] = leaf
         self._var_node = var_ids
         return binarize(raw)

@@ -72,9 +72,6 @@ class ChainTables:
     def k(self) -> int:
         return len(self.ps_mers)
 
-    def ps_index(self, mer: str) -> int:
-        return _window_index(mer, _PS_DIGIT, self.w, "structure window")
-
     def aa_index(self, mer: str) -> int:
         return _window_index(mer, _AA_DIGIT, self.w, "amino-acid window")
 

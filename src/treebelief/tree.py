@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, StructureError, UsageError
-from .jointree import FactoredMatrix
+from .linalg import FactoredMatrix
 
 ROW_SUM_TOL = 1e-9
 
@@ -53,7 +53,7 @@ class RawTree:
     def add_edge(self, parent: int, child: int, matrix) -> None:
         if parent not in self.names or child not in self.names:
             raise StructureError(f"edge {parent}->{child} references unknown node")
-        if hasattr(matrix, "mv"):  # factored matrices pass through unchanged
+        if isinstance(matrix, FactoredMatrix):  # passes through unchanged
             m = matrix
         else:
             m = linalg.as_matrix(matrix)
@@ -239,11 +239,7 @@ class CausalTree(BinaryLinks):
         The k x k matrices are checked as one stack; Python only visits the
         edges that fail."""
         k = self.k
-        edges = [
-            (c, m.expand() if hasattr(m, "expand") else m)
-            for c, m in self.matrix.items()
-            if c in seen
-        ]
+        edges = [(c, linalg.dense(m)) for c, m in self.matrix.items() if c in seen]
         square = [m.shape == (k, k) for _, m in edges]
         stack = np.array(list(compress((m for _, m in edges), square))).reshape(-1, k, k)
         square = np.array(square, dtype=bool)
@@ -312,10 +308,10 @@ def _stack(mats):
     factor shapes; None when the level is narrow or mixed."""
     if len(mats) < BATCH_MIN_WIDTH:
         return None
-    kinds = set(map(type, mats))
-    if kinds == {np.ndarray}:
+    factored = sum(isinstance(m, FactoredMatrix) for m in mats)
+    if not factored:
         return (_stacked(mats),)
-    if kinds == {FactoredMatrix}:
+    if factored == len(mats):
         lefts = [m.left for m in mats]
         rights = [m.right for m in mats]
         if len(set(map(np.shape, lefts))) == 1 == len(set(map(np.shape, rights))):

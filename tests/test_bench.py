@@ -32,7 +32,7 @@ class TestEngineWrappers:
     def test_three_engines_agree(self):
         rng = np.random.default_rng(4)
         tree = bench.make_model("random", 10, 2, rng)
-        script = bench.make_script(tree, 12, rng)
+        script = bench.make_script(*bench.tree_targets(tree), tree.k, 12, rng)
         base = {l: v.copy() for l, v in tree.evidence.items()}
         answers = {}
         for name in bench.ENGINES:

@@ -13,7 +13,7 @@ from treebelief.jointree import (
     marginalize,
 )
 from treebelief.linalg import OpCounter
-from util import random_join_tree
+from util import factored_identity, random_join_tree
 
 
 class TestFactoredMatrix:
@@ -32,8 +32,11 @@ class TestFactoredMatrix:
 
     def test_mv_counts_two(self):
         c = OpCounter()
-        FactoredMatrix.identity(3).mv(np.ones(3), c)
+        factored_identity(3).mv(np.ones(3), c)
         assert c.mat_vec == 2
+
+    def test_jointree_name_is_the_linalg_class(self):
+        assert FactoredMatrix is linalg.FactoredMatrix
 
     def test_chain_mismatch(self):
         with pytest.raises(DimensionError):
@@ -176,8 +179,8 @@ class TestFactoredRake:
 
     def test_identity_all_ones(self):
         K = 4
-        ident = FactoredMatrix.identity(K)
-        got = linalg.rake_compose(ident, ident, FactoredMatrix.identity(K), np.ones(K))
+        ident = factored_identity(K)
+        got = linalg.rake_compose(ident, ident, factored_identity(K), np.ones(K))
         assert np.allclose(got.expand(), np.eye(K), atol=1e-15)
 
 

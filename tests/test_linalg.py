@@ -10,8 +10,7 @@ from treebelief import exact, linalg
 from treebelief.bench import make_random
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import InconsistentEvidenceError
-from treebelief.jointree import FactoredMatrix
-from treebelief.linalg import OpCounter
+from treebelief.linalg import FactoredMatrix, OpCounter
 from util import updatable_leaves
 
 
@@ -140,6 +139,19 @@ class TestDiag:
         assert np.allclose(got @ w, np.ldexp(v, -e) * w, atol=1e-12)
 
 
+class TestDense:
+    def test_dense_matrix_is_returned_as_given(self):
+        m = np.random.default_rng(0).random((3, 3))
+        assert linalg.dense(m) is m
+
+    def test_factored_matrix_is_expanded(self):
+        rng = np.random.default_rng(1)
+        fm = FactoredMatrix(rng.random((6, 2)), rng.random((2, 6)))
+        got = linalg.dense(fm)
+        assert type(got) is np.ndarray
+        assert np.array_equal(got, fm.left.dot(fm.right))
+
+
 class TestNormalize:
     def test_example(self):
         assert np.allclose(linalg.normalize([0.45, 0.1]), [9 / 11, 2 / 11])
@@ -150,6 +162,11 @@ class TestNormalize:
     def test_zero_is_inconsistent(self):
         with pytest.raises(InconsistentEvidenceError):
             linalg.normalize([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 1.0], [-1.0, 0.5]])
+    def test_non_finite_or_non_positive_sum_is_inconsistent(self, bad):
+        with pytest.raises(InconsistentEvidenceError):
+            linalg.normalize(bad)
 
     @settings(max_examples=50)
     @given(vec(4))

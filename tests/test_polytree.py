@@ -16,7 +16,8 @@ from treebelief.errors import (
 )
 from treebelief.formats import parse_ptn
 from treebelief.jointree import marginalize
-from treebelief.polytree import Polytree, PolytreeEngine
+from treebelief.linalg import FactoredMatrix
+from treebelief.polytree import MAX_PARENTS, Polytree, PolytreeEngine
 from treebelief.tree import RawTree, binarize
 from test_formats import V_STRUCTURE_PTN
 from util import attach_evidence_leaf, random_polytree
@@ -195,6 +196,33 @@ class TestEngineStructure:
                 (shared,) = clique.intersection
                 want = loop_clique_conditional(eng, v, shared, marg)
                 assert np.array_equal(eng._clique_conditional(v, shared, marg), want)
+
+    def test_factored_edges_pass_through_one_variable(self):
+        # every factored join-tree edge, evidence edges included, is
+        # K x k times k x K: its cliques share one variable
+        rng = np.random.default_rng(21)
+        cases = [random_polytree(rng, int(rng.integers(2, 12)), int(rng.integers(2, 4)))
+                 for _ in range(20)]
+        big = Polytree(k=3)  # one MAX_PARENTS family: K = 3^5
+        for v in range(MAX_PARENTS):
+            big.add_variable(v, (), random_stochastic(rng, 1, 3)[0])
+        big.add_variable(MAX_PARENTS, tuple(range(MAX_PARENTS)),
+                         random_stochastic(rng, 3**MAX_PARENTS, 3))
+        big.add_variable(MAX_PARENTS + 1, (MAX_PARENTS,), random_stochastic(rng, 3, 3))
+        for pt in cases + [big]:
+            eng = PolytreeEngine(pt)
+            k, K = pt.k, eng.tree.k
+            factored = [m for m in eng.tree.matrix.values() if isinstance(m, FactoredMatrix)]
+            assert len(factored) == 2 * len(pt.parents) - 1
+            for m in factored:
+                assert m.left.shape == (K, k) and m.right.shape == (k, K)
+        assert K == 3 ** (MAX_PARENTS + 1)
+        evidence = {v: rng.random(3) + 0.05 for v in (0, MAX_PARENTS, MAX_PARENTS + 1)}
+        for v, lik in evidence.items():
+            eng.update_evidence(v, lik)
+        oracle = big.joint_conditionals(evidence)
+        for v in big.variables():
+            assert np.allclose(eng.bel_query(v), oracle[v], rtol=0, atol=1e-9)
 
     def test_max_parents_scale_error(self):
         rng = np.random.default_rng(3)

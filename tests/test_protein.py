@@ -3,6 +3,7 @@ import pytest
 
 from treebelief import exact, protein
 from treebelief.errors import FormatError, UsageError
+from util import ps_index
 
 
 def toy_tables():
@@ -15,7 +16,7 @@ class TestTrain:
         assert tables.w == 2
         assert tables.k == 9
         # observed structure windows cc, ch, hh get the count boosts
-        i_cc, i_ch, i_hh = (tables.ps_index(m) for m in ("cc", "ch", "hh"))
+        i_cc, i_ch, i_hh = (ps_index(tables, m) for m in ("cc", "ch", "hh"))
         assert tables.initial[i_cc] == tables.initial.max()
         assert tables.transition[i_cc, i_ch] > tables.transition[i_cc, i_cc]
         assert tables.transition[i_ch, i_hh] == tables.transition[i_ch].max()
@@ -109,12 +110,12 @@ class TestTrain:
         for w in (2, 3):
             tables = protein.train([("GSATW", "cchhe")], w=w)
             for i, m in enumerate(tables.ps_mers):
-                assert tables.ps_index(m) == i
+                assert ps_index(tables, m) == i
             for i in (0, 1, 19, 20, 399, len(tables.aa_mers) - 1):
                 assert tables.aa_index(tables.aa_mers[i]) == i
             for bad in ("", "c" * (w + 1), "x" * w):
                 with pytest.raises(UsageError):
-                    tables.ps_index(bad)
+                    ps_index(tables, bad)
                 with pytest.raises(UsageError):
                     tables.aa_index(bad)
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from treebelief import protein
 from treebelief.bench import random_stochastic
 from treebelief.jointree import CliqueNode, build_projection
+from treebelief.linalg import FactoredMatrix
 from treebelief.polytree import Polytree
 from treebelief.tree import CausalTree, RawTree, binarize
 
@@ -26,6 +28,17 @@ def random_raw_tree(rng, n_nodes: int, k: int, max_children: int = 3) -> RawTree
         raw.add_edge(parent, node, random_stochastic(rng, k, k))
         open_slots.append(node)
     return raw
+
+
+def ps_index(tables: protein.ChainTables, mer: str) -> int:
+    """Index of a structure window among `tables.ps_mers`."""
+    return protein._window_index(mer, protein._PS_DIGIT, tables.w, "structure window")
+
+
+def factored_identity(size: int) -> FactoredMatrix:
+    """The size x size identity as a factored matrix (identity . identity)."""
+    eye = np.eye(size)
+    return FactoredMatrix(eye, eye.copy())
 
 
 def random_binarized_tree(rng, n_raw_nodes: int, k: int) -> CausalTree:
