@@ -117,10 +117,6 @@ class ContractionHierarchy:
         self.successor: dict[MatCell, Recipe] = {}
         self.ind: dict[int, int] = {}
 
-    @property
-    def top(self) -> int:
-        return len(self.levels) - 1
-
     def dump_lines(self) -> list[str]:
         """Diagnostic text: per-level node sets and the recipe graph."""
         out = []

@@ -10,6 +10,9 @@ BTN: causal-tree files (line-oriented, `#` comments, whitespace separated):
     edge <parent-id> <child-id> <k*k floats row-major, row = parent value>
     evidence <leaf-id> <k floats>        # optional initial likelihoods
 
+A BTN file has one `k`, one `root` and one `prior` line, and at most one
+`evidence` line per leaf.
+
 PTN: polytree files:
 
     PTN 1
@@ -35,6 +38,7 @@ from .tree import CausalTree, RawTree, binarize
 
 # fewest tokens (keyword included) each line kind needs
 BTN_ARITY = {"k": 2, "node": 2, "root": 2, "prior": 2, "edge": 3, "evidence": 2}
+BTN_ONCE = {"k", "root", "prior", "evidence"}  # evidence: once per leaf
 PTN_ARITY = {"k": 2, "node": 2, "parents": 2, "cpt": 3, "prior": 2}
 
 
@@ -96,14 +100,19 @@ def parse_btn(lines) -> CausalTree:
     root = None
     prior = None
     evidence = {}
+    read = set()  # the BTN_ONCE lines read so far: keywords, or leaf ids
     for lineno, toks in it:
         kw = toks[0]
-        if kw == "k":
-            if raw is not None:
-                raise FormatError("duplicate `k` line", line=lineno)
-            raw = RawTree(_k(toks[1], lineno))
-        elif raw is None:
+        if raw is None and kw != "k":
             raise FormatError(f"`k` must precede `{kw}`", line=lineno)
+        key = _int(toks[1], lineno) if kw == "evidence" else kw
+        if key in read:
+            leaf = f" for leaf {key}" if kw == "evidence" else ""
+            raise FormatError(f"duplicate `{kw}` line{leaf}", line=lineno)
+        if kw in BTN_ONCE:
+            read.add(key)
+        if kw == "k":
+            raw = RawTree(_k(toks[1], lineno))
         elif kw == "node":
             nid = _int(toks[1], lineno)
             if nid in raw.names:
@@ -123,8 +132,7 @@ def parse_btn(lines) -> CausalTree:
             except StructureError as exc:
                 raise FormatError(str(exc), line=lineno)
         elif kw == "evidence":
-            leaf = _int(toks[1], lineno)
-            evidence[leaf] = _floats(toks[2:], lineno, raw.k)
+            evidence[key] = _floats(toks[2:], lineno, raw.k)
         else:
             raise FormatError(f"unknown keyword {kw!r}", line=lineno)
 

@@ -4,9 +4,9 @@ A causal tree is a rooted binary complete tree: every internal node has
 exactly two children, every edge carries a k x k row-stochastic conditional
 matrix, the root carries a prior, and evidence lives only at leaves as
 likelihood vectors.  Arbitrary-fanout inputs are normalized by `binarize`,
-which copies over-full nodes (linked by identity matrices) and pads
-single-child nodes with dummy leaves whose likelihood is permanently
-all-ones.
+which copies over-full nodes and pads single-child nodes with dummy leaves
+whose likelihood is permanently all-ones; every copy and dummy edge carries
+the same identity matrix object.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ class CausalTree(BinaryLinks):
     so once an engine is built, evidence changes go through the engine's
     `update_evidence`, which also refreshes the derived matrices.
 
-    Edge matrices are fixed once `binarize` returns.  `link` is the one
+    Edges may share a matrix object, never written in place (`rake_compose`,
+    `rescale_if_tiny` and `_stack` return new arrays).  `link` is the one
     structural writer and drops the cached `numbering`; writing `matrix` after
     a sweep is unsupported, since the numbering keeps its own stacked copies.
     """
@@ -235,22 +236,26 @@ class CausalTree(BinaryLinks):
 
     def _edge_violations(self, seen: set[int]) -> list[str]:
         """Shape, row-sum and range violations of the edge matrices into
-        `seen`, in edge order.  A factored matrix is checked on its product.
-        The k x k matrices are checked as one stack; Python only visits the
-        edges that fail."""
+        `seen`, in edge order.  Each distinct matrix is checked once (a factored
+        one on its product, the k x k ones as one stack); Python visits the
+        edges only to name each edge that uses a failing one."""
         k = self.k
-        edges = [(c, linalg.dense(m)) for c, m in self.matrix.items() if c in seen]
-        square = [m.shape == (k, k) for _, m in edges]
-        stack = np.array(list(compress((m for _, m in edges), square))).reshape(-1, k, k)
-        square = np.array(square, dtype=bool)
+        mats = {id(m): m for c, m in self.matrix.items() if c in seen}
+        dense = list(map(linalg.dense, mats.values()))
+        square = np.array([m.shape == (k, k) for m in dense], dtype=bool)
+        stack = np.array(list(compress(dense, square))).reshape(-1, k, k)
         row_bad = ~(np.abs(stack.sum(axis=2) - 1.0) <= ROW_SUM_TOL)  # NaN fails too
         range_bad = ~((stack >= 0) & (stack <= 1.0 + 1e-12)).all(axis=(1, 2))
-        flagged = np.zeros(len(edges), dtype=bool)
+        flagged = ~square
         flagged[square] = row_bad.any(axis=1) | range_bad
-        at = np.cumsum(square) - 1  # stack position of each square edge
+        at = np.cumsum(square) - 1  # stack position of each square matrix
+        failing = dict(zip(compress(mats, flagged), np.flatnonzero(flagged)))
         out = []
-        for i in np.flatnonzero(~square | flagged):
-            child, m = edges[i]
+        for child, m in self.matrix.items() if failing else ():
+            i = failing.get(id(m)) if child in seen else None
+            if i is None:
+                continue
+            m = dense[i]
             if not square[i]:
                 out.append(f"edge matrix into {child} has shape {m.shape}")
                 continue
@@ -329,8 +334,10 @@ def binarize(raw: RawTree) -> CausalTree:
 
     Over-full nodes hang their surplus children off a right spine of
     identity-linked copies; single-child nodes get an all-ones dummy leaf.
-    Node count at most doubles.  The raw tree is linked as given and checked
-    once, by `CausalTree.validate`, which raises `StructureError` for any defect.
+    Node count at most doubles.  Each distinct raw matrix is copied once, and
+    copy and dummy edges share one identity; nothing writes an edge matrix in
+    place, so sharing cannot change a value.  The raw tree is linked as given
+    and checked once, by `CausalTree.validate` (`StructureError`).
     """
     if raw.root is None or raw.prior is None:
         raise StructureError("raw tree has no root/prior")
@@ -340,8 +347,9 @@ def binarize(raw: RawTree) -> CausalTree:
         t.add_node(n, name)
     t.root = raw.root
     t.prior = raw.prior.copy()
-    for child, m in raw.matrix.items():
-        t.matrix[child] = m.copy()
+    copies = {id(m): m for m in raw.matrix.values()}  # raw keeps each id alive
+    copies = {i: m.copy() for i, m in copies.items()}
+    t.matrix = {child: copies[id(m)] for child, m in raw.matrix.items()}
     for leaf, v in raw.evidence.items():
         t.evidence[leaf] = linalg.as_vector(v).copy()
 
@@ -353,24 +361,19 @@ def binarize(raw: RawTree) -> CausalTree:
             d = t.fresh_id()
             t.add_node(d, f"{raw.names[n]}_pad")
             t.dummies.add(d)
-            t.matrix[d] = ident.copy()
+            t.matrix[d] = ident
             t.link(n, cs[0], d)
-        elif len(cs) == 2:
-            t.link(n, cs[0], cs[1])
         else:
-            # right spine of identity-linked copies of n
+            # right spine of identity-linked copies of n, empty for two children
             holder = n
-            remaining = list(cs)
-            orig = n
-            while len(remaining) > 2:
+            for c in cs[:-2]:
                 cp = t.fresh_id()
-                t.add_node(cp, f"{raw.names[orig]}_cp")
-                t.alias[cp] = orig
-                t.matrix[cp] = ident.copy()
-                t.link(holder, remaining[0], cp)
-                remaining = remaining[1:]
+                t.add_node(cp, f"{raw.names[n]}_cp")
+                t.alias[cp] = n
+                t.matrix[cp] = ident
+                t.link(holder, c, cp)
                 holder = cp
-            t.link(holder, remaining[0], remaining[1])
+            t.link(holder, cs[-2], cs[-1])
 
     violations = t.validate()
     if violations:

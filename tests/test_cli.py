@@ -52,6 +52,10 @@ BAD_INPUTS = [
     _bad("btn-zero-prior", THREE_NODE_BTN, "prior 0 0.5 0.5", "prior 0 0 0", "all zero"),
     _bad("btn-k-zero", THREE_NODE_BTN, "k 2", "k 0", "line 2:"),
     ("btn-evidence-on-dummy", DUMMY_EVIDENCE_BTN, "dummy leaf 2"),
+    _bad("btn-repeated-prior", THREE_NODE_BTN, "prior 0 0.5 0.5",
+         "prior 0 0.5 0.5\nprior 0 0.9 0.1", "line 8: duplicate `prior` line"),
+    ("btn-repeated-evidence", THREE_NODE_BTN + "evidence 1 0 1\n",
+     "line 11: duplicate `evidence` line for leaf 1"),
     _bad("ptn-k", V_STRUCTURE_PTN, "k 2", "k", "line 2:"),
     _bad("ptn-k-zero", V_STRUCTURE_PTN, "k 2", "k 0", "line 2:"),
     _bad("ptn-node", V_STRUCTURE_PTN, "node 2 c", "node", "line 5:"),

@@ -46,7 +46,7 @@ class TestGoldenChain:
         t2 = hier.levels[2]
         assert t2.contains == {X1, E1, E5}
         assert hier.recipe_by_leaf[E3].level == 1
-        assert hier.top == 2
+        assert len(hier.levels) - 1 == 2
 
     def test_rake_matrix_equation(self):
         # B_1(x1) = B_0(x1) . Diag(A_0(x2) . lambda(e2)) . B_0(x2)
@@ -131,7 +131,7 @@ class TestContractPass:
         raw.add_edge(0, 2, random_stochastic(rng, 2, 2))
         t = binarize(raw)
         hier = build_hierarchy(t)
-        assert hier.top == 0
+        assert len(hier.levels) - 1 == 0
         assert hier.recipes == []
         assert contract_pass(hier, hier.levels[0]) is None
 
@@ -154,7 +154,7 @@ class TestContractPass:
         # every pass rakes >= 2 leaves, except the last which may have only
         # one eligible leaf left (5-node tree -> 3-node tree)
         per_level = Counter(r.level for r in hier.recipes)
-        rakes_per_pass = [per_level[level] for level in range(hier.top)]
+        rakes_per_pass = [per_level[level] for level in range(len(hier.levels) - 1)]
         assert all(r >= 2 for r in rakes_per_pass[:-1])
         assert rakes_per_pass[-1] >= 1
         assert len(hier.levels) <= 12

@@ -85,9 +85,10 @@ class TestUpdateEvidence:
 class TestCalcPiLambda:
     def test_root_at_top_level(self):
         eng = DynamicEngine(golden_chain())
-        p, l, r = eng.calc_pi_lambda(X1, eng.hier.top)
+        top_level = len(eng.hier.levels) - 1
+        p, l, r = eng.calc_pi_lambda(X1, top_level)
         assert np.array_equal(p, eng.prior)
-        top = eng.hier.levels[eng.hier.top]
+        top = eng.hier.levels[top_level]
         tl, tr = top.children_of(X1)
         assert np.array_equal(l, eng.tree.leaf_lambda(tl))
         assert np.array_equal(r, eng.tree.leaf_lambda(tr))
@@ -171,7 +172,7 @@ class TestBelQuery:
                 i = 0 if t.is_leaf(x) else eng.hier.ind[x]
                 before = eng.counter.snapshot()
                 eng.bel_query(node)
-                assert eng.counter.delta(before).mat_vec <= 4 * (eng.hier.top - i) + 2
+                assert eng.counter.delta(before).mat_vec <= 4 * (len(eng.hier.levels) - 1 - i) + 2
 
     def test_single_node_and_three_node(self):
         raw = RawTree(2)

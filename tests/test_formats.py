@@ -79,6 +79,22 @@ class TestParseBtn:
             parse_btn(bad.splitlines())
         assert exc.value.line == 7
 
+    @pytest.mark.parametrize("extra, line, message", [
+        ("k 2", 11, "duplicate `k` line"),
+        ("root 0", 11, "duplicate `root` line"),
+        ("prior 0 0.9 0.1", 11, "duplicate `prior` line"),
+        ("evidence 1 0 1", 11, "duplicate `evidence` line for leaf 1"),
+        ("evidence 01 0 1", 11, "duplicate `evidence` line for leaf 1"),
+    ])
+    def test_repeated_line_rejected(self, extra, line, message):
+        with pytest.raises(FormatError, match=message) as exc:
+            parse_btn((THREE_NODE_BTN + extra + "\n").splitlines())
+        assert exc.value.line == line
+
+    def test_evidence_on_two_leaves(self):
+        t = parse_btn((THREE_NODE_BTN + "evidence 2 0.5 0.5\n").splitlines())
+        assert set(t.evidence) == {1, 2}
+
     def test_wrong_matrix_arity(self):
         bad = THREE_NODE_BTN.replace(
             "edge 0 1 0.9 0.1 0.2 0.8", "edge 0 1 0.9 0.1 0.2"

@@ -136,6 +136,13 @@ class TestChain:
         with pytest.raises(UsageError):
             protein.ProteinChain("G", toy_tables())
 
+    def test_edges_share_three_matrices(self):
+        # every evidence edge shares one identity copy, every chain edge one
+        # transition copy, and the last window's dummy pad the shared identity
+        chain = protein.ProteinChain("GSATKLVE", toy_tables())
+        assert len(chain.tree.matrix) == 7 + 6 + 1  # evidence, chain, dummy
+        assert len({id(m) for m in chain.tree.matrix.values()}) == 3
+
     def test_predict_recovers_training(self):
         chain = protein.ProteinChain("GSAT", toy_tables())
         assert chain.predict() == "cchh"

@@ -15,20 +15,49 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from treebelief import exact
-from treebelief.bench import ENGINE_CLASSES, make_balanced, make_chain
+from treebelief.bench import ENGINE_CLASSES, make_balanced, make_chain, random_stochastic
 from treebelief.contract import build_hierarchy
 from treebelief.errors import DimensionError
+from treebelief.linalg import FactoredMatrix
+from treebelief.tree import RawTree, binarize
 from test_dynamic import assert_same_cells
+from test_exact import mixed_join_tree
 from util import random_binarized_tree, updatable_leaves
 
 TOL = 1e-9
 
+
+def shared_chain(rng, k):
+    """A chain shaped like `protein.ProteinChain`: windows 0..n-1, each with an
+    evidence leaf, whose raw edges reuse one evidence and one transition
+    matrix object, so every edge of the tree shares one of three matrices."""
+    n = int(rng.integers(1, 10))
+    raw = RawTree(k)
+    for x in range(2 * n):
+        raw.add_node(x)
+    raw.set_root(0, random_stochastic(rng, 1, k)[0])
+    emit, step = random_stochastic(rng, k, k), random_stochastic(rng, k, k)
+    for t in range(n):
+        raw.add_edge(t, n + t, emit)
+        if t + 1 < n:
+            raw.add_edge(t, t + 1, step)
+    return binarize(raw)
+
+
+def factors(m):
+    """The arrays of an edge matrix: a factored one's two factors, else itself."""
+    return (m.left, m.right) if isinstance(m, FactoredMatrix) else (m,)
+
+
 # one tree per (shape, k, seed); the random shape has fan-out up to three, so
-# it carries alias copies and dummy pads
+# it carries alias copies and dummy pads; the join tree has factored clique
+# edges beside them, over k=2 variables in cliques of two (K=4, any k drawn)
 SHAPES = {
     "chain": lambda rng, k: make_chain(int(rng.integers(1, 8)), k, rng),
     "random": lambda rng, k: random_binarized_tree(rng, int(rng.integers(2, 16)), k),
     "balanced": lambda rng, k: make_balanced(int(rng.integers(2, 9)), k, rng),
+    "shared": shared_chain,
+    "join": lambda rng, k: mixed_join_tree(rng, depth=int(rng.integers(1, 4))),
 }
 
 index = st.integers(0, 10**6)  # taken modulo the pool it picks from
@@ -43,8 +72,8 @@ class EngineProtocol(RuleBasedStateMachine):
     )
     def build(self, shape, k, seed):
         make = lambda: SHAPES[shape](np.random.default_rng(seed), k)
-        self.k = k
         self.reference = make()
+        self.k = self.reference.k
         self.leaves = updatable_leaves(self.reference)
         self.nodes = sorted(self.reference.names)
         self.engines = {name: cls(make()) for name, cls in ENGINE_CLASSES.items()}
@@ -89,7 +118,7 @@ class EngineProtocol(RuleBasedStateMachine):
         items = self.items(picks)
         items.append((self.leaves[last % len(self.leaves)], np.ones(self.k + length)))
         evidence = {leaf: v.copy() for leaf, v in eng.tree.evidence.items()}
-        cells = [r.target.value.copy() for r in eng.hier.recipes]
+        cells = [[a.copy() for a in factors(r.target.value)] for r in eng.hier.recipes]
         counter = eng.counter.snapshot()
         with pytest.raises(DimensionError):
             eng.update_many(items)
@@ -97,7 +126,7 @@ class EngineProtocol(RuleBasedStateMachine):
         for leaf, v in evidence.items():
             assert np.array_equal(eng.tree.evidence[leaf], v)
         for v, r in zip(cells, eng.hier.recipes):
-            assert np.array_equal(v, r.target.value)
+            assert all(map(np.array_equal, v, factors(r.target.value)))
         assert eng.counter == counter
 
     @rule(i=index, v=values, scale=st.sampled_from([1e300, 1e-300]))

@@ -55,6 +55,36 @@ class TestBinarize:
         assert l == 1 and r in t.dummies
         assert np.array_equal(t.leaf_lambda(r), np.ones(2))
 
+    def test_copies_and_dummies_share_one_identity(self):
+        rng = np.random.default_rng(4)
+        raw = RawTree(2)
+        raw.add_node(0)
+        raw.set_root(0, [0.5, 0.5])
+        for c in range(1, 6):  # 0 -> 1..5, 1 -> 6: three copies and a dummy
+            raw.add_node(c)
+            raw.add_edge(0, c, random_stochastic(rng, 2, 2))
+        raw.add_node(6)
+        raw.add_edge(1, 6, random_stochastic(rng, 2, 2))
+        t = binarize(raw)
+        added = [x for x in t.matrix if x not in raw.matrix]
+        assert len(added) == 4 and len(t.alias) == 3 and len(t.dummies) == 1
+        assert len({id(t.matrix[x]) for x in added}) == 1
+        assert np.array_equal(t.matrix[added[0]], np.eye(2))
+
+    def test_one_copy_per_raw_matrix(self):
+        raw = three_child_raw()
+        shared = raw.matrix[1]
+        raw.matrix[3] = shared
+        t = binarize(raw)
+        assert t.matrix[1] is t.matrix[3] and t.matrix[1] is not shared
+        before = exact.propagate_all(t)
+        shared[:] = [[0.0, 1.0], [1.0, 0.0]]  # the raw tree is the caller's
+        raw.matrix[2][:] = 0.5
+        after = exact.propagate_all(t)
+        for x in t.names:
+            assert np.array_equal(before[x], after[x])
+        assert t.validate() == []
+
     def test_node_count_at_most_doubles(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -325,22 +355,50 @@ class TestValidate:
         t.matrix[999] = np.full((k, k), np.nan)
         t.prior = np.full(k, 1 / k)
 
-        seen = set(t.names) - {999}
-        want = []
-        for child, m in t.matrix.items():
-            if child not in seen:
-                continue
-            if hasattr(m, "expand"):
-                m = m.expand()
-            if m.shape != (k, k):
-                want.append(f"edge matrix into {child} has shape {m.shape}")
-                continue
-            for row in np.where(~(np.abs(m.sum(axis=1) - 1.0) <= ROW_SUM_TOL))[0]:
-                want.append(f"edge matrix into {child}: row {row} sums to {m[row].sum():.6g}")
-            if not np.all((m >= 0) & (m <= 1.0 + 1e-12)):
-                want.append(f"edge matrix into {child} has entries outside [0,1]")
-        got = [m for m in t.validate() if m.startswith("edge matrix into")]
-        assert got == want and len(want) > 0
+        want = per_edge_messages(t, set(t.names) - {999})
+        assert edge_messages(t) == want and len(want) > 0
+
+    def test_shared_bad_matrix_named_for_every_edge(self):
+        t = random_binarized_tree(np.random.default_rng(7), 12, 2)
+        bad = np.array([[0.7, -0.2], [0.6, 0.6]])
+        users = sorted(t.matrix)[1:8:3]
+        for c in users:
+            t.matrix[c] = bad
+        t.add_node(999)  # unreachable: its edge is not named
+        t.matrix[999] = bad
+        got = edge_messages(t)
+        assert got == per_edge_messages(t, set(t.names) - {999})
+        assert got == [
+            line
+            for c in users
+            for line in (
+                f"edge matrix into {c}: row 0 sums to 0.5",
+                f"edge matrix into {c}: row 1 sums to 1.2",
+                f"edge matrix into {c} has entries outside [0,1]",
+            )
+        ]
+
+
+def edge_messages(t):
+    return [m for m in t.validate() if m.startswith("edge matrix into")]
+
+
+def per_edge_messages(t, seen):
+    """The edge messages `validate` gives, from a per-edge loop over `seen`."""
+    k, want = t.k, []
+    for child, m in t.matrix.items():
+        if child not in seen:
+            continue
+        if hasattr(m, "expand"):
+            m = m.expand()
+        if m.shape != (k, k):
+            want.append(f"edge matrix into {child} has shape {m.shape}")
+            continue
+        for row in np.where(~(np.abs(m.sum(axis=1) - 1.0) <= ROW_SUM_TOL))[0]:
+            want.append(f"edge matrix into {child}: row {row} sums to {m[row].sum():.6g}")
+        if not np.all((m >= 0) & (m <= 1.0 + 1e-12)):
+            want.append(f"edge matrix into {child} has entries outside [0,1]")
+    return want
 
 
 class TestTraversal:
