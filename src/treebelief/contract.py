@@ -23,19 +23,16 @@ class MatCell:
     """Stable holder for one edge matrix of the hierarchy.
 
     Carried-over levels share the cell object; recomputation replaces the
-    whole value, never mutates it in place.
+    whole value, never mutates it in place.  `consumer` is the position in
+    `ContractionHierarchy.recipes` of the recipe that reads the cell, if any
+    (not the Recipe, which holds the cell: no reference cycles to collect).
     """
 
-    __slots__ = ("value", "key")
+    __slots__ = ("value", "consumer")
 
-    def __init__(self, value, key):
+    def __init__(self, value):
         self.value = value
-        # the paper's name A_i(x) / B_i(x): (parent x, "A" for its left edge
-        # or "B" for its right one, birth level i); diagnostic only
-        self.key = key
-
-    def __repr__(self):
-        return f"MatCell{self.key}"
+        self.consumer: int | None = None
 
 
 class Recipe:
@@ -114,8 +111,23 @@ class ContractionHierarchy:
         self.levels: list[LevelTree] = []
         self.recipes: list[Recipe] = []
         self.recipe_by_leaf: dict[int, Recipe] = {}
-        self.successor: dict[MatCell, Recipe] = {}
-        self.ind: dict[int, int] = {}
+        self.ind: dict[int, int] = {}  # internal node -> its last level
+
+    def consumer(self, cell: MatCell) -> Recipe | None:
+        """The one recipe that reads `cell`, if any."""
+        return None if cell.consumer is None else self.recipes[cell.consumer]
+
+    def names(self) -> dict[MatCell, tuple[int, str, int]]:
+        """The paper's name of every cell: (parent x, "A" for its left edge
+        or "B" for its right one, birth level i), read where the cell first
+        appears; a carried-over cell keeps its edge."""
+        out = {}
+        for lt in self.levels:
+            for c, cell in lt.cell.items():
+                if cell not in out:
+                    x = lt.parent[c]
+                    out[cell] = (x, "A" if lt.left[x] == c else "B", lt.level)
+        return out
 
     def dump_lines(self) -> list[str]:
         """Diagnostic text: per-level node sets and the recipe graph."""
@@ -123,9 +135,10 @@ class ContractionHierarchy:
         for lt in self.levels:
             nodes = " ".join(str(n) for n in sorted(lt.contains))
             out.append(f"level {lt.level} nodes {nodes}")
+        names = self.names()
         for r in self.recipes:
-            ins = " ".join(f"{c.key[0]}.{c.key[1]}@{c.key[2]}" for c in r.inputs())
-            t = r.target.key
+            ins = " ".join("{}.{}@{}".format(*names[c]) for c in r.inputs())
+            t = names[r.target]
             out.append(
                 f"level {r.level + 1} {t[0]}.{t[1]} <- {ins} lambda({r.leaf})"
             )
@@ -147,47 +160,44 @@ def rake(
     z = xr if e == xl else xl
     x_is_left = cur.left[u] == x
 
-    target = MatCell(None, (u, "A" if x_is_left else "B", nxt.level))
+    target = MatCell(None)
     recipe = Recipe(cur.level, target, cur.cell[x], cur.cell[e], cur.cell[z], e)
     recipe.recompute(hier.tree, counter)
 
-    # single-successor audit (by construction each input dies after use)
-    for cell in recipe.inputs():
-        if cell in hier.successor:
-            raise StructureError(f"matrix {cell.key} consumed twice")
-        hier.successor[cell] = recipe
-    if e in hier.recipe_by_leaf:
-        raise StructureError(f"leaf {e} raked twice")
+    # single-consumer audit; a leaf raked twice fails it too (its rake read its edge)
+    pos = len(hier.recipes)  # where `recipe` is appended below
+    for c, cell in zip((x, e, z), recipe.inputs()):
+        if cell.consumer is not None:
+            raise StructureError(f"edge matrix into {c} at level {cur.level} consumed twice")
+        cell.consumer = pos
     hier.recipe_by_leaf[e] = recipe
     hier.recipes.append(recipe)
-    hier.ind[e] = hier.ind[x] = cur.level
+    hier.ind[x] = cur.level
 
     # splice the next-level tree: z takes x's place under u
     for d in (e, x):
         del nxt.parent[d]
         del nxt.cell[d]
     del nxt.left[x], nxt.right[x]
-    if x_is_left:
-        nxt.left[u] = z
-    else:
-        nxt.right[u] = z
+    (nxt.left if x_is_left else nxt.right)[u] = z
     nxt.parent[z] = u
     nxt.cell[z] = target
     return recipe
 
 
 def contract_pass(
-    hier: ContractionHierarchy, cur: LevelTree, counter: OpCounter | None = None
-) -> LevelTree | None:
-    """One CONTRACT pass: rake alternating eligible non-extreme leaves.
+    hier: ContractionHierarchy, cur: LevelTree, leaves: list[int],
+    counter: OpCounter | None = None,
+) -> tuple[LevelTree, list[int]] | None:
+    """One CONTRACT pass over `cur` and its in-order `leaves`: rake
+    alternating eligible non-extreme leaves.  Returns the next tree and its
+    in-order leaves (`leaves` minus the raked ones: each survivor takes its
+    parent's place), or None when no leaf is eligible.
 
     Parity is decided once on the eligible list before any raking; a candidate
     is skipped (without shifting parity) when an earlier rake this pass
     already removed its parent or refreshed one of its input matrices.
     """
-    leaves = cur.in_order_leaves()
-    if len(leaves) < 3:
-        return None
     eligible = [e for e in leaves[1:-1] if cur.parent[e] != cur.root]
     if not eligible:
         return None
@@ -203,10 +213,9 @@ def contract_pass(
         if x in removed or x in fresh_targets or u in removed:
             continue
         rake(hier, cur, nxt, e, counter)
-        removed.add(x)
-        removed.add(e)
+        removed.update((x, e))
         fresh_targets.add(u)
-    return nxt if removed else None
+    return nxt, [e for e in leaves if e not in removed]
 
 
 def build_hierarchy(
@@ -217,37 +226,27 @@ def build_hierarchy(
     The tree must already be valid (`binarize` validates it); leaf
     likelihoods are read from its evidence map.  Level 0 reads the tree's
     own `left`/`right`/`parent` dicts, not copies: a rake writes only the
-    next level, which `copy_next` copies from its predecessor.
+    next level, which `copy_next` copies from its predecessor.  The leaves
+    are walked once, on T_0; each pass derives the next level's.
     """
     hier = ContractionHierarchy(tree)
 
     t0 = LevelTree(0, tree.root)
     t0.left, t0.right, t0.parent = tree.left, tree.right, tree.parent
-    for x, l in tree.left.items():
-        r = tree.right[x]
-        t0.cell[l] = MatCell(tree.matrix[l], (x, "A", 0))
-        t0.cell[r] = MatCell(tree.matrix[r], (x, "B", 0))
+    t0.cell = {c: MatCell(tree.matrix[c]) for c in tree.parent}
     hier.levels.append(t0)
 
-    cur = t0
-    while True:
-        nxt = contract_pass(hier, cur, counter)
-        if nxt is None:
-            break
-        hier.levels.append(nxt)
-        cur = nxt
-    remaining = cur.contains
-    for node in remaining:
-        hier.ind[node] = cur.level
+    cur, leaves = t0, t0.in_order_leaves()
+    n_leaves = len(leaves)
+    while (step := contract_pass(hier, cur, leaves, counter)) is not None:
+        cur, leaves = step
+        hier.levels.append(cur)
+    if not cur.is_leaf(cur.root):
+        hier.ind[cur.root] = cur.level
 
-    n_leaves = len(t0.in_order_leaves())
-    if n_leaves >= 3 and len(remaining) != 3:
-        raise StructureError(
-            f"contraction stalled with {len(remaining)} nodes remaining"
-        )
+    if n_leaves >= 3 and len(leaves) != 2:
+        raise StructureError(f"contraction stalled with {2 * len(leaves) - 1} nodes remaining")
     bound = 4 * math.ceil(math.log2(max(2, n_leaves))) + 2
     if len(hier.levels) > bound:
-        raise StructureError(
-            f"level count {len(hier.levels)} exceeds bound {bound}"
-        )
+        raise StructureError(f"level count {len(hier.levels)} exceeds bound {bound}")
     return hier

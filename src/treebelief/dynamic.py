@@ -86,7 +86,7 @@ class DynamicEngine:
             while recipe is not None and recipe not in seen:
                 seen.add(recipe)
                 chain.append(recipe)
-                recipe = hier.successor.get(recipe.target)
+                recipe = hier.consumer(recipe.target)
         chain.sort(key=attrgetter("level"))
         for recipe in chain:
             recipe.recompute(tree, self.counter)

@@ -98,7 +98,9 @@ class FactoredMatrix:
         return self.left.dot(self.right)
 
     def copy(self) -> "FactoredMatrix":
-        return FactoredMatrix(self.left.copy(), self.right.copy())
+        out = FactoredMatrix.__new__(FactoredMatrix)  # factors already checked
+        out.left, out.right = self.left.copy(), self.right.copy()
+        return out
 
     def mv(self, v, counter: OpCounter | None = None) -> np.ndarray:
         if counter is not None:
@@ -154,15 +156,13 @@ def matmul(m, n, counter: OpCounter | None = None) -> np.ndarray:
     return m.dot(n)
 
 
-def normalize(v, counter: OpCounter | None = None) -> np.ndarray:
+def normalize(v) -> np.ndarray:
     """Scale a nonnegative vector to sum 1; zero total mass means the posted
     evidence has zero joint probability."""
     v = as_vector(v)
     s = v.sum()
     if not 0.0 < s < math.inf:  # NaN fails too
         raise InconsistentEvidenceError("evidence has zero joint probability")
-    if counter is not None:
-        counter.flops += v.size
     return v / s
 
 

@@ -151,8 +151,9 @@ def test_05_update_rebuild_bitwise():
             )
         rebuilt = build_hierarchy(eng.tree)
         ok = ok and len(rebuilt.recipes) == len(eng.hier.recipes)
+        names, rebuilt_names = eng.hier.names(), rebuilt.names()
         for a, b in zip(eng.hier.recipes, rebuilt.recipes):
-            ok = ok and a.target.key == b.target.key
+            ok = ok and names[a.target] == rebuilt_names[b.target]
             ok = ok and np.array_equal(a.target.value, b.target.value)
         if not ok:
             break
@@ -175,11 +176,12 @@ def test_06_golden_chain():
     t2_ok = eng.hier.levels[2].contains == {0, 1, 8}
     eng.update_evidence(7, [1, 0])  # e4
     r1 = eng.hier.recipe_by_leaf[7]
+    names = eng.hier.names()
     chain_ok = (
         eng.last_recipe_recomputes == 2
-        and r1.target.key[:2] == (4, "B")  # B(x3), born at level 1
-        and r1.target.key[2] == 1
-        and eng.hier.successor[r1.target].target.key[:3] == (0, "B", 2)  # B(x1) at 2
+        and names[r1.target][:2] == (4, "B")  # B(x3), born at level 1
+        and names[r1.target][2] == 1
+        and names[eng.hier.consumer(r1.target).target][:3] == (0, "B", 2)  # B(x1) at 2
     )
     report(6, "golden length-4 chain (T_1/T_2 node sets, e4 recipe chain)",
            t1_ok and t2_ok and chain_ok)

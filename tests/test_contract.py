@@ -1,11 +1,12 @@
+import gc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from treebelief import exact
+from treebelief import contract, exact
 from treebelief.bench import make_chain, random_stochastic
-from treebelief.contract import build_hierarchy, contract_pass
+from treebelief.contract import build_hierarchy, contract_pass, rake
 from treebelief.errors import StructureError
 from treebelief.tree import RawTree, binarize
 from util import level_lambdas, post_random_evidence, random_binarized_tree
@@ -86,13 +87,14 @@ class TestRakeSemantics:
         t0, t1 = hier.levels[0], hier.levels[1]
         # A-side of x1 (edge to e1) is untouched by the first pass
         assert t1.cell[E1] is t0.cell[E1]
-        assert t1.cell[E1].key == (X1, "A", 0)
+        assert hier.names()[t1.cell[E1]] == (X1, "A", 0)
 
     def test_cells_keyed_by_child(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             t = random_binarized_tree(rng, int(rng.integers(3, 40)), 2)
             hier = build_hierarchy(t)
+            names = hier.names()
             made = {}  # level -> cells derived by the pass that made it
             for r in hier.recipes:
                 made.setdefault(r.level + 1, set()).add(r.target)
@@ -103,11 +105,30 @@ class TestRakeSemantics:
                     side = "A" if lt.left[x] == c else "B"
                     if lt.level == 0:
                         assert cell.value is t.matrix[c]
-                        assert cell.key == (x, side, 0)
+                        assert names[cell] == (x, side, 0)
                     elif cell in made.get(lt.level, ()):
-                        assert cell.key == (x, side, lt.level)
+                        assert names[cell] == (x, side, lt.level)
                     else:
                         assert cell is hier.levels[lt.level - 1].cell[c]
+
+    def test_second_rake_is_refused(self):
+        # each input matrix feeds one recipe: raking a leaf of T_0 again, or a
+        # leaf whose inputs an earlier rake read, fails the consumer audit
+        hier = build_hierarchy(golden_chain())
+        t0 = hier.levels[0]
+        recipes = list(hier.recipes)
+        for e, x in ((E2, X2), (E4, X4), (E3, X3)):
+            msg = f"edge matrix into {x} at level 0 consumed twice"
+            with pytest.raises(StructureError, match=msg):
+                rake(hier, t0, t0.copy_next(), e)
+        assert hier.recipes == recipes
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            hier = build_hierarchy(random_binarized_tree(rng, int(rng.integers(3, 25)), 2))
+            for r in hier.recipes:
+                lt = hier.levels[r.level]
+                with pytest.raises(StructureError, match="consumed twice"):
+                    rake(hier, lt, lt.copy_next(), r.leaf)
 
     def test_single_successor(self):
         rng = np.random.default_rng(2)
@@ -115,7 +136,7 @@ class TestRakeSemantics:
             t = random_binarized_tree(rng, int(rng.integers(3, 25)), 2)
             hier = build_hierarchy(t)  # rake() itself audits double consumption
             for recipe in hier.recipes:
-                succ = hier.successor.get(recipe.target)
+                succ = hier.consumer(recipe.target)
                 if succ is not None:
                     assert recipe.target in succ.inputs()
 
@@ -133,7 +154,7 @@ class TestContractPass:
         hier = build_hierarchy(t)
         assert len(hier.levels) - 1 == 0
         assert hier.recipes == []
-        assert contract_pass(hier, hier.levels[0]) is None
+        assert contract_pass(hier, hier.levels[0], t.in_order_leaves()) is None
 
     def test_balanced_8_leaves(self):
         rng = np.random.default_rng(4)
@@ -192,6 +213,57 @@ class TestBuildHierarchy:
             hier = build_hierarchy(t)
             leaves = len(t.in_order_leaves())
             assert len(hier.levels) <= 4 * int(np.ceil(np.log2(max(2, leaves)))) + 2
+
+    def test_one_leaf_walk_derives_every_level(self, monkeypatch):
+        # each pass returns the next level's in-order leaves without walking
+        # it; T_0's are the only ones walked
+        passes, walks = [], []
+        walk = contract.LevelTree.in_order_leaves
+
+        def counted(lt):
+            walks.append(lt.level)
+            return walk(lt)
+
+        def recorded(hier, cur, leaves, counter=None):
+            step = contract_pass(hier, cur, leaves, counter)
+            passes.append(step)
+            return step
+
+        monkeypatch.setattr(contract.LevelTree, "in_order_leaves", counted)
+        monkeypatch.setattr(contract, "contract_pass", recorded)
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            t = random_binarized_tree(rng, int(rng.integers(1, 60)), 2)
+            passes.clear()
+            walks.clear()
+            hier = build_hierarchy(t)
+            assert walks == [0]
+            assert len(passes) == len(hier.levels) and passes[-1] is None
+            for lt, step in zip(hier.levels[1:], passes):
+                assert step[0] is lt and step[1] == walk(lt)
+
+    def test_dropped_hierarchy_leaves_no_cycles(self):
+        # a cell names its consumer by position, so reference counting alone
+        # frees a hierarchy nothing refers to
+        t = make_chain(40, 2, np.random.default_rng(12))
+        gc.collect()
+        gc.disable()
+        try:
+            build_hierarchy(t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_ind_holds_internal_nodes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            t = random_binarized_tree(rng, int(rng.integers(1, 40)), 2)
+            hier = build_hierarchy(t)
+            assert hier.ind.keys() == t.left.keys()
+            top = len(hier.levels) - 1
+            for x, i in hier.ind.items():
+                assert x in hier.levels[i].left
+                assert i == top or x not in hier.levels[i + 1].parent
 
     def test_invalid_tree_rejected(self):
         # validation happens once, in binarize: an invalid tree never

@@ -7,6 +7,7 @@ from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import DimensionError, UsageError
 from treebelief.formats import parse_btn
+from treebelief.linalg import FactoredMatrix
 from treebelief.tree import CausalTree, RawTree, binarize
 from test_contract import E1, E3, E4, X1, X3, golden_chain
 from test_exact import mixed_join_tree, three_node_tree
@@ -21,9 +22,10 @@ from util import (
 
 def assert_same_cells(hier_a, hier_b):
     assert len(hier_a.recipes) == len(hier_b.recipes)
+    names_a, names_b = hier_a.names(), hier_b.names()
     for a, b in zip(hier_a.recipes, hier_b.recipes):
-        assert a.target.key == b.target.key
-        if hasattr(a.target.value, "left"):
+        assert names_a[a.target] == names_b[b.target]
+        if isinstance(a.target.value, FactoredMatrix):
             assert np.array_equal(a.target.value.left, b.target.value.left)
             assert np.array_equal(a.target.value.right, b.target.value.right)
         else:
@@ -53,10 +55,11 @@ class TestUpdateEvidence:
         assert eng.last_recipe_recomputes == 2
         # B_1(x3) first, then B_2(x1)
         r1 = eng.hier.recipe_by_leaf[E4]
-        assert r1.target.key[:2] == (X3, "B")
-        r2 = eng.hier.successor[r1.target]
-        assert r2.target.key[:2] == (X1, "B")
-        assert r2.target not in eng.hier.successor
+        names = eng.hier.names()
+        assert names[r1.target][:2] == (X3, "B")
+        r2 = eng.hier.consumer(r1.target)
+        assert names[r2.target][:2] == (X1, "B")
+        assert eng.hier.consumer(r2.target) is None
 
     def test_extreme_leaf_zero_recomputes(self):
         eng = DynamicEngine(golden_chain())
@@ -345,7 +348,7 @@ class TestUpdateMany:
             recipe = eng.hier.recipe_by_leaf.get(leaf)
             while recipe is not None:
                 distinct.add(recipe)
-                recipe = eng.hier.successor.get(recipe.target)
+                recipe = eng.hier.consumer(recipe.target)
         before = eng.counter.snapshot()
         eng.update_many((leaf, [0.6, 0.3]) for leaf in leaves)
         assert eng.last_recipe_recomputes == len(distinct) < single

@@ -4,8 +4,13 @@ One engine per `bench.ENGINE_CLASSES` entry, each on its own copy of one
 tree, gets the same random writes and reads; the hierarchy engine also answers
 batched reads (`bel_many`), each bitwise equal to its single read.  After every
 step all of them must agree with `exact.propagate_all` on a reference copy that
-holds the same evidence at scale 1, and the hierarchy engine's cells must be
-bitwise equal to a fresh `build_hierarchy` on its evidence.
+holds the same evidence at scale 1 -- and with brute-force enumeration
+(`exact.joint_marginals`) when the joint state space is small -- and the
+hierarchy engine's cells must be bitwise equal to a fresh `build_hierarchy` on
+its evidence.
+
+The machine runs three tenths of the loaded hypothesis profile's examples
+(`tests/conftest.py`): 30 under `default`, 300 under `slow`.
 """
 
 import numpy as np
@@ -25,6 +30,7 @@ from test_exact import mixed_join_tree
 from util import random_binarized_tree, updatable_leaves
 
 TOL = 1e-9
+ENUMERATION_LIMIT = 10**5  # joint states enumerated by the oracle invariant
 
 
 def shared_chain(rng, k):
@@ -163,11 +169,23 @@ class EngineProtocol(RuleBasedStateMachine):
         assert np.allclose(self.engines["full"].bel_query(root), bel[root], rtol=0.0, atol=TOL)
 
     @invariant()
+    def engines_agree_with_enumeration(self):
+        if self.k ** len(self.nodes) > ENUMERATION_LIMIT:
+            return
+        want = exact.joint_marginals(self.reference)
+        for name, eng in self.engines.items():
+            for x in self.nodes:
+                assert np.allclose(eng.bel_query(x), want[x], rtol=0.0, atol=TOL), (name, x)
+
+    @invariant()
     def cells_equal_a_fresh_build(self):
         assert_same_cells(self.hierarchy.hier, build_hierarchy(self.hierarchy.tree))
 
 
+# an example is a dozen steps, each checked by every invariant
 EngineProtocol.TestCase.settings = settings(
-    max_examples=30, stateful_step_count=12, deadline=None
+    max_examples=settings.default.max_examples * 3 // 10,
+    stateful_step_count=12,
+    deadline=None,
 )
 TestEngineProtocol = EngineProtocol.TestCase
