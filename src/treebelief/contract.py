@@ -89,21 +89,6 @@ class LevelTree(BinaryLinks):
     def contains(self) -> set[int]:
         return {self.root, *self.parent}
 
-    def lambda_up(self, l: int, r: int, lam_l, lam_r, counter: OpCounter | None = None):
-        """lambda of the parent of children l and r, from their lambdas."""
-        return linalg.rescale_if_tiny(
-            linalg.apply(self.cell[l].value, lam_l, counter)
-            * linalg.apply(self.cell[r].value, lam_r, counter)
-        )
-
-    def pi_down(self, x: int, sib: int, pi_parent, lam_sib, counter: OpCounter | None = None):
-        """pi of x (unscaled) from its parent's pi and its sibling's lambda."""
-        return linalg.apply_transpose(
-            self.cell[x].value,
-            pi_parent * linalg.apply(self.cell[sib].value, lam_sib, counter),
-            counter,
-        )
-
 
 class ContractionHierarchy:
     def __init__(self, tree: CausalTree):

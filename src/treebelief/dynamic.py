@@ -7,20 +7,22 @@ One write path and one read path:
   derived matrix per level per leaf).  `update_evidence` is the one-item
   batch.
 * `bel_many(nodes)` resolves every id, then answers each node from one triple
-  (pi(x), lambda(left), lambda(right)) found by walking up the hierarchy,
-  never recursing twice per level: O(log N) products per node.  The nodes of
-  one batch share a memo keyed by `(x, level)`, so a triple that several
-  walks pass through is computed once; the memo lives for that batch only, as
-  the next write changes the triples.  `bel_query(x)` is the one-node case
-  and takes the same step without a memo.
+  (pi(x), lambda(left), lambda(right)) taken down its walk up the hierarchy:
+  O(log N) products per node.  Each (x, level) of a walk has one `Frame`,
+  built on first read, that links to the frame above and holds its step's
+  cells, so a query follows the links up and computes the triples top down
+  in one loop.  The nodes of one batch share a memo keyed by frame, so a
+  triple that several walks pass through is computed once; the memo lives
+  for that batch only, as the next write changes the triples.  `bel_query(x)`
+  is the one-node case and builds no memo.
 
 All beliefs at once are `exact.propagate_all`, the O(N) two-pass sweep.
 
-Each product is one of the two `LevelTree` kernels: lambda up through a node
-(`lambda_up`) or pi down one edge (`pi_down`).  The engine does not keep
-per-node lambda/pi current -- only the derived matrices.  Leaf likelihoods
-stay in the tree's evidence map, so once an engine is built, evidence changes
-go through `update_many`/`update_evidence`.
+Each product is lambda up through a node (its children's edge matrices
+applied to their lambdas, multiplied) or pi down one edge.  The engine does
+not keep per-node lambda/pi current -- only the derived matrices.  Leaf
+likelihoods stay in the tree's evidence map, so once an engine is built,
+evidence changes go through `update_many`/`update_evidence`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,21 @@ from .linalg import OpCounter
 from .tree import CausalTree
 
 
+class Frame:
+    """One step of a query walk, at (x, level i): how x's triple in T_i follows
+    from the triple of `up`, the frame of (x, i+1) when x survives to T_{i+1},
+    of (u, i+1) for x's parent u when x is raked away, None at the top.
+
+    `below` has, per lambda of the triple above, None if it passes down as it
+    is, else (raked leaf's cell, survivor's cell, raked leaf) for a child of
+    T_i raked away after level i.  A raked x keeps `cells` (its own and its
+    sibling's), `x_left`, its raked leaf `e` and `e_left`; the top keeps its
+    two leaves in `e`.  Cells, not values: `Recipe.recompute` replaces those.
+    """
+
+    __slots__ = ("up", "below", "cells", "x_left", "e", "e_left")
+
+
 class DynamicEngine:
     """The logarithmic engine over a tree that came from `binarize` or passes
     `CausalTree.validate()`; nothing here checks the tree again."""
@@ -44,11 +61,11 @@ class DynamicEngine:
         self.tree = tree
         self.counter = counter if counter is not None else OpCounter()
         self.build_counter = OpCounter()
-        self.hier: ContractionHierarchy = build_hierarchy(
-            tree, counter=self.build_counter
-        )
+        self.hier: ContractionHierarchy = build_hierarchy(tree, self.build_counter)
         self.prior = tree.prior
         self.last_recipe_recomputes = 0
+        # frames[i][x] is the Frame of (x, i), built on its first read
+        self.frames: list[dict[int, Frame]] = [{} for _ in self.hier.levels]
 
     # ------------------------------------------------------------------
 
@@ -94,66 +111,83 @@ class DynamicEngine:
 
     # ------------------------------------------------------------------
 
-    def _lambda_below(self, lt, nxt, c: int, lam_next: np.ndarray) -> np.ndarray:
-        """lambda of c in T_i, given lam_next for the node in c's place in
-        T_{i+1}: c itself if it survives, else c's surviving child."""
-        if c in nxt.parent:
-            return lam_next
-        l, r = lt.left[c], lt.right[c]
-        lam_l, lam_r = self._raked_or_survivor(nxt, l, r, lam_next)
-        return lt.lambda_up(l, r, lam_l, lam_r, self.counter)
+    def _frame(self, x: int, i: int) -> Frame:
+        """The frame of (x, i), built on first use with those above it."""
+        levels = self.hier.levels
+        if not 0 <= i < len(levels) or x not in levels[i].left:
+            raise UsageError(f"node {x} is not an internal node of T_{i}")
+        if x in self.frames[i]:
+            return self.frames[i][x]
+        lt, f = levels[i], Frame()
+        l, r = lt.children_of(x)
+        f.up = f.below = f.cells = None
+        if i + 1 == len(levels):  # the top tree
+            f.e = l, r
+        else:
+            nxt = levels[i + 1]
 
-    def _raked_or_survivor(self, nxt, l: int, r: int, lam_survivor: np.ndarray):
-        """(lambda(l), lambda(r)) for the T_i children of a node raked away
-        after level i: the raked leaf is the child missing from T_{i+1}; the
-        survivor, re-parented there, has lambda lam_survivor."""
-        if l in nxt.parent:
-            return lam_survivor, self.tree.leaf_lambda(r)
-        return self.tree.leaf_lambda(l), lam_survivor
+            def below(c):  # None if c survives to T_{i+1}
+                if c not in nxt.parent:
+                    cl, cr = lt.children_of(c)
+                    e, s = (cr, cl) if cl in nxt.parent else (cl, cr)
+                    return lt.cell[e], lt.cell[s], e
+
+            if x in nxt.left:  # a rake never turns an internal node into a leaf
+                f.below, up = (below(l), below(r)), x
+            else:  # raked away with leaf e; its other child z took its place under u
+                up = lt.parent[x]
+                f.x_left = lt.left[up] == x
+                v = lt.right[up] if f.x_left else lt.left[up]
+                f.below = (None, below(v)) if f.x_left else (below(v), None)
+                f.cells, f.e_left = (lt.cell[x], lt.cell[v]), l not in nxt.parent
+                f.e = l if f.e_left else r
+            f.up = self._frame(up, i + 1)  # recurses once per level not yet built
+        self.frames[i][x] = f
+        return f
 
     def calc_pi_lambda(self, x: int, i: int, memo: dict | None = None):
         """Triple (pi(x), lambda(left child in T_i), lambda(right child in T_i)).
 
-        Case 1: top three-node tree -- prior plus two leaf likelihoods.
-        Case 2: x raked away after level i -- recurse on its parent.
-        Case 3: x survives to level i+1 -- recurse on x itself.
-
-        With a `memo`, a triple already in it is returned as it is and a new
-        one is stored under `(x, i)`, for this call and its recursion.
-        """
-        if memo is not None and (x, i) in memo:
-            return memo[x, i]
-        levels = self.hier.levels
-        lt = levels[i]
-        if x not in lt.left:
-            raise UsageError(f"node {x} is not an internal node of T_{i}")
-        l, r = lt.left[x], lt.right[x]
-
-        if i + 1 == len(levels):  # the top tree
-            triple = self.prior, self.tree.leaf_lambda(l), self.tree.leaf_lambda(r)
+        No recursion: follow the `up` links from (x, i)'s frame to the top, or
+        to the first frame in `memo`, then compute the triples top down, each
+        from the one above.  A `memo` keeps each triple under its frame."""
+        f, path = self._frame(x, i), []
+        while f is not None and (memo is None or f not in memo):
+            path.append(f)
+            f = f.up
+        leaf_lambda, counter = self.tree.leaf_lambda, self.counter
+        if f is None:  # the top tree: the prior and its two leaf likelihoods
+            f = path.pop()
+            triple = self.prior, leaf_lambda(f.e[0]), leaf_lambda(f.e[1])
+            if memo is not None:
+                memo[f] = triple
         else:
-            nxt = levels[i + 1]
-            if x in nxt.left:  # a rake never turns an internal node into a leaf
-                p, lam_l, lam_r = self.calc_pi_lambda(x, i + 1, memo)
-                triple = (
-                    p,
-                    self._lambda_below(lt, nxt, l, lam_l),
-                    self._lambda_below(lt, nxt, r, lam_r),
+            triple = memo[f]
+        apply, rescale = linalg.apply, linalg.rescale_if_tiny
+        for f in reversed(path):
+            pi, a, b = triple
+            below_a, below_b = f.below  # products commute bitwise: factor order is free
+            if below_a is not None:
+                cell_e, cell_s, e = below_a
+                a = rescale(
+                    apply(cell_e.value, leaf_lambda(e), counter) * apply(cell_s.value, a, counter)
                 )
-            else:
-                # x was raked away with one child; the other, z, took x's
-                # place under u, so u's triple carries lambda(z) on x's side
-                u = lt.parent[x]
-                pu, lam_ul, lam_ur = self.calc_pi_lambda(u, i + 1, memo)
-                if lt.left[u] == x:
-                    v, lam_z, lam_v = lt.right[u], lam_ul, lam_ur
-                else:
-                    v, lam_z, lam_v = lt.left[u], lam_ur, lam_ul
-                lam_v = self._lambda_below(lt, nxt, v, lam_v)
-                pi_x = linalg.rescale_if_tiny(lt.pi_down(x, v, pu, lam_v, self.counter))
-                triple = (pi_x, *self._raked_or_survivor(nxt, l, r, lam_z))
-        if memo is not None:
-            memo[x, i] = triple
+            if below_b is not None:
+                cell_e, cell_s, e = below_b
+                b = rescale(
+                    apply(cell_e.value, leaf_lambda(e), counter) * apply(cell_s.value, b, counter)
+                )
+            if f.cells is None:  # x survives: pi and both lambdas pass down
+                triple = pi, a, b
+            else:  # u's triple carries lambda(z) on x's side
+                z, lam_v = (a, b) if f.x_left else (b, a)
+                cell_x, cell_v = f.cells
+                to_x = pi * apply(cell_v.value, lam_v, counter)
+                pi = rescale(linalg.apply_transpose(cell_x.value, to_x, counter))
+                lam_e = leaf_lambda(f.e)
+                triple = (pi, lam_e, z) if f.e_left else (pi, z, lam_e)
+            if memo is not None:
+                memo[f] = triple
         return triple
 
     # ------------------------------------------------------------------
@@ -167,29 +201,28 @@ class DynamicEngine:
         """Posterior marginal of each of `nodes`, in order (a repeated id is
         answered again).  Every id is resolved before any product, so an
         unknown one raises UsageError with `counter` untouched.  The walks
-        share one memo, so each `(x, level)` triple is computed once per
-        batch; each belief is bitwise equal to `bel_query`'s."""
+        share one memo, so each frame's triple is computed once per batch;
+        each belief is bitwise equal to `bel_query`'s."""
         xs = [self.tree.resolve(x) for x in nodes]
         memo: dict = {}
         return [self._belief(x, memo) for x in xs]
 
     def _belief(self, x: int, memo: dict | None) -> np.ndarray:
-        """Posterior marginal of the resolved node x."""
-        tree = self.tree
+        """Posterior marginal of the resolved node x: pi down its edge from
+        its parent's triple (a leaf), or lambda up from its own (else)."""
+        tree, counter, apply = self.tree, self.counter, linalg.apply
         if tree.is_leaf(x):
             if x == tree.root:  # single-node tree
                 return linalg.normalize(self.prior * tree.leaf_lambda(x))
-            lt0 = self.hier.levels[0]
-            p = tree.parent[x]
+            p = tree.parent[x]  # T_0's links are the tree's
             pp, lam_l, lam_r = self.calc_pi_lambda(p, 0, memo)
-            if lt0.left[p] == x:
-                sib, lam_sib = lt0.right[p], lam_r
-            else:
-                sib, lam_sib = lt0.left[p], lam_l
-            pi_x = lt0.pi_down(x, sib, pp, lam_sib, self.counter)
+            sib, lam_sib = (tree.right[p], lam_r) if tree.left[p] == x else (tree.left[p], lam_l)
+            cell = self.hier.levels[0].cell
+            to_x = pp * apply(cell[sib].value, lam_sib, counter)
+            pi_x = linalg.apply_transpose(cell[x].value, to_x, counter)
             return linalg.normalize(tree.leaf_lambda(x) * pi_x)
         i = self.hier.ind[x]
-        lt = self.hier.levels[i]
+        cell, (l, r) = self.hier.levels[i].cell, self.hier.levels[i].children_of(x)
         p, lam_l, lam_r = self.calc_pi_lambda(x, i, memo)
-        lam_x = lt.lambda_up(lt.left[x], lt.right[x], lam_l, lam_r, self.counter)
-        return linalg.normalize(lam_x * p)
+        lam_x = apply(cell[l].value, lam_l, counter) * apply(cell[r].value, lam_r, counter)
+        return linalg.normalize(linalg.rescale_if_tiny(lam_x) * p)

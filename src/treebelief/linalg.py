@@ -183,7 +183,8 @@ def rescale_if_tiny(v: np.ndarray) -> np.ndarray:
     v passes too: n = s = 0).  Anything else (NaN, inf, all zeros, a max
     near a bound) takes the exact max test.
     """
-    s = np.vdot(v, v)  # v flattened, dotted with itself
+    # a vector's own `dot` skips `np.vdot`'s dispatch; vdot flattens a matrix
+    s = v.dot(v) if v.ndim == 1 else np.vdot(v, v)
     if v.size * _FAST_MIN <= s <= _FAST_MAX:
         return v
     m = v.max()

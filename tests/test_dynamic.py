@@ -213,8 +213,8 @@ BEL_MANY_SHAPES = [
 ]
 
 
-def spy_triples(monkeypatch):
-    """Record (x, level, memo) of every `calc_pi_lambda` call, memo hits included."""
+def spy_walks(monkeypatch):
+    """Record (x, level, memo) of every `calc_pi_lambda` call: one per walk."""
     calls, calc = [], DynamicEngine.calc_pi_lambda
 
     def spy(self, x, i, memo=None):
@@ -223,6 +223,15 @@ def spy_triples(monkeypatch):
 
     monkeypatch.setattr(DynamicEngine, "calc_pi_lambda", spy)
     return calls
+
+
+def frames_walked(eng, x, i) -> list:
+    """The frames of the walk from (x, i): its own, then each `up` to the top."""
+    out, f = [], eng._frame(x, i)
+    while f is not None:
+        out.append(f)
+        f = f.up
+    return out
 
 
 class TestBelMany:
@@ -267,7 +276,7 @@ class TestBelMany:
         assert eng.counter == counter
 
     def test_single_query_builds_no_memo(self, monkeypatch):
-        calls = spy_triples(monkeypatch)
+        calls = spy_walks(monkeypatch)
         eng = DynamicEngine(make_chain(32, 2, np.random.default_rng(8)))
         eng.bel_query(3)
         memos = [memo for _, _, memo in calls]
@@ -285,22 +294,52 @@ class TestBelMany:
         )
         chain = protein.ProteinChain("GSATKLVEHHMKVLAAGWPEPQRSTVWYACDEFGHIKLMN" * 3, tables)
         eng, watch = chain.engine, [57, 58, 59]
-        calls = spy_triples(monkeypatch)
+        calls = spy_walks(monkeypatch)
         before = eng.counter.snapshot()
         single = [eng.bel_query(x) for x in watch]
-        single_calls, single_cost = len(calls), eng.counter.delta(before)
+        single_cost = eng.counter.delta(before)
+        walks = [frames_walked(eng, x, i) for x, i, _ in calls]
         del calls[:]
         before = eng.counter.snapshot()
         batch = eng.bel_many(watch)
         batch_cost = eng.counter.delta(before)
         for a, b in zip(batch, single):
             assert np.array_equal(a, b)
-        # the three walks pass 23 triples, 10 of them distinct; the batch
-        # computes those 10, and its 2 other calls are memo hits that return
-        # at once
-        distinct = {(x, i) for x, i, _ in calls}
-        assert (single_calls, len(distinct), len(calls)) == (23, 10, 12)
+        # the three walks pass 23 frames, 10 of them distinct; the batch
+        # computes those 10, each once, and keeps their triples in its memo
+        distinct = set().union(*walks)
+        memo = calls[0][2]
+        assert (sum(map(len, walks)), len(distinct), len(calls)) == (23, 10, 3)
+        assert memo.keys() == distinct
         assert (single_cost.mat_vec, batch_cost.mat_vec) == (46, 24)
+
+    @pytest.mark.parametrize("shape", [name for name, _ in BEL_MANY_SHAPES])
+    def test_warm_frames_survive_writes(self, shape):
+        """Frames built by reads keep reading the cells a later write replaces:
+        after a batch with a 1e-300 likelihood, every answer is bitwise that
+        of an engine built on the new evidence."""
+        make = dict(BEL_MANY_SHAPES)[shape]
+        for seed in range(4):
+            t = make(np.random.default_rng(seed), 3)
+            eng = DynamicEngine(t)
+            nodes = sorted(t.names) + sorted(t.alias)
+            eng.bel_many(nodes)
+            rng = np.random.default_rng(100 + seed)
+            leaves = updatable_leaves(t)
+            picks = [leaves[int(i)] for i in rng.integers(len(leaves), size=4)]
+            items = [(leaf, rng.random(t.k) + 0.01) for leaf in picks]
+            items[-1] = (picks[-1], items[-1][1] * 1e-300)
+            eng.update_many(items)
+            fresh_tree = make(np.random.default_rng(seed), 3)
+            for leaf, lik in items:
+                fresh_tree.set_evidence(leaf, lik)
+            fresh, bel = DynamicEngine(fresh_tree), exact.propagate_all(fresh_tree)
+            for x in nodes:
+                b = eng.bel_query(x)
+                assert np.array_equal(b, fresh.bel_query(x)), x
+                assert np.allclose(b, bel[t.resolve(x)], rtol=0.0, atol=1e-9), x
+            frames = sum(map(len, eng.frames))
+            assert 0 < frames <= sum(len(lt.left) for lt in eng.hier.levels)
 
 
 class TestUpdateMany:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from treebelief import protein
+from treebelief import linalg, protein
 from treebelief.bench import random_stochastic
 from treebelief.jointree import CliqueNode, build_projection
 from treebelief.linalg import FactoredMatrix
@@ -98,7 +98,9 @@ def level_lambdas(hier, i: int) -> dict:
             lam[x] = hier.tree.leaf_lambda(x)
         else:
             l, r = lt.children_of(x)
-            lam[x] = lt.lambda_up(l, r, lam[l], lam[r])
+            lam[x] = linalg.rescale_if_tiny(
+                linalg.apply(lt.cell[l].value, lam[l]) * linalg.apply(lt.cell[r].value, lam[r])
+            )
     return lam
 
 
