@@ -11,7 +11,10 @@ BTN: causal-tree files (line-oriented, `#` comments, whitespace separated):
     evidence <leaf-id> <k floats>        # optional initial likelihoods
 
 A BTN file has one `k`, one `root` and one `prior` line, and at most one
-`evidence` line per leaf.
+`evidence` line per leaf.  `parse_btn` checks each line as it reads it, but
+converts the floats of all `edge` lines at the end, as one (n, k, k) stack
+with one finiteness test; the first fault in file order is the one reported,
+with its line.
 
 PTN: polytree files:
 
@@ -28,10 +31,12 @@ Each PTN node has at most one `parents` line and one table (`cpt` or
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from . import linalg
-from .errors import FormatError, StructureError
+from .errors import FormatError
 from .polytree import Polytree
 from .tree import CausalTree, RawTree, binarize
 
@@ -57,16 +62,32 @@ def _tokenized_lines(lines, arity):
         yield lineno, toks
 
 
-def _floats(tokens, lineno, expected=None):
+def _float_list(tokens, lineno, expected=None):
     try:
-        vals = np.array([float(t) for t in tokens])
+        vals = list(map(float, tokens))
     except ValueError as exc:
         raise FormatError(f"bad float: {exc}", line=lineno)
     if expected is not None and len(vals) != expected:
         raise FormatError(f"expected {expected} floats, got {len(vals)}", line=lineno)
+    return vals
+
+
+def _floats(tokens, lineno, expected=None):
+    vals = np.array(_float_list(tokens, lineno, expected))
     if not np.all(np.isfinite(vals)):
         raise FormatError("non-finite number", line=lineno)
     return vals
+
+
+def _edge_stack(edges, flat, k):
+    """The k * k floats of each edge line in `edges`, read in order from
+    `flat`, as one (n, k, k) stack; FormatError naming the first line with a
+    non-finite number."""
+    stack = np.frombuffer(flat, dtype=np.float64).reshape(len(edges), k, k)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise FormatError("non-finite number", line=edges[int(finite.argmin())][0])
+    return stack
 
 
 def _int(token, lineno):
@@ -101,47 +122,57 @@ def parse_btn(lines) -> CausalTree:
     prior = None
     evidence = {}
     read = set()  # the BTN_ONCE lines read so far: keywords, or leaf ids
-    for lineno, toks in it:
-        kw = toks[0]
-        if raw is None and kw != "k":
-            raise FormatError(f"`k` must precede `{kw}`", line=lineno)
-        key = _int(toks[1], lineno) if kw == "evidence" else kw
-        if key in read:
-            leaf = f" for leaf {key}" if kw == "evidence" else ""
-            raise FormatError(f"duplicate `{kw}` line{leaf}", line=lineno)
-        if kw in BTN_ONCE:
-            read.add(key)
-        if kw == "k":
-            raw = RawTree(_k(toks[1], lineno))
-        elif kw == "node":
-            nid = _int(toks[1], lineno)
-            if nid in raw.names:
-                raise FormatError(f"duplicate node id {nid}", line=lineno)
-            raw.add_node(nid, toks[2] if len(toks) > 2 else None)
-        elif kw == "root":
-            root = _int(toks[1], lineno)
-        elif kw == "prior":
-            nid = _int(toks[1], lineno)
-            prior = (nid, _floats(toks[2:], lineno, raw.k))
-        elif kw == "edge":
-            parent = _int(toks[1], lineno)
-            child = _int(toks[2], lineno)
-            m = _floats(toks[3:], lineno, raw.k * raw.k).reshape(raw.k, raw.k)
-            try:
-                raw.add_edge(parent, child, m)
-            except StructureError as exc:
-                raise FormatError(str(exc), line=lineno)
-        elif kw == "evidence":
-            evidence[key] = _floats(toks[2:], lineno, raw.k)
-        else:
-            raise FormatError(f"unknown keyword {kw!r}", line=lineno)
-
+    edges = []  # (line, parent, child) of each edge line, in file order
+    flat = array("d")  # the k * k floats of each edge line, in the same order
+    try:
+        for lineno, toks in it:
+            kw = toks[0]
+            if raw is None and kw != "k":
+                raise FormatError(f"`k` must precede `{kw}`", line=lineno)
+            key = _int(toks[1], lineno) if kw == "evidence" else kw
+            if key in read:
+                leaf = f" for leaf {key}" if kw == "evidence" else ""
+                raise FormatError(f"duplicate `{kw}` line{leaf}", line=lineno)
+            if kw in BTN_ONCE:
+                read.add(key)
+            if kw == "k":
+                raw = RawTree(_k(toks[1], lineno))
+            elif kw == "node":
+                nid = _int(toks[1], lineno)
+                if nid in raw.names:
+                    raise FormatError(f"duplicate node id {nid}", line=lineno)
+                raw.add_node(nid, toks[2] if len(toks) > 2 else None)
+            elif kw == "root":
+                root = _int(toks[1], lineno)
+            elif kw == "prior":
+                nid = _int(toks[1], lineno)
+                prior = (nid, _floats(toks[2:], lineno, raw.k))
+            elif kw == "edge":
+                parent = _int(toks[1], lineno)
+                child = _int(toks[2], lineno)
+                flat.extend(_float_list(toks[3:], lineno, raw.k * raw.k))
+                edges.append((lineno, parent, child))
+                if parent not in raw.names or child not in raw.names:
+                    raise FormatError(
+                        f"edge {parent}->{child} references unknown node", line=lineno
+                    )
+            elif kw == "evidence":
+                evidence[key] = _floats(toks[2:], lineno, raw.k)
+            else:
+                raise FormatError(f"unknown keyword {kw!r}", line=lineno)
+    except FormatError:
+        if edges:  # a non-finite number on an earlier edge line comes first
+            _edge_stack(edges, flat, raw.k)
+        raise
     if raw is None:
         raise FormatError("missing `k` line")
+    stack = _edge_stack(edges, flat, raw.k)
     if root is None:
         raise FormatError("missing `root` line")
     if prior is None or prior[0] != root:
         raise FormatError("missing `prior` line for the root")
+    for (_, parent, child), m in zip(edges, stack):
+        raw.add_edge(parent, child, m)
     raw.set_root(root, prior[1])
     raw.evidence = evidence
     return binarize(raw)

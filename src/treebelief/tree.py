@@ -56,9 +56,7 @@ class RawTree:
         if isinstance(matrix, FactoredMatrix):  # passes through unchanged
             m = matrix
         else:
-            m = linalg.as_matrix(matrix)
-            if not np.all(np.isfinite(m)):
-                raise DimensionError(f"edge matrix into {child} has non-finite entries")
+            m = linalg.as_matrix(matrix)  # its values are checked by `validate`
         self.children[parent].append(child)
         self.matrix[child] = m
 
@@ -234,13 +232,19 @@ class CausalTree(BinaryLinks):
                 out.append(f"evidence on {leaf} is not a finite nonnegative k-vector")
         return out
 
+    @np.errstate(invalid="ignore", over="ignore")  # bad values are reported, not warned
     def _edge_violations(self, seen: set[int]) -> list[str]:
-        """Shape, row-sum and range violations of the edge matrices into
-        `seen`, in edge order.  Each distinct matrix is checked once (a factored
-        one on its product, the k x k ones as one stack); Python visits the
-        edges only to name each edge that uses a failing one."""
+        """Shape, finiteness, row-sum and range violations of the edge
+        matrices into `seen`, in edge order.  Each distinct matrix is checked
+        once: a factored one on its factors (`_sound_factored`), the k x k
+        arrays, and any factored one that fails there expanded, as one stack.
+        Python visits the edges only to name each edge that uses a failing
+        matrix."""
         k = self.k
         mats = {id(m): m for c, m in self.matrix.items() if c in seen}
+        sound = _sound_factored(mats, k)
+        if sound:
+            mats = {i: m for i, m in mats.items() if i not in sound}
         dense = list(map(linalg.dense, mats.values()))
         square = np.array([m.shape == (k, k) for m in dense], dtype=bool)
         stack = np.array(list(compress(dense, square))).reshape(-1, k, k)
@@ -259,11 +263,38 @@ class CausalTree(BinaryLinks):
             if not square[i]:
                 out.append(f"edge matrix into {child} has shape {m.shape}")
                 continue
+            if not np.isfinite(m).all():
+                out.append(f"edge matrix into {child} has non-finite entries")
             for row in np.flatnonzero(row_bad[at[i]]):
                 out.append(f"edge matrix into {child}: row {row} sums to {m[row].sum():.6g}")
             if range_bad[at[i]]:
                 out.append(f"edge matrix into {child} has entries outside [0,1]")
         return out
+
+
+def _sound_factored(mats: dict, k: int) -> set[int]:
+    """Ids of the k x k factored matrices in `mats` that pass `validate`
+    without a K x K product: both factors nonnegative (so the product is), and
+    every row sum, taken as left . (right . 1), within ROW_SUM_TOL of 1 and at
+    most 1 + 1e-12 (so no entry of the product is above it).  Factors of one
+    shape are checked as one stack."""
+    groups: dict[tuple, list[int]] = {}
+    for i, m in mats.items():
+        if isinstance(m, FactoredMatrix) and m.shape == (k, k):
+            groups.setdefault((m.left.shape, m.right.shape), []).append(i)
+    sound = set()
+    for ids in groups.values():
+        left = _stacked([mats[i].left for i in ids])
+        right = _stacked([mats[i].right for i in ids])
+        sums = np.matmul(left, right.sum(axis=2)[:, :, None])[:, :, 0]
+        ok = (
+            (left >= 0).all(axis=(1, 2))
+            & (right >= 0).all(axis=(1, 2))
+            & (np.abs(sums - 1.0) <= ROW_SUM_TOL).all(axis=1)
+            & (sums <= 1.0 + 1e-12).all(axis=1)
+        )
+        sound.update(compress(ids, ok))
+    return sound
 
 
 class Levels:

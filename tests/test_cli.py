@@ -12,16 +12,9 @@ from treebelief import cli, protein
 from treebelief.bench import ENGINE_CLASSES, POLYTREE_ENGINE_CLASSES, make_engine
 from treebelief.dynamic import DynamicEngine
 from treebelief.formats import parse_btn, parse_ptn
-from test_formats import LARGE_ID_PTN, THREE_NODE_BTN, V_STRUCTURE_PTN
+from test_formats import GOLDEN_CHAIN_LINES, LARGE_ID_PTN, THREE_NODE_BTN, V_STRUCTURE_PTN
 
-GOLDEN_CHAIN_BTN = "\n".join(
-    ["BTN 1", "k 2"]
-    + [f"node {i} {nm}" for i, nm in enumerate(
-        ["x1", "e1", "x2", "e2", "x3", "e3", "x4", "e4", "e5"])]
-    + ["root 0", "prior 0 0.5 0.5"]
-    + [f"edge {p} {c} 0.9 0.1 0.2 0.8"
-       for p, c in [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7), (6, 8)]]
-) + "\n"
+GOLDEN_CHAIN_BTN = "\n".join(GOLDEN_CHAIN_LINES) + "\n"
 
 # undeclared id 2 becomes the dummy pad of the single-child root
 DUMMY_EVIDENCE_BTN = (
@@ -46,7 +39,19 @@ BAD_INPUTS = [
     _bad("btn-nan-evidence", THREE_NODE_BTN, "evidence 1 1 0", "evidence 1 nan 0",
          "non-finite"),
     _bad("btn-inf-prior", THREE_NODE_BTN, "prior 0 0.5", "prior 0 inf", "non-finite"),
-    _bad("btn-nan-edge", THREE_NODE_BTN, "edge 0 2 0.7", "edge 0 2 nan", "non-finite"),
+    _bad("btn-nan-edge", THREE_NODE_BTN, "edge 0 2 0.7", "edge 0 2 nan",
+         "line 9: non-finite number"),
+    # faults in the second edge line, which `parse_btn` converts in one stack
+    # with the first
+    _bad("btn-inf-edge", THREE_NODE_BTN, "edge 0 2 0.7 0.3", "edge 0 2 0.7 inf",
+         "line 9: non-finite number"),
+    _bad("btn-bad-float-edge", THREE_NODE_BTN, "0.4 0.6", "0.4 0,6",
+         "line 9: bad float: could not convert string to float: '0,6'"),
+    _bad("btn-short-edge", THREE_NODE_BTN, "0.4 0.6", "0.4", "line 9: expected 4 floats, got 3"),
+    _bad("btn-long-edge", THREE_NODE_BTN, "0.4 0.6", "0.4 0.6 0",
+         "line 9: expected 4 floats, got 5"),
+    _bad("btn-unknown-node-edge", THREE_NODE_BTN, "edge 0 2", "edge 0 5",
+         "line 9: edge 0->5 references unknown node"),
     _bad("btn-negative-prior", THREE_NODE_BTN, "prior 0 0.5 0.5", "prior 0 -1 2",
          "nonnegative"),
     _bad("btn-zero-prior", THREE_NODE_BTN, "prior 0 0.5 0.5", "prior 0 0 0", "all zero"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from treebelief import exact
+from treebelief.bench import make_random
 from treebelief.errors import FormatError, StructureError
 from treebelief.formats import parse_btn, parse_ptn, serialize_btn
 
@@ -39,6 +40,40 @@ parents 1001 1000
 prior 1000 0.3 0.7
 cpt 1001 0.9 0.1 0.2 0.8
 """
+
+
+CHAIN_EDGES = [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7), (6, 8)]
+GOLDEN_CHAIN_LINES = (
+    ["BTN 1", "k 2"]
+    + [f"node {i} {nm}" for i, nm in enumerate(
+        ["x1", "e1", "x2", "e2", "x3", "e3", "x4", "e4", "e5"])]
+    + ["root 0", "prior 0 0.5 0.5"]
+    + [f"edge {p} {c} 0.9 0.1 0.2 0.8" for p, c in CHAIN_EDGES]
+)
+FIRST_EDGE_LINE = 14  # line number of the chain's first edge line
+
+# one fault in an edge line: (parent, child, floats) of the line, message
+EDGE_FAULTS = {
+    "bad-float": ("{p}", "{c}", "0.9 0.1 0.2 0.8x", "bad float: could not convert "
+                  "string to float: '0.8x'"),
+    "too-few": ("{p}", "{c}", "0.9 0.1 0.2", "expected 4 floats, got 3"),
+    "too-many": ("{p}", "{c}", "0.9 0.1 0.2 0.8 0.0", "expected 4 floats, got 5"),
+    "nan": ("{p}", "{c}", "0.9 nan 0.2 0.8", "non-finite number"),
+    "inf": ("{p}", "{c}", "0.9 0.1 -inf 0.8", "non-finite number"),
+    "unknown-child": ("{p}", "99", "0.9 0.1 0.2 0.8", "edge {p}->99 references unknown node"),
+    "unknown-parent": ("99", "{c}", "0.9 0.1 0.2 0.8", "edge 99->{c} references unknown node"),
+}
+
+
+def chain_with_fault(edge, fault):
+    """The golden chain with `fault` put in its `edge`-th edge line; the text
+    and the error `parse_btn` must give for it."""
+    p, c = CHAIN_EDGES[edge]
+    *fields, message = (f.format(p=p, c=c) for f in EDGE_FAULTS[fault])
+    lines = list(GOLDEN_CHAIN_LINES)
+    line = FIRST_EDGE_LINE + edge
+    lines[line - 1] = "edge " + " ".join(fields)
+    return lines, f"line {line}: {message}"
 
 
 class TestParseBtn:
@@ -111,16 +146,87 @@ class TestParseBtn:
         # length-4 chain: first contraction level keeps {x1, e1, x3, e3, e5}
         from treebelief.contract import build_hierarchy
 
-        lines = ["BTN 1", "k 2"]
-        names = ["x1", "e1", "x2", "e2", "x3", "e3", "x4", "e4", "e5"]
-        for i, nm in enumerate(names):
-            lines.append(f"node {i} {nm}")
-        lines += ["root 0", "prior 0 0.5 0.5"]
-        for p, c in [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7), (6, 8)]:
-            lines.append(f"edge {p} {c} 0.9 0.1 0.2 0.8")
-        t = parse_btn(lines)
+        assert GOLDEN_CHAIN_LINES[FIRST_EDGE_LINE - 1].startswith("edge 0 1 ")
+        t = parse_btn(GOLDEN_CHAIN_LINES)
         hier = build_hierarchy(t)
         assert hier.levels[1].contains == {0, 1, 4, 5, 8}
+
+
+class TestBtnEdgeStack:
+    """`parse_btn` converts every edge line's floats as one stack; each fault
+    still names its own line, with the message of a line-by-line parse."""
+
+    @pytest.mark.parametrize("edge", [1, 5, 7])
+    @pytest.mark.parametrize("fault", sorted(EDGE_FAULTS))
+    def test_fault_in_later_edge_line_named(self, fault, edge):
+        lines, want = chain_with_fault(edge, fault)
+        with pytest.raises(FormatError) as exc:
+            parse_btn(lines)
+        assert str(exc.value) == want
+        assert exc.value.line == FIRST_EDGE_LINE + edge
+
+    @pytest.mark.parametrize("later", [
+        "bogus 1",  # unknown keyword
+        "edge 0 2 0.9 0.1 0.2 x",  # bad float
+        "edge 0 99 0.9 0.1 0.2 0.8",  # unknown node
+        "node 3 again",  # duplicate node id
+    ])
+    def test_first_fault_in_file_order_wins(self, later):
+        """A non-finite number on an earlier edge line is reported before a
+        fault found on a later line while reading."""
+        lines, want = chain_with_fault(2, "nan")
+        lines.append(later)
+        with pytest.raises(FormatError) as exc:
+            parse_btn(lines)
+        assert str(exc.value) == want
+
+    def test_non_finite_before_unknown_node_on_one_line(self):
+        lines = list(GOLDEN_CHAIN_LINES)
+        lines[FIRST_EDGE_LINE] = "edge 0 99 0.9 inf 0.2 0.8"
+        with pytest.raises(FormatError, match=r"^line 15: non-finite number$"):
+            parse_btn(lines)
+
+    def test_non_finite_edge_before_missing_root(self):
+        lines, want = chain_with_fault(3, "inf")
+        lines.remove("root 0")
+        with pytest.raises(FormatError) as exc:
+            parse_btn(lines)
+        assert str(exc.value) == f"line {FIRST_EDGE_LINE + 2}: non-finite number"
+
+    def test_node_declared_after_its_edge_rejected(self):
+        lines = list(GOLDEN_CHAIN_LINES)
+        lines.remove("node 8 e5")
+        lines.append("node 8 e5")
+        with pytest.raises(FormatError, match=r"^line 20: edge 6->8 references unknown node$"):
+            parse_btn(lines)
+
+    def test_floats_bitwise_those_of_float(self):
+        """Every parsed edge matrix is bitwise the array of `float(token)`,
+        on a serialized random tree with hand-made tokens in two edge lines:
+        subnormals, the smallest double, signed zero, 17 and more digits."""
+        k = 4
+        text = serialize_btn(make_random(300, k, np.random.default_rng(1)))
+        hand = [
+            "1e-320 5e-324 0.1 0.90000000000000002",
+            "-0.0 0.33333333333333331 0.33333333333333331 0.33333333333333337",
+            "0.2500000000000000000001 2.5E-1 +0.25 .25",
+            "0.70000000000000007 0.1 0.1 0.099999999999999867",
+        ]
+        lines = text.splitlines()
+        edge_at = [i for i, line in enumerate(lines) if line.startswith("edge ")]
+        for i in edge_at[3], edge_at[-1]:
+            lines[i] = " ".join(lines[i].split()[:3] + hand)
+        t = parse_btn(lines)
+        for i in edge_at:
+            toks = lines[i].split()
+            want = np.array([float(x) for x in toks[3:]]).reshape(k, k)
+            got = t.matrix[int(toks[2])]
+            assert got.tobytes() == want.tobytes()
+        assert np.signbit(t.matrix[int(lines[edge_at[3]].split()[2])][1, 0])
+
+    def test_round_trip_of_a_large_tree_unchanged(self):
+        text = serialize_btn(make_random(2000, 4, np.random.default_rng(1)))
+        assert serialize_btn(parse_btn(text.splitlines())) == text
 
 
 class TestParsePtn:

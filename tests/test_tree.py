@@ -6,7 +6,13 @@ from treebelief.bench import ENGINES, make_engine, random_stochastic
 from treebelief.errors import DimensionError, StructureError, UsageError
 from treebelief.jointree import FactoredMatrix
 from treebelief.tree import ROW_SUM_TOL, CausalTree, RawTree, binarize
-from util import attach_evidence_leaf, depth, random_binarized_tree, random_raw_tree
+from util import (
+    attach_evidence_leaf,
+    depth,
+    random_binarized_tree,
+    random_join_tree,
+    random_raw_tree,
+)
 
 
 def three_child_raw():
@@ -218,11 +224,27 @@ class TestRawInput:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):
-        raw = RawTree(2)
-        raw.add_node(0)
-        raw.add_node(1)
-        with pytest.raises(DimensionError):
-            raw.add_edge(0, 1, [[bad, 0.5], [0.5, 0.5]])
+        """`add_edge` takes any values; `validate`, called by `binarize`, is
+        the one finiteness check, for dense and factored edges alike."""
+        good = np.array([[0.5, 0.5], [0.5, 0.5]])
+        dense = good.copy()
+        dense[0, 0] = bad
+        bad_right = good.copy()
+        bad_right[1, 1] = bad
+        bad_left = np.eye(2)
+        bad_left[1, 0] = bad
+        for m in (dense, FactoredMatrix(np.eye(2), bad_right),
+                  FactoredMatrix(bad_left, good)):
+            raw = three_child_raw()  # 0 -> (1, 2, 3); now 2 -> (4, 5)
+            raw.add_node(4)
+            raw.add_node(5)
+            raw.add_edge(2, 4, good)
+            raw.add_edge(2, 5, m)
+            with pytest.raises(StructureError) as exc:
+                binarize(raw)
+            message = str(exc.value)
+            assert "edge matrix into 5 has non-finite entries" in message
+            assert "into 4" not in message
 
 
 class TestAttachEvidenceLeaf:
@@ -344,10 +366,31 @@ class TestValidate:
                 m = FactoredMatrix(np.eye(k)[:, :2], rng.random((2, k)))
             elif kind == "factored_ok":
                 m = FactoredMatrix(np.eye(k), good)
+            elif kind == "factored_thin_ok":  # every row is good's row 0
+                m = FactoredMatrix(np.ones((k, 1)), good[:1])
+            elif kind == "factored_negative_left":  # rows sum to 1, row 0 is [2, -1, 0]
+                m = FactoredMatrix(np.array([[2.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
+                                   np.eye(k)[:2])
+            elif kind == "factored_negative_right":
+                right = good.copy()
+                right[1] = [1.5, -0.5, 0.0]
+                m = FactoredMatrix(np.eye(k), right)
+            elif kind == "factored_nan":
+                right = good.copy()
+                right[rng.integers(k), rng.integers(k)] = np.nan
+                m = FactoredMatrix(np.eye(k), right)
+            elif kind == "factored_inf":
+                m = FactoredMatrix(np.diag([1.0, np.inf, 1.0]), good)
+            elif kind == "factored_high_entry":  # row sums pass, entry above 1 + 1e-12
+                right = np.eye(k)
+                right[0, 0] = 1.0 + 5e-10
+                m = FactoredMatrix(np.eye(k), right)
             return m
 
         kinds = ["row", "negative", "above_one", "nan", "inf", "shape", "factored",
-                 "factored_ok", "ok"]
+                 "factored_ok", "factored_thin_ok", "factored_negative_left",
+                 "factored_negative_right", "factored_nan", "factored_inf",
+                 "factored_high_entry", "ok"]
         children = sorted(t.matrix)
         for c in rng.choice(children, size=len(children) // 3, replace=False):
             t.matrix[int(c)] = broken(kinds[int(rng.integers(len(kinds)))])
@@ -357,6 +400,26 @@ class TestValidate:
 
         want = per_edge_messages(t, set(t.names) - {999})
         assert edge_messages(t) == want and len(want) > 0
+
+    def test_sound_factored_edges_not_expanded(self, monkeypatch):
+        """A factored edge that passes on its factors is never expanded to
+        K x K; one that fails is, and is named as a dense one would be."""
+        t, dense, _, K = random_join_tree(np.random.default_rng(4), 3, 3, 1)
+        assert any(isinstance(m, FactoredMatrix) for m in t.matrix.values())
+
+        def no_expand(self):
+            raise AssertionError("expanded a sound factored matrix")
+
+        monkeypatch.setattr(FactoredMatrix, "expand", no_expand)
+        assert t.validate() == []
+        monkeypatch.undo()
+        child = next(c for c, m in t.matrix.items() if isinstance(m, FactoredMatrix))
+        fm = t.matrix[child]
+        t.matrix[child] = FactoredMatrix(fm.left, fm.right * 0.5)
+        dense.matrix[child] = t.matrix[child].expand()
+        assert edge_messages(t) == edge_messages(dense) == [
+            f"edge matrix into {child}: row {row} sums to 0.5" for row in range(K)
+        ]
 
     def test_shared_bad_matrix_named_for_every_edge(self):
         t = random_binarized_tree(np.random.default_rng(7), 12, 2)
@@ -390,10 +453,13 @@ def per_edge_messages(t, seen):
         if child not in seen:
             continue
         if hasattr(m, "expand"):
-            m = m.expand()
+            with np.errstate(invalid="ignore"):  # 0 * inf in a factored test case
+                m = m.expand()
         if m.shape != (k, k):
             want.append(f"edge matrix into {child} has shape {m.shape}")
             continue
+        if not np.all(np.isfinite(m)):
+            want.append(f"edge matrix into {child} has non-finite entries")
         for row in np.where(~(np.abs(m.sum(axis=1) - 1.0) <= ROW_SUM_TOL))[0]:
             want.append(f"edge matrix into {child}: row {row} sums to {m[row].sum():.6g}")
         if not np.all((m >= 0) & (m <= 1.0 + 1e-12)):
