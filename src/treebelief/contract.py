@@ -65,7 +65,7 @@ class Recipe:
 
 
 class LevelTree(BinaryLinks):
-    """One contracted tree T_i: structure links plus edge-matrix cells.
+    """One contracted tree T_i: `kids` and `parent` links plus edge-matrix cells.
 
     `cell[c]` holds the matrix on the edge into c, so its keys are the keys
     of `parent`.  The node set is derived from the links (the root plus every
@@ -79,8 +79,7 @@ class LevelTree(BinaryLinks):
 
     def copy_next(self) -> "LevelTree":
         nxt = LevelTree(self.level + 1, self.root)
-        nxt.left = dict(self.left)
-        nxt.right = dict(self.right)
+        nxt.kids = dict(self.kids)
         nxt.parent = dict(self.parent)
         nxt.cell = dict(self.cell)
         return nxt
@@ -111,7 +110,7 @@ class ContractionHierarchy:
             for c, cell in lt.cell.items():
                 if cell not in out:
                     x = lt.parent[c]
-                    out[cell] = (x, "A" if lt.left[x] == c else "B", lt.level)
+                    out[cell] = (x, "A" if lt.kids[x][0] == c else "B", lt.level)
         return out
 
     def dump_lines(self) -> list[str]:
@@ -141,9 +140,8 @@ def rake(
     one of `contract_pass`'s eligible leaves, so its parent is not the root."""
     x = cur.parent[e]
     u = cur.parent[x]
-    xl, xr = cur.children_of(x)
+    xl, xr = cur.kids[x]
     z = xr if e == xl else xl
-    x_is_left = cur.left[u] == x
 
     target = MatCell(None)
     recipe = Recipe(cur.level, target, cur.cell[x], cur.cell[e], cur.cell[z], e)
@@ -159,12 +157,14 @@ def rake(
     hier.recipes.append(recipe)
     hier.ind[x] = cur.level
 
-    # splice the next-level tree: z takes x's place under u
+    # splice the next-level tree: z takes x's place under u.  u's pair is read
+    # from `nxt`: an earlier rake this pass may have replaced its other child.
     for d in (e, x):
         del nxt.parent[d]
         del nxt.cell[d]
-    del nxt.left[x], nxt.right[x]
-    (nxt.left if x_is_left else nxt.right)[u] = z
+    del nxt.kids[x]
+    ul, ur = nxt.kids[u]
+    nxt.kids[u] = (z, ur) if ul == x else (ul, z)
     nxt.parent[z] = u
     nxt.cell[z] = target
     return recipe
@@ -200,6 +200,7 @@ def contract_pass(
         rake(hier, cur, nxt, e, counter)
         removed.update((x, e))
         fresh_targets.add(u)
+    nxt.kids = dict(nxt.kids)  # a fresh copy drops the room the rakes' deletions left
     return nxt, [e for e in leaves if e not in removed]
 
 
@@ -210,14 +211,14 @@ def build_hierarchy(
 
     The tree must already be valid (`binarize` validates it); leaf
     likelihoods are read from its evidence map.  Level 0 reads the tree's
-    own `left`/`right`/`parent` dicts, not copies: a rake writes only the
+    own `kids`/`parent` dicts, not copies: a rake writes only the
     next level, which `copy_next` copies from its predecessor.  The leaves
     are walked once, on T_0; each pass derives the next level's.
     """
     hier = ContractionHierarchy(tree)
 
     t0 = LevelTree(0, tree.root)
-    t0.left, t0.right, t0.parent = tree.left, tree.right, tree.parent
+    t0.kids, t0.parent = tree.kids, tree.parent
     t0.cell = {c: MatCell(tree.matrix[c]) for c in tree.parent}
     hier.levels.append(t0)
 

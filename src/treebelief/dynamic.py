@@ -14,7 +14,7 @@ One write path and one read path:
   in one loop.  The nodes of one batch share a memo keyed by frame, so a
   triple that several walks pass through is computed once; the memo lives
   for that batch only, as the next write changes the triples.  `bel_query(x)`
-  is the one-node case and builds no memo.
+  is the one-node batch.
 
 All beliefs at once are `exact.propagate_all`, the O(N) two-pass sweep.
 
@@ -48,6 +48,7 @@ class Frame:
     T_i raked away after level i.  A raked x keeps `cells` (its own and its
     sibling's), `x_left`, its raked leaf `e` and `e_left`; the top keeps its
     two leaves in `e`.  Cells, not values: `Recipe.recompute` replaces those.
+    An x that keeps both children shares the frame of (x, i+1).
     """
 
     __slots__ = ("up", "below", "cells", "x_left", "e", "e_left")
@@ -57,9 +58,9 @@ class DynamicEngine:
     """The logarithmic engine over a tree that came from `binarize` or passes
     `CausalTree.validate()`; nothing here checks the tree again."""
 
-    def __init__(self, tree: CausalTree, counter: OpCounter | None = None):
+    def __init__(self, tree: CausalTree):
         self.tree = tree
-        self.counter = counter if counter is not None else OpCounter()
+        self.counter = OpCounter()
         self.build_counter = OpCounter()
         self.hier: ContractionHierarchy = build_hierarchy(tree, self.build_counter)
         self.prior = tree.prior
@@ -114,12 +115,12 @@ class DynamicEngine:
     def _frame(self, x: int, i: int) -> Frame:
         """The frame of (x, i), built on first use with those above it."""
         levels = self.hier.levels
-        if not 0 <= i < len(levels) or x not in levels[i].left:
+        if not 0 <= i < len(levels) or x not in levels[i].kids:
             raise UsageError(f"node {x} is not an internal node of T_{i}")
         if x in self.frames[i]:
             return self.frames[i][x]
         lt, f = levels[i], Frame()
-        l, r = lt.children_of(x)
+        l, r = lt.kids[x]
         f.up = f.below = f.cells = None
         if i + 1 == len(levels):  # the top tree
             f.e = l, r
@@ -128,20 +129,23 @@ class DynamicEngine:
 
             def below(c):  # None if c survives to T_{i+1}
                 if c not in nxt.parent:
-                    cl, cr = lt.children_of(c)
+                    cl, cr = lt.kids[c]
                     e, s = (cr, cl) if cl in nxt.parent else (cl, cr)
                     return lt.cell[e], lt.cell[s], e
 
-            if x in nxt.left:  # a rake never turns an internal node into a leaf
+            if x in nxt.kids:  # a rake never turns an internal node into a leaf
                 f.below, up = (below(l), below(r)), x
             else:  # raked away with leaf e; its other child z took its place under u
                 up = lt.parent[x]
-                f.x_left = lt.left[up] == x
-                v = lt.right[up] if f.x_left else lt.left[up]
+                ul, ur = lt.kids[up]
+                f.x_left = ul == x
+                v = ur if f.x_left else ul
                 f.below = (None, below(v)) if f.x_left else (below(v), None)
                 f.cells, f.e_left = (lt.cell[x], lt.cell[v]), l not in nxt.parent
                 f.e = l if f.e_left else r
             f.up = self._frame(up, i + 1)  # recurses once per level not yet built
+            if f.cells is None and f.below == (None, None):
+                f = f.up
         self.frames[i][x] = f
         return f
 
@@ -150,17 +154,17 @@ class DynamicEngine:
 
         No recursion: follow the `up` links from (x, i)'s frame to the top, or
         to the first frame in `memo`, then compute the triples top down, each
-        from the one above.  A `memo` keeps each triple under its frame."""
+        from the one above.  `memo` (a fresh dict if None) keeps each triple
+        under its frame."""
+        memo = {} if memo is None else memo
         f, path = self._frame(x, i), []
-        while f is not None and (memo is None or f not in memo):
+        while f is not None and f not in memo:
             path.append(f)
             f = f.up
         leaf_lambda, counter = self.tree.leaf_lambda, self.counter
         if f is None:  # the top tree: the prior and its two leaf likelihoods
             f = path.pop()
-            triple = self.prior, leaf_lambda(f.e[0]), leaf_lambda(f.e[1])
-            if memo is not None:
-                memo[f] = triple
+            triple = memo[f] = self.prior, leaf_lambda(f.e[0]), leaf_lambda(f.e[1])
         else:
             triple = memo[f]
         apply, rescale = linalg.apply, linalg.rescale_if_tiny
@@ -186,16 +190,15 @@ class DynamicEngine:
                 pi = rescale(linalg.apply_transpose(cell_x.value, to_x, counter))
                 lam_e = leaf_lambda(f.e)
                 triple = (pi, lam_e, z) if f.e_left else (pi, z, lam_e)
-            if memo is not None:
-                memo[f] = triple
+            memo[f] = triple
         return triple
 
     # ------------------------------------------------------------------
 
     def bel_query(self, x: int) -> np.ndarray:
         """Posterior marginal of x under the current evidence: `bel_many` of
-        one node, without building a memo."""
-        return self._belief(self.tree.resolve(x), None)
+        one node."""
+        return self._belief(self.tree.resolve(x), {})
 
     def bel_many(self, nodes) -> list[np.ndarray]:
         """Posterior marginal of each of `nodes`, in order (a repeated id is
@@ -207,7 +210,7 @@ class DynamicEngine:
         memo: dict = {}
         return [self._belief(x, memo) for x in xs]
 
-    def _belief(self, x: int, memo: dict | None) -> np.ndarray:
+    def _belief(self, x: int, memo: dict) -> np.ndarray:
         """Posterior marginal of the resolved node x: pi down its edge from
         its parent's triple (a leaf), or lambda up from its own (else)."""
         tree, counter, apply = self.tree, self.counter, linalg.apply
@@ -216,13 +219,14 @@ class DynamicEngine:
                 return linalg.normalize(self.prior * tree.leaf_lambda(x))
             p = tree.parent[x]  # T_0's links are the tree's
             pp, lam_l, lam_r = self.calc_pi_lambda(p, 0, memo)
-            sib, lam_sib = (tree.right[p], lam_r) if tree.left[p] == x else (tree.left[p], lam_l)
+            l, r = tree.kids[p]
+            sib, lam_sib = (r, lam_r) if l == x else (l, lam_l)
             cell = self.hier.levels[0].cell
             to_x = pp * apply(cell[sib].value, lam_sib, counter)
             pi_x = linalg.apply_transpose(cell[x].value, to_x, counter)
             return linalg.normalize(tree.leaf_lambda(x) * pi_x)
         i = self.hier.ind[x]
-        cell, (l, r) = self.hier.levels[i].cell, self.hier.levels[i].children_of(x)
+        cell, (l, r) = self.hier.levels[i].cell, self.hier.levels[i].kids[x]
         p, lam_l, lam_r = self.calc_pi_lambda(x, i, memo)
         lam_x = apply(cell[l].value, lam_l, counter) * apply(cell[r].value, lam_r, counter)
         return linalg.normalize(linalg.rescale_if_tiny(lam_x) * p)

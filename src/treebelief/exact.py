@@ -189,9 +189,9 @@ class PropagationState:
     """Depth-bounded incremental engine: keeps lambda current, computes pi on
     demand along the root path only."""
 
-    def __init__(self, tree: CausalTree, counter: OpCounter | None = None):
+    def __init__(self, tree: CausalTree):
         self.tree = tree
-        self.counter = counter if counter is not None else OpCounter()
+        self.counter = OpCounter()
         self.lam, self.msg = lambda_pass(tree, self.counter)
         self.last_lambda_recomputes = 0
         self.last_pi_recomputes = 0
@@ -206,7 +206,7 @@ class PropagationState:
         self.last_lambda_recomputes = 0
         x = tree.parent.get(leaf)
         while x is not None:
-            l, r = tree.children_of(x)
+            l, r = tree.kids[x]
             self.lam[x] = linalg.rescale_if_tiny(self.msg[l] * self.msg[r])
             self.last_lambda_recomputes += 1
             if x != tree.root:
@@ -225,7 +225,7 @@ class PropagationState:
         pi = tree.prior
         self.last_pi_recomputes = 0
         for parent, child in zip(path, path[1:]):
-            l, r = tree.children_of(parent)
+            l, r = tree.kids[parent]
             sib = r if child == l else l
             pi = linalg.rescale_if_tiny(
                 linalg.apply_transpose(tree.matrix[child], pi * self.msg[sib], self.counter)

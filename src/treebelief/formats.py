@@ -189,7 +189,7 @@ def serialize_btn(tree: CausalTree) -> str:
     for nid in sorted(tree.names):
         if tree.is_leaf(nid):
             continue
-        for child in tree.children_of(nid):
+        for child in tree.kids[nid]:
             flat = " ".join(f"{v:.17g}" for v in linalg.dense(tree.matrix[child]).ravel())
             out.append(f"edge {nid} {child} {flat}")
     for leaf in sorted(tree.evidence):

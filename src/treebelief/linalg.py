@@ -20,6 +20,7 @@ bitwise equal.  A transpose is never built: `v.dot(m)` is m^T v.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ SCALE_MAX = 2.0**128
 # in [2**-125, 2**125]: `rescale_if_tiny`'s one-product accept.
 _FAST_MIN = 2.0**-250
 _FAST_MAX = 2.0**250
+# That sum overflows to inf for entries above about 1e154 and takes the exact
+# test, so numpy's warning reports no fault (a per-call `np.errstate` costs ~1 us).
+warnings.filterwarnings(
+    "ignore", "overflow encountered in dot", RuntimeWarning, r"treebelief\.linalg"
+)
 
 
 @dataclass

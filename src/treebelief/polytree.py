@@ -171,7 +171,7 @@ class PolytreeEngine:
     """Family-clique join tree plus the factored dynamic engine (c = 1),
     answering the engine protocol per polytree variable."""
 
-    def __init__(self, pt: Polytree, counter: OpCounter | None = None):
+    def __init__(self, pt: Polytree):
         pt.check()
         p_max = max((len(ps) for ps in pt.parents.values()), default=0)
         if p_max > MAX_PARENTS:
@@ -181,7 +181,7 @@ class PolytreeEngine:
         self.cliques: dict = {}
         self.ev_leaf: dict = {}
         self.tree = self._build_join_tree()
-        self.engine = DynamicEngine(self.tree, counter)
+        self.engine = DynamicEngine(self.tree)
         self.counter = self.engine.counter
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ the same identity matrix object.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -73,20 +73,17 @@ def as_likelihood(likelihood, k: int) -> np.ndarray:
 
 
 class BinaryLinks:
-    """Root and child/parent links of a binary complete tree (every node in
-    `left` also has a `right` child)."""
+    """Root and child/parent links of a binary complete tree: `kids[x]` is
+    the (left, right) pair of each internal node x, so a node has two
+    children or none, and `parent` maps every other node to its parent."""
 
     def __init__(self, root: int | None = None):
         self.root = root
-        self.left: dict[int, int] = {}
-        self.right: dict[int, int] = {}
+        self.kids: dict[int, tuple[int, int]] = {}
         self.parent: dict[int, int] = {}
 
     def is_leaf(self, x: int) -> bool:
-        return x not in self.left
-
-    def children_of(self, x: int) -> tuple[int, int]:
-        return self.left[x], self.right[x]
+        return x not in self.kids
 
     def in_order_leaves(self) -> list[int]:
         """Leaves left-to-right under in-order traversal (iterative)."""
@@ -97,8 +94,7 @@ class BinaryLinks:
             if self.is_leaf(x):
                 out.append(x)
             else:
-                stack.append(self.right[x])
-                stack.append(self.left[x])
+                stack += reversed(self.kids[x])
         return out
 
 
@@ -144,8 +140,7 @@ class CausalTree(BinaryLinks):
         self.names[node] = name if name is not None else str(node)
 
     def link(self, parent: int, left: int, right: int) -> None:
-        self.left[parent] = left
-        self.right[parent] = right
+        self.kids[parent] = left, right
         self.parent[left] = parent
         self.parent[right] = parent
         self._numbering = None
@@ -208,14 +203,10 @@ class CausalTree(BinaryLinks):
                 out.append(f"node {x} reachable twice (cycle or shared child)")
                 continue
             seen.add(x)
-            has_l, has_r = x in self.left, x in self.right
-            if has_l != has_r:
-                out.append(f"node {x} has exactly one child (arity violation)")
-            if has_l and has_r:
-                for c in (self.left[x], self.right[x]):
-                    if self.parent.get(c) != x:
-                        out.append(f"child link {x}->{c} not mirrored by parent link")
-                    stack.append(c)
+            for c in self.kids.get(x, ()):
+                if self.parent.get(c) != x:
+                    out.append(f"child link {x}->{c} not mirrored by parent link")
+                stack.append(c)
         for x in self.names:
             if x not in seen:
                 out.append(f"node {x} unreachable from root")
@@ -317,12 +308,8 @@ class Levels:
         while start < len(order):
             stop = len(order)
             nodes = order[start:stop]
-            internal = list(map(tree.left.__contains__, nodes))
-            parents = list(compress(nodes, internal))
-            children = [0] * (2 * len(parents))
-            children[0::2] = map(tree.left.__getitem__, parents)
-            children[1::2] = map(tree.right.__getitem__, parents)
-            order += children
+            internal = list(map(tree.kids.__contains__, nodes))
+            order += chain.from_iterable(map(tree.kids.__getitem__, compress(nodes, internal)))
             self.bounds.append(stop)
             self.inner.append(list(compress(range(start, stop), internal)))
             if start:

@@ -14,7 +14,6 @@ from treebelief.bench import cycle_op_ratio, make_chain, make_random
 from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import InconsistentEvidenceError
-from treebelief.linalg import OpCounter
 from treebelief.tree import RawTree, binarize
 from util import (
     post_random_evidence,
@@ -194,8 +193,8 @@ def test_07_jointree_factored_vs_expanded():
     for n, c in [(2, 1), (3, 1), (3, 2), (2, 2)]:
         for _ in range(5):
             tf, td, leaf_cliques, K = random_join_tree(rng, k=2, n=n, c=c, depth=3)
-            cf, cd = OpCounter(), OpCounter()
-            ef, ed = DynamicEngine(tf, cf), DynamicEngine(td, cd)
+            ef, ed = DynamicEngine(tf), DynamicEngine(td)
+            cf, cd = ef.counter, ed.counter
             for _ in range(6):
                 leaf = leaf_cliques[int(rng.integers(len(leaf_cliques)))]
                 lik = rng.random(K) + 0.05

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +221,25 @@ class TestSession:
                     assert np.allclose(va, vb, atol=1e-9)
                 else:
                     assert a == b
+
+    def test_huge_likelihood_prints_no_warning(self, tmp_path):
+        """Entries near 1e300 overflow the guard's sum of squares to inf, which
+        takes its exact test; the session answers and writes nothing to stderr."""
+        p = tmp_path / "m.btn"
+        p.write_text(THREE_NODE_BTN.replace("evidence 1 1 0\n", ""))
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(x for x in (src, env.get("PYTHONPATH")) if x)
+        proc = subprocess.run(
+            [sys.executable, "-m", "treebelief.cli", "session", str(p)],
+            input="update 1 1e300 2e300\nquery 0\nquit\n",
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        ok, bel = proc.stdout.splitlines()
+        want = np.array([[0.9, 0.1], [0.2, 0.8]]).dot([1.0, 2.0])  # the prior is uniform
+        assert ok == "ok" and bel.startswith("bel ")
+        assert np.allclose([float(v) for v in bel.split()[1:]], want / want.sum(), rtol=0, atol=1e-15)
 
     def test_seventeen_significant_digits(self, btn_file, monkeypatch, capsys):
         code, out = run_session(

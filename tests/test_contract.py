@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from treebelief import contract, exact
-from treebelief.bench import make_chain, random_stochastic
+from treebelief.bench import make_balanced, make_chain, random_stochastic
 from treebelief.contract import build_hierarchy, contract_pass, rake
 from treebelief.errors import StructureError
 from treebelief.tree import RawTree, binarize
@@ -102,7 +102,7 @@ class TestRakeSemantics:
                 assert lt.cell.keys() == lt.parent.keys()
                 for c, cell in lt.cell.items():
                     x = lt.parent[c]
-                    side = "A" if lt.left[x] == c else "B"
+                    side = "A" if lt.kids[x][0] == c else "B"
                     if lt.level == 0:
                         assert cell.value is t.matrix[c]
                         assert names[cell] == (x, side, 0)
@@ -180,6 +180,43 @@ class TestContractPass:
         assert rakes_per_pass[-1] >= 1
         assert len(hier.levels) <= 12
         assert len(hier.levels[-1].contains) == 3
+
+    def test_links_agree_at_every_level(self, monkeypatch):
+        """At every level each pair's children map back to it through `parent`,
+        and `parent` and `cell` hold exactly the non-root nodes reachable
+        through `kids`: also where one pass rakes under both children of one
+        node, so the second rake splices a pair the first one rewrote.  Each
+        level is checked as its pass returns it."""
+
+        def check_links(lt):
+            for x, pair in lt.kids.items():
+                assert [lt.parent.get(c) for c in pair] == [x, x]
+            reached, stack = [], list(lt.kids.get(lt.root, ()))
+            while stack:
+                c = stack.pop()
+                reached.append(c)
+                stack += lt.kids.get(c, ())
+            assert sorted(reached) == sorted(lt.parent) == sorted(lt.cell)
+
+        def checked(hier, cur, leaves, counter=None):
+            step = contract_pass(hier, cur, leaves, counter)
+            if step is not None:
+                check_links(step[0])
+            return step
+
+        monkeypatch.setattr(contract, "contract_pass", checked)
+        rng = np.random.default_rng(12)
+        trees = [make_balanced(16, 2, rng)]
+        trees += [random_binarized_tree(rng, int(rng.integers(3, 40)), 2) for _ in range(20)]
+        for n, t in enumerate(trees):
+            hier = build_hierarchy(t)
+            check_links(hier.levels[0])
+            if n == 0:  # the balanced tree: some pass rakes under both children of a node
+                grandparents = Counter()
+                for r in hier.recipes:
+                    lt = hier.levels[r.level]
+                    grandparents[r.level, lt.parent[lt.parent[r.leaf]]] += 1
+                assert max(grandparents.values()) == 2
 
 
 class TestBuildHierarchy:
@@ -259,10 +296,10 @@ class TestBuildHierarchy:
         for _ in range(20):
             t = random_binarized_tree(rng, int(rng.integers(1, 40)), 2)
             hier = build_hierarchy(t)
-            assert hier.ind.keys() == t.left.keys()
+            assert hier.ind.keys() == t.kids.keys()
             top = len(hier.levels) - 1
             for x, i in hier.ind.items():
-                assert x in hier.levels[i].left
+                assert x in hier.levels[i].kids
                 assert i == top or x not in hier.levels[i + 1].parent
 
     def test_invalid_tree_rejected(self):

@@ -92,7 +92,7 @@ class TestCalcPiLambda:
         p, l, r = eng.calc_pi_lambda(X1, top_level)
         assert np.array_equal(p, eng.prior)
         top = eng.hier.levels[top_level]
-        tl, tr = top.children_of(X1)
+        tl, tr = top.kids[X1]
         assert np.array_equal(l, eng.tree.leaf_lambda(tl))
         assert np.array_equal(r, eng.tree.leaf_lambda(tr))
 
@@ -275,16 +275,14 @@ class TestBelMany:
             eng.bel_many(batch)
         assert eng.counter == counter
 
-    def test_single_query_builds_no_memo(self, monkeypatch):
+    def test_single_query_memo_holds_its_walk(self, monkeypatch):
         calls = spy_walks(monkeypatch)
         eng = DynamicEngine(make_chain(32, 2, np.random.default_rng(8)))
-        eng.bel_query(3)
-        memos = [memo for _, _, memo in calls]
-        assert memos and all(memo is None for memo in memos)
-        del calls[:]
-        eng.bel_many([3])
-        memos = [memo for _, _, memo in calls]
-        assert memos and all(memo is memos[0] is not None for memo in memos)
+        for x in (3, 40):  # an internal node and a leaf
+            eng.bel_query(x)
+            [(y, i, memo)] = calls
+            assert memo.keys() == set(frames_walked(eng, y, i))
+            del calls[:]
 
     def test_protein_watch_batch_computes_each_triple_once(self, monkeypatch):
         tables = protein.train(
@@ -339,7 +337,7 @@ class TestBelMany:
                 assert np.array_equal(b, fresh.bel_query(x)), x
                 assert np.allclose(b, bel[t.resolve(x)], rtol=0.0, atol=1e-9), x
             frames = sum(map(len, eng.frames))
-            assert 0 < frames <= sum(len(lt.left) for lt in eng.hier.levels)
+            assert 0 < frames <= sum(len(lt.kids) for lt in eng.hier.levels)
 
 
 class TestUpdateMany:

@@ -270,7 +270,7 @@ class TestNumbering:
         t = random_binarized_tree(rng, 40, 3)
         post_random_evidence(t, rng, 10)
         before = exact.propagate_all(t) if swept_first else None
-        inner = next(x for x in t.left if x != t.root)
+        inner = next(x for x in t.kids if x != t.root)
         for x in (inner, updatable_leaves(t)[0]):
             t.set_evidence(attach_evidence_leaf(t, x), rng.random(3) + 0.05)
         return t, before

@@ -189,8 +189,8 @@ class TestFactoredEngineEquivalence:
         rng = np.random.default_rng(8)
         for _ in range(5):
             tf, td, leaf_cliques, K = random_join_tree(rng, k=2, n=3, c=1, depth=3)
-            cf, cd = OpCounter(), OpCounter()
-            ef, ed = DynamicEngine(tf, cf), DynamicEngine(td, cd)
+            ef, ed = DynamicEngine(tf), DynamicEngine(td)
+            cf, cd = ef.counter, ed.counter
             for _ in range(6):
                 leaf = leaf_cliques[int(rng.integers(len(leaf_cliques)))]
                 lik = rng.random(K) + 0.05

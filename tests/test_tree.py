@@ -31,11 +31,11 @@ class TestBinarize:
         t = binarize(three_child_raw())
         assert t.validate() == []
         # p keeps c1 on the left, an identity-linked copy on the right
-        l, r = t.children_of(0)
+        l, r = t.kids[0]
         assert l == 1
         assert t.resolve(r) == 0
         assert np.array_equal(t.matrix[r], np.eye(2))
-        assert set(t.children_of(r)) == {2, 3}
+        assert set(t.kids[r]) == {2, 3}
 
     def test_already_binary_unchanged(self):
         rng = np.random.default_rng(1)
@@ -47,7 +47,7 @@ class TestBinarize:
             raw.add_edge(0, c, random_stochastic(rng, 2, 2))
         t = binarize(raw)
         assert set(t.names) == {0, 1, 2}
-        assert t.children_of(0) == (1, 2)
+        assert t.kids[0] == (1, 2)
 
     def test_single_child_gets_dummy(self):
         rng = np.random.default_rng(2)
@@ -57,7 +57,7 @@ class TestBinarize:
         raw.set_root(0, [0.5, 0.5])
         raw.add_edge(0, 1, random_stochastic(rng, 2, 2))
         t = binarize(raw)
-        l, r = t.children_of(0)
+        l, r = t.kids[0]
         assert l == 1 and r in t.dummies
         assert np.array_equal(t.leaf_lambda(r), np.ones(2))
 
@@ -304,10 +304,14 @@ class TestValidate:
         msgs = t.validate()
         assert any("row 0" in m and "into 1" in m for m in msgs)
 
-    def test_arity_violation(self):
+    def test_deleted_pair_leaves_subtree_unreachable(self):
         t = binarize(three_child_raw())
-        del t.right[0]
-        assert any("one child" in m for m in t.validate())
+        cp = t.kids[0][1]  # the copy of 0 that holds children 2 and 3
+        del t.kids[cp]
+        msgs = t.validate()
+        assert [m for m in msgs if "unreachable" in m] == [
+            "node 2 unreachable from root", "node 3 unreachable from root"
+        ]
 
     def test_missing_prior(self):
         t = binarize(three_child_raw())

@@ -76,7 +76,7 @@ def attach_evidence_leaf(tree: CausalTree, x: int) -> int:
         cp = tree.fresh_id()
         tree.add_node(cp, f"{tree.names[x]}_cp")
         tree.alias[cp] = x
-        tree.link(cp, tree.left[x], tree.right[x])
+        tree.link(cp, *tree.kids[x])
         tree.matrix[cp] = ident.copy()
         tree.matrix[e] = ident.copy()
         tree.link(x, e, cp)
@@ -91,13 +91,13 @@ def level_lambdas(hier, i: int) -> dict:
         x = stack.pop()
         order.append(x)
         if not lt.is_leaf(x):
-            stack += lt.children_of(x)
+            stack += lt.kids[x]
     lam = {}
     for x in reversed(order):
         if lt.is_leaf(x):
             lam[x] = hier.tree.leaf_lambda(x)
         else:
-            l, r = lt.children_of(x)
+            l, r = lt.kids[x]
             lam[x] = linalg.rescale_if_tiny(
                 linalg.apply(lt.cell[l].value, lam[l]) * linalg.apply(lt.cell[r].value, lam[r])
             )
