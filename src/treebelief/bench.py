@@ -23,9 +23,6 @@ from .tree import CausalTree, RawTree, as_likelihood, binarize
 CSV_HEADER = "engine,shape,N,k,op,count_mv,count_mm,ns_total,ns_per_op"
 MAX_BENCH_NODES = 2 * 10**6
 
-SHAPES = ("chain", "balanced", "random")
-
-
 def random_stochastic(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     m = rng.random((rows, cols)) + 0.05
     return m / m.sum(axis=1, keepdims=True)
@@ -95,15 +92,13 @@ def make_random(internal: int, k: int, rng: np.random.Generator) -> CausalTree:
     return binarize(raw)
 
 
+SHAPES = {"chain": make_chain, "balanced": make_balanced, "random": make_random}
+
+
 def make_model(shape: str, size: int, k: int, rng: np.random.Generator) -> CausalTree:
-    if shape == "chain":
-        tree = make_chain(size, k, rng)
-    elif shape == "balanced":
-        tree = make_balanced(size, k, rng)
-    elif shape == "random":
-        tree = make_random(size, k, rng)
-    else:
+    if shape not in SHAPES:
         raise UsageError(f"unknown shape {shape!r}")
+    tree = SHAPES[shape](size, k, rng)
     if len(tree.names) > MAX_BENCH_NODES:
         raise ScaleError(f"{len(tree.names)} nodes exceeds bench limit {MAX_BENCH_NODES}")
     return tree

@@ -20,18 +20,22 @@ from .tree import BinaryLinks, CausalTree
 
 
 class MatCell:
-    """Stable holder for one edge matrix of the hierarchy.
+    """Stable holder for one edge matrix of the hierarchy: the edge from
+    `parent` into the child that keys the cell in `LevelTree.cell`.
 
     Carried-over levels share the cell object; recomputation replaces the
-    whole value, never mutates it in place.  `consumer` is the position in
-    `ContractionHierarchy.recipes` of the recipe that reads the cell, if any
-    (not the Recipe, which holds the cell: no reference cycles to collect).
+    whole value, never mutates it in place.  `parent` never changes: the one
+    splice that re-parents a node (`rake`'s z under u) gives it a new cell.
+    `consumer` is the position in `ContractionHierarchy.recipes` of the recipe
+    that reads the cell, if any (not the Recipe, which holds the cell: no
+    reference cycles to collect).
     """
 
-    __slots__ = ("value", "consumer")
+    __slots__ = ("value", "parent", "consumer")
 
-    def __init__(self, value):
+    def __init__(self, value, parent: int):
         self.value = value
+        self.parent = parent
         self.consumer: int | None = None
 
 
@@ -65,11 +69,11 @@ class Recipe:
 
 
 class LevelTree(BinaryLinks):
-    """One contracted tree T_i: `kids` and `parent` links plus edge-matrix cells.
+    """One contracted tree T_i: `kids` links plus edge-matrix cells.
 
-    `cell[c]` holds the matrix on the edge into c, so its keys are the keys
-    of `parent`.  The node set is derived from the links (the root plus every
-    node with a parent), not stored.
+    `cell[c]` holds the edge into c, so its keys are the non-root nodes and
+    `cell[c].parent` is c's parent.  The node set is derived (the root plus
+    every node with a cell), not stored.
     """
 
     def __init__(self, level: int, root: int):
@@ -80,13 +84,12 @@ class LevelTree(BinaryLinks):
     def copy_next(self) -> "LevelTree":
         nxt = LevelTree(self.level + 1, self.root)
         nxt.kids = dict(self.kids)
-        nxt.parent = dict(self.parent)
         nxt.cell = dict(self.cell)
         return nxt
 
     @property
     def contains(self) -> set[int]:
-        return {self.root, *self.parent}
+        return {self.root, *self.cell}
 
 
 class ContractionHierarchy:
@@ -109,7 +112,7 @@ class ContractionHierarchy:
         for lt in self.levels:
             for c, cell in lt.cell.items():
                 if cell not in out:
-                    x = lt.parent[c]
+                    x = cell.parent
                     out[cell] = (x, "A" if lt.kids[x][0] == c else "B", lt.level)
         return out
 
@@ -138,12 +141,12 @@ def rake(
 ) -> Recipe:
     """Apply one rake of leaf e (read from T_i `cur`, applied to `nxt`); e is
     one of `contract_pass`'s eligible leaves, so its parent is not the root."""
-    x = cur.parent[e]
-    u = cur.parent[x]
+    x = cur.cell[e].parent
+    u = cur.cell[x].parent
     xl, xr = cur.kids[x]
     z = xr if e == xl else xl
 
-    target = MatCell(None)
+    target = MatCell(None, u)
     recipe = Recipe(cur.level, target, cur.cell[x], cur.cell[e], cur.cell[z], e)
     recipe.recompute(hier.tree, counter)
 
@@ -159,13 +162,9 @@ def rake(
 
     # splice the next-level tree: z takes x's place under u.  u's pair is read
     # from `nxt`: an earlier rake this pass may have replaced its other child.
-    for d in (e, x):
-        del nxt.parent[d]
-        del nxt.cell[d]
-    del nxt.kids[x]
+    del nxt.cell[e], nxt.cell[x], nxt.kids[x]
     ul, ur = nxt.kids[u]
     nxt.kids[u] = (z, ur) if ul == x else (ul, z)
-    nxt.parent[z] = u
     nxt.cell[z] = target
     return recipe
 
@@ -183,7 +182,7 @@ def contract_pass(
     is skipped (without shifting parity) when an earlier rake this pass
     already removed its parent or refreshed one of its input matrices.
     """
-    eligible = [e for e in leaves[1:-1] if cur.parent[e] != cur.root]
+    eligible = [e for e in leaves[1:-1] if cur.cell[e].parent != cur.root]
     if not eligible:
         return None
 
@@ -193,14 +192,15 @@ def contract_pass(
     for idx, e in enumerate(eligible):
         if idx % 2 != 0:
             continue
-        x = cur.parent[e]
-        u = cur.parent[x]
+        x = cur.cell[e].parent
+        u = cur.cell[x].parent
         if x in removed or x in fresh_targets or u in removed:
             continue
         rake(hier, cur, nxt, e, counter)
         removed.update((x, e))
         fresh_targets.add(u)
-    nxt.kids = dict(nxt.kids)  # a fresh copy drops the room the rakes' deletions left
+    # fresh copies drop the room the rakes' deletions left
+    nxt.kids, nxt.cell = dict(nxt.kids), dict(nxt.cell)
     return nxt, [e for e in leaves if e not in removed]
 
 
@@ -211,15 +211,16 @@ def build_hierarchy(
 
     The tree must already be valid (`binarize` validates it); leaf
     likelihoods are read from its evidence map.  Level 0 reads the tree's
-    own `kids`/`parent` dicts, not copies: a rake writes only the
-    next level, which `copy_next` copies from its predecessor.  The leaves
-    are walked once, on T_0; each pass derives the next level's.
+    own `kids` dict, not a copy: a rake writes only the next level, which
+    `copy_next` copies from its predecessor.  T_0's cells take their parents
+    from the tree's `parent`.  The leaves are walked once, on T_0; each pass
+    derives the next level's.
     """
     hier = ContractionHierarchy(tree)
 
     t0 = LevelTree(0, tree.root)
-    t0.kids, t0.parent = tree.kids, tree.parent
-    t0.cell = {c: MatCell(tree.matrix[c]) for c in tree.parent}
+    t0.kids = tree.kids
+    t0.cell = {c: MatCell(tree.matrix[c], p) for c, p in tree.parent.items()}
     hier.levels.append(t0)
 
     cur, leaves = t0, t0.in_order_leaves()

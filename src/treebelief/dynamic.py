@@ -128,20 +128,20 @@ class DynamicEngine:
             nxt = levels[i + 1]
 
             def below(c):  # None if c survives to T_{i+1}
-                if c not in nxt.parent:
+                if c not in nxt.cell:
                     cl, cr = lt.kids[c]
-                    e, s = (cr, cl) if cl in nxt.parent else (cl, cr)
+                    e, s = (cr, cl) if cl in nxt.cell else (cl, cr)
                     return lt.cell[e], lt.cell[s], e
 
             if x in nxt.kids:  # a rake never turns an internal node into a leaf
                 f.below, up = (below(l), below(r)), x
             else:  # raked away with leaf e; its other child z took its place under u
-                up = lt.parent[x]
+                up = lt.cell[x].parent
                 ul, ur = lt.kids[up]
                 f.x_left = ul == x
                 v = ur if f.x_left else ul
                 f.below = (None, below(v)) if f.x_left else (below(v), None)
-                f.cells, f.e_left = (lt.cell[x], lt.cell[v]), l not in nxt.parent
+                f.cells, f.e_left = (lt.cell[x], lt.cell[v]), l not in nxt.cell
                 f.e = l if f.e_left else r
             f.up = self._frame(up, i + 1)  # recurses once per level not yet built
             if f.cells is None and f.below == (None, None):
@@ -217,7 +217,7 @@ class DynamicEngine:
         if tree.is_leaf(x):
             if x == tree.root:  # single-node tree
                 return linalg.normalize(self.prior * tree.leaf_lambda(x))
-            p = tree.parent[x]  # T_0's links are the tree's
+            p = tree.parent[x]  # T_0's kids are the tree's, and cell[x].parent is p
             pp, lam_l, lam_r = self.calc_pi_lambda(p, 0, memo)
             l, r = tree.kids[p]
             sib, lam_sib = (r, lam_r) if l == x else (l, lam_l)

@@ -73,14 +73,13 @@ def as_likelihood(likelihood, k: int) -> np.ndarray:
 
 
 class BinaryLinks:
-    """Root and child/parent links of a binary complete tree: `kids[x]` is
-    the (left, right) pair of each internal node x, so a node has two
-    children or none, and `parent` maps every other node to its parent."""
+    """Root and child links of a binary complete tree: `kids[x]` is the
+    (left, right) pair of each internal node x, so a node has two children
+    or none."""
 
     def __init__(self, root: int | None = None):
         self.root = root
         self.kids: dict[int, tuple[int, int]] = {}
-        self.parent: dict[int, int] = {}
 
     def is_leaf(self, x: int) -> bool:
         return x not in self.kids
@@ -115,6 +114,7 @@ class CausalTree(BinaryLinks):
     def __init__(self, k: int):
         super().__init__()
         self.k = k
+        self.parent: dict[int, int] = {}  # every non-root node -> its parent
         self.names: dict[int, str] = {}
         self.prior: np.ndarray | None = None
         self.matrix: dict[int, np.ndarray] = {}  # edge matrix, keyed by child

@@ -1,11 +1,12 @@
 import gc
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from treebelief import contract, exact
-from treebelief.bench import make_balanced, make_chain, random_stochastic
+from treebelief.bench import make_balanced, make_chain, make_random, random_stochastic
 from treebelief.contract import build_hierarchy, contract_pass, rake
 from treebelief.errors import StructureError
 from treebelief.tree import RawTree, binarize
@@ -99,9 +100,9 @@ class TestRakeSemantics:
             for r in hier.recipes:
                 made.setdefault(r.level + 1, set()).add(r.target)
             for lt in hier.levels:
-                assert lt.cell.keys() == lt.parent.keys()
                 for c, cell in lt.cell.items():
-                    x = lt.parent[c]
+                    x = cell.parent
+                    assert c in lt.kids[x]
                     side = "A" if lt.kids[x][0] == c else "B"
                     if lt.level == 0:
                         assert cell.value is t.matrix[c]
@@ -182,21 +183,21 @@ class TestContractPass:
         assert len(hier.levels[-1].contains) == 3
 
     def test_links_agree_at_every_level(self, monkeypatch):
-        """At every level each pair's children map back to it through `parent`,
-        and `parent` and `cell` hold exactly the non-root nodes reachable
+        """At every level each pair's children map back to it through their
+        cells' `parent`, and `cell` holds exactly the non-root nodes reachable
         through `kids`: also where one pass rakes under both children of one
         node, so the second rake splices a pair the first one rewrote.  Each
         level is checked as its pass returns it."""
 
         def check_links(lt):
             for x, pair in lt.kids.items():
-                assert [lt.parent.get(c) for c in pair] == [x, x]
+                assert [lt.cell[c].parent for c in pair] == [x, x]
             reached, stack = [], list(lt.kids.get(lt.root, ()))
             while stack:
                 c = stack.pop()
                 reached.append(c)
                 stack += lt.kids.get(c, ())
-            assert sorted(reached) == sorted(lt.parent) == sorted(lt.cell)
+            assert sorted(reached) == sorted(lt.cell)
 
         def checked(hier, cur, leaves, counter=None):
             step = contract_pass(hier, cur, leaves, counter)
@@ -215,8 +216,20 @@ class TestContractPass:
                 grandparents = Counter()
                 for r in hier.recipes:
                     lt = hier.levels[r.level]
-                    grandparents[r.level, lt.parent[lt.parent[r.leaf]]] += 1
+                    grandparents[r.level, lt.cell[lt.cell[r.leaf].parent].parent] += 1
                 assert max(grandparents.values()) == 2
+
+    def test_level_layout(self):
+        """A level's parents live in its cells, and its dicts are compact: no
+        room left over from the level below, whose copy the rakes thinned."""
+        hier = build_hierarchy(make_random(2000, 2, np.random.default_rng(13)))
+        assert len(hier.levels) > 10
+        for lt in hier.levels:
+            assert not hasattr(lt, "parent")
+            for c, cell in lt.cell.items():
+                assert c in lt.kids[cell.parent]
+            for links in (lt.cell, lt.kids):
+                assert sys.getsizeof(links) <= sys.getsizeof(dict(links)), lt.level
 
 
 class TestBuildHierarchy:
@@ -300,7 +313,7 @@ class TestBuildHierarchy:
             top = len(hier.levels) - 1
             for x, i in hier.ind.items():
                 assert x in hier.levels[i].kids
-                assert i == top or x not in hier.levels[i + 1].parent
+                assert i == top or x not in hier.levels[i + 1].cell
 
     def test_invalid_tree_rejected(self):
         # validation happens once, in binarize: an invalid tree never

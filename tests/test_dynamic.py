@@ -196,7 +196,7 @@ class TestBelQuery:
             eng = DynamicEngine(t)
             lt0 = eng.hier.levels[0]
             assert eng.hier.ind[3] == eng.hier.ind[4] == 0
-            assert lt0.parent[3] == lt0.parent[4] == 1
+            assert lt0.cell[3].parent == lt0.cell[4].parent == 1
             oracle = exact.joint_marginals(t)
             for x in t.names:
                 assert np.allclose(eng.bel_query(x), oracle[x], atol=1e-12), x

@@ -7,7 +7,8 @@ step all of them must agree with `exact.propagate_all` on a reference copy that
 holds the same evidence at scale 1 -- and with brute-force enumeration
 (`exact.joint_marginals`) when the joint state space is small -- and the
 hierarchy engine's cells must be bitwise equal to a fresh `build_hierarchy` on
-its evidence.
+its evidence.  A rebuild step replaces the hierarchy engine with one built over
+its tree, so writes and reads also follow a build over posted evidence.
 
 The machine runs three tenths of the loaded hypothesis profile's examples
 (`tests/conftest.py`): 30 under `default`, 300 under `slow`.
@@ -22,6 +23,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from treebelief import exact
 from treebelief.bench import ENGINE_CLASSES, make_balanced, make_chain, random_stochastic
 from treebelief.contract import build_hierarchy
+from treebelief.dynamic import DynamicEngine
 from treebelief.errors import DimensionError
 from treebelief.linalg import FactoredMatrix
 from treebelief.tree import RawTree, binarize
@@ -138,6 +140,14 @@ class EngineProtocol(RuleBasedStateMachine):
     @rule(i=index, v=values, scale=st.sampled_from([1e300, 1e-300]))
     def scale_jump(self, i, v, scale):
         self.post([self.item(i, v)], scale)
+
+    @rule()
+    def rebuild(self):
+        """Build a new hierarchy engine over the old one's tree and evidence
+        (rescaled by `scale_jump` too); the run goes on with the new one."""
+        new = DynamicEngine(self.hierarchy.tree)
+        assert_same_cells(self.hierarchy.hier, new.hier)
+        self.engines["hierarchy"] = self.hierarchy = new
 
     @rule(i=index)
     def bel_query(self, i):
