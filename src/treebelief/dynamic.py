@@ -11,10 +11,11 @@ One write path and one read path:
   O(log N) products per node.  Each (x, level) of a walk has one `Frame`,
   built on first read, that links to the frame above and holds its step's
   cells, so a query follows the links up and computes the triples top down
-  in one loop.  The nodes of one batch share a memo keyed by frame, so a
-  triple that several walks pass through is computed once; the memo lives
-  for that batch only, as the next write changes the triples.  `bel_query(x)`
-  is the one-node batch.
+  in one loop.  Reads share the engine's `memo`, keyed by frame, so a triple
+  that several walks pass through is computed once between two writes: a
+  triple depends only on cells and leaf likelihoods, which only
+  `update_many` changes, and it clears the memo.  `bel_query(x)` is the
+  one-node batch.
 
 All beliefs at once are `exact.propagate_all`, the O(N) two-pass sweep.
 
@@ -67,6 +68,8 @@ class DynamicEngine:
         self.last_recipe_recomputes = 0
         # frames[i][x] is the Frame of (x, i), built on its first read
         self.frames: list[dict[int, Frame]] = [{} for _ in self.hier.levels]
+        # memo[f] is frame f's triple, kept from its first read to the next write
+        self.memo: dict[Frame, tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -82,7 +85,8 @@ class DynamicEngine:
         Each recipe is a pure function of its inputs and the level order is a
         topological order, so the cells end bitwise equal to posting the
         items one at a time.  A bad item raises before any recipe is
-        recomputed and puts back the evidence stored before it.
+        recomputed and puts back the evidence stored before it, so it leaves
+        `memo` as it was; a stored batch clears it.
         """
         tree, hier = self.tree, self.hier
         items = list(items)
@@ -97,6 +101,7 @@ class DynamicEngine:
                 else:
                     tree.evidence[leaf] = old
             raise
+        self.memo.clear()
         chain, seen = [], set()
         for leaf, _ in items:
             recipe = hier.recipe_by_leaf.get(leaf)
@@ -198,19 +203,20 @@ class DynamicEngine:
     def bel_query(self, x: int) -> np.ndarray:
         """Posterior marginal of x under the current evidence: `bel_many` of
         one node."""
-        return self._belief(self.tree.resolve(x), {})
+        return self._belief(self.tree.resolve(x))
 
     def bel_many(self, nodes) -> list[np.ndarray]:
         """Posterior marginal of each of `nodes`, in order (a repeated id is
         answered again).  Every id is resolved before any product, so an
-        unknown one raises UsageError with `counter` untouched.  The walks
-        share one memo, so each frame's triple is computed once per batch;
-        each belief is bitwise equal to `bel_query`'s."""
+        unknown one raises UsageError with `counter` untouched.  A walk
+        computes only its triples not yet in `memo`: O(log N) products when
+        cold, fewer after other reads since the last write.  However reads
+        between two writes are split, they cost the same and give bitwise
+        the same beliefs."""
         xs = [self.tree.resolve(x) for x in nodes]
-        memo: dict = {}
-        return [self._belief(x, memo) for x in xs]
+        return [self._belief(x) for x in xs]
 
-    def _belief(self, x: int, memo: dict) -> np.ndarray:
+    def _belief(self, x: int) -> np.ndarray:
         """Posterior marginal of the resolved node x: pi down its edge from
         its parent's triple (a leaf), or lambda up from its own (else)."""
         tree, counter, apply = self.tree, self.counter, linalg.apply
@@ -218,7 +224,7 @@ class DynamicEngine:
             if x == tree.root:  # single-node tree
                 return linalg.normalize(self.prior * tree.leaf_lambda(x))
             p = tree.parent[x]  # T_0's kids are the tree's, and cell[x].parent is p
-            pp, lam_l, lam_r = self.calc_pi_lambda(p, 0, memo)
+            pp, lam_l, lam_r = self.calc_pi_lambda(p, 0, self.memo)
             l, r = tree.kids[p]
             sib, lam_sib = (r, lam_r) if l == x else (l, lam_l)
             cell = self.hier.levels[0].cell
@@ -227,6 +233,6 @@ class DynamicEngine:
             return linalg.normalize(tree.leaf_lambda(x) * pi_x)
         i = self.hier.ind[x]
         cell, (l, r) = self.hier.levels[i].cell, self.hier.levels[i].kids[x]
-        p, lam_l, lam_r = self.calc_pi_lambda(x, i, memo)
+        p, lam_l, lam_r = self.calc_pi_lambda(x, i, self.memo)
         lam_x = apply(cell[l].value, lam_l, counter) * apply(cell[r].value, lam_r, counter)
         return linalg.normalize(linalg.rescale_if_tiny(lam_x) * p)

@@ -5,7 +5,7 @@ from treebelief import exact, protein
 from treebelief.bench import make_balanced, make_chain, make_random, random_stochastic
 from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
-from treebelief.errors import DimensionError, UsageError
+from treebelief.errors import DimensionError, InconsistentEvidenceError, UsageError
 from treebelief.formats import parse_btn
 from treebelief.linalg import FactoredMatrix
 from treebelief.tree import CausalTree, RawTree, binarize
@@ -170,7 +170,10 @@ class TestBelQuery:
         trees += [random_binarized_tree(rng, int(rng.integers(3, 80)), 2) for _ in range(20)]
         for t in trees:
             eng = DynamicEngine(t)
-            for node in t.names:
+            leaves = updatable_leaves(t)
+            for j, node in enumerate(t.names):
+                # a write first, so that every read measured walks cold
+                eng.update_evidence(leaves[j % len(leaves)], rng.random(2) + 0.01)
                 x = t.resolve(node)
                 i = 0 if t.is_leaf(x) else eng.hier.ind[x]
                 before = eng.counter.snapshot()
@@ -276,13 +279,19 @@ class TestBelMany:
         assert eng.counter == counter
 
     def test_single_query_memo_holds_its_walk(self, monkeypatch):
+        """A read keeps its walk's triples in the engine's memo, reads add to
+        them, and the next write drops them all."""
         calls = spy_walks(monkeypatch)
         eng = DynamicEngine(make_chain(32, 2, np.random.default_rng(8)))
+        held = set()
         for x in (3, 40):  # an internal node and a leaf
             eng.bel_query(x)
             [(y, i, memo)] = calls
-            assert memo.keys() == set(frames_walked(eng, y, i))
+            held |= set(frames_walked(eng, y, i))
+            assert memo is eng.memo and memo.keys() == held
             del calls[:]
+        eng.update_evidence(updatable_leaves(eng.tree)[0], [0.3, 0.6])
+        assert eng.memo == {}
 
     def test_protein_watch_batch_computes_each_triple_once(self, monkeypatch):
         tables = protein.train(
@@ -292,24 +301,29 @@ class TestBelMany:
         )
         chain = protein.ProteinChain("GSATKLVEHHMKVLAAGWPEPQRSTVWYACDEFGHIKLMN" * 3, tables)
         eng, watch = chain.engine, [57, 58, 59]
+        assert eng.memo == {}
         calls = spy_walks(monkeypatch)
         before = eng.counter.snapshot()
         single = [eng.bel_query(x) for x in watch]
         single_cost = eng.counter.delta(before)
         walks = [frames_walked(eng, x, i) for x, i, _ in calls]
         del calls[:]
+        eng.memo.clear()  # cold again, as after a write
         before = eng.counter.snapshot()
         batch = eng.bel_many(watch)
         batch_cost = eng.counter.delta(before)
-        for a, b in zip(batch, single):
-            assert np.array_equal(a, b)
-        # the three walks pass 23 frames, 10 of them distinct; the batch
-        # computes those 10, each once, and keeps their triples in its memo
+        before = eng.counter.snapshot()
+        again = eng.bel_many(watch)
+        again_cost = eng.counter.delta(before)
+        for a, b, c in zip(batch, single, again):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+        # the three walks pass 23 frames, 10 of them distinct; single reads
+        # and the batch each compute those 10 once and keep them in the memo,
+        # and a repeat batch pays only its three final steps
         distinct = set().union(*walks)
-        memo = calls[0][2]
-        assert (sum(map(len, walks)), len(distinct), len(calls)) == (23, 10, 3)
-        assert memo.keys() == distinct
-        assert (single_cost.mat_vec, batch_cost.mat_vec) == (46, 24)
+        assert (sum(map(len, walks)), len(distinct), len(calls)) == (23, 10, 6)
+        assert eng.memo.keys() == distinct
+        assert (single_cost.mat_vec, batch_cost.mat_vec, again_cost.mat_vec) == (24, 24, 6)
 
     @pytest.mark.parametrize("shape", [name for name, _ in BEL_MANY_SHAPES])
     def test_warm_frames_survive_writes(self, shape):
@@ -338,6 +352,86 @@ class TestBelMany:
                 assert np.allclose(b, bel[t.resolve(x)], rtol=0.0, atol=1e-9), x
             frames = sum(map(len, eng.frames))
             assert 0 < frames <= sum(len(lt.kids) for lt in eng.hier.levels)
+
+
+def zero_joint_tree():
+    """root 0 -> (1, 2), 1 -> (3, 4), 2 -> (5, 6), every edge the identity:
+    evidence [1, 0] on leaf 3 and [0, 1] on leaf 6 has zero joint
+    probability."""
+    raw = RawTree(2)
+    for n in range(7):
+        raw.add_node(n)
+    raw.set_root(0, [0.5, 0.5])
+    for p, cs in ((0, (1, 2)), (1, (3, 4)), (2, (5, 6))):
+        for c in cs:
+            raw.add_edge(p, c, np.eye(2))
+    raw.evidence[3], raw.evidence[6] = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    return binarize(raw)
+
+
+class TestMemo:
+    """The engine's memo keeps the triples of every read until the next write."""
+
+    @pytest.mark.parametrize("shape", [name for name, _ in BEL_MANY_SHAPES])
+    def test_reads_between_writes_cost_one_cold_batch(self, shape):
+        make = dict(BEL_MANY_SHAPES)[shape]
+        for seed in range(4):
+            eng = DynamicEngine(make(np.random.default_rng(seed), 3))
+            t = eng.tree
+            nodes = sorted(t.names) + sorted(t.alias)
+            rng = np.random.default_rng(200 + seed)
+            seq = [nodes[int(i)] for i in rng.integers(len(nodes), size=2 * len(nodes))]
+            leaves = updatable_leaves(t)
+            picks = rng.integers(len(leaves), size=3)
+            items = [(leaves[int(i)], rng.random(t.k) + 0.01) for i in picks]
+            eng.bel_many(nodes)  # a warm memo that the write must drop
+            eng.update_many(items)
+            before = eng.counter.snapshot()
+            single = [eng.bel_query(x) for x in seq]
+            single_cost = eng.counter.delta(before)
+            # one cold batch of the same nodes, on an engine built after the write
+            fresh = DynamicEngine(t)
+            before = fresh.counter.snapshot()
+            batch = fresh.bel_many(seq)
+            assert single_cost == fresh.counter.delta(before)
+            for x, a, b in zip(seq, single, batch):
+                assert np.array_equal(a, b), x
+
+    def test_rejected_batch_leaves_answers(self):
+        rng = np.random.default_rng(25)
+        for _ in range(10):
+            t = random_binarized_tree(rng, int(rng.integers(3, 30)), 2)
+            eng = DynamicEngine(t)
+            leaves, nodes = updatable_leaves(t), sorted(t.names)
+            eng.update_evidence(leaves[0], rng.random(2) + 0.01)
+            want = eng.bel_many(nodes)
+            items = [(leaf, rng.random(2) + 0.01) for leaf in leaves]
+            items.append((leaves[-1], np.ones(3)))
+            with pytest.raises(DimensionError):
+                eng.update_many(items)
+            for x, b, w in zip(nodes, eng.bel_many(nodes), want):
+                assert np.array_equal(b, w), x
+
+    def test_inconsistent_evidence_raises_again(self):
+        t = zero_joint_tree()
+        eng = DynamicEngine(t)
+        for _ in range(2):  # the second round reads through the memo the first filled
+            for x in sorted(t.names):
+                with pytest.raises(InconsistentEvidenceError):
+                    eng.bel_query(x)
+        eng.update_evidence(6, [1.0, 0.0])
+        bel = exact.propagate_all(t)
+        for x in sorted(t.names):
+            assert np.allclose(eng.bel_query(x), bel[x], rtol=0.0, atol=1e-12), x
+
+    @pytest.mark.parametrize("shape", [name for name, _ in BEL_MANY_SHAPES])
+    def test_write_frees_every_triple(self, shape):
+        t = dict(BEL_MANY_SHAPES)[shape](np.random.default_rng(26), 3)
+        eng = DynamicEngine(t)
+        eng.bel_many(sorted(t.names) + sorted(t.alias))
+        assert len(eng.memo) == len({f for level in eng.frames for f in level.values()}) > 0
+        eng.update_evidence(updatable_leaves(t)[0], np.full(t.k, 0.5))
+        assert eng.memo == {}
 
 
 class TestUpdateMany:
