@@ -92,16 +92,24 @@ def make_random(internal: int, k: int, rng: np.random.Generator) -> CausalTree:
     return binarize(raw)
 
 
-SHAPES = {"chain": make_chain, "balanced": make_balanced, "random": make_random}
+# each shape's generator, and the node count of its tree for a size it accepts
+SHAPES = {
+    "chain": (make_chain, lambda length: 2 * length + 1),
+    "balanced": (make_balanced, lambda leaves: 2 * (1 << int(leaves - 1).bit_length()) - 1),
+    "random": (make_random, lambda internal: 2 * internal + 1),
+}
 
 
 def make_model(shape: str, size: int, k: int, rng: np.random.Generator) -> CausalTree:
+    """A `shape` tree of `size`, its arguments and node count checked first."""
     if shape not in SHAPES:
         raise UsageError(f"unknown shape {shape!r}")
-    tree = SHAPES[shape](size, k, rng)
-    if len(tree.names) > MAX_BENCH_NODES:
-        raise ScaleError(f"{len(tree.names)} nodes exceeds bench limit {MAX_BENCH_NODES}")
-    return tree
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
+    make, count = SHAPES[shape]
+    if count(size) > MAX_BENCH_NODES:
+        raise ScaleError(f"{count(size)} nodes exceeds bench limit {MAX_BENCH_NODES}")
+    return make(size, k, rng)
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +249,8 @@ def run_bench(
     seed: int,
     engines=ENGINES,
 ) -> list[BenchRecord]:
+    if ops < 0:
+        raise UsageError(f"ops must be >= 0, got {ops}")
     sizes = list(sizes)
     if sizes != sorted(sizes):
         raise UsageError("sizes must be ascending")

@@ -216,6 +216,8 @@ def cmd_polytree_session(args) -> int:
 
 
 def cmd_polytree_bench(args) -> int:
+    if args.ops < 0:
+        raise UsageError(f"ops must be >= 0, got {args.ops}")
     kind, model = _load_model(args.file)
     if kind != "ptn":
         raise UsageError("polytree bench expects a PTN file")

@@ -213,14 +213,14 @@ def build_hierarchy(
     likelihoods are read from its evidence map.  Level 0 reads the tree's
     own `kids` dict, not a copy: a rake writes only the next level, which
     `copy_next` copies from its predecessor.  T_0's cells take their parents
-    from the tree's `parent`.  The leaves are walked once, on T_0; each pass
-    derives the next level's.
+    from the tree's `kids` pairs, the tree's one link store.  The leaves are
+    walked once, on T_0; each pass derives the next level's.
     """
     hier = ContractionHierarchy(tree)
 
     t0 = LevelTree(0, tree.root)
     t0.kids = tree.kids
-    t0.cell = {c: MatCell(tree.matrix[c], p) for c, p in tree.parent.items()}
+    t0.cell = {c: MatCell(tree.matrix[c], p) for p, pair in tree.kids.items() for c in pair}
     hier.levels.append(t0)
 
     cur, leaves = t0, t0.in_order_leaves()

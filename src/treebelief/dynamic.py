@@ -223,11 +223,11 @@ class DynamicEngine:
         if tree.is_leaf(x):
             if x == tree.root:  # single-node tree
                 return linalg.normalize(self.prior * tree.leaf_lambda(x))
-            p = tree.parent[x]  # T_0's kids are the tree's, and cell[x].parent is p
+            cell = self.hier.levels[0].cell  # T_0's kids are the tree's
+            p = cell[x].parent
             pp, lam_l, lam_r = self.calc_pi_lambda(p, 0, self.memo)
             l, r = tree.kids[p]
             sib, lam_sib = (r, lam_r) if l == x else (l, lam_l)
-            cell = self.hier.levels[0].cell
             to_x = pp * apply(cell[sib].value, lam_sib, counter)
             pi_x = linalg.apply_transpose(cell[x].value, to_x, counter)
             return linalg.normalize(tree.leaf_lambda(x) * pi_x)

@@ -177,9 +177,8 @@ def joint_marginals(
     """Brute-force oracle over a causal tree: the prior, every edge matrix and
     every leaf likelihood, enumerated by `enumerate_marginals`."""
     factors = [((tree.root,), tree.prior)]
-    for child, m in tree.matrix.items():
-        if child in tree.parent:
-            factors.append(((tree.parent[child], child), linalg.dense(m)))
+    for p, pair in tree.kids.items():
+        factors += [((p, c), linalg.dense(tree.matrix[c])) for c in pair]
     for leaf in tree.in_order_leaves():
         factors.append(((leaf,), tree.leaf_lambda(leaf)))
     return enumerate_marginals(tree.k, factors, counter)
@@ -187,10 +186,11 @@ def joint_marginals(
 
 class PropagationState:
     """Depth-bounded incremental engine: keeps lambda current, computes pi on
-    demand along the root path only."""
+    demand along the root path only, climbing by its own child -> parent map."""
 
     def __init__(self, tree: CausalTree):
         self.tree = tree
+        self.up = {c: p for p, pair in tree.kids.items() for c in pair}
         self.counter = OpCounter()
         self.lam, self.msg = lambda_pass(tree, self.counter)
         self.last_lambda_recomputes = 0
@@ -204,14 +204,14 @@ class PropagationState:
         self.lam[leaf] = tree.leaf_lambda(leaf)
         self.msg[leaf] = linalg.apply(tree.matrix[leaf], self.lam[leaf], self.counter)
         self.last_lambda_recomputes = 0
-        x = tree.parent.get(leaf)
+        x = self.up.get(leaf)
         while x is not None:
             l, r = tree.kids[x]
             self.lam[x] = linalg.rescale_if_tiny(self.msg[l] * self.msg[r])
             self.last_lambda_recomputes += 1
             if x != tree.root:
                 self.msg[x] = linalg.apply(tree.matrix[x], self.lam[x], self.counter)
-            x = tree.parent.get(x)
+            x = self.up.get(x)
 
     def bel_query(self, x: int) -> np.ndarray:
         """Bel(x) computed by walking pi down the root path; transient, never
@@ -220,7 +220,7 @@ class PropagationState:
         x = tree.resolve(x)
         path = [x]
         while path[-1] != tree.root:
-            path.append(tree.parent[path[-1]])
+            path.append(self.up[path[-1]])
         path.reverse()
         pi = tree.prior
         self.last_pi_recomputes = 0

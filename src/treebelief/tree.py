@@ -6,7 +6,8 @@ matrix, the root carries a prior, and evidence lives only at leaves as
 likelihood vectors.  Arbitrary-fanout inputs are normalized by `binarize`,
 which copies over-full nodes and pads single-child nodes with dummy leaves
 whose likelihood is permanently all-ones; every copy and dummy edge carries
-the same identity matrix object.
+the same identity matrix object.  Each link is stored once, as the parent's
+(left, right) child pair; a reader that climbs derives parents from those.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class BinaryLinks:
 
 
 class CausalTree(BinaryLinks):
-    """Binary complete causal tree; the single store of leaf evidence.
+    """Binary complete causal tree: one store of links (`kids`) and of evidence.
 
     `evidence` maps each leaf with posted evidence to its likelihood vector.
     A contraction hierarchy built on the tree reads it through `leaf_lambda`,
@@ -114,7 +115,6 @@ class CausalTree(BinaryLinks):
     def __init__(self, k: int):
         super().__init__()
         self.k = k
-        self.parent: dict[int, int] = {}  # every non-root node -> its parent
         self.names: dict[int, str] = {}
         self.prior: np.ndarray | None = None
         self.matrix: dict[int, np.ndarray] = {}  # edge matrix, keyed by child
@@ -141,8 +141,6 @@ class CausalTree(BinaryLinks):
 
     def link(self, parent: int, left: int, right: int) -> None:
         self.kids[parent] = left, right
-        self.parent[left] = parent
-        self.parent[right] = parent
         self._numbering = None
 
     def numbering(self) -> Levels:
@@ -193,7 +191,7 @@ class CausalTree(BinaryLinks):
             out.append("root prior missing or wrong length")
         elif not abs(self.prior.sum() - 1.0) <= 1e-9:  # NaN fails too
             out.append("root prior does not sum to 1")
-        if self.root in self.parent:
+        if self.root in chain.from_iterable(self.kids.values()):
             out.append("root has a parent")
         seen = set()
         stack = [self.root]
@@ -203,10 +201,7 @@ class CausalTree(BinaryLinks):
                 out.append(f"node {x} reachable twice (cycle or shared child)")
                 continue
             seen.add(x)
-            for c in self.kids.get(x, ()):
-                if self.parent.get(c) != x:
-                    out.append(f"child link {x}->{c} not mirrored by parent link")
-                stack.append(c)
+            stack += self.kids.get(x, ())
         for x in self.names:
             if x not in seen:
                 out.append(f"node {x} unreachable from root")
@@ -361,8 +356,7 @@ def binarize(raw: RawTree) -> CausalTree:
         raise StructureError("raw tree has no root/prior")
     t = CausalTree(raw.k)
     ident = np.eye(raw.k)
-    for n, name in raw.names.items():
-        t.add_node(n, name)
+    t.names = dict(raw.names)
     t.root = raw.root
     t.prior = raw.prior.copy()
     copies = {id(m): m for m in raw.matrix.values()}  # raw keeps each id alive

@@ -3,7 +3,15 @@ import pytest
 
 from treebelief import bench, exact
 from treebelief.dynamic import DynamicEngine
-from treebelief.errors import UsageError
+from treebelief.errors import ScaleError, UsageError
+
+
+def spy_on_generator(monkeypatch, shape):
+    """Replace `shape`'s generator by one that only records its calls; the
+    list of their arguments."""
+    calls = []
+    monkeypatch.setitem(bench.SHAPES, shape, (lambda *a: calls.append(a), bench.SHAPES[shape][1]))
+    return calls
 
 
 class TestGenerators:
@@ -26,6 +34,36 @@ class TestGenerators:
     def test_unknown_shape(self):
         with pytest.raises(UsageError):
             bench.make_model("ring", 8, 2, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("shape", list(bench.SHAPES))
+    def test_node_count_known_before_build(self, shape):
+        count = bench.SHAPES[shape][1]
+        for size in range(2 if shape == "balanced" else 1, 40):
+            t = bench.make_model(shape, size, 2, np.random.default_rng(size))
+            assert count(size) == len(t.names), size
+
+    @pytest.mark.parametrize(
+        "shape, size",
+        [("chain", 10**6), ("random", 10**6), ("balanced", 2**20 + 1), ("balanced", 2**20)],
+    )
+    def test_node_limit_checked_before_build(self, monkeypatch, shape, size):
+        calls = spy_on_generator(monkeypatch, shape)
+        with pytest.raises(ScaleError, match="exceeds bench limit"):
+            bench.make_model(shape, size, 2, np.random.default_rng(0))
+        assert calls == []
+
+    def test_largest_size_within_limit_reaches_the_generator(self, monkeypatch):
+        calls = spy_on_generator(monkeypatch, "chain")
+        size = (bench.MAX_BENCH_NODES - 1) // 2
+        bench.make_model("chain", size, 2, np.random.default_rng(0))
+        assert [a[0] for a in calls] == [size]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected_before_build(self, monkeypatch, k):
+        calls = spy_on_generator(monkeypatch, "chain")
+        with pytest.raises(UsageError, match=f"k must be >= 1, got {k}"):
+            bench.make_model("chain", 4, k, np.random.default_rng(0))
+        assert calls == []
 
 
 class TestEngineWrappers:
@@ -83,6 +121,13 @@ class TestRunBench:
         a = bench.run_bench("random", [8, 12], 2, 10, seed=5)
         b = bench.run_bench("random", [8, 12], 2, 10, seed=5)
         assert strip_ns(a) == strip_ns(b)
+
+    def test_negative_ops_rejected_before_any_work(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(bench, "make_model", lambda *a: built.append(a))
+        with pytest.raises(UsageError, match="ops must be >= 0, got -3"):
+            bench.run_bench("chain", [8], 2, -3, 0)
+        assert built == []
 
     def test_sizes_must_ascend(self):
         with pytest.raises(UsageError):

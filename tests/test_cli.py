@@ -392,6 +392,26 @@ class TestBench:
         assert "ratio full/hierarchy" in ratio_line
         assert float(ratio_line.rsplit(":", 1)[1]) >= 5.0
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--k", "-1"], "k must be >= 1, got -1"),
+            (["--k", "0"], "k must be >= 1, got 0"),
+            (["--ops", "-3"], "ops must be >= 0, got -3"),
+        ],
+    )
+    def test_bad_counts_usage_error_before_output(self, capsys, argv, message):
+        assert cli.main(["bench", "--sizes", "4", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_size_over_node_limit_is_a_scale_error(self, capsys):
+        assert cli.main(["bench", "--sizes", "1000000", "--ops", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 2000001 nodes exceeds bench limit 2000000\n"
+
     def test_descending_sizes_usage_error(self, capsys):
         assert cli.main(["bench", "--sizes", "16,8"]) == 1
 
@@ -593,6 +613,12 @@ class TestPolytreeCli:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "engine,shape,N,k,op,count_mv,count_mm,ns_total,ns_per_op"
         assert any(l.startswith("hierarchy,polytree,3,2,") for l in lines)
+
+    def test_bench_negative_ops_usage_error(self, ptn_file, capsys):
+        assert cli.main(["polytree", "bench", ptn_file, "--ops", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ops must be >= 0, got -3\n"
 
     def test_bench_op_counts(self, ptn_file, capsys):
         assert cli.main(["polytree", "bench", ptn_file, "--ops", "20", "--seed", "1"]) == 0

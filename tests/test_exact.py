@@ -139,7 +139,7 @@ class TestPropagateAllBatched:
         for x in t.names:
             assert np.allclose(full[x], eng.bel_query(x), rtol=0.0, atol=1e-12), x
         if mv_per_edge is None:
-            mv_per_edge = {x: 1 for x in t.parent}
+            mv_per_edge = {x: 1 for x in t.matrix}
         assert c.mat_vec == 2 * sum(mv_per_edge.values())
         return full, c
 
@@ -176,7 +176,7 @@ class TestPropagateAllBatched:
         for leaf in leaves[::3]:
             t.set_evidence(leaf, rng.random(K) + 0.05)
         assert all(isinstance(m, FactoredMatrix) for m in t.matrix.values())
-        self.check(t, {x: 2 for x in t.parent})
+        self.check(t, {x: 2 for x in t.matrix})
         assert max(stacked_calls) == 16
 
     def test_mixed_level_runs_per_node(self, stacked_calls):
@@ -184,17 +184,17 @@ class TestPropagateAllBatched:
         t = mixed_join_tree(rng)
         for leaf in updatable_leaves(t)[::2]:
             t.set_evidence(leaf, rng.random(t.k) + 0.05)
-        kinds = {x: type(t.matrix[x]) for x in t.parent}
+        kinds = {x: type(t.matrix[x]) for x in t.matrix}
         assert set(kinds.values()) == {np.ndarray, FactoredMatrix}
         at_depth = {}
-        for x in t.parent:
+        for x in t.matrix:
             at_depth.setdefault(depth(t, x), []).append(kinds[x])
         # wide levels whose dense pads sit beside factored edges
         assert any(
             len(ks) >= exact.BATCH_MIN_WIDTH and len(set(ks)) == 2
             for ks in at_depth.values()
         )
-        self.check(t, {x: 2 if kinds[x] is FactoredMatrix else 1 for x in t.parent})
+        self.check(t, {x: 2 if kinds[x] is FactoredMatrix else 1 for x in t.matrix})
         assert stacked_calls == []
 
     @pytest.mark.parametrize("scale", [1e-160, 1e200, 1e-200])

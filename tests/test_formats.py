@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treebelief import exact
+from treebelief import exact, formats
 from treebelief.bench import make_random
 from treebelief.errors import FormatError, StructureError
 from treebelief.formats import parse_btn, parse_ptn, serialize_btn
@@ -74,6 +74,58 @@ def chain_with_fault(edge, fault):
     line = FIRST_EDGE_LINE + edge
     lines[line - 1] = "edge " + " ".join(fields)
     return lines, f"line {line}: {message}"
+
+
+# the float grammar of an edge line, token by token: the value read, or the
+# error of its line.  It is `float`'s: underscores, Unicode digits and
+# underflow to zero are read, a no-break space separates tokens, and hex
+# floats and decimal commas are rejected
+FLOAT_TOKEN_VALUES = {
+    "1_0": 10.0, ".5": 0.5, "5.": 5.0, "+0.5": 0.5, "-0": -0.0,
+    "\u0661": 1.0, "1e-400": 0.0, "0.5\xa0": 0.5,
+}
+BAD_FLOAT_TOKENS = ["0x1p3", "0,5"]
+NON_FINITE_TOKENS = ["nan", "NaN", "+nan", "inf", "Infinity", "1e999"]
+TOKEN_EDGE = 2  # the golden chain's edge line that takes the token
+
+
+def chain_with_token(token):
+    """The golden chain with `token` as entry (0, 1) of one edge line, the
+    line's number and the edge's child."""
+    p, c = CHAIN_EDGES[TOKEN_EDGE]
+    lines = list(GOLDEN_CHAIN_LINES)
+    line = FIRST_EDGE_LINE + TOKEN_EDGE
+    lines[line - 1] = f"edge {p} {c} 0.9 {token} 0.2 0.8"
+    return lines, line, c
+
+
+class TestBtnFloatTokens:
+    @pytest.mark.parametrize("token", list(FLOAT_TOKEN_VALUES))
+    def test_read_as_value(self, monkeypatch, token):
+        monkeypatch.setattr(formats, "binarize", lambda raw: raw)  # the parsed edges
+        lines, _, c = chain_with_token(token)
+        m = parse_btn(lines).matrix[c]
+        want = FLOAT_TOKEN_VALUES[token]
+        assert m[0, 1] == want and np.signbit(m[0, 1]) == np.signbit(want)
+        assert np.array_equal(m, [[0.9, want], [0.2, 0.8]])
+
+    @pytest.mark.parametrize("token", BAD_FLOAT_TOKENS)
+    def test_bad_float(self, token):
+        lines, line, _ = chain_with_token(token)
+        with pytest.raises(FormatError) as exc:
+            parse_btn(lines)
+        assert str(exc.value) == (
+            f"line {line}: bad float: could not convert string to float: {token!r}"
+        )
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("token", NON_FINITE_TOKENS)
+    def test_non_finite(self, token):
+        lines, line, _ = chain_with_token(token)
+        with pytest.raises(FormatError) as exc:
+            parse_btn(lines)
+        assert str(exc.value) == f"line {line}: non-finite number"
+        assert exc.value.line == line
 
 
 class TestParseBtn:

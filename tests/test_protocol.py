@@ -8,7 +8,9 @@ holds the same evidence at scale 1 -- and with brute-force enumeration
 (`exact.joint_marginals`) when the joint state space is small -- and the
 hierarchy engine's cells must be bitwise equal to a fresh `build_hierarchy` on
 its evidence.  A rebuild step replaces the hierarchy engine with one built over
-its tree, so writes and reads also follow a build over posted evidence.
+its tree, so writes and reads also follow a build over posted evidence.  A
+grow step gives one node a new evidence leaf on every tree and rebuilds every
+engine, so the checks also run on a tree changed after its first sweep.
 
 The machine runs three tenths of the loaded hypothesis profile's examples
 (`tests/conftest.py`): 30 under `default`, 300 under `slow`.
@@ -29,7 +31,7 @@ from treebelief.linalg import FactoredMatrix
 from treebelief.tree import RawTree, binarize
 from test_dynamic import assert_same_cells
 from test_exact import mixed_join_tree
-from util import random_binarized_tree, updatable_leaves
+from util import attach_evidence_leaf, random_binarized_tree, updatable_leaves
 
 TOL = 1e-9
 ENUMERATION_LIMIT = 10**5  # joint states enumerated by the oracle invariant
@@ -148,6 +150,21 @@ class EngineProtocol(RuleBasedStateMachine):
         new = DynamicEngine(self.hierarchy.tree)
         assert_same_cells(self.hierarchy.hier, new.hier)
         self.engines["hierarchy"] = self.hierarchy = new
+
+    @rule(i=index)
+    def grow(self, i):
+        """Give one node an evidence leaf on the reference and on every
+        engine's tree (equal trees give equal fresh ids), then rebuild every
+        engine over its grown tree."""
+        pool = [n for n in self.nodes if n not in self.reference.dummies]
+        x = pool[i % len(pool)]
+        e = attach_evidence_leaf(self.reference, x)
+        for name, eng in self.engines.items():
+            assert attach_evidence_leaf(eng.tree, x) == e
+            self.engines[name] = ENGINE_CLASSES[name](eng.tree)
+        self.hierarchy = self.engines["hierarchy"]
+        self.leaves = updatable_leaves(self.reference)
+        self.nodes = sorted(self.reference.names)
 
     @rule(i=index)
     def bel_query(self, i):

@@ -337,6 +337,31 @@ class TestValidate:
         t.matrix[2] = np.eye(2)
         assert t.validate() == []
 
+    def test_links_stored_once(self):
+        """`kids` is the tree's one link store: no parent map after
+        `binarize` or after a structure change."""
+        t = binarize(three_child_raw())
+        assert not hasattr(t, "parent")
+        for x in (1, 0):  # a leaf, then the root
+            attach_evidence_leaf(t, x)
+            assert not hasattr(t, "parent")
+            assert t.validate() == []
+
+    def test_root_named_in_a_pair_has_a_parent(self):
+        # a tree built in code: 0 -> (1, 2), and an orphan 3 -> (0, 4)
+        t = CausalTree(2)
+        for n in range(5):
+            t.add_node(n)
+        t.root, t.prior = 0, np.array([0.5, 0.5])
+        t.link(0, 1, 2)
+        t.link(3, 0, 4)
+        t.matrix.update((c, np.eye(2)) for c in (0, 1, 2, 4))
+        assert t.validate() == [
+            "root has a parent",
+            "node 3 unreachable from root",
+            "node 4 unreachable from root",
+        ]
+
     def test_single_node_tree_clean(self):
         t = CausalTree(3)
         t.add_node(0)

@@ -46,9 +46,10 @@ def random_binarized_tree(rng, n_raw_nodes: int, k: int) -> CausalTree:
 
 
 def depth(tree: CausalTree, x: int) -> int:
+    up = {c: p for p, pair in tree.kids.items() for c in pair}
     d = 0
     while x != tree.root:
-        x = tree.parent[x]
+        x = up[x]
         d += 1
     return d
 
