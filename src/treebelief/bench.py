@@ -125,7 +125,7 @@ class FullEngine:
         self.counter = OpCounter()
 
     def update_evidence(self, leaf: int, likelihood) -> None:
-        self.tree.set_evidence(leaf, likelihood)
+        self.tree.set_evidence([(leaf, likelihood)])
 
     def bel_query(self, x: int) -> np.ndarray:
         x = self.tree.resolve(x)
@@ -269,10 +269,11 @@ def run_bench(
 def run_engines(tree: CausalTree, engines, script, shape: str, n: int) -> list[BenchRecord]:
     """Run the script on a fresh engine of each name, every engine starting
     from the evidence the tree holds on entry."""
-    base_evidence = {l: v.copy() for l, v in tree.evidence.items()}
+    base_evidence = list(tree.evidence.items())  # read-only arrays, never rewritten
     records = []
     for name in engines:
-        tree.evidence = {l: v.copy() for l, v in base_evidence.items()}
+        tree.drop_evidence(tree.evidence)
+        tree.set_evidence(base_evidence)
         records += run_script(name, make_engine(name, tree), script, shape, n, tree.k)
     return records
 

@@ -6,7 +6,7 @@ edge matrix of the grandparent).  Every derived matrix keeps a Recipe -- its
 defining equation in terms of lower-level matrices and one leaf likelihood --
 and each matrix or leaf likelihood feeds at most one Recipe at the next level,
 so an evidence update touches a single chain of recipes.  Leaf likelihoods are
-not copied: recipes read them from the tree (`CausalTree.leaf_lambda`).
+not copied: recipes read the tree's guarded form (`CausalTree.leaf_lambda`).
 """
 
 from __future__ import annotations
@@ -210,11 +210,11 @@ def build_hierarchy(
     """Repeat CONTRACT until the three-node top tree remains.
 
     The tree must already be valid (`binarize` validates it); leaf
-    likelihoods are read from its evidence map.  Level 0 reads the tree's
-    own `kids` dict, not a copy: a rake writes only the next level, which
-    `copy_next` copies from its predecessor.  T_0's cells take their parents
-    from the tree's `kids` pairs, the tree's one link store.  The leaves are
-    walked once, on T_0; each pass derives the next level's.
+    likelihoods are read through `CausalTree.leaf_lambda`.  Level 0 reads
+    the tree's own `kids` dict, not a copy: a rake writes only the next
+    level, which `copy_next` copies from its predecessor.  T_0's cells take
+    their parents from the tree's `kids` pairs, the tree's one link store.
+    The leaves are walked once, on T_0; each pass derives the next level's.
     """
     hier = ContractionHierarchy(tree)
 

@@ -22,8 +22,9 @@ All beliefs at once are `exact.propagate_all`, the O(N) two-pass sweep.
 Each product is lambda up through a node (its children's edge matrices
 applied to their lambdas, multiplied) or pi down one edge.  The engine does
 not keep per-node lambda/pi current -- only the derived matrices.  Leaf
-likelihoods stay in the tree's evidence map, so once an engine is built,
-evidence changes go through `update_many`/`update_evidence`.
+likelihoods are the tree's alone (`CausalTree.set_evidence` stores each with
+its scale-guarded form, which `leaf_lambda` returns), so once an engine is
+built, evidence changes go through `update_many`/`update_evidence`.
 """
 
 from __future__ import annotations
@@ -84,23 +85,13 @@ class DynamicEngine:
 
         Each recipe is a pure function of its inputs and the level order is a
         topological order, so the cells end bitwise equal to posting the
-        items one at a time.  A bad item raises before any recipe is
-        recomputed and puts back the evidence stored before it, so it leaves
-        `memo` as it was; a stored batch clears it.
+        items one at a time.  `CausalTree.set_evidence` checks every item
+        before it stores any, so a bad one raises with the evidence, the
+        cells and `memo` as they were; a stored batch clears the memo.
         """
         tree, hier = self.tree, self.hier
         items = list(items)
-        saved = [(leaf, tree.evidence.get(leaf)) for leaf, _ in items]
-        try:
-            for leaf, likelihood in items:
-                tree.set_evidence(leaf, likelihood)  # validates leaf/dummy/dims/sign
-        except BaseException:  # put the evidence back, then re-raise
-            for leaf, old in saved:
-                if old is None:
-                    tree.evidence.pop(leaf, None)
-                else:
-                    tree.evidence[leaf] = old
-            raise
+        tree.set_evidence(items)
         self.memo.clear()
         chain, seen = [], set()
         for leaf, _ in items:

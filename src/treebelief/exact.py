@@ -9,8 +9,8 @@ the logarithmic engine:
   Polytree.joint_conditionals a polytree.
 * propagate_all   -- the classical two-pass bottom-up/top-down propagation,
   O(k^2 N), swept one depth level at a time.  Nodes are numbered
-  breadth-first, computed once per tree (`CausalTree.numbering`), and
-  lambda, the edge messages and pi are rows of (N, k) arrays in that order.
+  breadth-first once per tree (`CausalTree.numbering`); lambda (leaf rows:
+  `evidence_rows`), the edge messages and pi are (N, k) arrays in that order.
   A level of at least BATCH_MIN_WIDTH nodes whose edge matrices are all
   dense, or all factored with one pair of factor shapes, runs each direction
   as one stacked product and one row-wise rescale; a narrower level (a chain
@@ -64,14 +64,14 @@ def lambda_pass(tree: CausalTree, counter: OpCounter | None = None):
     msg[c] = M_c . lambda(c) is cached per non-root node (the root's row stays
     zero) so the top-down pass can reuse sibling messages, keeping the total
     at one matrix-vector product per edge per direction.  Leaf rows hold
-    `CausalTree.leaf_lambda`, read for all posted evidence at once.
+    `CausalTree.evidence_rows`, the likelihoods as guarded when posted.
     """
     lv = tree.numbering()
     lam = np.ones((len(lv.order), tree.k))
     msg = np.zeros_like(lam)
-    if tree.evidence:
-        rows = [lv.pos[x] for x in tree.evidence]
-        lam[rows] = linalg.rescale_rows(np.array(list(tree.evidence.values())))
+    leaves, rows = tree.evidence_rows()
+    if leaves:
+        lam[[lv.pos[x] for x in leaves]] = rows
     for d in reversed(lv.depths()):
         start, stop = lv.span(d)
         if lv.inner[d]:
@@ -200,7 +200,7 @@ class PropagationState:
         """Post new evidence and refresh lambda on the root path; pi is left
         stale by design."""
         tree = self.tree
-        tree.set_evidence(leaf, likelihood)
+        tree.set_evidence([(leaf, likelihood)])
         self.lam[leaf] = tree.leaf_lambda(leaf)
         self.msg[leaf] = linalg.apply(tree.matrix[leaf], self.lam[leaf], self.counter)
         self.last_lambda_recomputes = 0

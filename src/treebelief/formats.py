@@ -11,10 +11,11 @@ BTN: causal-tree files (line-oriented, `#` comments, whitespace separated):
     evidence <leaf-id> <k floats>        # optional initial likelihoods
 
 A BTN file has one `k`, one `root` and one `prior` line, and at most one
-`evidence` line per leaf.  `parse_btn` checks each line as it reads it, but
-converts the floats of all `edge` lines at the end, as one (n, k, k) stack
-with one finiteness test; the first fault in file order is the one reported,
-with its line.
+`evidence` line per leaf, declared above it.  `parse_btn` checks each line as
+it reads it, but converts the floats of all `edge` lines at the end, as one
+(n, k, k) stack with one finiteness test; the first fault in file order is
+the one reported, with its line.  Evidence on a node with children is found
+once every edge is read, and named by its line too.
 
 PTN: polytree files:
 
@@ -121,6 +122,7 @@ def parse_btn(lines) -> CausalTree:
     root = None
     prior = None
     evidence = {}
+    ev_line = {}  # line of each evidence line, by leaf id
     read = set()  # the BTN_ONCE lines read so far: keywords, or leaf ids
     edges = []  # (line, parent, child) of each edge line, in file order
     flat = array("d")  # the k * k floats of each edge line, in the same order
@@ -157,7 +159,10 @@ def parse_btn(lines) -> CausalTree:
                         f"edge {parent}->{child} references unknown node", line=lineno
                     )
             elif kw == "evidence":
+                if key not in raw.names:
+                    raise FormatError(f"evidence for unknown node {key}", line=lineno)
                 evidence[key] = _floats(toks[2:], lineno, raw.k)
+                ev_line[key] = lineno
             else:
                 raise FormatError(f"unknown keyword {kw!r}", line=lineno)
     except FormatError:
@@ -173,14 +178,19 @@ def parse_btn(lines) -> CausalTree:
         raise FormatError("missing `prior` line for the root")
     for (_, parent, child), m in zip(edges, stack):
         raw.add_edge(parent, child, m)
+    for leaf, lineno in ev_line.items():
+        if raw.children[leaf]:
+            raise FormatError(f"evidence on non-leaf node {leaf}", line=lineno)
     raw.set_root(root, prior[1])
     raw.evidence = evidence
     return binarize(raw)
 
 
 def serialize_btn(tree: CausalTree) -> str:
-    """Normalized BTN text for a (binary) causal tree; parse(serialize(t))
-    reproduces t."""
+    """Normalized BTN text for a (binary) causal tree.  parse(serialize(t))
+    keeps its node ids, names, links, edge matrices, prior and evidence, so
+    its beliefs, but not which leaves are padding dummies or which nodes are
+    copies of another: those come back as plain nodes."""
     out = ["BTN 1", f"k {tree.k}"]
     for nid in sorted(tree.names):
         out.append(f"node {nid} {tree.names[nid]}")

@@ -8,12 +8,15 @@ which copies over-full nodes and pads single-child nodes with dummy leaves
 whose likelihood is permanently all-ones; every copy and dummy edge carries
 the same identity matrix object.  Each link is stored once, as the parent's
 (left, right) child pair; a reader that climbs derives parents from those.
+Only `CausalTree.set_evidence`, `drop_evidence` and `binarize` write evidence:
+each likelihood is kept as posted and with its scale guard taken at the write.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, compress
+from types import MappingProxyType
 
 import numpy as np
 
@@ -101,10 +104,11 @@ class BinaryLinks:
 class CausalTree(BinaryLinks):
     """Binary complete causal tree: one store of links (`kids`) and of evidence.
 
-    `evidence` maps each leaf with posted evidence to its likelihood vector.
-    A contraction hierarchy built on the tree reads it through `leaf_lambda`,
-    so once an engine is built, evidence changes go through the engine's
-    `update_evidence`, which also refreshes the derived matrices.
+    An evidenced leaf has its likelihood as posted (`evidence`, a read-only
+    view) and guarded (`leaf_lambda`), both read-only arrays.  A contraction
+    hierarchy built on the tree reads the guarded form, so once an engine is
+    built, evidence changes go through the engine's `update_many`, which also
+    refreshes the derived matrices.
 
     Edges may share a matrix object, never written in place (`rake_compose`,
     `rescale_if_tiny` and `_stack` return new arrays).  `link` is the one
@@ -118,7 +122,9 @@ class CausalTree(BinaryLinks):
         self.names: dict[int, str] = {}
         self.prior: np.ndarray | None = None
         self.matrix: dict[int, np.ndarray] = {}  # edge matrix, keyed by child
-        self.evidence: dict[int, np.ndarray] = {}  # leaf id -> likelihood
+        self._posted: dict[int, np.ndarray] = {}  # leaf id -> likelihood as posted
+        self._guarded: dict[int, np.ndarray] = {}  # leaf id -> rescale_if_tiny of it
+        self.evidence = MappingProxyType(self._posted)  # read-only view
         self.alias: dict[int, int] = {}  # copy -> original
         self.dummies: set[int] = set()
         self._next_id = 0
@@ -161,23 +167,43 @@ class CausalTree(BinaryLinks):
             raise UsageError(f"unknown node {x}")
         return x
 
-    def leaf_lambda(self, leaf: int) -> np.ndarray:
-        """Current likelihood of a leaf.  Without evidence it is the shared
-        read-only all-ones vector `_ones` itself, which needs no scale guard;
-        posted evidence goes through the same guard as every derived vector,
-        and the stored evidence stays as posted."""
-        v = self.evidence.get(leaf)
-        return self._ones if v is None else linalg.rescale_if_tiny(v)
-
     # ------------------------------------------------------------------
     # evidence
 
-    def set_evidence(self, leaf: int, likelihood) -> None:
-        if leaf not in self.names or not self.is_leaf(leaf):
-            raise UsageError(f"node {leaf} is not a leaf")
-        if leaf in self.dummies:
-            raise UsageError(f"node {leaf} is a dummy leaf and not updatable")
-        self.evidence[leaf] = as_likelihood(likelihood, self.k).copy()
+    def leaf_lambda(self, leaf: int) -> np.ndarray:
+        """Current likelihood of a leaf: the guarded form of its posted
+        evidence, or without evidence the shared all-ones vector `_ones`."""
+        return self._guarded.get(leaf, self._ones)
+
+    def evidence_rows(self) -> tuple[list[int], list[np.ndarray]]:
+        """The evidenced leaves, in first-posted order, and their `leaf_lambda`s."""
+        return list(self._guarded), list(self._guarded.values())
+
+    def set_evidence(self, items) -> None:
+        """Post each (leaf, likelihood) of `items`; a repeated leaf keeps its
+        last.  All are checked before any is stored: a bad one changes nothing."""
+        checked = {}
+        for leaf, likelihood in items:
+            if leaf not in self.names or not self.is_leaf(leaf):
+                raise UsageError(f"node {leaf} is not a leaf")
+            if leaf in self.dummies:
+                raise UsageError(f"node {leaf} is a dummy leaf and not updatable")
+            checked[leaf] = as_likelihood(likelihood, self.k).copy()
+        self._store(checked)
+
+    def drop_evidence(self, leaves) -> None:
+        """Remove the evidence of each of `leaves` that has any."""
+        for leaf in list(leaves):
+            self._posted.pop(leaf, None)
+            self._guarded.pop(leaf, None)
+
+    def _store(self, posted: dict) -> None:
+        """Keep each likelihood, read-only, as posted and guarded (one object
+        when the guard changes nothing)."""
+        for leaf, v in posted.items():
+            g = self._guarded[leaf] = linalg.rescale_if_tiny(v)
+            v.flags.writeable = g.flags.writeable = False
+            self._posted[leaf] = v
 
     # ------------------------------------------------------------------
     # validation
@@ -209,7 +235,7 @@ class CausalTree(BinaryLinks):
         for x in seen:
             if x not in self.matrix and x != self.root:
                 out.append(f"edge into {x} has no matrix")
-        for leaf, v in self.evidence.items():
+        for leaf, v in self._posted.items():
             if leaf not in seen or not self.is_leaf(leaf):
                 out.append(f"evidence on non-leaf node {leaf}")
             elif leaf in self.dummies:
@@ -362,8 +388,7 @@ def binarize(raw: RawTree) -> CausalTree:
     copies = {id(m): m for m in raw.matrix.values()}  # raw keeps each id alive
     copies = {i: m.copy() for i, m in copies.items()}
     t.matrix = {child: copies[id(m)] for child, m in raw.matrix.items()}
-    for leaf, v in raw.evidence.items():
-        t.evidence[leaf] = linalg.as_vector(v).copy()
+    t._store({leaf: linalg.as_vector(v).copy() for leaf, v in raw.evidence.items()})
 
     for n in list(raw.names):
         cs = raw.children.get(n, [])

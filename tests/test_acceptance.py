@@ -272,7 +272,7 @@ def test_10_inconsistent_evidence_fuzzing():
             if rng.random() < 0.7:
                 v = np.zeros(2)
                 v[int(rng.integers(2))] = 1.0
-                t.set_evidence(leaf, v)
+                t.set_evidence([(leaf, v)])
 
         outcomes = []
         for run in range(4):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from treebelief import bench, exact
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import ScaleError, UsageError
+from util import assert_same_evidence, evidence_state
 
 
 def spy_on_generator(monkeypatch, shape):
@@ -70,11 +73,15 @@ class TestEngineWrappers:
     def test_three_engines_agree(self):
         rng = np.random.default_rng(4)
         tree = bench.make_model("random", 10, 2, rng)
-        script = bench.make_script(*bench.tree_targets(tree), tree.k, 12, rng)
-        base = {l: v.copy() for l, v in tree.evidence.items()}
+        updates, queries = bench.tree_targets(tree)
+        tree.set_evidence((leaf, rng.random(2) * 1e-300) for leaf in updates[:3])
+        script = bench.make_script(updates, queries, tree.k, 12, rng)
+        base = evidence_state(tree)
         answers = {}
         for name in bench.ENGINES:
-            tree.evidence = {l: v.copy() for l, v in base.items()}
+            tree.drop_evidence(tree.evidence)
+            tree.set_evidence(base[0].items())
+            assert_same_evidence(tree, base)
             engine = bench.make_engine(name, tree)
             out = []
             for op, target, lik in script:
@@ -121,6 +128,12 @@ class TestRunBench:
         a = bench.run_bench("random", [8, 12], 2, 10, seed=5)
         b = bench.run_bench("random", [8, 12], 2, 10, seed=5)
         assert strip_ns(a) == strip_ns(b)
+
+    def test_one_seed_same_records_twice(self):
+        """Every field but the wall time repeats."""
+        a, b = (bench.run_bench("balanced", [16], 3, 40, seed=8) for _ in range(2))
+        assert [replace(r, ns_total=0) for r in a] == [replace(r, ns_total=0) for r in b]
+        assert len(a) == 2 * len(bench.ENGINES)
 
     def test_negative_ops_rejected_before_any_work(self, monkeypatch):
         built = []

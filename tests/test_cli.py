@@ -19,7 +19,8 @@ from test_formats import GOLDEN_CHAIN_LINES, LARGE_ID_PTN, THREE_NODE_BTN, V_STR
 
 GOLDEN_CHAIN_BTN = "\n".join(GOLDEN_CHAIN_LINES) + "\n"
 
-# undeclared id 2 becomes the dummy pad of the single-child root
+# undeclared id 2 would become the dummy pad of the single-child root; a
+# file names only its own nodes, so its evidence line is for an unknown node
 DUMMY_EVIDENCE_BTN = (
     "BTN 1\nk 2\nnode 0 a\nnode 1 b\nroot 0\nprior 0 0.5 0.5\n"
     "edge 0 1 0.9 0.1 0.2 0.8\nevidence 2 1 0\n"
@@ -59,7 +60,11 @@ BAD_INPUTS = [
          "nonnegative"),
     _bad("btn-zero-prior", THREE_NODE_BTN, "prior 0 0.5 0.5", "prior 0 0 0", "all zero"),
     _bad("btn-k-zero", THREE_NODE_BTN, "k 2", "k 0", "line 2:"),
-    ("btn-evidence-on-dummy", DUMMY_EVIDENCE_BTN, "dummy leaf 2"),
+    ("btn-evidence-on-dummy", DUMMY_EVIDENCE_BTN, "line 8: evidence for unknown node 2"),
+    _bad("btn-evidence-unknown-node", THREE_NODE_BTN, "evidence 1 1 0", "evidence 7 1 1",
+         "error: line 10: evidence for unknown node 7"),
+    _bad("btn-evidence-on-root", THREE_NODE_BTN, "evidence 1 1 0", "evidence 0 1 1",
+         "error: line 10: evidence on non-leaf node 0"),
     _bad("btn-repeated-prior", THREE_NODE_BTN, "prior 0 0.5 0.5",
          "prior 0 0.5 0.5\nprior 0 0.9 0.1", "line 8: duplicate `prior` line"),
     ("btn-repeated-evidence", THREE_NODE_BTN + "evidence 1 0 1\n",

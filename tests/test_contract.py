@@ -53,7 +53,7 @@ class TestGoldenChain:
     def test_rake_matrix_equation(self):
         # B_1(x1) = B_0(x1) . Diag(A_0(x2) . lambda(e2)) . B_0(x2)
         tree = golden_chain()
-        tree.set_evidence(E2, [0.3, 0.9])
+        tree.set_evidence([(E2, [0.3, 0.9])])
         hier = build_hierarchy(tree)
         b0_x1 = tree.matrix[X2]
         a0_x2 = tree.matrix[E2]

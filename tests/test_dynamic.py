@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treebelief import exact, protein
+from treebelief import exact, linalg, protein
 from treebelief.bench import make_balanced, make_chain, make_random, random_stochastic
 from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
@@ -13,6 +13,8 @@ from test_contract import E1, E3, E4, X1, X3, golden_chain
 from test_exact import mixed_join_tree, three_node_tree
 from test_formats import THREE_NODE_BTN
 from util import (
+    assert_same_evidence,
+    evidence_state,
     post_random_evidence,
     random_binarized_tree,
     random_join_tree,
@@ -185,7 +187,7 @@ class TestBelQuery:
         raw.add_node(0)
         raw.set_root(0, [0.3, 0.7])
         single = binarize(raw)
-        single.set_evidence(0, [0.2, 0.6])
+        single.set_evidence([(0, [0.2, 0.6])])
         bel = DynamicEngine(single).bel_query(0)
         assert np.allclose(bel, [0.125, 0.875], atol=1e-12)
         t = three_node_tree()
@@ -344,7 +346,7 @@ class TestBelMany:
             eng.update_many(items)
             fresh_tree = make(np.random.default_rng(seed), 3)
             for leaf, lik in items:
-                fresh_tree.set_evidence(leaf, lik)
+                fresh_tree.set_evidence([(leaf, lik)])
             fresh, bel = DynamicEngine(fresh_tree), exact.propagate_all(fresh_tree)
             for x in nodes:
                 b = eng.bel_query(x)
@@ -445,9 +447,7 @@ class TestUpdateMany:
             batched.update_many(items)
             for leaf, lik in items:
                 sequential.update_evidence(leaf, lik)
-            assert batched.tree.evidence.keys() == sequential.tree.evidence.keys()
-            for leaf, v in sequential.tree.evidence.items():
-                assert np.array_equal(batched.tree.evidence[leaf], v)
+            assert_same_evidence(batched.tree, evidence_state(sequential.tree))
             assert_same_cells(batched.hier, sequential.hier)
             assert_same_cells(batched.hier, build_hierarchy(batched.tree))
 
@@ -495,23 +495,56 @@ class TestUpdateMany:
         while not t.dummies:
             t = random_binarized_tree(rng, 12, 2)
         a, b = updatable_leaves(t)[:2]
-        t.set_evidence(a, [0.4, 0.8])  # restored to this value
-        t.evidence.pop(b, None)  # restored to no evidence
+        t.set_evidence([(a, [0.4, 0.8])])  # restored to this value
+        t.drop_evidence([b])  # restored to no evidence
         eng = DynamicEngine(t)
         third = (next(iter(t.dummies)), [0.5, 0.5]) if bad == "dummy" else (a, bad)
         with pytest.raises(exc):
             eng.update_evidence(*third)
-        evidence = {leaf: v.copy() for leaf, v in t.evidence.items()}
+        evidence = evidence_state(t)
         cells = [r.target.value.copy() for r in eng.hier.recipes]
         counter = eng.counter.snapshot()
         with pytest.raises(exc):
             eng.update_many([(a, [0.9, 0.1]), (b, [0.2, 0.7]), third, (b, [1.0, 0.0])])
-        assert t.evidence.keys() == evidence.keys()
-        for leaf, v in evidence.items():
-            assert np.array_equal(t.evidence[leaf], v)
+        assert_same_evidence(t, evidence)
         for v, r in zip(cells, eng.hier.recipes):
             assert np.array_equal(v, r.target.value)
         assert eng.counter == counter
+
+
+class TestLeafRead:
+    def test_leaf_read_takes_no_guard(self, monkeypatch):
+        """The scale guard runs when evidence is posted, never when a leaf
+        likelihood is read: no `rescale_if_tiny` call starts inside a
+        `leaf_lambda` over a run of updates and queries."""
+        guard, read = linalg.rescale_if_tiny, CausalTree.leaf_lambda
+        reading, reads, calls = [False], [], []
+
+        def counted_guard(v):
+            calls.append(reading[0])
+            return guard(v)
+
+        def flagged_read(tree, leaf):
+            reading[0] = True
+            reads.append(leaf)
+            try:
+                return read(tree, leaf)
+            finally:
+                reading[0] = False
+
+        monkeypatch.setattr(linalg, "rescale_if_tiny", counted_guard)
+        monkeypatch.setattr(CausalTree, "leaf_lambda", flagged_read)
+        rng = np.random.default_rng(27)
+        t = random_binarized_tree(rng, 20, 2)
+        leaves = updatable_leaves(t)
+        eng = DynamicEngine(t)
+        for i in range(30):
+            scale = (1.0, 1e-300, 1e300)[i % 3]
+            eng.update_evidence(leaves[i % len(leaves)], (rng.random(2) + 0.05) * scale)
+            eng.bel_query(sorted(t.names)[i % len(t.names)])
+        exact.propagate_all(t)
+        assert reads and calls.count(False) > 0
+        assert calls.count(True) == 0
 
 
 class TestRebuildEquivalence:

@@ -28,7 +28,7 @@ def three_node_tree():
     raw.add_edge(0, 1, [[0.9, 0.1], [0.2, 0.8]])
     raw.add_edge(0, 2, [[0.7, 0.3], [0.4, 0.6]])
     t = binarize(raw)
-    t.set_evidence(1, [1, 0])
+    t.set_evidence([(1, [1, 0])])
     return t
 
 
@@ -40,7 +40,7 @@ class TestPropagateAll:
 
     def test_vacuous_evidence_gives_prior(self):
         t = three_node_tree()
-        t.set_evidence(1, [1, 1])
+        t.set_evidence([(1, [1, 1])])
         bel = exact.propagate_all(t)
         assert np.allclose(bel[0], t.prior, atol=1e-12)
 
@@ -68,8 +68,7 @@ class TestPropagateAll:
     def test_inconsistent_names_node(self):
         t = three_node_tree()
         t.matrix[1] = np.eye(2)
-        t.set_evidence(1, [1, 0])
-        t.set_evidence(2, [0, 0])
+        t.set_evidence([(1, [1, 0]), (2, [0, 0])])
         with pytest.raises(InconsistentEvidenceError, match="at node 0"):
             exact.propagate_all(t)
 
@@ -174,7 +173,7 @@ class TestPropagateAllBatched:
         rng = np.random.default_rng(50 + c)
         t, _, leaves, K = random_join_tree(rng, k=2, n=3, c=c, depth=4)
         for leaf in leaves[::3]:
-            t.set_evidence(leaf, rng.random(K) + 0.05)
+            t.set_evidence([(leaf, rng.random(K) + 0.05)])
         assert all(isinstance(m, FactoredMatrix) for m in t.matrix.values())
         self.check(t, {x: 2 for x in t.matrix})
         assert max(stacked_calls) == 16
@@ -183,7 +182,7 @@ class TestPropagateAllBatched:
         rng = np.random.default_rng(53)
         t = mixed_join_tree(rng)
         for leaf in updatable_leaves(t)[::2]:
-            t.set_evidence(leaf, rng.random(t.k) + 0.05)
+            t.set_evidence([(leaf, rng.random(t.k) + 0.05)])
         kinds = {x: type(t.matrix[x]) for x in t.matrix}
         assert set(kinds.values()) == {np.ndarray, FactoredMatrix}
         at_depth = {}
@@ -204,11 +203,9 @@ class TestPropagateAllBatched:
         rng = np.random.default_rng(60)
         t = make_balanced(4096, 2, rng)
         items = [(leaf, rng.random(2) + 0.05) for leaf in updatable_leaves(t)]
-        for leaf, lik in items:
-            t.set_evidence(leaf, lik)
+        t.set_evidence(items)
         reference = exact.propagate_all(t)
-        for leaf, lik in items:
-            t.set_evidence(leaf, lik * scale)
+        t.set_evidence((leaf, lik * scale) for leaf, lik in items)
         full, _ = self.check(t)
         for x in t.names:
             assert np.allclose(full[x], reference[x], rtol=0.0, atol=1e-9), x
@@ -240,11 +237,9 @@ class TestPropagateAllBatched:
                 evidence.append((ev, rng.random(2) + 0.05))
                 spine = nxt
         t = binarize(raw)
-        for leaf, lik in evidence:
-            t.set_evidence(leaf, lik)
+        t.set_evidence(evidence)
         reference = exact.propagate_all(t)
-        for leaf, lik in evidence:
-            t.set_evidence(leaf, np.ldexp(lik, -120))
+        t.set_evidence((leaf, np.ldexp(lik, -120)) for leaf, lik in evidence)
         full, _ = self.check(t)
         for x in t.names:
             assert np.allclose(full[x], reference[x], rtol=0.0, atol=1e-9), x
@@ -253,7 +248,7 @@ class TestPropagateAllBatched:
         rng = np.random.default_rng(61)
         t = make_balanced(64, 2, rng)
         leaves = updatable_leaves(t)
-        t.set_evidence(leaves[5], [0.0, 0.0])
+        t.set_evidence([(leaves[5], [0.0, 0.0])])
         with pytest.raises(InconsistentEvidenceError, match=f"at node {t.root}"):
             exact.propagate_all(t)
 
@@ -272,7 +267,7 @@ class TestNumbering:
         before = exact.propagate_all(t) if swept_first else None
         inner = next(x for x in t.kids if x != t.root)
         for x in (inner, updatable_leaves(t)[0]):
-            t.set_evidence(attach_evidence_leaf(t, x), rng.random(3) + 0.05)
+            t.set_evidence([(attach_evidence_leaf(t, x), rng.random(3) + 0.05)])
         return t, before
 
     def test_link_drops_stale_numbering(self):
@@ -288,7 +283,7 @@ class TestNumbering:
         t = random_binarized_tree(rng, 6, 2)
         exact.propagate_all(t)
         for x in (t.root, updatable_leaves(t)[-1]):
-            t.set_evidence(attach_evidence_leaf(t, x), rng.random(2) + 0.05)
+            t.set_evidence([(attach_evidence_leaf(t, x), rng.random(2) + 0.05)])
         got, want = exact.propagate_all(t), exact.joint_marginals(t)
         for x in t.names:
             assert np.allclose(got[x], want[x], rtol=0.0, atol=1e-9), x
@@ -306,7 +301,7 @@ class TestNumbering:
         rng = np.random.default_rng(71)
         t = make_random(300, 4, rng) if shape == "random-k4" else mixed_join_tree(rng)
         for leaf in updatable_leaves(t)[::3]:
-            t.set_evidence(leaf, rng.random(t.k) + 0.05)
+            t.set_evidence([(leaf, rng.random(t.k) + 0.05)])
         DynamicEngine(t)
         assert built == []  # the numbering stays lazy
         c_first, c_cached = OpCounter(), OpCounter()
@@ -335,7 +330,7 @@ class TestJointMarginals:
         raw.set_root(0, [0.4, 0.6])
         raw.add_edge(0, 1, np.eye(2))
         t = binarize(raw)
-        t.set_evidence(1, [0, 1])
+        t.set_evidence([(1, [0, 1])])
         bel = exact.joint_marginals(t)
         assert np.allclose(bel[0], [0, 1], atol=1e-12)
 

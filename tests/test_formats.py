@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from treebelief import exact, formats
-from treebelief.bench import make_random
+from treebelief.bench import make_random, random_stochastic
 from treebelief.errors import FormatError, StructureError
 from treebelief.formats import parse_btn, parse_ptn, serialize_btn
+from treebelief.tree import RawTree, binarize
 
 THREE_NODE_BTN = """\
 BTN 1
@@ -177,6 +178,45 @@ class TestParseBtn:
         with pytest.raises(FormatError, match=message) as exc:
             parse_btn((THREE_NODE_BTN + extra + "\n").splitlines())
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("evidence 1 1 0", "evidence 7 1 1", 10, "evidence for unknown node 7"),
+        ("evidence 1 1 0", "evidence 0 1 1", 10, "evidence on non-leaf node 0"),
+        ("node 2 Z", "node 2 Z\nevidence 0 1 1", 6, "evidence on non-leaf node 0"),
+        ("node 2 Z", "evidence 2 1 1\nnode 2 Z", 5, "evidence for unknown node 2"),
+    ])
+    def test_evidence_fault_names_its_line(self, old, new, line, message):
+        bad = THREE_NODE_BTN.replace(old, new)
+        with pytest.raises(FormatError, match=message) as exc:
+            parse_btn(bad.splitlines())
+        assert exc.value.line == line
+
+    def test_round_trip_keeps_ids_links_matrices_evidence(self):
+        """A tree with a padded one-child node and a copied three-child node:
+        the round trip keeps everything but the dummy and copy marks."""
+        rng = np.random.default_rng(3)
+        raw = RawTree(2)
+        for x in range(5):
+            raw.add_node(x, f"n{x}")
+        raw.set_root(0, [0.3, 0.7])
+        for parent, child in ((0, 1), (0, 2), (0, 3), (1, 4)):
+            raw.add_edge(parent, child, random_stochastic(rng, 2, 2))
+        raw.evidence = {2: [0.2, 0.9], 4: [1e-300, 3e-300]}
+        t = binarize(raw)
+        assert t.dummies and t.alias
+        t2 = parse_btn(serialize_btn(t).splitlines())
+        assert t2.names == t.names and t2.root == t.root and t2.kids == t.kids
+        assert np.array_equal(t2.prior, t.prior)
+        assert t2.matrix.keys() == t.matrix.keys()
+        for c, m in t.matrix.items():
+            assert np.array_equal(t2.matrix[c], m), c
+        assert t2.evidence.keys() == t.evidence.keys()
+        for leaf, v in t.evidence.items():
+            assert np.array_equal(t2.evidence[leaf], v), leaf
+            assert np.array_equal(t2.leaf_lambda(leaf), t.leaf_lambda(leaf)), leaf
+        b1, b2 = exact.propagate_all(t), exact.propagate_all(t2)
+        for x in t.names:
+            assert np.array_equal(b1[x], b2[x]), x
 
     def test_evidence_on_two_leaves(self):
         t = parse_btn((THREE_NODE_BTN + "evidence 2 0.5 0.5\n").splitlines())

@@ -10,7 +10,10 @@ hierarchy engine's cells must be bitwise equal to a fresh `build_hierarchy` on
 its evidence.  A rebuild step replaces the hierarchy engine with one built over
 its tree, so writes and reads also follow a build over posted evidence.  A
 grow step gives one node a new evidence leaf on every tree and rebuilds every
-engine, so the checks also run on a tree changed after its first sweep.
+engine, so the checks also run on a tree changed after its first sweep.  A
+re-post step reads a likelihood back from the reference and posts it again,
+scaled on the engines, and every tree must hold each likelihood as posted
+and read it through the scale guard taken at the write.
 
 The machine runs three tenths of the loaded hypothesis profile's examples
 (`tests/conftest.py`): 30 under `default`, 300 under `slow`.
@@ -27,11 +30,18 @@ from treebelief.bench import ENGINE_CLASSES, make_balanced, make_chain, random_s
 from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import DimensionError
-from treebelief.linalg import FactoredMatrix
+from treebelief.linalg import FactoredMatrix, rescale_if_tiny
 from treebelief.tree import RawTree, binarize
 from test_dynamic import assert_same_cells
 from test_exact import mixed_join_tree
-from util import attach_evidence_leaf, random_binarized_tree, updatable_leaves
+from util import (
+    assert_same_evidence,
+    attach_evidence_leaf,
+    evidence_state,
+    random_binarized_tree,
+    same_bits,
+    updatable_leaves,
+)
 
 TOL = 1e-9
 ENUMERATION_LIMIT = 10**5  # joint states enumerated by the oracle invariant
@@ -88,6 +98,8 @@ class EngineProtocol(RuleBasedStateMachine):
         self.nodes = sorted(self.reference.names)
         self.engines = {name: cls(make()) for name, cls in ENGINE_CLASSES.items()}
         self.hierarchy = self.engines["hierarchy"]
+        # leaf -> (likelihood posted to the reference, to every engine)
+        self.posted = {leaf: (v, v) for leaf, v in self.reference.evidence.items()}
 
     def item(self, i, v):
         return self.leaves[i % len(self.leaves)], np.array(v[: self.k])
@@ -98,21 +110,22 @@ class EngineProtocol(RuleBasedStateMachine):
     def post(self, items, scale=1.0):
         """Post items to the reference at scale 1, to the hierarchy engine as
         one batch and to every other engine one at a time."""
-        for leaf, lik in items:
-            self.reference.set_evidence(leaf, lik)
+        self.reference.set_evidence(items)
         for name, eng in self.engines.items():
             if name == "hierarchy":
                 eng.update_many([(leaf, lik * scale) for leaf, lik in items])
             else:
                 for leaf, lik in items:
                     eng.update_evidence(leaf, lik * scale)
+        self.posted.update((leaf, (lik, lik * scale)) for leaf, lik in items)
 
     @rule(i=index, v=values)
     def update_evidence(self, i, v):
         leaf, lik = self.item(i, v)
-        self.reference.set_evidence(leaf, lik)
+        self.reference.set_evidence([(leaf, lik)])
         for eng in self.engines.values():
             eng.update_evidence(leaf, lik)
+        self.posted[leaf] = lik, lik
 
     @rule(picks=st.lists(st.tuples(index, values), min_size=1, max_size=5), v=values)
     def update_many(self, picks, v):
@@ -127,14 +140,12 @@ class EngineProtocol(RuleBasedStateMachine):
         eng = self.hierarchy
         items = self.items(picks)
         items.append((self.leaves[last % len(self.leaves)], np.ones(self.k + length)))
-        evidence = {leaf: v.copy() for leaf, v in eng.tree.evidence.items()}
+        evidence = evidence_state(eng.tree)
         cells = [[a.copy() for a in factors(r.target.value)] for r in eng.hier.recipes]
         counter = eng.counter.snapshot()
         with pytest.raises(DimensionError):
             eng.update_many(items)
-        assert eng.tree.evidence.keys() == evidence.keys()
-        for leaf, v in evidence.items():
-            assert np.array_equal(eng.tree.evidence[leaf], v)
+        assert_same_evidence(eng.tree, evidence)
         for v, r in zip(cells, eng.hier.recipes):
             assert all(map(np.array_equal, v, factors(r.target.value)))
         assert eng.counter == counter
@@ -142,6 +153,15 @@ class EngineProtocol(RuleBasedStateMachine):
     @rule(i=index, v=values, scale=st.sampled_from([1e300, 1e-300]))
     def scale_jump(self, i, v, scale):
         self.post([self.item(i, v)], scale)
+
+    @rule(i=index, scale=st.sampled_from([1.0, 1e300, 1e-300]))
+    def repost(self, i, scale):
+        """Read a posted likelihood back from the reference and post it
+        again, at `scale` on the engines."""
+        leaves = sorted(self.reference.evidence)
+        if leaves:
+            leaf = leaves[i % len(leaves)]
+            self.post([(leaf, self.reference.evidence[leaf])], scale)
 
     @rule()
     def rebuild(self):
@@ -159,6 +179,8 @@ class EngineProtocol(RuleBasedStateMachine):
         pool = [n for n in self.nodes if n not in self.reference.dummies]
         x = pool[i % len(pool)]
         e = attach_evidence_leaf(self.reference, x)
+        if x in self.posted:  # a leaf's evidence moves to its new leaf
+            self.posted[e] = self.posted.pop(x)
         for name, eng in self.engines.items():
             assert attach_evidence_leaf(eng.tree, x) == e
             self.engines[name] = ENGINE_CLASSES[name](eng.tree)
@@ -203,6 +225,15 @@ class EngineProtocol(RuleBasedStateMachine):
         for name, eng in self.engines.items():
             for x in self.nodes:
                 assert np.allclose(eng.bel_query(x), want[x], rtol=0.0, atol=TOL), (name, x)
+
+    @invariant()
+    def evidence_as_posted_and_guarded(self):
+        trees = [(self.reference, 0)] + [(eng.tree, 1) for eng in self.engines.values()]
+        for tree, side in trees:
+            assert tree.evidence.keys() == self.posted.keys()
+            for leaf, v in tree.evidence.items():
+                assert same_bits(v, self.posted[leaf][side]), leaf
+                assert same_bits(tree.leaf_lambda(leaf), rescale_if_tiny(v)), leaf
 
     @invariant()
     def cells_equal_a_fresh_build(self):

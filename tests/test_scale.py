@@ -17,8 +17,7 @@ def scaled_chain_beliefs(length, scale, seed):
     rng = np.random.default_rng(seed)
     t = make_chain(length, 2, rng)
     items = [(leaf, rng.random(2) + 0.05) for leaf in updatable_leaves(t)]
-    for leaf, lik in items:
-        t.set_evidence(leaf, lik)
+    t.set_evidence(items)
     reference = exact.joint_marginals(t) if length <= 4 else exact.propagate_all(t)
     eng = DynamicEngine(t)
     eng.update_many((leaf, lik * scale) for leaf, lik in items)
@@ -48,7 +47,7 @@ def test_stored_evidence_stays_as_posted():
 def test_leaf_without_evidence_reads_shared_ones():
     t = make_chain(4, 2, np.random.default_rng(3))
     posted, *bare = updatable_leaves(t)
-    t.set_evidence(posted, [1e-160, 2e-160])
+    t.set_evidence([(posted, [1e-160, 2e-160])])
     for leaf in [*bare, *t.dummies]:
         ones = t.leaf_lambda(leaf)
         assert ones is t._ones and not ones.flags.writeable
@@ -69,8 +68,7 @@ def test_every_engine_at_extreme_scales(engine, shape, scale):
     rng = np.random.default_rng(7)
     t = make_model(shape, SHAPE_SIZES[shape], 3, rng)
     items = [(leaf, rng.random(3) + 0.05) for leaf in updatable_leaves(t)]
-    for leaf, lik in items:
-        t.set_evidence(leaf, lik)
+    t.set_evidence(items)
     reference = exact.propagate_all(t)
     eng = make_engine(engine, t)
     for leaf, lik in items:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from treebelief import exact
+from treebelief import exact, linalg
 from treebelief.bench import ENGINES, make_engine, random_stochastic
 from treebelief.errors import DimensionError, StructureError, UsageError
 from treebelief.jointree import FactoredMatrix
 from treebelief.tree import ROW_SUM_TOL, CausalTree, RawTree, binarize
 from util import (
+    assert_same_evidence,
     attach_evidence_leaf,
     depth,
+    evidence_state,
     random_binarized_tree,
     random_join_tree,
     random_raw_tree,
@@ -148,7 +150,7 @@ class TestBinarize:
             raw = random_raw_tree(rng, 6, 2, max_children=4)
             t = binarize(raw)
             for leaf in [l for l in t.in_order_leaves() if l not in t.dummies][:2]:
-                t.set_evidence(leaf, rng.random(2) + 0.01)
+                t.set_evidence([(leaf, rng.random(2) + 0.01)])
             bel = exact.joint_marginals(t)
             # copies answer exactly like their originals
             for cp, orig in t.alias.items():
@@ -158,20 +160,20 @@ class TestBinarize:
 class TestEvidence:
     def test_set_and_retract(self):
         t = binarize(three_child_raw())
-        t.set_evidence(1, [1, 0])
+        t.set_evidence([(1, [1, 0])])
         assert np.array_equal(t.leaf_lambda(1), [1, 0])
-        t.set_evidence(1, [1, 1])
+        t.set_evidence([(1, [1, 1])])
         assert np.array_equal(t.leaf_lambda(1), [1, 1])
 
     def test_soft_evidence_accepted(self):
         t = binarize(three_child_raw())
-        t.set_evidence(1, [0.7, 0.3])
+        t.set_evidence([(1, [0.7, 0.3])])
         assert np.allclose(t.leaf_lambda(1), [0.7, 0.3])
 
     def test_non_leaf_rejected(self):
         t = binarize(three_child_raw())
         with pytest.raises(UsageError):
-            t.set_evidence(0, [1, 0])
+            t.set_evidence([(0, [1, 0])])
 
     def test_dummy_rejected(self):
         rng = np.random.default_rng(5)
@@ -183,17 +185,17 @@ class TestEvidence:
         t = binarize(raw)
         dummy = next(iter(t.dummies))
         with pytest.raises(UsageError):
-            t.set_evidence(dummy, [1, 0])
+            t.set_evidence([(dummy, [1, 0])])
 
     def test_negative_rejected(self):
         t = binarize(three_child_raw())
         with pytest.raises(DimensionError):
-            t.set_evidence(1, [-0.5, 1.0])
+            t.set_evidence([(1, [-0.5, 1.0])])
 
     def test_wrong_length_rejected(self):
         t = binarize(three_child_raw())
         with pytest.raises(DimensionError):
-            t.set_evidence(1, [1, 0, 0])
+            t.set_evidence([(1, [1, 0, 0])])
         # the engines' kernels do not check lengths: their updates reach this
         # check before any product
         for name in ENGINES:
@@ -205,7 +207,52 @@ class TestEvidence:
     def test_non_finite_rejected(self, bad):
         t = binarize(three_child_raw())
         with pytest.raises(DimensionError):
-            t.set_evidence(1, [bad, 1.0])
+            t.set_evidence([(1, [bad, 1.0])])
+
+    def test_evidence_is_written_only_through_the_tree(self):
+        t = binarize(three_child_raw())
+        t.set_evidence([(1, [0.2, 0.8])])
+        state = evidence_state(t)
+        with pytest.raises(TypeError):
+            t.evidence[2] = np.ones(2)
+        with pytest.raises(TypeError):
+            del t.evidence[1]
+        with pytest.raises(AttributeError):  # a read-only mapping has no pop
+            t.evidence.pop(1)
+        for v in (t.evidence[1], t.leaf_lambda(1)):
+            with pytest.raises(ValueError):
+                v[0] = 0.5
+        assert_same_evidence(t, state)
+
+    def test_batch_checked_before_any_item_is_stored(self):
+        t = binarize(three_child_raw())
+        t.set_evidence([(1, [0.2, 0.8])])
+        state = evidence_state(t)
+        for bad in ([(1, [0.5, 0.5]), (2, [1.0])], [(2, [0.5, 0.5]), (0, [1.0, 1.0])]):
+            with pytest.raises((DimensionError, UsageError)):
+                t.set_evidence(bad)
+            assert_same_evidence(t, state)
+        t.set_evidence([(2, [0.1, 0.9]), (1, [0.3, 0.3]), (2, [0.6, 0.4])])
+        assert list(t.evidence) == [1, 2]  # a repeated leaf keeps its last likelihood
+        assert np.array_equal(t.evidence[2], [0.6, 0.4])
+
+    def test_guard_taken_once_at_the_write(self):
+        t = binarize(three_child_raw())
+        t.set_evidence([(1, [0.2, 0.8]), (2, [1e-300, 3e-300])])
+        assert t.leaf_lambda(1) is t.evidence[1]  # the guard changed nothing
+        assert np.array_equal(t.evidence[2], [1e-300, 3e-300])
+        assert np.array_equal(t.leaf_lambda(2), linalg.rescale_if_tiny(t.evidence[2]))
+        assert 0.5 <= t.leaf_lambda(2).max() < 1.0
+        t.drop_evidence([2, 3])
+        assert list(t.evidence) == [1] and t.leaf_lambda(2) is t._ones
+
+    def test_binarize_stores_raw_evidence_guarded(self):
+        raw = three_child_raw()
+        raw.evidence = {1: [1e300, 2e300]}
+        t = binarize(raw)
+        assert np.array_equal(t.evidence[1], [1e300, 2e300])
+        assert np.array_equal(t.leaf_lambda(1), linalg.rescale_if_tiny(t.evidence[1]))
+        assert t.leaf_lambda(1).max() < 1.0
 
     def test_leaves_without_evidence_share_read_only_ones(self):
         t = binarize(three_child_raw())
@@ -254,7 +301,7 @@ class TestAttachEvidenceLeaf:
         internal = next(n for n in t.names if not t.is_leaf(n) and n != t.root)
         e = attach_evidence_leaf(t, internal)
         assert t.validate() == []
-        t.set_evidence(e, [1, 0])
+        t.set_evidence([(e, [1, 0])])
         bel = exact.joint_marginals(t)
         assert np.allclose(bel[internal], [1, 0], atol=1e-12)
 
@@ -264,7 +311,7 @@ class TestAttachEvidenceLeaf:
         before = exact.joint_marginals(t)
         x = next(n for n in t.names if not t.is_leaf(n))
         e = attach_evidence_leaf(t, x)
-        t.set_evidence(e, [1, 1])
+        t.set_evidence([(e, [1, 1])])
         after = exact.joint_marginals(t)
         for n in before:
             assert np.allclose(before[n], after[n], atol=1e-9)
@@ -287,7 +334,7 @@ class TestAttachEvidenceLeaf:
 
     def test_leaf_keeps_old_evidence(self):
         t = binarize(three_child_raw())
-        t.set_evidence(1, [0.2, 0.8])
+        t.set_evidence([(1, [0.2, 0.8])])
         e = attach_evidence_leaf(t, 1)
         assert t.validate() == []
         assert np.allclose(t.leaf_lambda(e), [0.2, 0.8])

@@ -69,7 +69,8 @@ def attach_evidence_leaf(tree: CausalTree, x: int) -> int:
         tree.add_node(d, f"{tree.names[x]}_pad")
         tree.dummies.add(d)
         if x in tree.evidence:
-            tree.evidence[e] = tree.evidence.pop(x)
+            tree.set_evidence([(e, tree.evidence[x])])
+            tree.drop_evidence([x])
         tree.matrix[e] = ident.copy()
         tree.matrix[d] = ident.copy()
         tree.link(x, e, d)
@@ -82,6 +83,28 @@ def attach_evidence_leaf(tree: CausalTree, x: int) -> int:
         tree.matrix[e] = ident.copy()
         tree.link(x, e, cp)
     return e
+
+
+def evidence_state(tree: CausalTree) -> tuple[dict, dict]:
+    """Copies of a tree's evidence, leaf id -> vector: as posted
+    (`tree.evidence`) and as read (`leaf_lambda`)."""
+    return (
+        {leaf: v.copy() for leaf, v in tree.evidence.items()},
+        {leaf: tree.leaf_lambda(leaf).copy() for leaf in tree.evidence},
+    )
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_evidence(tree: CausalTree, state: tuple[dict, dict]) -> None:
+    """The tree's evidence, posted and guarded, is bitwise `state` (an
+    `evidence_state`, of this tree earlier or of another tree)."""
+    for now, then in zip(evidence_state(tree), state):
+        assert now.keys() == then.keys()
+        for leaf, v in then.items():
+            assert same_bits(now[leaf], v), leaf
 
 
 def level_lambdas(hier, i: int) -> dict:
@@ -123,7 +146,7 @@ def post_random_evidence(tree: CausalTree, rng, count: int, hard_prob: float = 0
     for _ in range(count):
         leaf = leaves[int(rng.integers(len(leaves)))]
         lik = random_likelihood(rng, tree.k, hard_prob)
-        tree.set_evidence(leaf, lik)
+        tree.set_evidence([(leaf, lik)])
         posted.append((leaf, lik))
     return posted
 
