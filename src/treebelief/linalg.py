@@ -29,7 +29,8 @@ from .errors import DimensionError, InconsistentEvidenceError
 
 # Outside this max-entry range likelihood vectors / derived matrices are
 # rescaled by a power of two into [0.5, 1); beliefs are invariant under
-# positive scaling, and a power of two scales every entry exactly.
+# positive scaling, and a power of two scales exactly every entry that stays
+# in the normal range.
 SCALE_MIN = 2.0**-128
 SCALE_MAX = 2.0**128
 # A sum of squares in [n * _FAST_MIN, _FAST_MAX] puts the max of n entries
@@ -175,11 +176,13 @@ def normalize(v) -> np.ndarray:
 def rescale_if_tiny(v: np.ndarray) -> np.ndarray:
     """Under- and overflow guard for a nonnegative vector or matrix: when its
     max entry leaves [SCALE_MIN, SCALE_MAX], multiply by the power of two that
-    brings the max into [0.5, 1); otherwise return v itself.  The scaling is
-    exact, so rebuilt and recomputed values stay bitwise equal: a shift that
-    would round an entry (one more than 2**1021 below the max, pushed below
-    the normal range) is not made, and v is returned as it is.  No scale
-    tracking; normalization absorbs it.
+    brings the max into [0.5, 1); otherwise return v itself.  The shift is
+    exact for every entry within 2**1021 of the max.  An entry further below
+    lands under the normal range and rounds, by at most 2**-1075 against a
+    max of at least 0.5, which no belief can see; declining that shift would
+    leave a max above 2**128 for the next product to overflow.  Rebuilt and
+    recomputed values stay bitwise equal, since both shift the same operands.
+    No scale tracking; normalization absorbs it.
 
     v must be nonnegative (every likelihood, pi vector and derived matrix
     is).  The common case is accepted with one product: the sum of squares s
@@ -196,9 +199,7 @@ def rescale_if_tiny(v: np.ndarray) -> np.ndarray:
     m = v.max()
     if SCALE_MIN <= m <= SCALE_MAX or not 0.0 < m < math.inf:
         return v
-    e = np.frexp(m)[1]
-    out = np.ldexp(v, -e)
-    return out if np.array_equal(np.ldexp(out, e), v) else v
+    return np.ldexp(v, -np.frexp(m)[1])
 
 
 def rescale_rows(v: np.ndarray) -> np.ndarray:
@@ -208,14 +209,7 @@ def rescale_rows(v: np.ndarray) -> np.ndarray:
     out = ((m < SCALE_MIN) | (m > SCALE_MAX)) & (0.0 < m) & (m < math.inf)
     if not out.any():
         return v
-    e = np.where(out, np.frexp(m)[1], 0)[:, np.newaxis]
-    scaled = np.ldexp(v, -e)
-    exact = (np.ldexp(scaled, e) == v).all(axis=1)
-    if exact.all():
-        return scaled
-    if not (out & exact).any():
-        return v
-    return np.where(exact[:, np.newaxis], scaled, v)
+    return np.ldexp(v, -np.where(out, np.frexp(m)[1], 0)[:, np.newaxis])
 
 
 def apply_stacked(factors, v: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

@@ -8,6 +8,13 @@ Mutation experiments re-post the evidence for the windows covering a site as
 one batch (`update_many`) and read the watch windows before and after as one
 batch each (`bel_many`), exercising the logarithmic engine; predictions read
 every window from one `exact.propagate_all` sweep.
+
+Set-up is array passes, not a Python step per symbol or window: a window's
+index among the product-ordered windows is its mixed-radix code, computed for
+every window of a string at once (`_window_codes`).  `train` codes the whole
+corpus in one pass and fills each table with one `np.bincount`;
+`ProteinChain` reads every window's evidence as one column take of the
+emission table; `predict` votes over all window labels in one pass.
 """
 
 from __future__ import annotations
@@ -27,31 +34,49 @@ from .tree import RawTree, binarize
 STRUCTURE_SYMBOLS = ("c", "e", "h")
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 WINDOW_LENGTHS = (2, 3)
-_PS_DIGIT = {s: i for i, s in enumerate(STRUCTURE_SYMBOLS)}
-_AA_DIGIT = {s: i for i, s in enumerate(AMINO_ACIDS)}
+
+# a digit so far below zero that every window code holding it is negative
+_OUTSIDE = -(2**40)
+
+
+def _digits(symbols) -> np.ndarray:
+    """Lookup from a code point below 128 to its symbol's position in
+    `symbols`; every other code point reads as _OUTSIDE."""
+    table = np.full(128, _OUTSIDE, dtype=np.int64)
+    table[[ord(s) for s in symbols]] = range(len(symbols))
+    return table
+
+
+_DIGITS = {symbols: _digits(symbols) for symbols in (STRUCTURE_SYMBOLS, AMINO_ACIDS)}
 
 
 def _mers(symbols, w):
-    return ["".join(p) for p in product(symbols, repeat=w)]
+    return list(map("".join, product(symbols, repeat=w)))
 
 
-def _window_codes(seq: str, digit: dict, w: int) -> list[int]:
-    """Position in `_mers(symbols, w)` of every w-window of `seq`: its
-    mixed-radix code over the symbols' digits, first symbol most significant.
-    A symbol outside them reads as digit -base**w, which makes the code of
-    every window holding it negative."""
-    base = len(digit)
-    d = [digit.get(ch, -(base**w)) for ch in seq]
-    codes = d[: max(len(d) - w + 1, 0)]
+def _window_codes(text: str, symbols, w: int) -> np.ndarray:
+    """Position in `_mers(symbols, w)` of every w-window of `text`: its
+    mixed-radix code over the symbols' digits, first symbol most significant,
+    as one array pass.  A window holding a symbol outside them gets a
+    negative code."""
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    d = _DIGITS[symbols][np.minimum(points, 127)]
+    n = max(len(d) - w + 1, 0)
+    codes = d[:n]
     for j in range(1, w):
-        codes = [c * base + x for c, x in zip(codes, d[j:])]
+        codes = codes * len(symbols) + d[j : j + n]
     return codes
 
 
-def _window_index(mer: str, digit: dict, w: int, what: str) -> int:
-    code = _window_codes(mer, digit, w)[0] if len(mer) == w else -1
-    if code < 0:
+def _window_index(mer: str, symbols, w: int, what: str) -> int:
+    """Position of the one window `mer` in `_mers(symbols, w)`, read symbol by
+    symbol (for one window, cheaper than `_window_codes`); UsageError when
+    `mer` is no such window."""
+    if len(mer) != w or not all(ch in symbols for ch in mer):
         raise UsageError(f"unknown {what} {mer!r}")
+    code = 0
+    for ch in mer:
+        code = code * len(symbols) + symbols.index(ch)
     return code
 
 
@@ -73,7 +98,7 @@ class ChainTables:
         return len(self.ps_mers)
 
     def aa_index(self, mer: str) -> int:
-        return _window_index(mer, _AA_DIGIT, self.w, "amino-acid window")
+        return _window_index(mer, AMINO_ACIDS, self.w, "amino-acid window")
 
     def save(self, path) -> None:
         try:
@@ -120,15 +145,15 @@ class ChainTables:
         return tables
 
 
-def _consistent(a: str, b: str) -> bool:
-    return a[1:] == b[:-1]
-
-
 def train(corpus, w: int) -> ChainTables:
     """Add-one-smoothed frequency tables from (amino, structure) pairs.
 
     Transition smoothing runs only over overlap-consistent successors;
-    inconsistent transitions stay exactly zero.
+    inconsistent transitions stay exactly zero.  The records are read as one
+    joined string per side: every window is coded at once, a window counts
+    when it lies inside one record (so records shorter than w add nothing),
+    and each table is one `np.bincount`.  A fault raises for the first
+    record holding one: a length mismatch, or its first bad window.
     """
     if w not in WINDOW_LENGTHS:
         raise UsageError(f"window length must be 2 or 3, got {w}")
@@ -137,39 +162,43 @@ def train(corpus, w: int) -> ChainTables:
         raise UsageError("empty training corpus")
     ps_mers = _mers(STRUCTURE_SYMBOLS, w)
     aa_mers = _mers(AMINO_ACIDS, w)
-    k = len(ps_mers)
-    tables = ChainTables(
-        w, ps_mers, aa_mers, np.zeros((k, k)), np.zeros((k, len(aa_mers))), np.zeros(k)
-    )
-    trans, emit, init = tables.transition, tables.emission, tables.initial
-    for aa_seq, ss_seq in corpus:
-        if len(aa_seq) != len(ss_seq):
-            raise FormatError(
-                f"sequence/structure length mismatch: {aa_seq!r} / {ss_seq!r}"
-            )
-        if len(aa_seq) < w:
-            continue
-        s = _window_codes(ss_seq, _PS_DIGIT, w)
-        a = _window_codes(aa_seq, _AA_DIGIT, w)
-        if min(s) < 0 or min(a) < 0:  # name the first bad window
-            i = next(i for i, (x, y) in enumerate(zip(s, a)) if x < 0 or y < 0)
-            if s[i] < 0:
-                raise FormatError(f"structure symbols outside h/e/c: {ss_seq[i : i + w]!r}")
-            raise FormatError(f"unknown amino acid in window {aa_seq[i : i + w]!r}")
-        np.add.at(emit, (s, a), 1)
-        init[s[0]] += 1
-        np.add.at(trans, (s[:-1], s[1:]), 1)
+    k, n_aa = len(ps_mers), len(aa_mers)
+    # records before the first length mismatch: a bad window in them comes first
+    mismatch = next((i for i, (x, y) in enumerate(corpus) if len(x) != len(y)), None)
+    records = corpus[:mismatch]
+    ss = "".join(s for _, s in records)
+    aa = "".join(a for a, _ in records)
+    s = _window_codes(ss, STRUCTURE_SYMBOLS, w)
+    a = _window_codes(aa, AMINO_ACIDS, w)
+    lengths = np.array([len(r) for _, r in records], dtype=np.int64)
+    record = np.repeat(np.arange(len(records)), lengths)  # of each symbol
+    inside = record[: len(s)] == record[w - 1 :]  # window within one record
+    bad = inside & ((s < 0) | (a < 0))
+    if bad.any():
+        i = int(bad.argmax())
+        if s[i] < 0:
+            raise FormatError(f"structure symbols outside h/e/c: {ss[i : i + w]!r}")
+        raise FormatError(f"unknown amino acid in window {aa[i : i + w]!r}")
+    if mismatch is not None:
+        aa_seq, ss_seq = corpus[mismatch]
+        raise FormatError(f"sequence/structure length mismatch: {aa_seq!r} / {ss_seq!r}")
 
-    consistent = np.array(
-        [[_consistent(x, y) for y in ps_mers] for x in ps_mers], dtype=float
-    )
+    first = (np.cumsum(lengths) - lengths)[lengths >= w]  # each record's first window
+    pair = inside[:-1] & inside[1:]  # successive windows of one record
+    emit = np.bincount(s[inside] * n_aa + a[inside], minlength=k * n_aa).reshape(k, n_aa)
+    init = np.bincount(s[first], minlength=k)
+    trans = np.bincount(s[:-1][pair] * k + s[1:][pair], minlength=k * k).reshape(k, k)
+
+    # x's last w-1 symbols are y's first w-1: x's code mod 3**(w-1) is y's div 3
+    base = len(STRUCTURE_SYMBOLS)
+    codes = np.arange(k)
+    consistent = np.equal.outer(codes % base ** (w - 1), codes // base).astype(float)
     trans = (trans + 1.0) * consistent
     trans /= trans.sum(axis=1, keepdims=True)
     emit = emit + 1.0
     emit /= emit.sum(axis=1, keepdims=True)
     init = (init + 1.0) / (init + 1.0).sum()
-    tables.transition, tables.emission, tables.initial = trans, emit, init
-    return tables
+    return ChainTables(w, ps_mers, aa_mers, trans, emit, init)
 
 
 class ProteinChain:
@@ -179,6 +208,11 @@ class ProteinChain:
         w = tables.w
         if len(sequence) < w:
             raise UsageError(f"sequence shorter than window length {w}")
+        sequence = "".join(sequence)  # a list of residues reads as their string
+        codes = _window_codes(sequence, AMINO_ACIDS, w)
+        if codes.min() < 0:  # name the first bad window
+            t = int(np.argmax(codes < 0))
+            raise UsageError(f"unknown amino-acid window {sequence[t : t + w]!r}")
         self.tables = tables
         self.sequence = list(sequence)
         self.n_windows = len(sequence) - w + 1
@@ -197,10 +231,7 @@ class ProteinChain:
             raw.add_edge(t, self.ev_nodes[t], ident)
             if t + 1 < self.n_windows:
                 raw.add_edge(t, t + 1, tables.transition)
-        raw.evidence = {
-            self.ev_nodes[t]: self._window_likelihood(t)
-            for t in range(self.n_windows)
-        }
+        raw.evidence = dict(zip(self.ev_nodes, tables.emission.T[codes]))
         self.tree = binarize(raw)
         self.engine = DynamicEngine(self.tree)
 
@@ -219,22 +250,18 @@ class ProteinChain:
     def predict(self) -> str:
         """Per-position structure: majority vote over the argmax window labels
         covering each position, ties broken toward 'c'.  Every window belief
-        comes from one `exact.propagate_all` sweep."""
-        w = self.tables.w
+        comes from one `exact.propagate_all` sweep, and the vote is one array
+        pass: a window's label is its `ps_mers` index, whose base-3 digits are
+        its symbols."""
+        w, n, base = self.tables.w, self.n_windows, len(STRUCTURE_SYMBOLS)
         bel = exact.propagate_all(self.tree, self.engine.counter)
-        labels = [self.tables.ps_mers[int(np.argmax(bel[t]))] for t in self.ps_nodes]
-        out = []
-        for pos in range(len(self.sequence)):
-            votes = {}
-            lo = max(0, pos - w + 1)
-            hi = min(self.n_windows - 1, pos)
-            for t in range(lo, hi + 1):
-                sym = labels[t][pos - t]
-                votes[sym] = votes.get(sym, 0) + 1
-            best = max(votes.values())
-            winners = sorted(s for s, c in votes.items() if c == best)
-            out.append("c" if len(winners) > 1 else winners[0])
-        return "".join(out)
+        labels = bel.rows[[bel.levels.pos[t] for t in self.ps_nodes]].argmax(axis=1)
+        votes = np.zeros((len(self.sequence), base), dtype=np.int64)
+        for j in range(w):  # window t votes for its j-th symbol at position t + j
+            votes[np.arange(j, j + n), labels // base ** (w - 1 - j) % base] += 1
+        tie = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        winner = np.where(tie, STRUCTURE_SYMBOLS.index("c"), votes.argmax(axis=1))
+        return "".join(map(STRUCTURE_SYMBOLS.__getitem__, winner.tolist()))
 
     def mutate(self, site: int, residue: str) -> list[int]:
         """Replace the residue at `site` and re-post evidence for the covering

@@ -235,14 +235,24 @@ class CausalTree(BinaryLinks):
         for x in seen:
             if x not in self.matrix and x != self.root:
                 out.append(f"edge into {x} has no matrix")
-        for leaf, v in self._posted.items():
+        for leaf, sound in zip(self._posted, self._sound_evidence()):
             if leaf not in seen or not self.is_leaf(leaf):
                 out.append(f"evidence on non-leaf node {leaf}")
             elif leaf in self.dummies:
                 out.append(f"evidence on dummy leaf {leaf}")
-            if v.shape != (self.k,) or not np.all(np.isfinite(v) & (v >= 0)):
+            if not sound:
                 out.append(f"evidence on {leaf} is not a finite nonnegative k-vector")
         return out
+
+    def _sound_evidence(self) -> list[bool]:
+        """Whether each posted likelihood, in posting order, is a finite
+        nonnegative k-vector: those of length k are tested as one stack."""
+        posted = list(self._posted.values())
+        sound = np.array([v.shape == (self.k,) for v in posted], dtype=bool)
+        if sound.any():
+            rows = _stacked(list(compress(posted, sound)))
+            sound[sound] = (np.isfinite(rows) & (rows >= 0)).all(axis=1)
+        return sound.tolist()
 
     @np.errstate(invalid="ignore", over="ignore")  # bad values are reported, not warned
     def _edge_violations(self, seen: set[int]) -> list[str]:

@@ -246,6 +246,33 @@ class TestSession:
         assert ok == "ok" and bel.startswith("bel ")
         assert np.allclose([float(v) for v in bel.split()[1:]], want / want.sum(), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("lik", ["1e300 1e-10", "1e300 1e-8", "1e200 1e-120"])
+    def test_wide_range_likelihoods_answer(self, tmp_path, lik):
+        """Both leaves of a two-leaf root posted a likelihood whose small entry
+        is more than 2**1021 below its max: the guard shifts them anyway, so
+        the product at the root stays finite, and the session answers and
+        writes nothing to stderr."""
+        p = tmp_path / "m.btn"
+        edge = "0.9 0.1 0.2 0.8"
+        p.write_text(
+            THREE_NODE_BTN.replace("evidence 1 1 0\n", "").replace("0.7 0.3 0.4 0.6", edge)
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(x for x in (src, env.get("PYTHONPATH")) if x)
+        proc = subprocess.run(
+            [sys.executable, "-m", "treebelief.cli", "session", str(p)],
+            input=f"update 1 {lik}\nupdate 2 {lik}\nquery 0\nquery 1\nquit\n",
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        ok1, ok2, root, leaf = proc.stdout.splitlines()
+        assert (ok1, ok2) == ("ok", "ok")
+        # the small entries carry no visible weight: lambda(root) = M[:, 0]**2
+        want = np.array([0.81, 0.04])
+        assert np.allclose([float(v) for v in root.split()[1:]], want / want.sum(), rtol=0, atol=1e-15)
+        assert np.allclose([float(v) for v in leaf.split()[1:]], [1.0, 0.0], rtol=0, atol=1e-15)
+
     def test_seventeen_significant_digits(self, btn_file, monkeypatch, capsys):
         code, out = run_session(
             monkeypatch, capsys, ["session", btn_file], "query 0\nquit\n"
@@ -507,6 +534,21 @@ class TestProtein:
         assert cli.main(
             ["protein", "train", "--corpus", str(corpus), "--w", "2", "--out", model]
         ) == 2
+
+    @pytest.mark.parametrize("record, message", [
+        ("GSBT cchh", "unknown amino acid in window 'SB'"),
+        ("GSAT cxhh", "structure symbols outside h/e/c: 'cx'"),
+        ("GS\u0661T cchh", "unknown amino acid in window 'S\u0661'"),
+    ])
+    def test_corpus_symbol_fault_names_the_first_window(self, tmp_path, capsys, record, message):
+        corpus = tmp_path / "bad.txt"
+        corpus.write_text(f"GSAT cchh\nX q\n{record}\nGSAT ccxx\n", encoding="utf-8")
+        model = tmp_path / "m.npz"
+        assert cli.main(
+            ["protein", "train", "--corpus", str(corpus), "--w", "2", "--out", str(model)]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()
 
     def test_bad_site_usage_error(self, tmp_path):
         corpus = tmp_path / "c.txt"

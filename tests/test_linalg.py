@@ -205,22 +205,33 @@ class TestRescale:
 
     @given(vec(4), st.integers(-1000, 1000))
     def test_exact_power_of_two(self, v, p):
-        # scaling by a power of two commutes with the guard up to its own
-        # power of two, so beliefs built on either side agree bitwise
+        # the guard is a power-of-two shift, exact for every entry that stays
+        # in the normal range after it
         v = np.ldexp(v, p)
         out = linalg.rescale_if_tiny(v)
         if out is not v:
+            e = np.frexp(v.max())[1]
             assert 0.5 <= out.max() < 1.0
-            assert np.array_equal(np.ldexp(out, np.frexp(v.max())[1]), v)
+            assert np.array_equal(out, np.ldexp(v, -e))
+            normal = out >= 2.0**-1022
+            assert np.array_equal(np.ldexp(out[normal], e), v[normal])
 
-    def test_lossy_shift_not_made(self):
-        # bringing 2**129 into [0.5, 1) would round 2**-945 to zero
-        v = np.ldexp(np.array([0.0, 1.0, 5e-324]), 129)
-        assert linalg.rescale_if_tiny(v) is v
-        rows = np.array([v, [1e-300, 2e-300, 0.0]])
-        out = linalg.rescale_rows(rows)
-        assert np.array_equal(out[0], v)
-        assert np.array_equal(out[1], linalg.rescale_if_tiny(rows[1]))
+    @pytest.mark.parametrize("v, want", [
+        # bringing 2**129 into [0.5, 1) rounds 2**-945 to zero
+        (np.ldexp(np.array([0.0, 1.0, 5e-324]), 129), [0.0, 0.5, 0.0]),
+        (np.array([1e300, 1e-10]), np.ldexp([1e300, 1e-10], -997)),
+        (np.array([1e-10, 1e300, 2e-320]), np.ldexp([1e-10, 1e300, 2e-320], -997)),
+    ], ids=["two-to-129", "1e300-1e-10", "three-entries"])
+    def test_wide_range_shift_is_made(self, v, want):
+        # the shift rounds the entries far below the max, and leaves no max
+        # above the range for the next product to overflow
+        out = linalg.rescale_if_tiny(v)
+        assert np.array_equal(out, want) and 0.5 <= out.max() < 1.0
+        assert np.isfinite(out.dot(out))
+        other = np.array([1e-300, 2e-300, 0.0][: v.size])
+        rows = linalg.rescale_rows(np.array([v, other]))
+        assert np.array_equal(rows[0], out)
+        assert np.array_equal(rows[1], linalg.rescale_if_tiny(other))
 
     def test_matrix_rescaled_by_its_max(self):
         m = np.array([[1e-150, 2e-150], [0.0, 4e-150]])
@@ -237,13 +248,13 @@ class TestRescale:
 
 
 def max_only_rescale(v):
-    """The guard's rule on the max entry alone, without the fast accept."""
+    """The guard's rule on the max entry alone, without the fast accept: a
+    max outside the range is shifted into [0.5, 1), whatever the shift
+    rounds."""
     m = v.max() if v.size else 0.0
     if linalg.SCALE_MIN <= m <= linalg.SCALE_MAX or not 0.0 < m < math.inf:
         return v
-    e = np.frexp(m)[1]
-    out = np.ldexp(v, -e)
-    return out if np.array_equal(np.ldexp(out, e), v) else v
+    return np.ldexp(v, -np.frexp(m)[1])
 
 
 # zeros, subnormals and 2**e * m for e in -140..140 (often near the guard's

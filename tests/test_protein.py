@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebelief import exact, protein
 from treebelief.errors import FormatError, UsageError
@@ -8,6 +10,41 @@ from util import ps_index
 
 def toy_tables():
     return protein.train([("GSAT", "cchh")], w=2)
+
+
+# an (amino, structure) record of length 0 to 8: empty, shorter than w, or not
+RECORD = st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.text(st.sampled_from(protein.AMINO_ACIDS), min_size=n, max_size=n),
+    st.text(st.sampled_from(protein.STRUCTURE_SYMBOLS), min_size=n, max_size=n),
+))
+
+# (w, corpus, message): faults in several records, of which the first in
+# corpus order raises; within a record, its first bad window, and in that
+# window a structure fault before an amino-acid fault
+FIRST_FAULTS = [
+    (2, [("GSAT", "cchh"), ("GSA", "cc"), ("GXAT", "cchh")],
+     "sequence/structure length mismatch: 'GSA' / 'cc'"),
+    (2, [("GSAT", "cchh"), ("G", ""), ("GSAT", "cxhh")],
+     "sequence/structure length mismatch: 'G' / ''"),
+    (2, [("GSAT", "cxhh"), ("GSA", "cc")], "structure symbols outside h/e/c: 'cx'"),
+    (2, [("GSBT", "cchh"), ("GSAT", "cchx")], "unknown amino acid in window 'SB'"),
+    (3, [("GSATK", "cchhe"), ("GSATK", "cchHe"), ("GSXTK", "cchhe")],
+     "structure symbols outside h/e/c: 'chH'"),
+    (2, [("GSATK", "cchhe"), ("GSAXK", "cchxe")], "structure symbols outside h/e/c: 'hx'"),
+    (2, [("GS\u0661T", "cchh")], "unknown amino acid in window 'S\u0661'"),
+    (3, [("GSAT", "cché")], "structure symbols outside h/e/c: 'ché'"),
+    (2, [("X", "q"), ("GSAé", "cchh"), ("GSAT", "cc\u0661h")],
+     "unknown amino acid in window 'Aé'"),
+    (3, [("GS", "cx"), ("GSAT", "cchh"), ("GSaT", "cchh")],
+     "unknown amino acid in window 'GSa'"),
+    (2, [("G\ud800", "cc")], "unknown amino acid in window 'G\\ud800'"),
+]
+FIRST_FAULT_IDS = [
+    "mismatch-before-bad-amino", "short-mismatch", "structure-before-mismatch",
+    "amino-before-structure", "w3-structure-before-amino", "structure-wins-in-window",
+    "arabic-digit-amino", "e-acute-structure", "short-record-skipped", "w3-short-skipped",
+    "lone-surrogate",
+]
 
 
 class TestTrain:
@@ -48,6 +85,21 @@ class TestTrain:
         with pytest.raises(FormatError):
             protein.train([("GSAT", "cch")], w=2)
 
+    @pytest.mark.parametrize("w, corpus, message", FIRST_FAULTS, ids=FIRST_FAULT_IDS)
+    def test_first_fault_in_corpus_order_raises(self, w, corpus, message):
+        with pytest.raises(FormatError) as exc:
+            protein.train(corpus, w)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("w, short", [(2, ("X", "q")), (3, ("G\u0661", "cé")), (3, ("", ""))])
+    def test_record_shorter_than_w_is_skipped(self, w, short):
+        # its symbols are never read, so a bad one raises nothing
+        clean = [("GSATW", "cchhe"), ("KLVE", "eecc")]
+        got = protein.train([clean[0], short, clean[1]], w)
+        want = protein.train(clean, w)
+        for name in ("transition", "emission", "initial"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_save_load_roundtrip(self, tmp_path):
         tables = toy_tables()
         path = tmp_path / "m.npz"
@@ -79,15 +131,11 @@ class TestTrain:
             protein.ChainTables.load(path)
 
     @pytest.mark.parametrize("w", [2, 3])
-    def test_counts_match_window_loop(self, w):
-        """`train` counts windows by their codes in one batch per sequence;
-        the tables equal a per-window loop over the mer lists bitwise."""
-        rng = np.random.default_rng(w)
-        corpus = [
-            ("".join(rng.choice(list(protein.AMINO_ACIDS), n)),
-             "".join(rng.choice(list("ceh"), n)))
-            for n in rng.integers(1, 30, size=40)
-        ]
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=st.lists(RECORD, min_size=1, max_size=12))
+    def test_counts_match_window_loop(self, w, corpus):
+        """`train` counts every window of the corpus in one pass; the tables
+        equal a per-window loop over the mer lists bitwise."""
         tables = protein.train(corpus, w)
         ps, aa = tables.ps_mers, tables.aa_mers
         trans, emit, init = np.zeros((len(ps), len(ps))), np.zeros((len(ps), len(aa))), np.zeros(len(ps))
@@ -127,6 +175,12 @@ class TestChain:
         assert chain.tree.validate() == []
         assert len(chain.ps_nodes) == 3 and len(chain.ev_nodes) == 3
 
+    def test_residue_list_reads_as_its_string(self):
+        chain = protein.ProteinChain(list("GSATGS"), toy_tables())
+        assert chain.predict() == protein.ProteinChain("GSATGS", toy_tables()).predict()
+        with pytest.raises(UsageError, match="'SX'"):
+            protein.ProteinChain(list("GSXT"), toy_tables())
+
     def test_minimal_chain(self):
         chain = protein.ProteinChain("GS", toy_tables())
         assert chain.n_windows == 1
@@ -135,6 +189,14 @@ class TestChain:
     def test_too_short(self):
         with pytest.raises(UsageError):
             protein.ProteinChain("G", toy_tables())
+
+    @pytest.mark.parametrize(
+        "sequence, window", [("GSXTB", "SX"), ("GéAT", "Gé"), ("GSA\u0661", "A\u0661"), ("gSAT", "gS")]
+    )
+    def test_bad_residue_names_first_window(self, sequence, window):
+        with pytest.raises(UsageError) as exc:
+            protein.ProteinChain(sequence, toy_tables())
+        assert str(exc.value) == f"unknown amino-acid window {window!r}"
 
     def test_edges_share_three_matrices(self):
         # every evidence edge shares one identity copy, every chain edge one
@@ -250,6 +312,47 @@ class TestBatchedMutation:
         for t, b in zip(chain.ps_nodes, chain.window_beliefs()):
             assert np.allclose(swept[0][t], b, rtol=0.0, atol=1e-12), t
             assert np.argmax(swept[0][t]) == np.argmax(b), t
+
+
+def per_position_vote(chain, bel) -> str:
+    """`ProteinChain.predict`'s vote as a loop over positions, from the
+    window beliefs `bel`."""
+    w = chain.tables.w
+    labels = [chain.tables.ps_mers[int(np.argmax(bel[t]))] for t in chain.ps_nodes]
+    out = []
+    for pos in range(len(chain.sequence)):
+        votes = {}
+        for t in range(max(0, pos - w + 1), min(chain.n_windows - 1, pos) + 1):
+            sym = labels[t][pos - t]
+            votes[sym] = votes.get(sym, 0) + 1
+        best = max(votes.values())
+        winners = sorted(s for s, c in votes.items() if c == best)
+        out.append("c" if len(winners) > 1 else winners[0])
+    return "".join(out)
+
+
+class TestPredictVote:
+    @pytest.mark.parametrize("w", [2, 3])
+    def test_vote_equals_per_position_loop(self, w, monkeypatch):
+        # random window beliefs, half of them small integers so that argmax
+        # and vote ties are common
+        rng = np.random.default_rng(w)
+        tables = protein.train([("GSATWKLVEN", "cchhheeccc")], w)
+        propagate_all, swept = exact.propagate_all, []
+
+        def sweep(tree, counter=None):
+            bel = propagate_all(tree, counter)
+            shape = bel.rows.shape
+            bel.rows[:] = rng.integers(0, 3, shape) if len(swept) % 2 else rng.random(shape)
+            swept.append(bel)
+            return bel
+
+        monkeypatch.setattr(protein.exact, "propagate_all", sweep)
+        for n in [w, w + 1, *rng.integers(w, 60, size=30)]:
+            chain = protein.ProteinChain("".join(rng.choice(list(protein.AMINO_ACIDS), n)), tables)
+            got = chain.predict()
+            assert got == per_position_vote(chain, swept[-1])
+            assert len(got) == n
 
 
 class TestCorpus:

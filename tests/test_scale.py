@@ -2,11 +2,16 @@
 the beliefs of the same evidence at a normal scale (beliefs are invariant
 under scaling a likelihood)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebelief import exact
 from treebelief.bench import ENGINES, POLYTREE_ENGINE_CLASSES, make_chain, make_engine, make_model
+from treebelief.tree import RawTree, binarize
 from treebelief.dynamic import DynamicEngine
 from util import random_polytree, updatable_leaves
 
@@ -91,3 +96,85 @@ def test_every_polytree_engine_at_extreme_scales(engine, scale):
         eng.update_evidence(v, lik * scale)
     for v in range(8):
         assert np.allclose(eng.bel_query(v), reference[v], rtol=0.0, atol=1e-9), v
+
+
+# an entry of a wide-range likelihood: zero, subnormal, or m * 2**e anywhere
+# in the normal range, so that one vector can hold a max near 1e308 and
+# entries more than 2**1021 below it
+WIDE_ENTRY = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=np.nextafter(2.0**-1022, 0.0)),
+    st.builds(
+        math.ldexp,
+        st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+        st.one_of(st.integers(-1022, 1023), st.integers(900, 1023)),
+    ),
+)
+
+
+def wide_likelihood(k: int):
+    return st.lists(WIDE_ENTRY, min_size=k, max_size=k).filter(lambda v: max(v) > 0.0).map(np.array)
+
+
+def by_max(v: np.ndarray) -> np.ndarray:
+    """The same likelihood at max 1: the oracle's form, which cannot overflow."""
+    return v / v.max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("shape", list(SHAPE_SIZES))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_wide_range_likelihoods_every_engine(engine, shape, data):
+    """Likelihoods spanning the whole double range, posted through the engine
+    protocol, give the enumerated beliefs of the same evidence divided by its
+    max.  Every table is positive, so the mass never rests on the entries
+    that the guard's shift rounds."""
+    size = {"chain": 3, "random": 4, "balanced": 4}[shape]
+    t, ref = (make_model(shape, size, 2, np.random.default_rng(11)) for _ in range(2))
+    items = [(leaf, data.draw(wide_likelihood(2))) for leaf in updatable_leaves(t)]
+    ref.set_evidence((leaf, by_max(lik)) for leaf, lik in items)
+    want = exact.joint_marginals(ref)
+    eng = make_engine(engine, t)
+    for leaf, lik in items:
+        eng.update_evidence(leaf, lik)
+    for x in t.names:
+        assert np.allclose(eng.bel_query(x), want[x], rtol=0.0, atol=1e-9), x
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("engine", list(POLYTREE_ENGINE_CLASSES))
+def test_wide_range_likelihoods_every_polytree_engine(engine, data):
+    pt = random_polytree(np.random.default_rng(12), 6, 2, max_parents=2)
+    evidence = {v: data.draw(wide_likelihood(2)) for v in range(6) if data.draw(st.booleans())}
+    want = pt.joint_conditionals({v: by_max(lik) for v, lik in evidence.items()})
+    eng = make_engine(engine, pt)
+    for v, lik in evidence.items():
+        eng.update_evidence(v, lik)
+    for v in range(6):
+        assert np.allclose(eng.bel_query(v), want[v], rtol=0.0, atol=1e-9), v
+
+
+@pytest.mark.parametrize("lik", [
+    [1e300, 1e-10], [1e300, 1e-8], [1e200, 1e-120], [math.exp(700), math.exp(-20)],
+    [1e300, 1e-7], [1e300, 0.0],
+])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_two_wide_leaves_answer(engine, lik):
+    """A root with two leaves, both posted one wide-range likelihood: the
+    product at the root overflowed when the guard declined a rounding shift."""
+    raw = RawTree(2)
+    for x in range(3):
+        raw.add_node(x)
+    raw.set_root(0, [0.5, 0.5])
+    for leaf in (1, 2):
+        raw.add_edge(0, leaf, [[0.9, 0.1], [0.2, 0.8]])
+    t, ref = binarize(raw), binarize(raw)
+    ref.set_evidence((leaf, by_max(np.array(lik))) for leaf in (1, 2))
+    want = exact.joint_marginals(ref)
+    eng = make_engine(engine, t)
+    for leaf in (1, 2):
+        eng.update_evidence(leaf, lik)
+    for x in range(3):
+        assert np.allclose(eng.bel_query(x), want[x], rtol=0.0, atol=1e-9), x

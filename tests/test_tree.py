@@ -345,6 +345,32 @@ class TestValidate:
     def test_clean(self):
         assert binarize(three_child_raw()).validate() == []
 
+    def test_evidence_faults_in_posting_order(self):
+        # the stacked finite-and-nonnegative test reports what a per-leaf
+        # check did, leaf by leaf in posting order
+        raw = RawTree(2)
+        for x in range(4):
+            raw.add_node(x)
+        raw.set_root(0, [0.5, 0.5])
+        for parent, child in ((0, 1), (0, 2), (2, 3)):  # 2 gets dummy leaf 4
+            raw.add_edge(parent, child, np.eye(2))
+        raw.evidence = {
+            3: [np.nan, 1.0], 1: [1.0, 1.0], 0: [-1.0, 1.0], 4: [np.inf, 1.0],
+            9: [1.0, 2.0, 3.0], 5: [0.5, 0.5],
+        }
+        with pytest.raises(StructureError) as exc:
+            binarize(raw)
+        assert str(exc.value).split("; ") == [
+            "evidence on 3 is not a finite nonnegative k-vector",
+            "evidence on non-leaf node 0",
+            "evidence on 0 is not a finite nonnegative k-vector",
+            "evidence on dummy leaf 4",
+            "evidence on 4 is not a finite nonnegative k-vector",
+            "evidence on non-leaf node 9",
+            "evidence on 9 is not a finite nonnegative k-vector",
+            "evidence on non-leaf node 5",
+        ]
+
     def test_bad_row_sum_named(self):
         t = binarize(three_child_raw())
         t.matrix[1] = np.array([[0.8, 0.1], [0.2, 0.8]])

@@ -32,7 +32,7 @@ def random_raw_tree(rng, n_nodes: int, k: int, max_children: int = 3) -> RawTree
 
 def ps_index(tables: protein.ChainTables, mer: str) -> int:
     """Index of a structure window among `tables.ps_mers`."""
-    return protein._window_index(mer, protein._PS_DIGIT, tables.w, "structure window")
+    return protein._window_index(mer, protein.STRUCTURE_SYMBOLS, tables.w, "structure window")
 
 
 def factored_identity(size: int) -> FactoredMatrix:
