@@ -8,14 +8,18 @@ the logarithmic engine:
   models only.  joint_marginals feeds it a causal tree and
   Polytree.joint_conditionals a polytree.
 * propagate_all   -- the classical two-pass bottom-up/top-down propagation,
-  O(k^2 N), swept one depth level at a time.  Nodes are numbered
-  breadth-first once per tree (`CausalTree.numbering`); lambda (leaf rows:
-  `evidence_rows`), the edge messages and pi are (N, k) arrays in that order.
-  A level of at least BATCH_MIN_WIDTH nodes whose edge matrices are all
-  dense, or all factored with one pair of factor shapes, runs each direction
-  as one stacked product and one row-wise rescale; a narrower level (a chain
-  has two nodes per level), or one that mixes edge kinds or shapes, runs the
-  per-node apply/rescale loop.
+  O(k^2 N).  Nodes are numbered breadth-first once per tree, and the sweep's
+  schedule is compiled with the numbering (`CausalTree.numbering`, `Levels`);
+  lambda (leaf rows: `evidence_rows`), the edge messages and pi are (N, k)
+  arrays in that order.  A depth of at least BATCH_MIN_WIDTH nodes whose
+  edge matrices are all dense, or all factored with one pair of factor
+  shapes, runs each direction as one stacked product and one row-wise
+  rescale.  The internal nodes of the other depths (a chain has two nodes
+  per depth) run node by node, one run per stretch of such depths.  Their
+  leaves leave that run: messages before it and pi after it, as one
+  product per edge matrix object that BATCH_MIN_WIDTH or more of them share
+  (a protein chain's evidence leaves share one identity), else one by one.
+  One matrix-vector product per edge per direction either way.
 * PropagationState -- the depth-bounded incremental engine that keeps only
   the bottom-up vectors current, O(k^2 D) per operation.  It answers the
   engine protocol (update_evidence, bel_query, counter) that
@@ -31,7 +35,7 @@ import numpy as np
 from . import linalg
 from .errors import InconsistentEvidenceError, ScaleError
 from .linalg import OpCounter
-from .tree import BATCH_MIN_WIDTH, CausalTree, Levels
+from .tree import CausalTree, Levels, Stacked
 
 JOINT_STATE_LIMIT = 10**7
 
@@ -64,7 +68,9 @@ def lambda_pass(tree: CausalTree, counter: OpCounter | None = None):
     msg[c] = M_c . lambda(c) is cached per non-root node (the root's row stays
     zero) so the top-down pass can reuse sibling messages, keeping the total
     at one matrix-vector product per edge per direction.  Leaf rows hold
-    `CausalTree.evidence_rows`, the likelihoods as guarded when posted.
+    `CausalTree.evidence_rows`, the likelihoods as guarded when posted.  The
+    schedule is the tree's `Levels`: the messages of the leaves off its runs
+    first, then its steps bottom-up, then the root's lambda.
     """
     lv = tree.numbering()
     lam = np.ones((len(lv.order), tree.k))
@@ -72,55 +78,54 @@ def lambda_pass(tree: CausalTree, counter: OpCounter | None = None):
     leaves, rows = tree.evidence_rows()
     if leaves:
         lam[[lv.pos[x] for x in leaves]] = rows
-    for d in reversed(lv.depths()):
-        start, stop = lv.span(d)
-        if lv.inner[d]:
-            c0, c1 = lv.span(d + 1)
-            if stop - start >= BATCH_MIN_WIDTH:
-                lam[lv.inner[d]] = linalg.rescale_rows(msg[c0:c1:2] * msg[c0 + 1 : c1 : 2])
-            else:
-                for i, c in zip(lv.inner[d], range(c0, c1, 2)):
-                    lam[i] = linalg.rescale_if_tiny(msg[c] * msg[c + 1])
-        if d == 0:
-            break
-        stack = lv.stacks[d]
-        if stack is not None:
-            msg[start:stop] = linalg.apply_stacked(stack, lam[start:stop], counter)
+    for m, at, _, _ in lv.shared:
+        msg[at] = linalg.apply_rows(m, lam[at], counter)
+    for i, _, _, m in lv.lone:
+        msg[i] = linalg.apply(m, lam[i], counter)
+    for step in lv.steps:
+        if isinstance(step, Stacked):
+            start, stop = step.start, step.stop
+            if step.inner.size:
+                end = stop + 2 * step.inner.size
+                lam[step.inner] = linalg.rescale_rows(msg[stop:end:2] * msg[stop + 1 : end : 2])
+            msg[start:stop] = linalg.apply_stacked(step.stack, lam[start:stop], counter)
         else:
-            for i in range(start, stop):
-                msg[i] = linalg.apply(tree.matrix[lv.order[i]], lam[i], counter)
+            for i, l, _, _, m in reversed(step):
+                lam[i] = linalg.rescale_if_tiny(msg[l] * msg[l + 1])
+                msg[i] = linalg.apply(m, lam[i], counter)
+    if lv.inner.size:
+        lam[0] = linalg.rescale_if_tiny(msg[1] * msg[2])
     return NodeRows(lv, lam), NodeRows(lv, msg)
 
 
 def propagate_all(
     tree: CausalTree, counter: OpCounter | None = None
 ) -> Mapping[int, np.ndarray]:
-    """Full two-pass propagation; Bel(x) for every node at current evidence."""
+    """Full two-pass propagation; Bel(x) for every node at current evidence.
+    The top-down pass runs the `Levels` steps in reverse, then the pi of the
+    leaves off the runs."""
     lam, msg = lambda_pass(tree, counter)
     lv, msg = lam.levels, msg.rows
     pi = np.empty_like(msg)
     pi[0] = tree.prior
-    for d in lv.depths()[1:]:
-        start, stop = lv.span(d)
-        parents = lv.inner[d - 1]
-        stack = lv.stacks[d]
-        if stack is not None:
+    for step in reversed(lv.steps):
+        if isinstance(step, Stacked):
             # pi(p) . msg(sibling) for every child: left children at even offsets
-            p = pi[parents]
+            start, stop = step.start, step.stop
+            p = pi[step.up]
             v = np.empty((stop - start, tree.k))
             v[0::2] = p * msg[start + 1 : stop : 2]
             v[1::2] = p * msg[start:stop:2]
             pi[start:stop] = linalg.rescale_rows(
-                linalg.apply_transpose_stacked(stack, v, counter)
+                linalg.apply_transpose_stacked(step.stack, v, counter)
             )
         else:
-            for p, l in zip(parents, range(start, stop, 2)):
-                for c, sib in ((l, l + 1), (l + 1, l)):
-                    pi[c] = linalg.rescale_if_tiny(
-                        linalg.apply_transpose(
-                            tree.matrix[lv.order[c]], pi[p] * msg[sib], counter
-                        )
-                    )
+            for i, _, p, s, m in step:
+                pi[i] = linalg.rescale_if_tiny(linalg.apply_transpose(m, pi[p] * msg[s], counter))
+    for m, at, up, sib in lv.shared:
+        pi[at] = linalg.rescale_rows(linalg.apply_transpose_rows(m, pi[up] * msg[sib], counter))
+    for i, p, s, m in lv.lone:
+        pi[i] = linalg.rescale_if_tiny(linalg.apply_transpose(m, pi[p] * msg[s], counter))
     bel = lam.rows * pi
     mass = bel.sum(axis=1)
     zero = np.flatnonzero(~((mass > 0.0) & (mass < np.inf)))
@@ -141,17 +146,27 @@ def enumerate_marginals(
     Each factor is (variables, table), with one length-k axis of `table` per
     listed variable, in that order.  The full k^n weight tensor is built by
     broadcasting every factor, then summed down per variable; each product
-    and each sum adds the tensor size to `counter.flops`.
+    and each sum adds the tensor size to `counter.flops`.  A float table is
+    first multiplied by the power of two that brings its max into [0.5, 1),
+    so that no product of many large tables overflows; the shift is exact
+    and the normalized marginals do not change under it.  Tables of
+    `fractions.Fraction` objects give exact marginals as Fraction object
+    arrays, with no shift and no rounding.
     """
     variables = sorted({v for vs, _ in factors for v in vs})
     axis = {v: i for i, v in enumerate(variables)}
     n = len(variables)
     if k**n > JOINT_STATE_LIMIT:
         raise ScaleError(f"joint state space k^{n} exceeds {JOINT_STATE_LIMIT}")
-    w = np.ones((k,) * n)
-    for vs, table in factors:
+    tables = [np.asarray(table) for _, table in factors]
+    rational = any(t.dtype == object for t in tables)
+    w = np.ones((k,) * n, dtype=object if rational else np.float64)
+    for (vs, _), t in zip(factors, tables):
         axes = [axis[v] for v in vs]
-        t = np.asarray(table, dtype=np.float64).reshape((k,) * len(vs))
+        t = t.reshape((k,) * len(vs))
+        if not rational:
+            t = t.astype(np.float64, copy=False)
+            t = np.ldexp(t, -np.frexp(t.max(initial=0.0))[1])
         shape = [1] * n
         for a in axes:
             shape[a] = k
@@ -159,8 +174,8 @@ def enumerate_marginals(
         if counter is not None:
             counter.flops += w.size
 
-    total = float(w.sum())
-    if total <= 0.0:
+    total = w.sum()
+    if total <= 0:
         raise InconsistentEvidenceError("evidence has zero joint probability")
     out = {}
     for v in variables:

@@ -239,6 +239,35 @@ def _count_stacked(factors, counter: OpCounter | None) -> None:
         counter.flops += sum(f.size for f in factors)
 
 
+def apply_rows(m, rows: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
+    """Row-wise `apply` of one shared edge matrix: result[n] = m . rows[n].
+    Each factor is one broadcast `np.matmul`, which makes the same product
+    per row as `ndarray.dot`, so the result is bitwise `apply` row by row;
+    it counts as `apply` does, once per row."""
+    v = rows[:, :, np.newaxis]
+    for f in reversed(_counted_factors(m, len(rows), counter)):
+        v = np.matmul(f, v)
+    return v[:, :, 0]
+
+
+def apply_transpose_rows(m, rows: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
+    """Row-wise `apply_transpose` of one shared edge matrix: result[n] =
+    m^T . rows[n], bitwise `apply_transpose` row by row."""
+    v = rows[:, np.newaxis, :]
+    for f in _counted_factors(m, len(rows), counter):
+        v = np.matmul(v, f)
+    return v[:, 0, :]
+
+
+def _counted_factors(m, n: int, counter: OpCounter | None) -> tuple:
+    """The factor arrays of edge matrix m, counted as n applications of m."""
+    factors = (m.left, m.right) if isinstance(m, FactoredMatrix) else (m,)
+    if counter is not None:
+        counter.mat_vec += len(factors) * n
+        counter.flops += sum(f.size for f in factors) * n
+    return factors
+
+
 def rake_compose(m_u, m_diag, m_pass, lam_e, counter: OpCounter | None = None):
     """The rake matrix equation: m_u . Diag(m_diag . lam_e) . m_pass.
 

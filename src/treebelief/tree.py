@@ -26,8 +26,9 @@ from .linalg import FactoredMatrix
 
 ROW_SUM_TOL = 1e-9
 
-# Levels narrower than this keep the per-node loop: below it numpy's fixed
-# cost per stacked call outweighs the per-node calls it replaces.
+# Depths narrower than this, and fewer leaves than this sharing one edge
+# matrix, keep per-node products in the sweep: below it numpy's fixed cost per
+# stacked call outweighs the per-node calls it replaces.
 BATCH_MIN_WIDTH = 8
 
 
@@ -113,7 +114,8 @@ class CausalTree(BinaryLinks):
     Edges may share a matrix object, never written in place (`rake_compose`,
     `rescale_if_tiny` and `_stack` return new arrays).  `link` is the one
     structural writer and drops the cached `numbering`; writing `matrix` after
-    a sweep is unsupported, since the numbering keeps its own stacked copies.
+    a sweep is unsupported, since the numbering keeps its own stacked copies
+    and the matrix objects its schedule resolved.
     """
 
     def __init__(self, k: int):
@@ -150,9 +152,11 @@ class CausalTree(BinaryLinks):
         self._numbering = None
 
     def numbering(self) -> Levels:
-        """The breadth-first `Levels` of the tree, built on first call and
-        kept until `link`.  It holds a second copy of each wide level's edge
-        matrices, so the first sweep builds it, not the tree's set-up."""
+        """The breadth-first numbering of the tree and the sweep schedule
+        compiled from it (`Levels`), built on first call and kept until
+        `link`.  It holds a second copy of each stacked depth's edge
+        matrices, and positions and matrix references for every other node
+        below the root, so the first sweep builds it, not the tree's set-up."""
         if self._numbering is None:
             self._numbering = Levels(self)
         return self._numbering
@@ -320,40 +324,94 @@ def _sound_factored(mats: dict, k: int) -> set[int]:
 
 
 class Levels:
-    """Breadth-first numbering of a binary complete tree.
+    """Breadth-first numbering of a binary complete tree, and the two-pass
+    sweep's schedule compiled from it.
 
-    order[i] is the node at position i and pos its inverse; depth d spans
-    positions bounds[d]:bounds[d + 1]; inner[d] holds the positions of the
-    internal nodes of depth d, and the children of inner[d][j] sit at
-    bounds[d + 1] + 2j (left) and + 2j + 1 (right).  stacks[d] is the stacked
-    form of depth d's edge matrices (see `_stack`), or None where depth d
-    runs the per-node loop.
+    order[i] is the node at position i and pos its inverse.  `inner` holds
+    the positions of the internal nodes in order; the children of inner[j]
+    sit at 2j + 1 (left) and 2j + 2 (right), so the parent of position c is
+    inner[(c - 1) // 2] and its sibling is c + 1 (c odd) or c - 1.
+
+    The schedule lists the depths below the root bottom-up in `steps`, with
+    positions and edge matrices resolved here, once per tree:
+    * a `Stacked` depth: at least BATCH_MIN_WIDTH nodes whose edge matrices
+      stack (`_stack`), swept as one stacked product per direction;
+    * a run: the internal nodes of consecutive other depths, as a list of
+      (position, left child, parent, sibling, edge matrix) in position
+      order, swept one node at a time.
+    The leaves of those other depths stay off the runs, since their messages
+    need only evidence and no node needs their pi: `shared` holds, for each
+    edge matrix object that at least BATCH_MIN_WIDTH of them use, (matrix,
+    positions, parents, siblings) as int arrays, swept as one product per
+    direction; `lone` holds the others as (position, parent, sibling, edge
+    matrix).
     """
 
     def __init__(self, tree: CausalTree):
         order = [tree.root]
-        self.bounds = [0]
-        self.inner: list[list[int]] = []
-        self.stacks: list = [None]
+        inner: list[int] = []
+        depths = []  # (start, stop, first, last): inner[first:last] at the depth
         start = 0
         while start < len(order):
             stop = len(order)
             nodes = order[start:stop]
             internal = list(map(tree.kids.__contains__, nodes))
             order += chain.from_iterable(map(tree.kids.__getitem__, compress(nodes, internal)))
-            self.bounds.append(stop)
-            self.inner.append(list(compress(range(start, stop), internal)))
-            if start:
-                self.stacks.append(_stack(list(map(tree.matrix.__getitem__, nodes))))
+            first = len(inner)
+            inner += compress(range(start, stop), internal)
+            depths.append((start, stop, first, len(inner)))
             start = stop
         self.order = order
         self.pos = dict(zip(order, range(len(order))))
+        self.inner = np.array(inner, dtype=np.intp)
 
-    def depths(self) -> range:
-        return range(len(self.inner))
+        self.steps: list = []
+        run = None
+        leaves = []  # (position, parent, sibling, edge matrix) of the run depths
+        for start, stop, first, last in depths[1:]:
+            mats = list(map(tree.matrix.__getitem__, order[start:stop]))
+            stack = _stack(mats)
+            if stack is not None:
+                up = self.inner[(start - 1) // 2 : first]
+                self.steps.append(Stacked(start, stop, stack, self.inner[first:last], up))
+                run = None
+                continue
+            if run is None:
+                run = []
+                self.steps.append(run)
+            j = first  # rank of the next internal node
+            for i, m in zip(range(start, stop), mats):
+                p, s = inner[(i - 1) // 2], i + 1 if i % 2 else i - 1
+                if j < last and inner[j] == i:
+                    run.append((i, 2 * j + 1, p, s, m))
+                    j += 1
+                else:
+                    leaves.append((i, p, s, m))
+        self.steps.reverse()
 
-    def span(self, d: int) -> tuple[int, int]:
-        return self.bounds[d], self.bounds[d + 1]
+        users: dict[int, list] = {}
+        for leaf in leaves:
+            users.setdefault(id(leaf[3]), []).append(leaf)
+        self.shared: list = []
+        self.lone: list = []
+        for group in users.values():
+            if len(group) < BATCH_MIN_WIDTH:
+                self.lone += group
+            else:
+                at, up, sib = (np.array(col, dtype=np.intp) for col in list(zip(*group))[:3])
+                self.shared.append((group[0][3], at, up, sib))
+
+
+class Stacked:
+    """A depth of the sweep schedule swept as stacked products: its nodes sit
+    at positions start:stop with edge matrices `stack` (see `_stack`); its
+    internal nodes at `inner`, whose children start at `stop`; and the
+    parents of its node pairs at `up`."""
+
+    __slots__ = ("start", "stop", "stack", "inner", "up")
+
+    def __init__(self, start: int, stop: int, stack, inner: np.ndarray, up: np.ndarray):
+        self.start, self.stop, self.stack, self.inner, self.up = start, stop, stack, inner, up
 
 
 def _stack(mats):

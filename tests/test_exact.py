@@ -1,9 +1,12 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from treebelief import exact, linalg
 from treebelief import tree as tree_mod
-from treebelief.bench import FullEngine, make_balanced, make_random, random_stochastic
+from treebelief.bench import FullEngine, make_balanced, make_chain, make_random, random_stochastic
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import InconsistentEvidenceError, ScaleError, UsageError
 from treebelief.jointree import CliqueNode, FactoredMatrix, build_projection
@@ -12,6 +15,7 @@ from treebelief.tree import RawTree, binarize
 from util import (
     attach_evidence_leaf,
     depth,
+    fraction_marginals,
     post_random_evidence,
     random_binarized_tree,
     random_join_tree,
@@ -111,6 +115,21 @@ def mixed_join_tree(rng, k=2, n=2, c=1, depth=5):
     return binarize(raw)
 
 
+def check_sweep(t, mv_per_edge=None):
+    """propagate_all against the hierarchy engine's bel_query at every node;
+    one mat-vec per edge per direction (two per factored edge)."""
+    c = OpCounter()
+    full = exact.propagate_all(t, c)
+    eng = DynamicEngine(t)
+    assert set(full) == set(t.names)
+    for x in t.names:
+        assert np.allclose(full[x], eng.bel_query(x), rtol=0.0, atol=1e-12), x
+    if mv_per_edge is None:
+        mv_per_edge = {x: 1 for x in t.matrix}
+    assert c.mat_vec == 2 * sum(mv_per_edge.values())
+    return full, c
+
+
 class TestPropagateAllBatched:
     """Trees with levels of at least BATCH_MIN_WIDTH nodes, where each
     direction of a level is one stacked product."""
@@ -127,29 +146,14 @@ class TestPropagateAllBatched:
         monkeypatch.setattr(linalg, "apply_stacked", counted)
         return calls
 
-    @staticmethod
-    def check(t, mv_per_edge=None):
-        """propagate_all against the hierarchy engine's bel_query at every
-        node; one mat-vec per edge per direction (two per factored edge)."""
-        c = OpCounter()
-        full = exact.propagate_all(t, c)
-        eng = DynamicEngine(t)
-        assert set(full) == set(t.names)
-        for x in t.names:
-            assert np.allclose(full[x], eng.bel_query(x), rtol=0.0, atol=1e-12), x
-        if mv_per_edge is None:
-            mv_per_edge = {x: 1 for x in t.matrix}
-        assert c.mat_vec == 2 * sum(mv_per_edge.values())
-        return full, c
-
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_random_and_balanced_match_bel_query(self, k, stacked_calls):
         rng = np.random.default_rng(40 + k)
         for t in (make_random(300, k, rng), make_balanced(256, k, rng)):
             post_random_evidence(t, rng, 60)
             stacked_calls.clear()
-            self.check(t)
-            assert stacked_calls and min(stacked_calls) >= exact.BATCH_MIN_WIDTH
+            check_sweep(t)
+            assert stacked_calls and min(stacked_calls) >= tree_mod.BATCH_MIN_WIDTH
 
     def test_batched_equals_per_node_loop(self, monkeypatch):
         def model():
@@ -161,8 +165,7 @@ class TestPropagateAllBatched:
         c_batched, c_loop = OpCounter(), OpCounter()
         batched = exact.propagate_all(model(), c_batched)
         t = model()  # a second tree, so its numbering is built under the patch
-        for module in (exact, tree_mod):
-            monkeypatch.setattr(module, "BATCH_MIN_WIDTH", len(t.names) + 1)
+        monkeypatch.setattr(tree_mod, "BATCH_MIN_WIDTH", len(t.names) + 1)
         loop = exact.propagate_all(t, c_loop)
         assert c_batched == c_loop
         for x in t.names:
@@ -175,7 +178,7 @@ class TestPropagateAllBatched:
         for leaf in leaves[::3]:
             t.set_evidence([(leaf, rng.random(K) + 0.05)])
         assert all(isinstance(m, FactoredMatrix) for m in t.matrix.values())
-        self.check(t, {x: 2 for x in t.matrix})
+        check_sweep(t, {x: 2 for x in t.matrix})
         assert max(stacked_calls) == 16
 
     def test_mixed_level_runs_per_node(self, stacked_calls):
@@ -190,10 +193,10 @@ class TestPropagateAllBatched:
             at_depth.setdefault(depth(t, x), []).append(kinds[x])
         # wide levels whose dense pads sit beside factored edges
         assert any(
-            len(ks) >= exact.BATCH_MIN_WIDTH and len(set(ks)) == 2
+            len(ks) >= tree_mod.BATCH_MIN_WIDTH and len(set(ks)) == 2
             for ks in at_depth.values()
         )
-        self.check(t, {x: 2 if kinds[x] is FactoredMatrix else 1 for x in t.matrix})
+        check_sweep(t, {x: 2 if kinds[x] is FactoredMatrix else 1 for x in t.matrix})
         assert stacked_calls == []
 
     @pytest.mark.parametrize("scale", [1e-160, 1e200, 1e-200])
@@ -206,7 +209,7 @@ class TestPropagateAllBatched:
         t.set_evidence(items)
         reference = exact.propagate_all(t)
         t.set_evidence((leaf, lik * scale) for leaf, lik in items)
-        full, _ = self.check(t)
+        full, _ = check_sweep(t)
         for x in t.names:
             assert np.allclose(full[x], reference[x], rtol=0.0, atol=1e-9), x
 
@@ -240,7 +243,7 @@ class TestPropagateAllBatched:
         t.set_evidence(evidence)
         reference = exact.propagate_all(t)
         t.set_evidence((leaf, np.ldexp(lik, -120)) for leaf, lik in evidence)
-        full, _ = self.check(t)
+        full, _ = check_sweep(t)
         for x in t.names:
             assert np.allclose(full[x], reference[x], rtol=0.0, atol=1e-9), x
 
@@ -251,6 +254,114 @@ class TestPropagateAllBatched:
         t.set_evidence([(leaves[5], [0.0, 0.0])])
         with pytest.raises(InconsistentEvidenceError, match=f"at node {t.root}"):
             exact.propagate_all(t)
+
+
+def shared_evidence_chain(rng, length: int, edge, k: int = 3):
+    """`make_chain`'s backbone whose evidence leaves, one per backbone node,
+    all hang on the one edge matrix object `edge` (dense or factored), as in
+    `protein.ProteinChain`; the last backbone node gets a dummy pad."""
+    raw = RawTree(k)
+    for x in range(2 * length):
+        raw.add_node(x)
+    raw.set_root(0, random_stochastic(rng, 1, k)[0])
+    for t in range(length):
+        raw.add_edge(t, length + t, edge)
+        if t + 1 < length:
+            raw.add_edge(t, t + 1, random_stochastic(rng, k, k))
+    return binarize(raw)
+
+
+class TestSchedule:
+    """The sweep schedule compiled into `Levels`: consecutive narrow depths
+    run node by node, and their leaves are applied before and after that
+    run, once per edge matrix object that BATCH_MIN_WIDTH or more of them
+    share (`linalg.apply_rows`), else one at a time."""
+
+    @pytest.fixture
+    def row_calls(self, monkeypatch):
+        calls = []
+        for name in ("apply_rows", "apply_transpose_rows"):
+            def counted(m, rows, counter=None, kernel=getattr(linalg, name)):
+                calls.append(len(rows))
+                return kernel(m, rows, counter)
+
+            monkeypatch.setattr(linalg, name, counted)
+        return calls
+
+    @staticmethod
+    def per_node_equal(make, monkeypatch):
+        """The sweep of `make()` is bitwise the one with every leaf applied
+        on its own (a tree built under a BATCH_MIN_WIDTH no group reaches)."""
+        c_batched, c_loop = OpCounter(), OpCounter()
+        batched = exact.propagate_all(make(), c_batched)
+        monkeypatch.setattr(tree_mod, "BATCH_MIN_WIDTH", 10**9)
+        t = make()
+        loop = exact.propagate_all(t, c_loop)
+        assert not t.numbering().shared
+        assert c_batched == c_loop
+        assert batched.rows.tobytes() == loop.rows.tobytes()
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 300])
+    def test_make_chain(self, length, row_calls):
+        rng = np.random.default_rng(80 + length)
+        t = make_chain(length, 3, rng)
+        post_random_evidence(t, rng, length + 1, hard_prob=0.1)
+        check_sweep(t)
+        lv = t.numbering()
+        # one run of the backbone below the root; every leaf has its own matrix
+        assert [len(run) for run in lv.steps] == [length - 1]
+        assert len(lv.lone) == length + 1 and not lv.shared and row_calls == []
+
+    @pytest.mark.parametrize("kind", ["dense", "factored"])
+    def test_shared_evidence_edge(self, kind, row_calls, monkeypatch):
+        def make():
+            rng = np.random.default_rng(90)
+            if kind == "dense":
+                edge = random_stochastic(rng, 3, 3)
+            else:
+                edge = FactoredMatrix(random_stochastic(rng, 3, 2), random_stochastic(rng, 2, 3))
+            t = shared_evidence_chain(rng, 40, edge)
+            t.set_evidence((leaf, rng.random(3) + 0.05) for leaf in updatable_leaves(t))
+            return t
+
+        t = make()
+        factored = {x for x, m in t.matrix.items() if isinstance(m, FactoredMatrix)}
+        check_sweep(t, {x: 2 if x in factored else 1 for x in t.matrix})
+        assert len(factored) == (40 if kind == "factored" else 0)
+        (m, at, _, _), = t.numbering().shared
+        assert len(at) == 40 and row_calls == [40, 40]
+        self.per_node_equal(make, monkeypatch)
+
+    def test_pads_beside_factored_edges(self, row_calls, monkeypatch):
+        make = lambda: mixed_join_tree(np.random.default_rng(53))
+        t = make()
+        for leaf in updatable_leaves(t)[::2]:
+            t.set_evidence([(leaf, np.random.default_rng(leaf).random(t.k) + 0.05)])
+        kinds = {x: isinstance(m, FactoredMatrix) for x, m in t.matrix.items()}
+        at_depth = {}
+        for x in t.matrix:
+            at_depth.setdefault(depth(t, x), set()).add(kinds[x])
+        # narrow depths where dense pads sit beside factored edges
+        narrow = [d for d, ks in at_depth.items() if ks == {True, False}]
+        assert any(sum(depth(t, x) == d for x in t.matrix) < tree_mod.BATCH_MIN_WIDTH for d in narrow)
+        check_sweep(t, {x: 2 if kinds[x] else 1 for x in t.matrix})
+        lv = t.numbering()
+        (m, at, _, _), = lv.shared
+        assert all(lv.order[i] in t.dummies for i in at)
+        assert np.array_equal(m, np.eye(t.k)) and row_calls == [len(at)] * 2
+        self.per_node_equal(make, monkeypatch)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_evidence(self, scale):
+        rng = np.random.default_rng(91)
+        t = shared_evidence_chain(rng, 300, random_stochastic(rng, 3, 3))
+        items = [(leaf, rng.random(3) + 0.05) for leaf in updatable_leaves(t)]
+        t.set_evidence(items)
+        reference = exact.propagate_all(t)
+        t.set_evidence((leaf, lik * scale) for leaf, lik in items)
+        full, _ = check_sweep(t)
+        for x in t.names:
+            assert np.allclose(full[x], reference[x], rtol=0.0, atol=1e-9), x
 
 
 class TestNumbering:
@@ -355,6 +466,18 @@ class TestJointMarginals:
         with pytest.raises(ScaleError):
             exact.joint_marginals(t)
 
+    def test_many_large_likelihoods_do_not_overflow(self):
+        # each [1e38, 2e38] is inside the guard's range; ten of them overflowed
+        # the enumeration's product before each table was shifted
+        t = make_chain(9, 2, np.random.default_rng(2))
+        t.set_evidence((leaf, [1e38, 2e38]) for leaf in updatable_leaves(t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = exact.joint_marginals(t)
+        bel = exact.propagate_all(t)
+        for x in t.names:
+            assert np.allclose(oracle[x], bel[x], rtol=0.0, atol=1e-9), x
+
 
 class TestEnumerateMarginals:
     def test_factor_axes_follow_listed_variables(self):
@@ -377,6 +500,56 @@ class TestEnumerateMarginals:
     def test_zero_mass_inconsistent(self):
         with pytest.raises(InconsistentEvidenceError):
             exact.enumerate_marginals(2, [((0,), [0.0, 0.0])])
+
+    def test_fraction_tables_stay_exact(self):
+        third = Fraction(1, 3)
+        out = exact.enumerate_marginals(
+            2,
+            [((0,), np.array([third, 1 - third])), ((0, 1), np.array([[1, 0], [third, 1 - third]], dtype=object)),
+             ((1,), np.array([Fraction(10**300), Fraction(1, 10**300)]))],
+        )
+        assert out[0].dtype == object
+        # mass of x0 = 0 is 1/3 * 10^300, of x0 = 1 is 2/3 * (1/3 * 10^300 + 2/3 * 10^-300)
+        m0, m1 = third * 10**300, 2 * third * (third * 10**300 + 2 * third / 10**300)
+        assert list(out[0]) == [m0 / (m0 + m1), m1 / (m0 + m1)]
+        assert all(type(p) is Fraction for v in out.values() for p in v)
+
+    def test_float_shift_leaves_marginals_bitwise(self):
+        # a power-of-two multiple of a table gives the same marginals
+        rng = np.random.default_rng(13)
+        tables = [((0, 1), rng.random((3, 3))), ((1,), rng.random(3)), ((0,), rng.random(3))]
+        want = exact.enumerate_marginals(3, tables)
+        scaled = [(vs, np.ldexp(t, e)) for (vs, t), e in zip(tables, (900, -900, 40))]
+        got = exact.enumerate_marginals(3, scaled)
+        for v in want:
+            assert got[v].tobytes() == want[v].tobytes()
+
+
+class TestExactGroundTruth:
+    """`propagate_all` and the hierarchy engine against beliefs enumerated in
+    Fractions, with no rounding and no underflow, on small trees whose
+    likelihood entries span 1e-300 to 1e300.  Every edge matrix is positive,
+    so no belief rests on entries that the scale guard's shift rounds."""
+
+    @pytest.mark.parametrize("shape, k, size, seed", [
+        ("random", 2, 7, 1), ("random", 2, 7, 2), ("random", 3, 5, 3),
+        ("chain", 2, 5, 4), ("chain", 3, 3, 5), ("balanced", 2, 4, 6),
+    ])
+    def test_within_1e9_of_fraction_marginals(self, shape, k, size, seed):
+        rng = np.random.default_rng(seed)
+        t = {"random": lambda: random_binarized_tree(rng, size, k),
+             "chain": lambda: make_chain(size, k, rng),
+             "balanced": lambda: make_balanced(size, k, rng)}[shape]()
+        assert len(t.names) <= 12
+        t.set_evidence(
+            (leaf, 10.0 ** rng.uniform(-300, 300, k)) for leaf in updatable_leaves(t)
+        )
+        truth = fraction_marginals(t)
+        full, eng = exact.propagate_all(t), DynamicEngine(t)
+        for x in t.names:
+            want = np.array(truth[x], dtype=float)
+            assert np.allclose(full[x], want, rtol=0.0, atol=1e-9), x
+            assert np.allclose(eng.bel_query(x), want, rtol=0.0, atol=1e-9), x
 
 
 class TestPathEngine:

@@ -357,6 +357,30 @@ class TestApplyStacked:
         assert c == c_one
 
 
+class TestApplyRows:
+    """One shared edge matrix applied to many rows: bitwise `apply` and
+    `apply_transpose` row by row, and counted the same.  The broadcast
+    `np.matmul` makes the per-row product of `ndarray.dot`; a numpy release
+    that changes that fails here."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 27])
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_rows_bitwise_per_row_apply(self, k, factored):
+        rng = np.random.default_rng(9 + k)
+        if factored:
+            m = linalg.FactoredMatrix(rng.random((k, 2)), rng.random((2, k)))
+        else:
+            m = rng.random((k, k))
+        v = rng.random((40, k)) * 10.0 ** rng.uniform(-200, 200, (40, 1))
+        c, c_one = OpCounter(), OpCounter()
+        got = linalg.apply_rows(m, v, c)
+        got_t = linalg.apply_transpose_rows(m, v, c)
+        want = np.array([linalg.apply(m, row, c_one) for row in v])
+        want_t = np.array([linalg.apply_transpose(m, row, c_one) for row in v])
+        assert got.tobytes() == want.tobytes() and got_t.tobytes() == want_t.tobytes()
+        assert c == c_one
+
+
 class TestRakeCompose:
     def test_dense_matches_explicit(self):
         rng = np.random.default_rng(2)

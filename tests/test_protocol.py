@@ -13,7 +13,9 @@ grow step gives one node a new evidence leaf on every tree and rebuilds every
 engine, so the checks also run on a tree changed after its first sweep.  A
 re-post step reads a likelihood back from the reference and posts it again,
 scaled on the engines, and every tree must hold each likelihood as posted
-and read it through the scale guard taken at the write.
+and read it through the scale guard taken at the write.  A wide post gives
+the engines a likelihood whose entries span the whole double range, and the
+reference the same divided by its max.
 
 The machine runs three tenths of the loaded hypothesis profile's examples
 (`tests/conftest.py`): 30 under `default`, 300 under `slow`.
@@ -25,7 +27,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from treebelief import exact
+from treebelief import exact, linalg
 from treebelief.bench import ENGINE_CLASSES, make_balanced, make_chain, random_stochastic
 from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
@@ -37,10 +39,12 @@ from test_exact import mixed_join_tree
 from util import (
     assert_same_evidence,
     attach_evidence_leaf,
+    by_max,
     evidence_state,
     random_binarized_tree,
     same_bits,
     updatable_leaves,
+    wide_likelihood,
 )
 
 TOL = 1e-9
@@ -107,17 +111,20 @@ class EngineProtocol(RuleBasedStateMachine):
     def items(self, picks):
         return [self.item(i, v) for i, v in picks]
 
-    def post(self, items, scale=1.0):
-        """Post items to the reference at scale 1, to the hierarchy engine as
-        one batch and to every other engine one at a time."""
+    def post(self, items, scale=1.0, sent=None):
+        """Post items to the reference at scale 1, and `sent` (by default
+        each likelihood times `scale`) to the hierarchy engine as one batch
+        and to every other engine one at a time."""
+        if sent is None:
+            sent = [(leaf, lik * scale) for leaf, lik in items]
         self.reference.set_evidence(items)
         for name, eng in self.engines.items():
             if name == "hierarchy":
-                eng.update_many([(leaf, lik * scale) for leaf, lik in items])
+                eng.update_many(sent)
             else:
-                for leaf, lik in items:
-                    eng.update_evidence(leaf, lik * scale)
-        self.posted.update((leaf, (lik, lik * scale)) for leaf, lik in items)
+                for leaf, lik in sent:
+                    eng.update_evidence(leaf, lik)
+        self.posted.update((leaf, (lik, v)) for (leaf, lik), (_, v) in zip(items, sent))
 
     @rule(i=index, v=values)
     def update_evidence(self, i, v):
@@ -153,6 +160,20 @@ class EngineProtocol(RuleBasedStateMachine):
     @rule(i=index, v=values, scale=st.sampled_from([1e300, 1e-300]))
     def scale_jump(self, i, v, scale):
         self.post([self.item(i, v)], scale)
+
+    @rule(i=index, data=st.data())
+    def wide_post(self, i, data):
+        """Post a likelihood whose entries span the whole double range
+        (zeros, subnormals, maxima up to 2**1023) on the engines, and the same
+        divided by its max on the reference.  It goes to a leaf whose edge
+        matrix is positive, so its message is positive too and no belief
+        rests on the entries that the guard's shift rounds (identity-linked
+        leaves could pin one node to disjoint supports)."""
+        pool = [x for x in self.leaves if (linalg.dense(self.reference.matrix[x]) > 0).all()]
+        if pool:
+            leaf = pool[i % len(pool)]
+            lik = data.draw(wide_likelihood(self.k))
+            self.post([(leaf, by_max(lik))], sent=[(leaf, lik)])
 
     @rule(i=index, scale=st.sampled_from([1.0, 1e300, 1e-300]))
     def repost(self, i, scale):

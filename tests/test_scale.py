@@ -13,7 +13,7 @@ from treebelief import exact
 from treebelief.bench import ENGINES, POLYTREE_ENGINE_CLASSES, make_chain, make_engine, make_model
 from treebelief.tree import RawTree, binarize
 from treebelief.dynamic import DynamicEngine
-from util import random_polytree, updatable_leaves
+from util import by_max, random_polytree, updatable_leaves, wide_likelihood
 
 
 def scaled_chain_beliefs(length, scale, seed):
@@ -98,29 +98,6 @@ def test_every_polytree_engine_at_extreme_scales(engine, scale):
         assert np.allclose(eng.bel_query(v), reference[v], rtol=0.0, atol=1e-9), v
 
 
-# an entry of a wide-range likelihood: zero, subnormal, or m * 2**e anywhere
-# in the normal range, so that one vector can hold a max near 1e308 and
-# entries more than 2**1021 below it
-WIDE_ENTRY = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=5e-324, max_value=np.nextafter(2.0**-1022, 0.0)),
-    st.builds(
-        math.ldexp,
-        st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
-        st.one_of(st.integers(-1022, 1023), st.integers(900, 1023)),
-    ),
-)
-
-
-def wide_likelihood(k: int):
-    return st.lists(WIDE_ENTRY, min_size=k, max_size=k).filter(lambda v: max(v) > 0.0).map(np.array)
-
-
-def by_max(v: np.ndarray) -> np.ndarray:
-    """The same likelihood at max 1: the oracle's form, which cannot overflow."""
-    return v / v.max()
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("shape", list(SHAPE_SIZES))
@@ -178,3 +155,16 @@ def test_two_wide_leaves_answer(engine, lik):
         eng.update_evidence(leaf, lik)
     for x in range(3):
         assert np.allclose(eng.bel_query(x), want[x], rtol=0.0, atol=1e-9), x
+
+
+def test_many_large_likelihoods_on_polytree_full_engine():
+    """Every variable posted [1e38, 2e38]: each is inside the guard's range,
+    but their product overflowed in the enumeration until each table is
+    shifted to max below 1 first (the full engine gave [nan, nan])."""
+    pt = random_polytree(np.random.default_rng(1), 10, 2)
+    engines = {name: make_engine(name, pt) for name in POLYTREE_ENGINE_CLASSES}
+    for eng in engines.values():
+        for v in range(10):
+            eng.update_evidence(v, [1e38, 2e38])
+    want = engines["hierarchy"].bel_query(0)
+    assert np.allclose(engines["full"].bel_query(0), want, rtol=0.0, atol=1e-9)

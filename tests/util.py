@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from fractions import Fraction
 
-from treebelief import linalg, protein
+import numpy as np
+from hypothesis import strategies as st
+
+from treebelief import exact, linalg, protein
 from treebelief.bench import random_stochastic
 from treebelief.jointree import CliqueNode, build_projection
 from treebelief.linalg import FactoredMatrix
@@ -227,3 +231,39 @@ def random_join_tree(rng, k: int, n: int, c: int, depth: int = 3):
                 new_frontier.append(nid)
         frontier = new_frontier
     return binarize(raw_f), binarize(raw_d), frontier, K
+
+
+# an entry of a wide-range likelihood: zero, subnormal, or m * 2**e anywhere
+# in the normal range, so that one vector can hold a max near 1e308 and
+# entries more than 2**1021 below it
+WIDE_ENTRY = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=np.nextafter(2.0**-1022, 0.0)),
+    st.builds(
+        math.ldexp,
+        st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+        st.one_of(st.integers(-1022, 1023), st.integers(900, 1023)),
+    ),
+)
+
+
+def wide_likelihood(k: int):
+    """Length-k likelihoods of `WIDE_ENTRY`s, not all zero."""
+    return st.lists(WIDE_ENTRY, min_size=k, max_size=k).filter(lambda v: max(v) > 0.0).map(np.array)
+
+
+def by_max(v: np.ndarray) -> np.ndarray:
+    """The same likelihood at max 1: the oracle's form, which cannot overflow."""
+    return v / v.max()
+
+
+def fraction_marginals(tree: CausalTree) -> dict:
+    """Exact beliefs: `exact.enumerate_marginals` over the tree's prior, edge
+    matrices and likelihoods as posted, every entry read as the Fraction it
+    is, so nothing rounds or underflows."""
+    exact_table = np.vectorize(Fraction, otypes=[object])
+    factors = [((tree.root,), tree.prior)]
+    for p, pair in tree.kids.items():
+        factors += [((p, c), linalg.dense(tree.matrix[c])) for c in pair]
+    factors += [((leaf,), v) for leaf, v in tree.evidence.items()]
+    return exact.enumerate_marginals(tree.k, [(vs, exact_table(t)) for vs, t in factors])
