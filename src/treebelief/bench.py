@@ -143,7 +143,7 @@ class PolytreeFullEngine:
     def update_evidence(self, var, likelihood) -> None:
         if var not in self.pt.parents:
             raise UsageError(f"unknown variable {var}")
-        self.evidence[var] = as_likelihood(likelihood, self.pt.k)
+        self.evidence[var] = as_likelihood(likelihood, self.pt.k).copy()
 
     def bel_query(self, var) -> np.ndarray:
         if var not in self.pt.parents:

@@ -467,8 +467,8 @@ class TestJointMarginals:
             exact.joint_marginals(t)
 
     def test_many_large_likelihoods_do_not_overflow(self):
-        # each [1e38, 2e38] is inside the guard's range; ten of them overflowed
-        # the enumeration's product before each table was shifted
+        # each [1e38, 2e38] is inside the guard's range; the product of ten
+        # overflows the enumeration unless each table is shifted first
         t = make_chain(9, 2, np.random.default_rng(2))
         t.set_evidence((leaf, [1e38, 2e38]) for leaf in updatable_leaves(t))
         with warnings.catch_warnings():

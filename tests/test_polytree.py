@@ -297,6 +297,16 @@ class TestQueriesAndUpdates:
         for v in pt.variables():
             assert np.allclose(eng.bel_query(v), before[v], atol=1e-12)
 
+    @pytest.mark.parametrize("engine", ["hierarchy", "full"])
+    def test_posted_array_is_copied(self, engine):
+        # a caller writing its array after the post changes no belief
+        eng = make_engine(engine, v_structure())
+        v = np.array([0.9, 0.1])
+        eng.update_evidence(0, v)
+        before = eng.bel_query(1)
+        v[:] = [0.1, 0.9]
+        assert np.array_equal(eng.bel_query(1), before)
+
     def test_unknown_variable(self):
         eng = PolytreeEngine(v_structure())
         with pytest.raises(UsageError):

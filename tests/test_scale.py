@@ -159,8 +159,8 @@ def test_two_wide_leaves_answer(engine, lik):
 
 def test_many_large_likelihoods_on_polytree_full_engine():
     """Every variable posted [1e38, 2e38]: each is inside the guard's range,
-    but their product overflowed in the enumeration until each table is
-    shifted to max below 1 first (the full engine gave [nan, nan])."""
+    but their product overflows the full engine's enumeration (to nan
+    beliefs) unless each table is shifted to max below 1 first."""
     pt = random_polytree(np.random.default_rng(1), 10, 2)
     engines = {name: make_engine(name, pt) for name in POLYTREE_ENGINE_CLASSES}
     for eng in engines.values():
