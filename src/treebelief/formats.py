@@ -9,9 +9,14 @@ BTN: causal-tree files (line-oriented, `#` comments, whitespace separated):
     prior <id> <k floats>
     edge <parent-id> <child-id> <k*k floats row-major, row = parent value>
     evidence <leaf-id> <k floats>        # optional initial likelihoods
+    pad <leaf-id>                        # optional: a padding leaf, never evidenced
+    copy <id> <original-id>              # optional: a copy, queried as its original
 
 A BTN file has one `k`, one `root` and one `prior` line, and at most one
-`evidence` line per leaf, declared above it.  `parse_btn` checks each line as
+`evidence`, `pad` or `copy` line per node, declared above it.  `pad` and
+`copy` lines keep `binarize`'s marks (`CausalTree.dummies` and `alias`)
+through `serialize_btn`: a padding leaf has no children and no evidence, and
+a copy's original is not itself a copy.  `parse_btn` checks each line as
 it reads it, but converts the floats of all `edge` lines at the end, as one
 (n, k, k) stack with one finiteness test; the first fault in file order is
 the one reported, with its line.  Evidence on a node with children is found
@@ -43,8 +48,11 @@ from .tree import CausalTree, RawTree, binarize
 
 
 # fewest tokens (keyword included) each line kind needs
-BTN_ARITY = {"k": 2, "node": 2, "root": 2, "prior": 2, "edge": 3, "evidence": 2}
-BTN_ONCE = {"k", "root", "prior", "evidence"}  # evidence: once per leaf
+BTN_ARITY = {
+    "k": 2, "node": 2, "root": 2, "prior": 2, "edge": 3, "evidence": 2, "pad": 2, "copy": 3
+}
+BTN_ONCE = {"k", "root", "prior"}
+BTN_PER_NODE = {"evidence": "leaf", "pad": "node", "copy": "node"}  # once per node
 PTN_ARITY = {"k": 2, "node": 2, "parents": 2, "cpt": 3, "prior": 2}
 
 
@@ -123,7 +131,9 @@ def parse_btn(lines) -> CausalTree:
     prior = None
     evidence = {}
     ev_line = {}  # line of each evidence line, by leaf id
-    read = set()  # the BTN_ONCE lines read so far: keywords, or leaf ids
+    pads = {}  # line of each pad line, by leaf id
+    copies = {}  # (original, line) of each copy line, by copy id
+    read = set()  # the BTN_ONCE keywords and (BTN_PER_NODE keyword, id) read so far
     edges = []  # (line, parent, child) of each edge line, in file order
     flat = array("d")  # the k * k floats of each edge line, in the same order
     try:
@@ -131,11 +141,12 @@ def parse_btn(lines) -> CausalTree:
             kw = toks[0]
             if raw is None and kw != "k":
                 raise FormatError(f"`k` must precede `{kw}`", line=lineno)
-            key = _int(toks[1], lineno) if kw == "evidence" else kw
+            per_node = BTN_PER_NODE.get(kw)
+            key = (kw, _int(toks[1], lineno)) if per_node else kw
             if key in read:
-                leaf = f" for leaf {key}" if kw == "evidence" else ""
-                raise FormatError(f"duplicate `{kw}` line{leaf}", line=lineno)
-            if kw in BTN_ONCE:
+                what = f" for {per_node} {key[1]}" if per_node else ""
+                raise FormatError(f"duplicate `{kw}` line{what}", line=lineno)
+            if per_node or kw in BTN_ONCE:
                 read.add(key)
             if kw == "k":
                 raw = RawTree(_k(toks[1], lineno))
@@ -144,6 +155,8 @@ def parse_btn(lines) -> CausalTree:
                 if nid in raw.names:
                     raise FormatError(f"duplicate node id {nid}", line=lineno)
                 raw.add_node(nid, toks[2] if len(toks) > 2 else None)
+            elif per_node and key[1] not in raw.names:
+                raise FormatError(f"{kw} for unknown node {key[1]}", line=lineno)
             elif kw == "root":
                 root = _int(toks[1], lineno)
             elif kw == "prior":
@@ -159,10 +172,15 @@ def parse_btn(lines) -> CausalTree:
                         f"edge {parent}->{child} references unknown node", line=lineno
                     )
             elif kw == "evidence":
-                if key not in raw.names:
-                    raise FormatError(f"evidence for unknown node {key}", line=lineno)
-                evidence[key] = _floats(toks[2:], lineno, raw.k)
-                ev_line[key] = lineno
+                evidence[key[1]] = _floats(toks[2:], lineno, raw.k)
+                ev_line[key[1]] = lineno
+            elif kw == "pad":
+                pads[key[1]] = lineno
+            elif kw == "copy":
+                original = _int(toks[2], lineno)
+                if original not in raw.names:
+                    raise FormatError(f"copy of unknown node {original}", line=lineno)
+                copies[key[1]] = original, lineno
             else:
                 raise FormatError(f"unknown keyword {kw!r}", line=lineno)
     except FormatError:
@@ -181,16 +199,26 @@ def parse_btn(lines) -> CausalTree:
     for leaf, lineno in ev_line.items():
         if raw.children[leaf]:
             raise FormatError(f"evidence on non-leaf node {leaf}", line=lineno)
+    for leaf, lineno in pads.items():
+        if raw.children[leaf]:
+            raise FormatError(f"padding node {leaf} has children", line=lineno)
+        if leaf in ev_line:
+            raise FormatError(f"evidence on padding leaf {leaf}", line=ev_line[leaf])
+    for cp, (original, lineno) in copies.items():
+        if original in copies:
+            raise FormatError(f"copy {cp} of {original}, itself a copy", line=lineno)
     raw.set_root(root, prior[1])
     raw.evidence = evidence
+    raw.dummies = set(pads)
+    raw.alias = {cp: original for cp, (original, _) in copies.items()}
     return binarize(raw)
 
 
 def serialize_btn(tree: CausalTree) -> str:
     """Normalized BTN text for a (binary) causal tree.  parse(serialize(t))
     keeps its node ids, names, links, edge matrices, prior and evidence, so
-    its beliefs, but not which leaves are padding dummies or which nodes are
-    copies of another: those come back as plain nodes."""
+    its beliefs, and its padding leaves and copies (`pad` and `copy` lines,
+    written only when the tree has any)."""
     out = ["BTN 1", f"k {tree.k}"]
     for nid in sorted(tree.names):
         out.append(f"node {nid} {tree.names[nid]}")
@@ -205,6 +233,8 @@ def serialize_btn(tree: CausalTree) -> str:
     for leaf in sorted(tree.evidence):
         flat = " ".join(f"{v:.17g}" for v in tree.evidence[leaf])
         out.append(f"evidence {leaf} {flat}")
+    out += (f"pad {leaf}" for leaf in sorted(tree.dummies))
+    out += (f"copy {cp} {original}" for cp, original in sorted(tree.alias.items()))
     return "\n".join(out) + "\n"
 
 

@@ -82,7 +82,9 @@ class FactoredMatrix:
 
     left is K x L, right is L x K; level-0 left factors are 0/1 selection
     matrices with exactly one 1 per row.  Applications and rakes never expand
-    the product.
+    the product, and nothing writes a factor in place, so one factor array
+    may serve many edges (`binarize` keeps one copy of each distinct factor
+    value; a rake's result keeps its operand's left factor).
     """
 
     __slots__ = ("left", "right")
@@ -104,9 +106,12 @@ class FactoredMatrix:
     def expand(self) -> np.ndarray:
         return self.left.dot(self.right)
 
-    def copy(self) -> "FactoredMatrix":
-        out = FactoredMatrix.__new__(FactoredMatrix)  # factors already checked
-        out.left, out.right = self.left.copy(), self.right.copy()
+    @classmethod
+    def of(cls, left: np.ndarray, right: np.ndarray) -> "FactoredMatrix":
+        """The product of two factors already converted and checked: no
+        conversion and no shape check, as `__init__` makes."""
+        out = cls.__new__(cls)
+        out.left, out.right = left, right
         return out
 
     def mv(self, v, counter: OpCounter | None = None) -> np.ndarray:
@@ -286,4 +291,4 @@ def rake_compose(m_u, m_diag, m_pass, lam_e, counter: OpCounter | None = None):
     for factor in passing:
         core = matmul(core, factor, counter)
     core = rescale_if_tiny(core)
-    return FactoredMatrix(m_u.left, core) if factored else core
+    return FactoredMatrix.of(m_u.left, core) if factored else core

@@ -43,6 +43,8 @@ class RawTree:
         self.root: int | None = None
         self.prior: np.ndarray | None = None
         self.evidence: dict[int, np.ndarray] = {}
+        self.dummies: set[int] = set()  # leaves that are padding (BTN `pad` lines)
+        self.alias: dict[int, int] = {}  # copy -> original (BTN `copy` lines)
 
     def add_node(self, node: int, name: str | None = None) -> None:
         self.names[node] = name if name is not None else str(node)
@@ -111,11 +113,11 @@ class CausalTree(BinaryLinks):
     built, evidence changes go through the engine's `update_many`, which also
     refreshes the derived matrices.
 
-    Edges may share a matrix object, never written in place (`rake_compose`,
-    `rescale_if_tiny` and `_stack` return new arrays).  `link` is the one
-    structural writer and drops the cached `numbering`; writing `matrix` after
-    a sweep is unsupported, since the numbering keeps its own stacked copies
-    and the matrix objects its schedule resolved.
+    Edges may share a matrix object or factor array, never written in place
+    (`rake_compose`, `rescale_if_tiny` and `_stack` return new arrays).  `link`
+    is the one structural writer and drops the cached `numbering`; writing
+    `matrix` after a sweep is unsupported, since the numbering keeps its own
+    stacked copies and the matrix objects its schedule resolved.
     """
 
     def __init__(self, k: int):
@@ -441,27 +443,47 @@ def binarize(raw: RawTree) -> CausalTree:
 
     Over-full nodes hang their surplus children off a right spine of
     identity-linked copies; single-child nodes get an all-ones dummy leaf.
-    Node count at most doubles.  Each distinct raw matrix is copied once, and
-    copy and dummy edges share one identity; nothing writes an edge matrix in
+    Node count at most doubles.  Nothing the caller holds is kept: each
+    distinct dense raw matrix object is copied once, and each distinct
+    factor value (shape and bytes) of the factored ones once, so equal
+    selection factors built edge by edge share one array; copy and dummy
+    edges share one identity.  Nothing writes an edge matrix or factor in
     place, so sharing cannot change a value.  The raw tree is linked as given
     and checked once, by `CausalTree.validate` (`StructureError`).
     """
     if raw.root is None or raw.prior is None:
         raise StructureError("raw tree has no root/prior")
     t = CausalTree(raw.k)
-    ident = np.eye(raw.k)
     t.names = dict(raw.names)
     t.root = raw.root
     t.prior = raw.prior.copy()
+    t.dummies = set(raw.dummies)
+    t.alias = dict(raw.alias)
+    factors: dict = {}  # shape -> {bytes: the one copy of that factor value}
+
+    def factor(a: np.ndarray) -> np.ndarray:
+        same, key = factors.setdefault(a.shape, {}), a.tobytes()
+        if key not in same:
+            same[key] = a.copy()
+        return same[key]
+
     copies = {id(m): m for m in raw.matrix.values()}  # raw keeps each id alive
-    copies = {i: m.copy() for i, m in copies.items()}
+    copies = {
+        i: FactoredMatrix.of(factor(m.left), factor(m.right))
+        if isinstance(m, FactoredMatrix)
+        else m.copy()
+        for i, m in copies.items()
+    }
     t.matrix = {child: copies[id(m)] for child, m in raw.matrix.items()}
     t._store({leaf: linalg.as_vector(v).copy() for leaf, v in raw.evidence.items()})
 
+    ident = None  # made on first use: an unused k x k identity can be large
     for n in list(raw.names):
         cs = raw.children.get(n, [])
         if not cs:
             continue
+        if len(cs) != 2 and ident is None:
+            ident = np.eye(raw.k)
         if len(cs) == 1:
             d = t.fresh_id()
             t.add_node(d, f"{raw.names[n]}_pad")

@@ -6,8 +6,9 @@ from treebelief.bench import make_balanced, make_chain, make_random, random_stoc
 from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import DimensionError, InconsistentEvidenceError, UsageError
-from treebelief.formats import parse_btn
+from treebelief.formats import parse_btn, serialize_btn
 from treebelief.linalg import FactoredMatrix
+from treebelief.polytree import PolytreeEngine
 from treebelief.tree import CausalTree, RawTree, binarize
 from test_contract import E1, E3, E4, X1, X3, golden_chain
 from test_exact import mixed_join_tree, three_node_tree
@@ -18,6 +19,7 @@ from util import (
     post_random_evidence,
     random_binarized_tree,
     random_join_tree,
+    random_polytree,
     updatable_leaves,
 )
 
@@ -564,6 +566,40 @@ class TestRebuildEquivalence:
             leaf = leaves[int(rng.integers(len(leaves)))]
             eng.update_evidence(leaf, rng.random(k) + 0.01)
         assert_same_cells(eng.hier, build_hierarchy(t))
+
+
+def edge_arrays(t):
+    for m in t.matrix.values():
+        yield from (m.left, m.right) if isinstance(m, FactoredMatrix) else (m,)
+
+
+class TestEdgesNeverWritten:
+    """`binarize` shares equal factors by value, so one in-place write to an
+    edge array would change other edges: with every edge array read-only, the
+    engine, the sweep and the writer run as before."""
+
+    @pytest.mark.parametrize("kind", ["dense", "factored", "polytree"])
+    def test_kernels_run_on_read_only_edges(self, kind):
+        rng = np.random.default_rng(11)
+        if kind == "dense":
+            t = make_random(300, 3, rng)
+        elif kind == "factored":
+            t = mixed_join_tree(rng, k=2, n=2, c=1, depth=5)
+        else:
+            t = PolytreeEngine(random_polytree(rng, 60, 2, max_parents=3)).tree
+        for a in edge_arrays(t):
+            a.flags.writeable = False
+        eng = DynamicEngine(t)
+        leaves = updatable_leaves(t)
+        for _ in range(3):
+            picked = rng.choice(leaves, size=min(5, len(leaves)), replace=False)
+            eng.update_many([(int(l), rng.random(t.k) + 0.05) for l in picked])
+            got = eng.bel_many(sorted(t.names))
+            want = exact.propagate_all(t)
+            for x, b in zip(sorted(t.names), got):
+                assert np.allclose(b, want[x], atol=1e-9), x
+        assert parse_btn(serialize_btn(t).splitlines()).kids == t.kids
+        assert not any(a.flags.writeable for a in edge_arrays(t))
 
 
 class TestValidationOnce:

@@ -3,7 +3,7 @@ import pytest
 
 from treebelief import exact, formats
 from treebelief.bench import make_random, random_stochastic
-from treebelief.errors import FormatError, StructureError
+from treebelief.errors import FormatError, StructureError, UsageError
 from treebelief.formats import parse_btn, parse_ptn, serialize_btn
 from treebelief.tree import RawTree, binarize
 
@@ -193,7 +193,8 @@ class TestParseBtn:
 
     def test_round_trip_keeps_ids_links_matrices_evidence(self):
         """A tree with a padded one-child node and a copied three-child node:
-        the round trip keeps everything but the dummy and copy marks."""
+        the round trip keeps everything, the padding and copy marks too, and
+        a second round writes the same text."""
         rng = np.random.default_rng(3)
         raw = RawTree(2)
         for x in range(5):
@@ -204,7 +205,15 @@ class TestParseBtn:
         raw.evidence = {2: [0.2, 0.9], 4: [1e-300, 3e-300]}
         t = binarize(raw)
         assert t.dummies and t.alias
-        t2 = parse_btn(serialize_btn(t).splitlines())
+        text = serialize_btn(t)
+        t2 = parse_btn(text.splitlines())
+        assert serialize_btn(t2) == text
+        assert t2.dummies == t.dummies and t2.alias == t.alias
+        for pad in t.dummies:
+            with pytest.raises(UsageError, match="dummy"):
+                t2.set_evidence([(pad, [0.5, 0.5])])
+        for cp, original in t.alias.items():
+            assert t2.resolve(cp) == original
         assert t2.names == t.names and t2.root == t.root and t2.kids == t.kids
         assert np.array_equal(t2.prior, t.prior)
         assert t2.matrix.keys() == t.matrix.keys()
@@ -217,6 +226,28 @@ class TestParseBtn:
         b1, b2 = exact.propagate_all(t), exact.propagate_all(t2)
         for x in t.names:
             assert np.array_equal(b1[x], b2[x]), x
+
+    @pytest.mark.parametrize("extra, line, message", [
+        ("pad 7", 11, "pad for unknown node 7"),
+        ("pad 0", 11, "padding node 0 has children"),
+        ("pad 1", 10, "evidence on padding leaf 1"),
+        ("pad 2\npad 2", 12, "duplicate `pad` line for node 2"),
+        ("pad x", 11, "expected an integer"),
+        ("copy 9 0", 11, "copy for unknown node 9"),
+        ("copy 2 9", 11, "copy of unknown node 9"),
+        ("copy 2", 11, "`copy` needs 2 or more fields, got 1"),
+        ("copy 1 1", 11, "copy 1 of 1, itself a copy"),
+        ("copy 2 1\ncopy 1 0", 11, "copy 2 of 1, itself a copy"),
+        ("copy 1 0\ncopy 1 2", 12, "duplicate `copy` line for node 1"),
+    ])
+    def test_mark_fault_names_its_line(self, extra, line, message):
+        with pytest.raises(FormatError, match=message) as exc:
+            parse_btn((THREE_NODE_BTN + extra + "\n").splitlines())
+        assert exc.value.line == line
+
+    def test_tree_without_marks_writes_no_mark_lines(self):
+        text = serialize_btn(parse_btn(THREE_NODE_BTN.splitlines()))
+        assert not [l for l in text.splitlines() if l.split()[0] in ("pad", "copy")]
 
     def test_evidence_on_two_leaves(self):
         t = parse_btn((THREE_NODE_BTN + "evidence 2 0.5 0.5\n").splitlines())

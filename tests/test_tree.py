@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from treebelief import exact, linalg
 from treebelief.bench import ENGINES, make_engine, random_stochastic
 from treebelief.errors import DimensionError, StructureError, UsageError
-from treebelief.jointree import FactoredMatrix
+from treebelief.dynamic import DynamicEngine
+from treebelief.jointree import CliqueNode, FactoredMatrix, build_projection
 from treebelief.tree import ROW_SUM_TOL, CausalTree, RawTree, binarize
 from util import (
     assert_same_evidence,
@@ -92,6 +95,83 @@ class TestBinarize:
         for x in t.names:
             assert np.array_equal(before[x], after[x])
         assert t.validate() == []
+
+    def test_equal_factors_share_one_array(self):
+        """Selections built edge by edge with equal values, and equal tables,
+        share one array each after `binarize`; equal dense matrices do not."""
+        rng = np.random.default_rng(5)
+        k, n = 2, 2
+        parent = CliqueNode(members=("a", "b"), k=k)
+        raw = RawTree(k**n)
+        raw.add_node(0)
+        raw.set_root(0, random_stochastic(rng, 1, k**n)[0])
+        table = random_stochastic(rng, k, k**n)
+        dense = random_stochastic(rng, k**n, k**n)
+        for c, shared in ((1, "a"), (2, "a"), (3, "b"), (4, "a"), (5, None), (6, None)):
+            raw.add_node(c)
+            if shared is None:
+                raw.add_edge(0, c, dense.copy())  # equal values, two objects
+                continue
+            clique = CliqueNode(members=(shared, f"x{c}"), k=k, intersection=(shared,))
+            fresh = table.copy() if c != 4 else random_stochastic(rng, k, k**n)
+            raw.add_edge(0, c, build_projection(clique, parent, fresh))
+        t = binarize(raw)
+        m = t.matrix
+        assert m[1].left is m[2].left is m[4].left and m[3].left is not m[1].left
+        assert m[1].right is m[2].right is m[3].right and m[4].right is not m[1].right
+        assert m[5] is not m[6] and np.array_equal(m[5], m[6])
+        for c in (1, 2, 3, 4):
+            assert m[c] is not raw.matrix[c]
+            assert m[c].left is not raw.matrix[c].left
+            assert m[c].right is not raw.matrix[c].right
+        assert t.validate() == []
+
+    def test_writes_to_raw_factors_leave_beliefs_bitwise(self):
+        """`binarize` keeps no factor the caller holds: writing into the raw
+        tree's factors afterwards changes no belief of the tree or its engine."""
+        rng = np.random.default_rng(6)
+        k, n = 2, 2
+        raw = RawTree(k**n)
+        cliques = {0: CliqueNode(members=("v0", "v1"), k=k)}
+        raw.add_node(0)
+        raw.set_root(0, random_stochastic(rng, 1, k**n)[0])
+        for c in range(1, 7):
+            p = (c - 1) // 2
+            shared = cliques[p].members[int(rng.integers(n))]
+            cliques[c] = CliqueNode(members=(shared, f"v{c + 1}"), k=k, intersection=(shared,))
+            raw.add_node(c)
+            table = random_stochastic(rng, k, k**n)
+            raw.add_edge(p, c, build_projection(cliques[c], cliques[p], table))
+        raw.evidence = {6: rng.random(k**n) + 0.1}
+        t = binarize(raw)
+        eng = DynamicEngine(t)
+        before = exact.propagate_all(t)
+        asked = eng.bel_many(sorted(t.names))
+        for fm in raw.matrix.values():
+            fm.left[:] = fm.left[:, ::-1]
+            fm.right[:] = 1.0 / fm.right.size
+        after = exact.propagate_all(t)
+        eng.update_evidence(6, t.evidence[6])  # recompute from the tree's edges
+        for x, want in zip(sorted(t.names), asked):
+            assert np.array_equal(before[x], after[x]), x
+            assert np.array_equal(eng.bel_query(x), want), x
+        assert t.validate() == []
+
+    def test_unused_identity_not_allocated(self):
+        """A tree that needs no pad or copy allocates no k x k identity: a
+        one-node tree at k = 3000 (a 68.7 MiB identity) peaks under 2 MiB."""
+        k = 3000
+        raw = RawTree(k)
+        raw.add_node(0)
+        raw.set_root(0, np.ones(k))
+        tracemalloc.start()
+        try:
+            t = binarize(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert t.validate() == [] and t.k == k
 
     def test_node_count_at_most_doubles(self):
         rng = np.random.default_rng(3)
