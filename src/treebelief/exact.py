@@ -17,8 +17,8 @@ the logarithmic engine:
   rescale.  The internal nodes of the other depths (a chain has two nodes
   per depth) run node by node, one run per stretch of such depths.  Their
   leaves leave that run: messages before it and pi after it, as one
-  product per edge matrix object that BATCH_MIN_WIDTH or more of them share
-  (a protein chain's evidence leaves share one identity), else one by one.
+  row-wise product per edge matrix object they use (a protein chain's
+  evidence leaves share one identity), bitwise the per-leaf products.
   One matrix-vector product per edge per direction either way.
 * PropagationState -- the depth-bounded incremental engine that keeps only
   the bottom-up vectors current, O(k^2 D) per operation.  It answers the
@@ -78,10 +78,8 @@ def lambda_pass(tree: CausalTree, counter: OpCounter | None = None):
     leaves, rows = tree.evidence_rows()
     if leaves:
         lam[[lv.pos[x] for x in leaves]] = rows
-    for m, at, _, _ in lv.shared:
+    for m, at, _, _ in lv.groups:
         msg[at] = linalg.apply_rows(m, lam[at], counter)
-    for i, _, _, m in lv.lone:
-        msg[i] = linalg.apply(m, lam[i], counter)
     for step in lv.steps:
         if isinstance(step, Stacked):
             start, stop = step.start, step.stop
@@ -122,10 +120,8 @@ def propagate_all(
         else:
             for i, _, p, s, m in step:
                 pi[i] = linalg.rescale_if_tiny(linalg.apply_transpose(m, pi[p] * msg[s], counter))
-    for m, at, up, sib in lv.shared:
+    for m, at, up, sib in lv.groups:
         pi[at] = linalg.rescale_rows(linalg.apply_transpose_rows(m, pi[up] * msg[sib], counter))
-    for i, p, s, m in lv.lone:
-        pi[i] = linalg.rescale_if_tiny(linalg.apply_transpose(m, pi[p] * msg[s], counter))
     bel = lam.rows * pi
     mass = bel.sum(axis=1)
     zero = np.flatnonzero(~((mass > 0.0) & (mass < np.inf)))

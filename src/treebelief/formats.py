@@ -109,6 +109,13 @@ def _int(token, lineno):
     return v
 
 
+def _node_name(toks, lineno):
+    """The name field of a `node` line, or None when it has none."""
+    if len(toks) > 3:
+        raise FormatError(f"`node` takes one name field, got {len(toks) - 2}", line=lineno)
+    return toks[2] if len(toks) == 3 else None
+
+
 def _k(token, lineno):
     k = _int(token, lineno)
     if k < 1:
@@ -154,7 +161,7 @@ def parse_btn(lines) -> CausalTree:
                 nid = _int(toks[1], lineno)
                 if nid in raw.names:
                     raise FormatError(f"duplicate node id {nid}", line=lineno)
-                raw.add_node(nid, toks[2] if len(toks) > 2 else None)
+                raw.add_node(nid, _node_name(toks, lineno))
             elif per_node and key[1] not in raw.names:
                 raise FormatError(f"{kw} for unknown node {key[1]}", line=lineno)
             elif kw == "root":
@@ -218,10 +225,15 @@ def serialize_btn(tree: CausalTree) -> str:
     """Normalized BTN text for a (binary) causal tree.  parse(serialize(t))
     keeps its node ids, names, links, edge matrices, prior and evidence, so
     its beliefs, and its padding leaves and copies (`pad` and `copy` lines,
-    written only when the tree has any)."""
+    written only when the tree has any).  A name is one BTN field, so one
+    that is empty or holds whitespace or `#` is a FormatError naming its
+    node."""
     out = ["BTN 1", f"k {tree.k}"]
     for nid in sorted(tree.names):
-        out.append(f"node {nid} {tree.names[nid]}")
+        name = tree.names[nid]
+        if name.split() != [name] or "#" in name:
+            raise FormatError(f"node {nid} name {name!r} is not one field without `#`")
+        out.append(f"node {nid} {name}")
     out.append(f"root {tree.root}")
     out.append(f"prior {tree.root} " + " ".join(f"{v:.17g}" for v in tree.prior))
     for nid in sorted(tree.names):
@@ -265,7 +277,7 @@ def parse_ptn(lines) -> Polytree:
             nid = _int(toks[1], lineno)
             if nid in declared:
                 raise FormatError(f"duplicate node id {nid}", line=lineno)
-            declared[nid] = toks[2] if len(toks) > 2 else None
+            declared[nid] = _node_name(toks, lineno)
         elif kw in ("parents", "cpt", "prior"):
             nid = _int(toks[1], lineno)
             key = ("parents" if kw == "parents" else "table", nid)

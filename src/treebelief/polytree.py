@@ -49,6 +49,8 @@ class Polytree:
             self.set_cpt(var, cpt)
 
     def set_cpt(self, var, cpt):
+        if var not in self.parents:
+            raise UsageError(f"unknown variable {var}")
         self._checked = False
         p = len(self.parents[var])
         arr = np.asarray(cpt, dtype=np.float64)

@@ -68,18 +68,6 @@ def _window_codes(text: str, symbols, w: int) -> np.ndarray:
     return codes
 
 
-def _window_index(mer: str, symbols, w: int, what: str) -> int:
-    """Position of the one window `mer` in `_mers(symbols, w)`, read symbol by
-    symbol (for one window, cheaper than `_window_codes`); UsageError when
-    `mer` is no such window."""
-    if len(mer) != w or not all(ch in symbols for ch in mer):
-        raise UsageError(f"unknown {what} {mer!r}")
-    code = 0
-    for ch in mer:
-        code = code * len(symbols) + symbols.index(ch)
-    return code
-
-
 @dataclass
 class ChainTables:
     """Trained model: window transition, emission, and start tables.  The
@@ -96,9 +84,6 @@ class ChainTables:
     @property
     def k(self) -> int:
         return len(self.ps_mers)
-
-    def aa_index(self, mer: str) -> int:
-        return _window_index(mer, AMINO_ACIDS, self.w, "amino-acid window")
 
     def save(self, path) -> None:
         try:
@@ -235,11 +220,6 @@ class ProteinChain:
         self.tree = binarize(raw)
         self.engine = DynamicEngine(self.tree)
 
-    def _window_likelihood(self, t: int) -> np.ndarray:
-        w = self.tables.w
-        mer = "".join(self.sequence[t : t + w])
-        return self.tables.emission[:, self.tables.aa_index(mer)].copy()
-
     def window_beliefs(self) -> list[np.ndarray]:
         """The logarithmic engine's own answer for each window, read as one
         `bel_many` batch: `predict` reads the O(N) sweep instead, so comparing
@@ -265,18 +245,17 @@ class ProteinChain:
 
     def mutate(self, site: int, residue: str) -> list[int]:
         """Replace the residue at `site` and re-post evidence for the covering
-        windows; returns the updated window indices."""
+        windows, coded in one `_window_codes` pass; returns their indices."""
         if not 0 <= site < len(self.sequence):
             raise UsageError(f"site {site} outside sequence")
         if len(residue) != 1 or residue not in AMINO_ACIDS:
             raise UsageError(f"invalid residue {residue!r}")
         self.sequence[site] = residue
         w = self.tables.w
-        touched = range(max(0, site - w + 1), min(self.n_windows - 1, site) + 1)
-        self.engine.update_many(
-            (self.ev_nodes[t], self._window_likelihood(t)) for t in touched
-        )
-        return list(touched)
+        lo, hi = max(0, site - w + 1), min(self.n_windows - 1, site) + 1
+        codes = _window_codes("".join(self.sequence[lo : hi + w - 1]), AMINO_ACIDS, w)
+        self.engine.update_many(zip(self.ev_nodes[lo:hi], self.tables.emission.T[codes]))
+        return list(range(lo, hi))
 
 
 @dataclass

@@ -8,8 +8,10 @@ which copies over-full nodes and pads single-child nodes with dummy leaves
 whose likelihood is permanently all-ones; every copy and dummy edge carries
 the same identity matrix object.  Each link is stored once, as the parent's
 (left, right) child pair; a reader that climbs derives parents from those.
-Only `CausalTree.set_evidence`, `drop_evidence` and `binarize` write evidence:
-each likelihood is kept as posted and with its scale guard taken at the write.
+Only `CausalTree.link` writes links and edge matrices, so an internal node
+always has both.  Only `CausalTree.set_evidence`, `drop_evidence` and
+`binarize` write evidence: each likelihood is kept as posted and with its
+scale guard taken at the write.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from .linalg import FactoredMatrix
 
 ROW_SUM_TOL = 1e-9
 
-# Depths narrower than this, and fewer leaves than this sharing one edge
-# matrix, keep per-node products in the sweep: below it numpy's fixed cost per
-# stacked call outweighs the per-node calls it replaces.
+# Depths narrower than this keep per-node products in the sweep: below it
+# numpy's fixed cost per stacked call outweighs the per-node calls it replaces.
 BATCH_MIN_WIDTH = 8
 
 
@@ -105,7 +106,8 @@ class BinaryLinks:
 
 
 class CausalTree(BinaryLinks):
-    """Binary complete causal tree: one store of links (`kids`) and of evidence.
+    """Binary complete causal tree: one store of links and edge matrices, and
+    one of evidence.
 
     An evidenced leaf has its likelihood as posted (`evidence`, a read-only
     view) and guarded (`leaf_lambda`), both read-only arrays.  A contraction
@@ -113,11 +115,11 @@ class CausalTree(BinaryLinks):
     built, evidence changes go through the engine's `update_many`, which also
     refreshes the derived matrices.
 
-    Edges may share a matrix object or factor array, never written in place
-    (`rake_compose`, `rescale_if_tiny` and `_stack` return new arrays).  `link`
-    is the one structural writer and drops the cached `numbering`; writing
-    `matrix` after a sweep is unsupported, since the numbering keeps its own
-    stacked copies and the matrix objects its schedule resolved.
+    `kids` (each internal node's (left, right) pair) and `matrix` (the edge
+    matrix into each child) are read-only views too: `link` is their one
+    writer, and it drops the cached `numbering`.  Edges may share a matrix
+    object or factor array, never written in place (`rake_compose`,
+    `rescale_if_tiny` and `_stack` return new arrays).
     """
 
     def __init__(self, k: int):
@@ -125,7 +127,10 @@ class CausalTree(BinaryLinks):
         self.k = k
         self.names: dict[int, str] = {}
         self.prior: np.ndarray | None = None
-        self.matrix: dict[int, np.ndarray] = {}  # edge matrix, keyed by child
+        self._kids: dict[int, tuple[int, int]] = {}
+        self._matrix: dict[int, np.ndarray] = {}  # edge matrix, keyed by child
+        self.kids = MappingProxyType(self._kids)  # read-only views; `link` writes
+        self.matrix = MappingProxyType(self._matrix)
         self._posted: dict[int, np.ndarray] = {}  # leaf id -> likelihood as posted
         self._guarded: dict[int, np.ndarray] = {}  # leaf id -> rescale_if_tiny of it
         self.evidence = MappingProxyType(self._posted)  # read-only view
@@ -149,16 +154,22 @@ class CausalTree(BinaryLinks):
     def add_node(self, node: int, name: str | None = None) -> None:
         self.names[node] = name if name is not None else str(node)
 
-    def link(self, parent: int, left: int, right: int) -> None:
-        self.kids[parent] = left, right
+    def link(self, parent: int, left: int, right: int, m_left, m_right) -> None:
+        """The one writer of links and edge matrices: `parent`'s children
+        become (left, right), with edge matrices m_left and m_right.  Drops the
+        cached `numbering`, so the next sweep sees the change."""
+        self._kids[parent] = left, right
+        self._matrix[left] = m_left
+        self._matrix[right] = m_right
         self._numbering = None
 
     def numbering(self) -> Levels:
         """The breadth-first numbering of the tree and the sweep schedule
-        compiled from it (`Levels`), built on first call and kept until
-        `link`.  It holds a second copy of each stacked depth's edge
-        matrices, and positions and matrix references for every other node
-        below the root, so the first sweep builds it, not the tree's set-up."""
+        compiled from it (`Levels`), built on first call and kept until the
+        next `link`, the one write that can change it.  It holds a second
+        copy of each stacked depth's edge matrices, and positions and matrix
+        references for every other node below the root, so the first sweep
+        builds it, not the tree's set-up."""
         if self._numbering is None:
             self._numbering = Levels(self)
         return self._numbering
@@ -238,9 +249,6 @@ class CausalTree(BinaryLinks):
             if x not in seen:
                 out.append(f"node {x} unreachable from root")
         out += self._edge_violations(seen)
-        for x in seen:
-            if x not in self.matrix and x != self.root:
-                out.append(f"edge into {x} has no matrix")
         for leaf, sound in zip(self._posted, self._sound_evidence()):
             if leaf not in seen or not self.is_leaf(leaf):
                 out.append(f"evidence on non-leaf node {leaf}")
@@ -342,11 +350,10 @@ class Levels:
       (position, left child, parent, sibling, edge matrix) in position
       order, swept one node at a time.
     The leaves of those other depths stay off the runs, since their messages
-    need only evidence and no node needs their pi: `shared` holds, for each
-    edge matrix object that at least BATCH_MIN_WIDTH of them use, (matrix,
-    positions, parents, siblings) as int arrays, swept as one product per
-    direction; `lone` holds the others as (position, parent, sibling, edge
-    matrix).
+    need only evidence and no node needs their pi: `groups` holds, for each
+    edge matrix object they use, (matrix, positions, parents, siblings) with
+    int arrays for the leaves that use it, however few, swept as one product
+    per direction (`linalg.apply_rows`, bitwise `apply` row by row).
     """
 
     def __init__(self, tree: CausalTree):
@@ -369,7 +376,7 @@ class Levels:
 
         self.steps: list = []
         run = None
-        leaves = []  # (position, parent, sibling, edge matrix) of the run depths
+        groups: dict[int, tuple] = {}  # id(m) -> (m, positions, parents, siblings)
         for start, stop, first, last in depths[1:]:
             mats = list(map(tree.matrix.__getitem__, order[start:stop]))
             stack = _stack(mats)
@@ -388,20 +395,14 @@ class Levels:
                     run.append((i, 2 * j + 1, p, s, m))
                     j += 1
                 else:
-                    leaves.append((i, p, s, m))
+                    _, at, up, sib = groups.setdefault(id(m), (m, [], [], []))
+                    at.append(i)
+                    up.append(p)
+                    sib.append(s)
         self.steps.reverse()
-
-        users: dict[int, list] = {}
-        for leaf in leaves:
-            users.setdefault(id(leaf[3]), []).append(leaf)
-        self.shared: list = []
-        self.lone: list = []
-        for group in users.values():
-            if len(group) < BATCH_MIN_WIDTH:
-                self.lone += group
-            else:
-                at, up, sib = (np.array(col, dtype=np.intp) for col in list(zip(*group))[:3])
-                self.shared.append((group[0][3], at, up, sib))
+        self.groups = [
+            (m, *(np.array(col, dtype=np.intp) for col in cols)) for m, *cols in groups.values()
+        ]
 
 
 class Stacked:
@@ -448,8 +449,10 @@ def binarize(raw: RawTree) -> CausalTree:
     factor value (shape and bytes) of the factored ones once, so equal
     selection factors built edge by edge share one array; copy and dummy
     edges share one identity.  Nothing writes an edge matrix or factor in
-    place, so sharing cannot change a value.  The raw tree is linked as given
-    and checked once, by `CausalTree.validate` (`StructureError`).
+    place, so sharing cannot change a value.  Every pair is written by
+    `CausalTree.link`; a raw child without a matrix is a `StructureError`
+    naming it.  The raw tree is linked as given and checked once, by
+    `CausalTree.validate` (`StructureError`).
     """
     if raw.root is None or raw.prior is None:
         raise StructureError("raw tree has no root/prior")
@@ -467,14 +470,21 @@ def binarize(raw: RawTree) -> CausalTree:
             same[key] = a.copy()
         return same[key]
 
-    copies = {id(m): m for m in raw.matrix.values()}  # raw keeps each id alive
-    copies = {
-        i: FactoredMatrix.of(factor(m.left), factor(m.right))
-        if isinstance(m, FactoredMatrix)
-        else m.copy()
-        for i, m in copies.items()
-    }
-    t.matrix = {child: copies[id(m)] for child, m in raw.matrix.items()}
+    # each distinct raw matrix is copied once, in link order, so that `kids`
+    # and `matrix` list the copies in the order they sit in memory; raw keeps
+    # each id alive
+    copies, mats = {}, {}
+    for c in chain.from_iterable(raw.children.values()):
+        m = raw.matrix.get(c)
+        if m is None:
+            raise StructureError(f"edge into {c} has no matrix")
+        if id(m) not in copies:
+            copies[id(m)] = (
+                FactoredMatrix.of(factor(m.left), factor(m.right))
+                if isinstance(m, FactoredMatrix)
+                else m.copy()
+            )
+        mats[c] = copies[id(m)]
     t._store({leaf: linalg.as_vector(v).copy() for leaf, v in raw.evidence.items()})
 
     ident = None  # made on first use: an unused k x k identity can be large
@@ -488,8 +498,7 @@ def binarize(raw: RawTree) -> CausalTree:
             d = t.fresh_id()
             t.add_node(d, f"{raw.names[n]}_pad")
             t.dummies.add(d)
-            t.matrix[d] = ident
-            t.link(n, cs[0], d)
+            t.link(n, cs[0], d, mats[cs[0]], ident)
         else:
             # right spine of identity-linked copies of n, empty for two children
             holder = n
@@ -497,10 +506,9 @@ def binarize(raw: RawTree) -> CausalTree:
                 cp = t.fresh_id()
                 t.add_node(cp, f"{raw.names[n]}_cp")
                 t.alias[cp] = n
-                t.matrix[cp] = ident
-                t.link(holder, c, cp)
+                t.link(holder, c, cp, mats[c], ident)
                 holder = cp
-            t.link(holder, cs[-2], cs[-1])
+            t.link(holder, cs[-2], cs[-1], mats[cs[-2]], mats[cs[-1]])
 
     violations = t.validate()
     if violations:

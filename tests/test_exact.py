@@ -9,6 +9,7 @@ from treebelief import tree as tree_mod
 from treebelief.bench import FullEngine, make_balanced, make_chain, make_random, random_stochastic
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import InconsistentEvidenceError, ScaleError, UsageError
+from treebelief.formats import parse_btn, serialize_btn
 from treebelief.jointree import CliqueNode, FactoredMatrix, build_projection
 from treebelief.linalg import OpCounter
 from treebelief.tree import RawTree, binarize
@@ -19,6 +20,7 @@ from util import (
     post_random_evidence,
     random_binarized_tree,
     random_join_tree,
+    relink_edge,
     updatable_leaves,
 )
 
@@ -71,7 +73,7 @@ class TestPropagateAll:
 
     def test_inconsistent_names_node(self):
         t = three_node_tree()
-        t.matrix[1] = np.eye(2)
+        relink_edge(t, 1, np.eye(2))
         t.set_evidence([(1, [1, 0]), (2, [0, 0])])
         with pytest.raises(InconsistentEvidenceError, match="at node 0"):
             exact.propagate_all(t)
@@ -271,11 +273,36 @@ def shared_evidence_chain(rng, length: int, edge, k: int = 3):
     return binarize(raw)
 
 
+def per_node_sweep(tree, counter: OpCounter) -> dict:
+    """Bel(x) for every node by the two-pass recursion over the tree's dicts,
+    one `linalg.apply`, `apply_transpose` and `rescale_if_tiny` per node and
+    direction: the compiled sweep's reference where no depth is stacked."""
+    order = [tree.root]  # breadth-first: each node before its children
+    for x in order:
+        order += tree.kids.get(x, ())
+    lam, msg = {}, {}
+    for x in reversed(order):
+        if tree.is_leaf(x):
+            lam[x] = tree.leaf_lambda(x)
+        else:
+            l, r = tree.kids[x]
+            lam[x] = linalg.rescale_if_tiny(msg[l] * msg[r])
+        if x != tree.root:
+            msg[x] = linalg.apply(tree.matrix[x], lam[x], counter)
+    pi = {tree.root: tree.prior}
+    for p in order:
+        for x, sib in zip(tree.kids.get(p, ()), reversed(tree.kids.get(p, ()))):
+            v = linalg.apply_transpose(tree.matrix[x], pi[p] * msg[sib], counter)
+            pi[x] = linalg.rescale_if_tiny(v)
+    bel = {x: lam[x] * pi[x] for x in order}
+    return {x: b / b.sum() for x, b in bel.items()}
+
+
 class TestSchedule:
     """The sweep schedule compiled into `Levels`: consecutive narrow depths
     run node by node, and their leaves are applied before and after that
-    run, once per edge matrix object that BATCH_MIN_WIDTH or more of them
-    share (`linalg.apply_rows`), else one at a time."""
+    run, once per edge matrix object they use (`linalg.apply_rows`), however
+    few of them use it."""
 
     @pytest.fixture
     def row_calls(self, monkeypatch):
@@ -289,17 +316,17 @@ class TestSchedule:
         return calls
 
     @staticmethod
-    def per_node_equal(make, monkeypatch):
-        """The sweep of `make()` is bitwise the one with every leaf applied
-        on its own (a tree built under a BATCH_MIN_WIDTH no group reaches)."""
+    def per_node_equal(t):
+        """The sweep of t, which has no stacked depth, is bitwise the two-pass
+        recursion node by node, with the same op counts."""
         c_batched, c_loop = OpCounter(), OpCounter()
-        batched = exact.propagate_all(make(), c_batched)
-        monkeypatch.setattr(tree_mod, "BATCH_MIN_WIDTH", 10**9)
-        t = make()
-        loop = exact.propagate_all(t, c_loop)
-        assert not t.numbering().shared
+        batched = exact.propagate_all(t, c_batched)
+        assert not any(isinstance(step, tree_mod.Stacked) for step in t.numbering().steps)
+        loop = per_node_sweep(t, c_loop)
         assert c_batched == c_loop
-        assert batched.rows.tobytes() == loop.rows.tobytes()
+        assert batched.keys() == loop.keys()
+        for x in t.names:
+            assert batched[x].tobytes() == loop[x].tobytes(), x
 
     @pytest.mark.parametrize("length", [1, 2, 7, 300])
     def test_make_chain(self, length, row_calls):
@@ -308,12 +335,15 @@ class TestSchedule:
         post_random_evidence(t, rng, length + 1, hard_prob=0.1)
         check_sweep(t)
         lv = t.numbering()
-        # one run of the backbone below the root; every leaf has its own matrix
+        # one run of the backbone below the root; every leaf has its own
+        # matrix, so its own group of one
         assert [len(run) for run in lv.steps] == [length - 1]
-        assert len(lv.lone) == length + 1 and not lv.shared and row_calls == []
+        assert [len(at) for _, at, _, _ in lv.groups] == [1] * (length + 1)
+        assert row_calls == [1] * (2 * (length + 1)) and not hasattr(lv, "lone")
+        self.per_node_equal(t)
 
     @pytest.mark.parametrize("kind", ["dense", "factored"])
-    def test_shared_evidence_edge(self, kind, row_calls, monkeypatch):
+    def test_shared_evidence_edge(self, kind, row_calls):
         def make():
             rng = np.random.default_rng(90)
             if kind == "dense":
@@ -328,11 +358,15 @@ class TestSchedule:
         factored = {x for x, m in t.matrix.items() if isinstance(m, FactoredMatrix)}
         check_sweep(t, {x: 2 if x in factored else 1 for x in t.matrix})
         assert len(factored) == (40 if kind == "factored" else 0)
-        (m, at, _, _), = t.numbering().shared
-        assert len(at) == 40 and row_calls == [40, 40]
-        self.per_node_equal(make, monkeypatch)
+        # the evidence leaves share one group; the last backbone node's pad is
+        # a group of one
+        lv = t.numbering()
+        (_, at, _, _), (_, pad, _, _) = lv.groups
+        assert len(at) == 40 and lv.order[pad[0]] in t.dummies
+        assert row_calls == [40, 1, 40, 1]
+        self.per_node_equal(make())
 
-    def test_pads_beside_factored_edges(self, row_calls, monkeypatch):
+    def test_pads_beside_factored_edges(self, row_calls):
         make = lambda: mixed_join_tree(np.random.default_rng(53))
         t = make()
         for leaf in updatable_leaves(t)[::2]:
@@ -346,10 +380,15 @@ class TestSchedule:
         assert any(sum(depth(t, x) == d for x in t.matrix) < tree_mod.BATCH_MIN_WIDTH for d in narrow)
         check_sweep(t, {x: 2 if kinds[x] else 1 for x in t.matrix})
         lv = t.numbering()
-        (m, at, _, _), = lv.shared
+        # the dense pads share one identity; each factored leaf edge is its
+        # own object, a group of one
+        (m, at, _, _), = (g for g in lv.groups if not isinstance(g[0], FactoredMatrix))
         assert all(lv.order[i] in t.dummies for i in at)
-        assert np.array_equal(m, np.eye(t.k)) and row_calls == [len(at)] * 2
-        self.per_node_equal(make, monkeypatch)
+        assert np.array_equal(m, np.eye(t.k))
+        sizes = [len(g[1]) for g in lv.groups]
+        assert sorted(sizes) == [1] * (len(sizes) - 1) + [len(at)]
+        assert row_calls == sizes * 2
+        self.per_node_equal(make())
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_extreme_evidence(self, scale):
@@ -398,6 +437,20 @@ class TestNumbering:
         got, want = exact.propagate_all(t), exact.joint_marginals(t)
         for x in t.names:
             assert np.allclose(got[x], want[x], rtol=0.0, atol=1e-9), x
+
+    def test_relink_after_sweep_is_seen(self):
+        """New edge matrices linked after a sweep reach the next sweep: it is
+        bitwise the sweep of the tree read back from its BTN text."""
+        rng = np.random.default_rng(3)
+        t = make_random(200, 3, rng)
+        post_random_evidence(t, rng, 40)
+        exact.propagate_all(t)
+        for p in (t.root, next(x for x in t.kids if x != t.root)):
+            t.link(p, *t.kids[p], random_stochastic(rng, 3, 3), random_stochastic(rng, 3, 3))
+        got = exact.propagate_all(t)
+        want = exact.propagate_all(parse_btn(serialize_btn(t).splitlines()))
+        for x in t.names:
+            assert np.array_equal(got[x], want[x]), x
 
     @pytest.mark.parametrize("shape", ["random-k4", "mixed-join-tree"])
     def test_cached_sweep_is_bitwise_equal(self, shape, monkeypatch):

@@ -275,6 +275,32 @@ class TestParseBtn:
         assert hier.levels[1].contains == {0, 1, 4, 5, 8}
 
 
+class TestNodeNames:
+    """A node name is one field: `serialize_btn` writes only names that
+    `parse_btn` reads back, and a `node` line holds at most one name field."""
+
+    @pytest.mark.parametrize("name", ["root node", "a#b", "", "tab\there", "end\n"])
+    def test_unwritable_name_named(self, name):
+        t = parse_btn(THREE_NODE_BTN.splitlines())
+        t.names[2] = name
+        with pytest.raises(FormatError) as exc:
+            serialize_btn(t)
+        assert str(exc.value) == f"node 2 name {name!r} is not one field without `#`"
+        assert exc.value.line is None
+
+    @pytest.mark.parametrize("line", ["node 2 root node", "node 2 a b c"])
+    def test_btn_node_line_with_two_names_rejected(self, line):
+        text = THREE_NODE_BTN.replace("node 2 Z", line)
+        fields = len(line.split()) - 2
+        with pytest.raises(FormatError, match=f"^line 5: `node` takes one name field, got {fields}$"):
+            parse_btn(text.splitlines())
+
+    def test_ptn_node_line_with_two_names_rejected(self):
+        text = V_STRUCTURE_PTN.replace("node 1 b", "node 1 b c")
+        with pytest.raises(FormatError, match="^line 4: `node` takes one name field, got 2$"):
+            parse_ptn(text.splitlines())
+
+
 class TestBtnEdgeStack:
     """`parse_btn` converts every edge line's floats as one stack; each fault
     still names its own line, with the message of a line-by-line parse."""

@@ -1,6 +1,7 @@
 """The package's layering: the core modules import no frontend."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,17 @@ def test_every_module_has_a_layer():
 def test_core_imports_no_frontend(module):
     imported = package_imports((SRC / f"{module}.py").read_text())
     assert not imported & set(FRONTENDS)
+
+
+def readme_layout() -> list[str]:
+    """The modules that README's package-layout block names, in order."""
+    text = (SRC.parents[1] / "README.md").read_text()
+    block = text.split("## Package layout", 1)[1].split("```")[1]
+    return re.findall(r"^  (\w+)\.py ", block, re.MULTILINE)
+
+
+def test_readme_layout_names_every_module():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    names = readme_layout()
+    assert len(names) == len(set(names))
+    assert set(names) == modules

@@ -99,6 +99,12 @@ class TestPolytreeValidate:
         with pytest.raises(StructureError, match=f"^table of {var} has non-finite entries$"):
             PolytreeEngine(make())
 
+    def test_set_cpt_of_unknown_variable(self):
+        pt = v_structure()
+        with pytest.raises(UsageError, match="^unknown variable 5$"):
+            pt.set_cpt(5, [0.5, 0.5])
+        assert 5 not in pt.cpt and pt.validate() == []
+
     def test_unknown_parent(self):
         pt = Polytree(k=2)
         pt.add_variable(0, (9,))

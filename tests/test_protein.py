@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from treebelief import exact, protein
 from treebelief.errors import FormatError, UsageError
-from util import ps_index
+from util import assert_same_evidence, evidence_state, ps_index
 
 
 def toy_tables():
@@ -160,12 +160,15 @@ class TestTrain:
             for i, m in enumerate(tables.ps_mers):
                 assert ps_index(tables, m) == i
             for i in (0, 1, 19, 20, 399, len(tables.aa_mers) - 1):
-                assert tables.aa_index(tables.aa_mers[i]) == i
-            for bad in ("", "c" * (w + 1), "x" * w):
-                with pytest.raises(UsageError):
-                    ps_index(tables, bad)
-                with pytest.raises(UsageError):
-                    tables.aa_index(bad)
+                mer = tables.aa_mers[i]
+                assert protein._window_codes(mer, protein.AMINO_ACIDS, w).tolist() == [i]
+            # every window of a string at once: window t at position t
+            text = "".join(tables.aa_mers[:5])
+            codes = protein._window_codes(text, protein.AMINO_ACIDS, w)
+            assert codes[::w].tolist() == list(range(5)) and len(codes) == 5 * w - w + 1
+            assert protein._window_codes("c" * (w - 1), protein.STRUCTURE_SYMBOLS, w).size == 0
+            for bad in ("x" * w, "c" * (w - 1) + "A", "\u00e9" * w):
+                assert protein._window_codes(bad, protein.STRUCTURE_SYMBOLS, w).tolist()[0] < 0
 
 
 class TestChain:
@@ -250,6 +253,15 @@ class TestMutagenesis:
         assert chain.mutate(0, "A") == [0]
         assert chain.mutate(2, "W") == [1, 2]
 
+    def test_mutated_evidence_is_a_fresh_chains(self):
+        tables = protein.train([("GSATGSATKL", "ccchhheecc")], w=3)
+        chain = protein.ProteinChain("GSATGSATKL", tables)
+        for site, residue in ((0, "W"), (4, "K"), (9, "Y"), (8, "A")):
+            chain.mutate(site, residue)
+        fresh = protein.ProteinChain("".join(chain.sequence), tables)
+        assert chain.sequence == list("WSATKSATAY")
+        assert_same_evidence(chain.tree, evidence_state(fresh.tree))
+
     def test_report_matches_oracle(self):
         chain = protein.ProteinChain("GSATGS", toy_tables())
         records = protein.mutagenesis(chain, 2, "W", watch_sites=[0, 4])
@@ -283,9 +295,10 @@ class TestBatchedMutation:
         touched = batched.mutate(site, "K")
         assert touched == [4, 5, 6]
         single.sequence[site] = "K"
+        codes = protein._window_codes("".join(single.sequence), protein.AMINO_ACIDS, 3)
         chains = 0
         for t in touched:
-            single.engine.update_evidence(single.ev_nodes[t], single._window_likelihood(t))
+            single.engine.update_evidence(single.ev_nodes[t], tables.emission[:, codes[t]])
             chains += single.engine.last_recipe_recomputes
         assert 0 < batched.engine.last_recipe_recomputes < chains
         for a, b in zip(batched.window_beliefs(), single.window_beliefs()):

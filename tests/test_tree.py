@@ -14,9 +14,11 @@ from util import (
     attach_evidence_leaf,
     depth,
     evidence_state,
+    link_orphan_pair,
     random_binarized_tree,
     random_join_tree,
     random_raw_tree,
+    relink_edge,
 )
 
 
@@ -453,14 +455,17 @@ class TestValidate:
 
     def test_bad_row_sum_named(self):
         t = binarize(three_child_raw())
-        t.matrix[1] = np.array([[0.8, 0.1], [0.2, 0.8]])
+        relink_edge(t, 1, np.array([[0.8, 0.1], [0.2, 0.8]]))
         msgs = t.validate()
         assert any("row 0" in m and "into 1" in m for m in msgs)
 
-    def test_deleted_pair_leaves_subtree_unreachable(self):
+    def test_relinked_pair_leaves_subtree_unreachable(self):
         t = binarize(three_child_raw())
         cp = t.kids[0][1]  # the copy of 0 that holds children 2 and 3
-        del t.kids[cp]
+        a, b = t.fresh_id(), t.fresh_id()
+        t.add_node(a)
+        t.add_node(b)
+        t.link(cp, a, b, np.eye(2), np.eye(2))
         msgs = t.validate()
         assert [m for m in msgs if "unreachable" in m] == [
             "node 2 unreachable from root", "node 3 unreachable from root"
@@ -473,22 +478,24 @@ class TestValidate:
 
     def test_nan_matrix_named(self):
         t = binarize(three_child_raw())
-        t.matrix[1] = np.array([[np.nan, 0.5], [0.5, 0.5]])
+        relink_edge(t, 1, np.array([[np.nan, 0.5], [0.5, 0.5]]))
         msgs = t.validate()
         assert any("row 0" in m and "into 1" in m for m in msgs)
         assert any("outside [0,1]" in m for m in msgs)
 
     def test_leaf_without_matrix_named(self):
-        # a tree built in code: 0 -> (1, 2) with no matrix into leaf 2
-        t = CausalTree(2)
+        # a raw tree whose child list was written past `add_edge`: 0 -> (1, 2)
+        # with no matrix into leaf 2, caught where it enters, by `binarize`
+        raw = RawTree(2)
         for n in range(3):
-            t.add_node(n)
-        t.root, t.prior = 0, np.array([0.5, 0.5])
-        t.link(0, 1, 2)
-        t.matrix[1] = np.eye(2)
-        assert t.validate() == ["edge into 2 has no matrix"]
-        t.matrix[2] = np.eye(2)
-        assert t.validate() == []
+            raw.add_node(n)
+        raw.set_root(0, [0.5, 0.5])
+        raw.add_edge(0, 1, np.eye(2))
+        raw.children[0].append(2)
+        with pytest.raises(StructureError, match="^edge into 2 has no matrix$"):
+            binarize(raw)
+        raw.matrix[2] = np.eye(2)
+        assert binarize(raw).validate() == []
 
     def test_links_stored_once(self):
         """`kids` is the tree's one link store: no parent map after
@@ -500,15 +507,29 @@ class TestValidate:
             assert not hasattr(t, "parent")
             assert t.validate() == []
 
+    def test_links_and_matrices_written_only_by_link(self):
+        t = binarize(three_child_raw())
+        exact.propagate_all(t)
+        with pytest.raises(TypeError):
+            t.kids[0] = (1, 2)
+        with pytest.raises(TypeError):
+            del t.kids[0]
+        with pytest.raises(TypeError):
+            t.matrix[1] = np.eye(2)
+        before = t.numbering()
+        l, r = t.kids[0]
+        t.link(0, l, r, np.eye(2), t.matrix[r])
+        assert t.kids[0] == (l, r) and np.array_equal(t.matrix[l], np.eye(2))
+        assert t.numbering() is not before and t.validate() == []
+
     def test_root_named_in_a_pair_has_a_parent(self):
         # a tree built in code: 0 -> (1, 2), and an orphan 3 -> (0, 4)
         t = CausalTree(2)
         for n in range(5):
             t.add_node(n)
         t.root, t.prior = 0, np.array([0.5, 0.5])
-        t.link(0, 1, 2)
-        t.link(3, 0, 4)
-        t.matrix.update((c, np.eye(2)) for c in (0, 1, 2, 4))
+        t.link(0, 1, 2, np.eye(2), np.eye(2))
+        t.link(3, 0, 4, np.eye(2), np.eye(2))
         assert t.validate() == [
             "root has a parent",
             "node 3 unreachable from root",
@@ -575,12 +596,11 @@ class TestValidate:
                  "factored_high_entry", "ok"]
         children = sorted(t.matrix)
         for c in rng.choice(children, size=len(children) // 3, replace=False):
-            t.matrix[int(c)] = broken(kinds[int(rng.integers(len(kinds)))])
-        t.add_node(999)  # unreachable, its matrix is not checked
-        t.matrix[999] = np.full((k, k), np.nan)
+            relink_edge(t, int(c), broken(kinds[int(rng.integers(len(kinds)))]))
+        orphans = link_orphan_pair(t, np.full((k, k), np.nan))  # not checked
         t.prior = np.full(k, 1 / k)
 
-        want = per_edge_messages(t, set(t.names) - {999})
+        want = per_edge_messages(t, set(t.names) - set(orphans))
         assert edge_messages(t) == want and len(want) > 0
 
     def test_sound_factored_edges_not_expanded(self, monkeypatch):
@@ -597,8 +617,8 @@ class TestValidate:
         monkeypatch.undo()
         child = next(c for c, m in t.matrix.items() if isinstance(m, FactoredMatrix))
         fm = t.matrix[child]
-        t.matrix[child] = FactoredMatrix(fm.left, fm.right * 0.5)
-        dense.matrix[child] = t.matrix[child].expand()
+        relink_edge(t, child, FactoredMatrix(fm.left, fm.right * 0.5))
+        relink_edge(dense, child, t.matrix[child].expand())
         assert edge_messages(t) == edge_messages(dense) == [
             f"edge matrix into {child}: row {row} sums to 0.5" for row in range(K)
         ]
@@ -608,11 +628,10 @@ class TestValidate:
         bad = np.array([[0.7, -0.2], [0.6, 0.6]])
         users = sorted(t.matrix)[1:8:3]
         for c in users:
-            t.matrix[c] = bad
-        t.add_node(999)  # unreachable: its edge is not named
-        t.matrix[999] = bad
+            relink_edge(t, c, bad)
+        orphans = link_orphan_pair(t, bad)  # unreachable: their edges are not named
         got = edge_messages(t)
-        assert got == per_edge_messages(t, set(t.names) - {999})
+        assert got == per_edge_messages(t, set(t.names) - set(orphans))
         assert got == [
             line
             for c in users

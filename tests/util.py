@@ -36,7 +36,9 @@ def random_raw_tree(rng, n_nodes: int, k: int, max_children: int = 3) -> RawTree
 
 def ps_index(tables: protein.ChainTables, mer: str) -> int:
     """Index of a structure window among `tables.ps_mers`."""
-    return protein._window_index(mer, protein.STRUCTURE_SYMBOLS, tables.w, "structure window")
+    (code,) = protein._window_codes(mer, protein.STRUCTURE_SYMBOLS, tables.w)
+    assert code >= 0, mer
+    return int(code)
 
 
 def factored_identity(size: int) -> FactoredMatrix:
@@ -75,18 +77,33 @@ def attach_evidence_leaf(tree: CausalTree, x: int) -> int:
         if x in tree.evidence:
             tree.set_evidence([(e, tree.evidence[x])])
             tree.drop_evidence([x])
-        tree.matrix[e] = ident.copy()
-        tree.matrix[d] = ident.copy()
-        tree.link(x, e, d)
+        tree.link(x, e, d, ident.copy(), ident.copy())
     else:
         cp = tree.fresh_id()
         tree.add_node(cp, f"{tree.names[x]}_cp")
         tree.alias[cp] = x
-        tree.link(cp, *tree.kids[x])
-        tree.matrix[cp] = ident.copy()
-        tree.matrix[e] = ident.copy()
-        tree.link(x, e, cp)
+        l, r = tree.kids[x]
+        tree.link(cp, l, r, tree.matrix[l], tree.matrix[r])
+        tree.link(x, e, cp, ident.copy(), ident.copy())
     return e
+
+
+def relink_edge(tree: CausalTree, child: int, m) -> None:
+    """Put matrix m on the edge into `child`, through `CausalTree.link`."""
+    p = next(p for p, pair in tree.kids.items() if child in pair)
+    l, r = tree.kids[p]
+    tree.link(p, l, r, *(m if c == child else tree.matrix[c] for c in (l, r)))
+
+
+def link_orphan_pair(tree: CausalTree, m) -> list[int]:
+    """Three new nodes, a parent no node links to and its two children, each
+    edge carrying matrix m; returns their ids."""
+    ids = []
+    for _ in range(3):
+        ids.append(tree.fresh_id())
+        tree.add_node(ids[-1])
+    tree.link(*ids, m, m)
+    return ids
 
 
 def evidence_state(tree: CausalTree) -> tuple[dict, dict]:
