@@ -17,8 +17,9 @@ the logarithmic engine:
   rescale.  The internal nodes of the other depths (a chain has two nodes
   per depth) run node by node, one run per stretch of such depths.  Their
   leaves leave that run: messages before it and pi after it, as one
-  row-wise product per edge matrix object they use (a protein chain's
-  evidence leaves share one identity), bitwise the per-leaf products.
+  row-wise product per edge matrix object several of them share (a protein
+  chain's evidence leaves share one identity) and one over the stack of the
+  dense matrices one leaf uses alone, bitwise the per-leaf products.
   One matrix-vector product per edge per direction either way.
 * PropagationState -- the depth-bounded incremental engine that keeps only
   the bottom-up vectors current, O(k^2 D) per operation.  It answers the

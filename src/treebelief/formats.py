@@ -16,11 +16,20 @@ A BTN file has one `k`, one `root` and one `prior` line, and at most one
 `evidence`, `pad` or `copy` line per node, declared above it.  `pad` and
 `copy` lines keep `binarize`'s marks (`CausalTree.dummies` and `alias`)
 through `serialize_btn`: a padding leaf has no children and no evidence, and
-a copy's original is not itself a copy.  `parse_btn` checks each line as
-it reads it, but converts the floats of all `edge` lines at the end, as one
-(n, k, k) stack with one finiteness test; the first fault in file order is
-the one reported, with its line.  Evidence on a node with children is found
-once every edge is read, and named by its line too.
+a copy's original is not itself a copy.  Floats are read by numpy's cast
+(`np.array(tokens, dtype=float)`), which on numpy 2.x reads `float`'s grammar
+and raises its error text.
+
+`parse_btn` checks each line as it reads it, except the floats of `edge`
+lines: it keeps their tokens and casts all of them at the end, in one call,
+to one (n, k, k) stack with one finiteness test, whose rows are the raw
+tree's edge matrices.  The first fault in file order is still the one
+reported, with its line: a fault found while reading first has the edge
+lines above it cast and tested, and a failed cast is retried line by line
+only to name its line.  Within an edge line, a bad id comes first, then a
+bad float, then a wrong count, then a non-finite number, then an unknown
+node.  Evidence on a node with children is found once every edge is read,
+and named by its line too.
 
 PTN: polytree files:
 
@@ -36,8 +45,6 @@ Each PTN node has at most one `parents` line and one table (`cpt` or
 """
 
 from __future__ import annotations
-
-from array import array
 
 import numpy as np
 
@@ -58,10 +65,9 @@ PTN_ARITY = {"k": 2, "node": 2, "parents": 2, "cpt": 3, "prior": 2}
 
 def _tokenized_lines(lines, arity):
     for lineno, line in enumerate(lines, 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        toks = line.partition("#")[0].split()
+        if not toks:
             continue
-        toks = body.split()
         need = arity.get(toks[0], 1)
         if len(toks) < need:
             raise FormatError(
@@ -71,9 +77,12 @@ def _tokenized_lines(lines, arity):
         yield lineno, toks
 
 
-def _float_list(tokens, lineno, expected=None):
+def _cast(tokens, lineno, expected=None) -> np.ndarray:
+    """`tokens` as floats, by numpy's cast, which reads `float`'s grammar and
+    raises its error text; FormatError naming `lineno` for a bad float, then
+    for a count other than `expected`."""
     try:
-        vals = list(map(float, tokens))
+        vals = np.array(tokens, dtype=float)
     except ValueError as exc:
         raise FormatError(f"bad float: {exc}", line=lineno)
     if expected is not None and len(vals) != expected:
@@ -82,20 +91,31 @@ def _float_list(tokens, lineno, expected=None):
 
 
 def _floats(tokens, lineno, expected=None):
-    vals = np.array(_float_list(tokens, lineno, expected))
+    vals = _cast(tokens, lineno, expected)
     if not np.all(np.isfinite(vals)):
         raise FormatError("non-finite number", line=lineno)
     return vals
 
 
-def _edge_stack(edges, flat, k):
-    """The k * k floats of each edge line in `edges`, read in order from
-    `flat`, as one (n, k, k) stack; FormatError naming the first line with a
-    non-finite number."""
-    stack = np.frombuffer(flat, dtype=np.float64).reshape(len(edges), k, k)
+def _edge_stack(lines, tokens, k):
+    """The k * k float tokens of the edge lines numbered `lines`, in order in
+    `tokens`, cast at once to one (n, k, k) stack.  FormatError naming the
+    first line with a bad float or a non-finite number, a bad float first
+    within a line; only a failed cast goes through the lines one by one."""
+    kk = k * k
+    try:
+        stack = np.array(tokens, dtype=float).reshape(len(lines), k, k)
+    except ValueError:
+        for i, lineno in enumerate(lines):
+            try:
+                _cast(tokens[i * kk : (i + 1) * kk], lineno)
+            except FormatError:
+                _edge_stack(lines[:i], tokens[: i * kk], k)  # a non-finite number first
+                raise
+        raise
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
-        raise FormatError("non-finite number", line=edges[int(finite.argmin())][0])
+        raise FormatError("non-finite number", line=lines[int(finite.argmin())])
     return stack
 
 
@@ -141,27 +161,40 @@ def parse_btn(lines) -> CausalTree:
     pads = {}  # line of each pad line, by leaf id
     copies = {}  # (original, line) of each copy line, by copy id
     read = set()  # the BTN_ONCE keywords and (BTN_PER_NODE keyword, id) read so far
-    edges = []  # (line, parent, child) of each edge line, in file order
-    flat = array("d")  # the k * k floats of each edge line, in the same order
+    edge_lines, parents, children = [], [], []  # of each edge line, in file order
+    tokens = []  # the k * k float tokens of each edge line, in the same order
     try:
         for lineno, toks in it:
             kw = toks[0]
             if raw is None and kw != "k":
                 raise FormatError(f"`k` must precede `{kw}`", line=lineno)
             per_node = BTN_PER_NODE.get(kw)
-            key = (kw, _int(toks[1], lineno)) if per_node else kw
-            if key in read:
-                what = f" for {per_node} {key[1]}" if per_node else ""
-                raise FormatError(f"duplicate `{kw}` line{what}", line=lineno)
             if per_node or kw in BTN_ONCE:
+                key = (kw, _int(toks[1], lineno)) if per_node else kw
+                if key in read:
+                    what = f" for {per_node} {key[1]}" if per_node else ""
+                    raise FormatError(f"duplicate `{kw}` line{what}", line=lineno)
                 read.add(key)
-            if kw == "k":
-                raw = RawTree(_k(toks[1], lineno))
+            if kw == "edge":  # the floats are cast after the loop, all at once
+                parent = _int(toks[1], lineno)
+                child = _int(toks[2], lineno)
+                if len(toks) != 3 + raw.k * raw.k:
+                    _cast(toks[3:], lineno, raw.k * raw.k)  # a bad float, else the count
+                tokens += toks[3:]
+                edge_lines.append(lineno)
+                parents.append(parent)
+                children.append(child)
+                if parent not in raw.names or child not in raw.names:
+                    raise FormatError(
+                        f"edge {parent}->{child} references unknown node", line=lineno
+                    )
             elif kw == "node":
                 nid = _int(toks[1], lineno)
                 if nid in raw.names:
                     raise FormatError(f"duplicate node id {nid}", line=lineno)
                 raw.add_node(nid, _node_name(toks, lineno))
+            elif kw == "k":
+                raw = RawTree(_k(toks[1], lineno))
             elif per_node and key[1] not in raw.names:
                 raise FormatError(f"{kw} for unknown node {key[1]}", line=lineno)
             elif kw == "root":
@@ -169,15 +202,6 @@ def parse_btn(lines) -> CausalTree:
             elif kw == "prior":
                 nid = _int(toks[1], lineno)
                 prior = (nid, _floats(toks[2:], lineno, raw.k))
-            elif kw == "edge":
-                parent = _int(toks[1], lineno)
-                child = _int(toks[2], lineno)
-                flat.extend(_float_list(toks[3:], lineno, raw.k * raw.k))
-                edges.append((lineno, parent, child))
-                if parent not in raw.names or child not in raw.names:
-                    raise FormatError(
-                        f"edge {parent}->{child} references unknown node", line=lineno
-                    )
             elif kw == "evidence":
                 evidence[key[1]] = _floats(toks[2:], lineno, raw.k)
                 ev_line[key[1]] = lineno
@@ -191,18 +215,19 @@ def parse_btn(lines) -> CausalTree:
             else:
                 raise FormatError(f"unknown keyword {kw!r}", line=lineno)
     except FormatError:
-        if edges:  # a non-finite number on an earlier edge line comes first
-            _edge_stack(edges, flat, raw.k)
+        if edge_lines:  # a fault in the floats of an earlier edge line comes first
+            _edge_stack(edge_lines, tokens, raw.k)
         raise
     if raw is None:
         raise FormatError("missing `k` line")
-    stack = _edge_stack(edges, flat, raw.k)
+    stack = _edge_stack(edge_lines, tokens, raw.k)
     if root is None:
         raise FormatError("missing `root` line")
     if prior is None or prior[0] != root:
         raise FormatError("missing `prior` line for the root")
-    for (_, parent, child), m in zip(edges, stack):
-        raw.add_edge(parent, child, m)
+    for parent, child, m in zip(parents, children, stack):  # row views of the one stack
+        raw.children[parent].append(child)
+        raw.matrix[child] = m
     for leaf, lineno in ev_line.items():
         if raw.children[leaf]:
             raise FormatError(f"evidence on non-leaf node {leaf}", line=lineno)

@@ -245,7 +245,8 @@ def _count_stacked(factors, counter: OpCounter | None) -> None:
 
 
 def apply_rows(m, rows: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Row-wise `apply` of one shared edge matrix: result[n] = m . rows[n].
+    """Row-wise `apply` of one shared edge matrix, result[n] = m . rows[n],
+    or of an (n, k, k) stack of dense ones, result[n] = m[n] . rows[n].
     Each factor is one broadcast `np.matmul`, which makes the same product
     per row as `ndarray.dot`, so the result is bitwise `apply` row by row;
     it counts as `apply` does, once per row."""
@@ -256,8 +257,9 @@ def apply_rows(m, rows: np.ndarray, counter: OpCounter | None = None) -> np.ndar
 
 
 def apply_transpose_rows(m, rows: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Row-wise `apply_transpose` of one shared edge matrix: result[n] =
-    m^T . rows[n], bitwise `apply_transpose` row by row."""
+    """Row-wise `apply_transpose` of one shared edge matrix, result[n] =
+    m^T . rows[n], or of a stack, result[n] = m[n]^T . rows[n]; bitwise
+    `apply_transpose` row by row."""
     v = rows[:, np.newaxis, :]
     for f in _counted_factors(m, len(rows), counter):
         v = np.matmul(v, f)
@@ -265,11 +267,12 @@ def apply_transpose_rows(m, rows: np.ndarray, counter: OpCounter | None = None) 
 
 
 def _counted_factors(m, n: int, counter: OpCounter | None) -> tuple:
-    """The factor arrays of edge matrix m, counted as n applications of m."""
+    """The factor arrays of edge matrix m (or of a stack of n matrices),
+    counted as n applications of one matrix."""
     factors = (m.left, m.right) if isinstance(m, FactoredMatrix) else (m,)
     if counter is not None:
         counter.mat_vec += len(factors) * n
-        counter.flops += sum(f.size for f in factors) * n
+        counter.flops += sum(f.shape[-2] * f.shape[-1] for f in factors) * n
     return factors
 
 

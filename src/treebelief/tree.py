@@ -119,7 +119,10 @@ class CausalTree(BinaryLinks):
     matrix into each child) are read-only views too: `link` is their one
     writer, and it drops the cached `numbering`.  Edges may share a matrix
     object or factor array, never written in place (`rake_compose`,
-    `rescale_if_tiny` and `_stack` return new arrays).
+    `rescale_if_tiny` and `_stack` return new arrays).  The k x k matrices
+    that `binarize` links are row views of one C-contiguous (n, k, k) edge
+    table, `_table`, one row per distinct raw matrix in link order; `validate`
+    checks those rows as one array.
     """
 
     def __init__(self, k: int):
@@ -129,6 +132,7 @@ class CausalTree(BinaryLinks):
         self.prior: np.ndarray | None = None
         self._kids: dict[int, tuple[int, int]] = {}
         self._matrix: dict[int, np.ndarray] = {}  # edge matrix, keyed by child
+        self._table = np.empty((0, k, k))  # binarize's k x k edge matrices, as rows
         self.kids = MappingProxyType(self._kids)  # read-only views; `link` writes
         self.matrix = MappingProxyType(self._matrix)
         self._posted: dict[int, np.ndarray] = {}  # leaf id -> likelihood as posted
@@ -271,41 +275,64 @@ class CausalTree(BinaryLinks):
     @np.errstate(invalid="ignore", over="ignore")  # bad values are reported, not warned
     def _edge_violations(self, seen: set[int]) -> list[str]:
         """Shape, finiteness, row-sum and range violations of the edge
-        matrices into `seen`, in edge order.  Each distinct matrix is checked
-        once: a factored one on its factors (`_sound_factored`), the k x k
-        arrays, and any factored one that fails there expanded, as one stack.
-        Python visits the edges only to name each edge that uses a failing
-        matrix."""
-        k = self.k
-        mats = {id(m): m for c, m in self.matrix.items() if c in seen}
+        matrices into `seen`, in edge order.  The rows of the edge table
+        (`binarize`'s k x k matrices) are checked in one pass, and every other
+        distinct matrix once: a factored one on its factors
+        (`_sound_factored`), the k x k arrays, and any factored one that fails
+        there expanded, as one stack.  Python visits the edges only to tell a
+        table row from another matrix, and to name each edge that uses a
+        failing one."""
+        k, table = self.k, self._table
+        mats = {
+            id(m): m
+            for c, m in self.matrix.items()
+            if c in seen and not (type(m) is np.ndarray and m.base is table)
+        }
         sound = _sound_factored(mats, k)
         if sound:
             mats = {i: m for i, m in mats.items() if i not in sound}
         dense = list(map(linalg.dense, mats.values()))
         square = np.array([m.shape == (k, k) for m in dense], dtype=bool)
-        stack = np.array(list(compress(dense, square))).reshape(-1, k, k)
-        row_bad = ~(np.abs(stack.sum(axis=2) - 1.0) <= ROW_SUM_TOL)  # NaN fails too
-        range_bad = ~((stack >= 0) & (stack <= 1.0 + 1e-12)).all(axis=(1, 2))
+        # the table's rows, then the other k x k matrices
+        stacks = table, np.array(list(compress(dense, square))).reshape(-1, k, k)
+        row_bad = np.concatenate([~(np.abs(a.sum(axis=2) - 1.0) <= ROW_SUM_TOL) for a in stacks])
+        range_bad = np.concatenate(
+            [~((a >= 0) & (a <= 1.0 + 1e-12)).all(axis=(1, 2)) for a in stacks]
+        )
+        bad = row_bad.any(axis=1) | range_bad
+        at = len(table) + np.cumsum(square) - 1  # row of each other square matrix
         flagged = ~square
-        flagged[square] = row_bad.any(axis=1) | range_bad
-        at = np.cumsum(square) - 1  # stack position of each square matrix
+        flagged[square] = bad[len(table) :]
         failing = dict(zip(compress(mats, flagged), np.flatnonzero(flagged)))
         out = []
-        for child, m in self.matrix.items() if failing else ():
-            i = failing.get(id(m)) if child in seen else None
-            if i is None:
+        for child, m in self.matrix.items() if failing or bad.any() else ():
+            if child not in seen:
                 continue
-            m = dense[i]
-            if not square[i]:
-                out.append(f"edge matrix into {child} has shape {m.shape}")
-                continue
+            if type(m) is np.ndarray and m.base is table:
+                j = _row_of(m, table)
+                if not bad[j]:
+                    continue
+            else:
+                i = failing.get(id(m))
+                if i is None:
+                    continue
+                m, j = dense[i], at[i]
+                if not square[i]:
+                    out.append(f"edge matrix into {child} has shape {m.shape}")
+                    continue
             if not np.isfinite(m).all():
                 out.append(f"edge matrix into {child} has non-finite entries")
-            for row in np.flatnonzero(row_bad[at[i]]):
+            for row in np.flatnonzero(row_bad[j]):
                 out.append(f"edge matrix into {child}: row {row} sums to {m[row].sum():.6g}")
-            if range_bad[at[i]]:
+            if range_bad[j]:
                 out.append(f"edge matrix into {child} has entries outside [0,1]")
         return out
+
+
+def _row_of(view: np.ndarray, table: np.ndarray) -> int:
+    """The row of `table` that `view` is."""
+    offset = view.__array_interface__["data"][0] - table.__array_interface__["data"][0]
+    return offset // table.strides[0]
 
 
 def _sound_factored(mats: dict, k: int) -> set[int]:
@@ -351,9 +378,11 @@ class Levels:
       order, swept one node at a time.
     The leaves of those other depths stay off the runs, since their messages
     need only evidence and no node needs their pi: `groups` holds, for each
-    edge matrix object they use, (matrix, positions, parents, siblings) with
-    int arrays for the leaves that use it, however few, swept as one product
-    per direction (`linalg.apply_rows`, bitwise `apply` row by row).
+    edge matrix object that several of them use, (matrix, positions,
+    parents, siblings) with int arrays for those leaves, and for the dense
+    matrices that one of them uses alone, one such group per shape whose
+    matrix is their (n, k, k) stack.  Each group is swept as one product per
+    direction (`linalg.apply_rows`, bitwise `apply` row by row).
     """
 
     def __init__(self, tree: CausalTree):
@@ -400,9 +429,17 @@ class Levels:
                     up.append(p)
                     sib.append(s)
         self.steps.reverse()
-        self.groups = [
-            (m, *(np.array(col, dtype=np.intp) for col in cols)) for m, *cols in groups.values()
-        ]
+        self.groups = []
+        lone: dict[tuple, list] = {}  # shape -> the dense groups of one leaf
+        for m, *cols in groups.values():
+            if len(cols[0]) == 1 and not isinstance(m, FactoredMatrix):
+                lone.setdefault(m.shape, []).append((m, *cols))
+            else:
+                self.groups.append((m, *(np.array(col, dtype=np.intp) for col in cols)))
+        for same in lone.values():
+            mats, *cols = zip(*same)
+            cols = (np.array(col, dtype=np.intp).ravel() for col in cols)
+            self.groups.append((_stacked(mats), *cols))
 
 
 class Stacked:
@@ -444,15 +481,17 @@ def binarize(raw: RawTree) -> CausalTree:
 
     Over-full nodes hang their surplus children off a right spine of
     identity-linked copies; single-child nodes get an all-ones dummy leaf.
-    Node count at most doubles.  Nothing the caller holds is kept: each
-    distinct dense raw matrix object is copied once, and each distinct
-    factor value (shape and bytes) of the factored ones once, so equal
-    selection factors built edge by edge share one array; copy and dummy
-    edges share one identity.  Nothing writes an edge matrix or factor in
-    place, so sharing cannot change a value.  Every pair is written by
-    `CausalTree.link`; a raw child without a matrix is a `StructureError`
-    naming it.  The raw tree is linked as given and checked once, by
-    `CausalTree.validate` (`StructureError`).
+    Node count at most doubles.  Nothing the caller holds is kept: the
+    distinct k x k raw matrix objects become the rows of one edge table, in
+    link order, by one concatenation with no per-edge copy, and the edges
+    that used one raw object hold one row view of it; another dense shape is
+    copied once, and each distinct factor value (shape and bytes) of the
+    factored ones once, so equal selection factors built edge by edge share
+    one array; copy and dummy edges share one identity.  Nothing writes an
+    edge matrix or factor in place, so sharing cannot change a value.
+    Every pair is written by `CausalTree.link`; a raw child without a matrix
+    is a `StructureError` naming it.  The raw tree is linked as given and
+    checked once, by `CausalTree.validate` (`StructureError`).
     """
     if raw.root is None or raw.prior is None:
         raise StructureError("raw tree has no root/prior")
@@ -470,21 +509,29 @@ def binarize(raw: RawTree) -> CausalTree:
             same[key] = a.copy()
         return same[key]
 
-    # each distinct raw matrix is copied once, in link order, so that `kids`
-    # and `matrix` list the copies in the order they sit in memory; raw keeps
-    # each id alive
-    copies, mats = {}, {}
-    for c in chain.from_iterable(raw.children.values()):
-        m = raw.matrix.get(c)
-        if m is None:
-            raise StructureError(f"edge into {c} has no matrix")
-        if id(m) not in copies:
-            copies[id(m)] = (
-                FactoredMatrix.of(factor(m.left), factor(m.right))
-                if isinstance(m, FactoredMatrix)
-                else m.copy()
-            )
-        mats[c] = copies[id(m)]
+    children = list(chain.from_iterable(raw.children.values()))  # link order
+    try:
+        raw_mats = list(map(raw.matrix.__getitem__, children))
+    except KeyError as exc:
+        raise StructureError(f"edge into {exc.args[0]} has no matrix") from None
+    # each distinct raw matrix once, by first use in link order (raw keeps
+    # each id alive): a factored one by its factor values, an odd-shaped one
+    # as a copy, and the k x k ones as the rows of one table, so that `kids`
+    # and `matrix` list them in the order they sit in memory
+    distinct = dict(zip(map(id, raw_mats), raw_mats))
+    copies, square = {}, {}
+    for i, m in distinct.items():
+        if isinstance(m, FactoredMatrix):
+            copies[i] = FactoredMatrix.of(factor(m.left), factor(m.right))
+        elif m.shape == (raw.k, raw.k):
+            square[i] = m
+        else:
+            copies[i] = m.copy()
+    t._table = np.empty((len(square), raw.k, raw.k))
+    if square:
+        np.concatenate(list(square.values()), out=t._table.reshape(-1, raw.k))
+    copies.update(zip(square, t._table))  # row views
+    mats = dict(zip(children, map(copies.__getitem__, map(id, raw_mats))))
     t._store({leaf: linalg.as_vector(v).copy() for leaf, v in raw.evidence.items()})
 
     ident = None  # made on first use: an unused k x k identity can be large

@@ -20,6 +20,7 @@ from util import (
     random_binarized_tree,
     random_join_tree,
     random_polytree,
+    split_order_btn,
     updatable_leaves,
 )
 
@@ -578,11 +579,13 @@ class TestEdgesNeverWritten:
     edge array would change other edges: with every edge array read-only, the
     engine, the sweep and the writer run as before."""
 
-    @pytest.mark.parametrize("kind", ["dense", "factored", "polytree"])
+    @pytest.mark.parametrize("kind", ["dense", "parsed", "factored", "polytree"])
     def test_kernels_run_on_read_only_edges(self, kind):
         rng = np.random.default_rng(11)
         if kind == "dense":
             t = make_random(300, 3, rng)
+        elif kind == "parsed":  # edges are row views of one table
+            t = parse_btn(split_order_btn(rng, 150, 3))
         elif kind == "factored":
             t = mixed_join_tree(rng, k=2, n=2, c=1, depth=5)
         else:

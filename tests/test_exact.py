@@ -336,10 +336,12 @@ class TestSchedule:
         check_sweep(t)
         lv = t.numbering()
         # one run of the backbone below the root; every leaf has its own
-        # matrix, so its own group of one
+        # matrix, so all of them join one group, whose matrix is their stack
         assert [len(run) for run in lv.steps] == [length - 1]
-        assert [len(at) for _, at, _, _ in lv.groups] == [1] * (length + 1)
-        assert row_calls == [1] * (2 * (length + 1)) and not hasattr(lv, "lone")
+        (m, at, _, _), = lv.groups
+        assert m.shape == (length + 1, 3, 3) and m.flags.c_contiguous
+        assert all(np.array_equal(row, t.matrix[lv.order[i]]) for row, i in zip(m, at))
+        assert row_calls == [length + 1] * 2 and not hasattr(lv, "lone")
         self.per_node_equal(t)
 
     @pytest.mark.parametrize("kind", ["dense", "factored"])

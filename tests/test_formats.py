@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from treebelief import exact, formats
+from treebelief import exact, formats, linalg
 from treebelief.bench import make_random, random_stochastic
 from treebelief.errors import FormatError, StructureError, UsageError
 from treebelief.formats import parse_btn, parse_ptn, serialize_btn
 from treebelief.tree import RawTree, binarize
+from util import split_order_btn
 
 THREE_NODE_BTN = """\
 BTN 1
@@ -83,7 +84,7 @@ def chain_with_fault(edge, fault):
 # floats and decimal commas are rejected
 FLOAT_TOKEN_VALUES = {
     "1_0": 10.0, ".5": 0.5, "5.": 5.0, "+0.5": 0.5, "-0": -0.0,
-    "\u0661": 1.0, "1e-400": 0.0, "0.5\xa0": 0.5,
+    "\u0661": 1.0, "\u0661\u0662": 12.0, "1e-400": 0.0, "0.5\xa0": 0.5,
 }
 BAD_FLOAT_TOKENS = ["0x1p3", "0,5"]
 NON_FINITE_TOKENS = ["nan", "NaN", "+nan", "inf", "Infinity", "1e999"]
@@ -127,6 +128,19 @@ class TestBtnFloatTokens:
             parse_btn(lines)
         assert str(exc.value) == f"line {line}: non-finite number"
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("token", [*FLOAT_TOKEN_VALUES, *BAD_FLOAT_TOKENS, *NON_FINITE_TOKENS])
+    def test_one_cast_reads_as_float(self, token):
+        """`parse_btn` casts all edge floats with one numpy cast: it reads
+        each token as `float` does, and fails with `float`'s text."""
+        try:
+            want = np.array([float(token)])
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                np.array([token], dtype=float)
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array([token], dtype=float).tobytes() == want.tobytes()
 
 
 class TestParseBtn:
@@ -329,6 +343,39 @@ class TestBtnEdgeStack:
             parse_btn(lines)
         assert str(exc.value) == want
 
+    @pytest.mark.parametrize("later", [
+        "node 3 again",  # duplicate node id
+        "bogus 1",  # unknown keyword
+        "edge 0 2 0.9 nan 0.2 0.8",  # non-finite number
+    ])
+    def test_bad_float_before_a_later_fault(self, later):
+        """A bad float, found only when the floats are cast, is reported
+        before a fault on a later line, found while reading."""
+        lines, want = chain_with_fault(2, "bad-float")
+        lines.append(later)
+        with pytest.raises(FormatError) as exc:
+            parse_btn(lines)
+        assert str(exc.value) == want
+
+    def test_bad_float_before_the_count_on_one_line(self):
+        lines = list(GOLDEN_CHAIN_LINES)
+        lines[FIRST_EDGE_LINE] = "edge 0 2 0.9 1,0 0.2"
+        with pytest.raises(FormatError) as exc:
+            parse_btn(lines)
+        assert str(exc.value) == (
+            "line 15: bad float: could not convert string to float: '1,0'"
+        )
+
+    def test_bad_token_on_the_last_of_2000_edge_lines_named(self):
+        lines = serialize_btn(make_random(1000, 2, np.random.default_rng(3))).splitlines()
+        edge_at = [i for i, line in enumerate(lines) if line.startswith("edge ")]
+        assert len(edge_at) == 2000
+        lines[edge_at[-1]] += "x"
+        with pytest.raises(FormatError) as exc:
+            parse_btn(lines)
+        assert exc.value.line == edge_at[-1] + 1
+        assert str(exc.value).startswith(f"line {edge_at[-1] + 1}: bad float: ")
+
     def test_non_finite_before_unknown_node_on_one_line(self):
         lines = list(GOLDEN_CHAIN_LINES)
         lines[FIRST_EDGE_LINE] = "edge 0 99 0.9 inf 0.2 0.8"
@@ -376,6 +423,27 @@ class TestBtnEdgeStack:
     def test_round_trip_of_a_large_tree_unchanged(self):
         text = serialize_btn(make_random(2000, 4, np.random.default_rng(1)))
         assert serialize_btn(parse_btn(text.splitlines())) == text
+
+
+class TestNoPerEdgeCall:
+    def test_parse_calls_no_per_edge_constructor(self, monkeypatch):
+        """`parse_btn` fills the raw tree's links and matrices from its one
+        stack: neither `RawTree.add_edge` nor `linalg.as_matrix` runs, once
+        per edge or at all."""
+        calls = {"add_edge": 0, "as_matrix": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(RawTree, "add_edge", counted("add_edge", RawTree.add_edge))
+        monkeypatch.setattr(linalg, "as_matrix", counted("as_matrix", linalg.as_matrix))
+        t = parse_btn(split_order_btn(np.random.default_rng(2), 1000, 3))
+        assert len(t.names) == 2001 and len(t.matrix) == 2000
+        assert calls == {"add_edge": 0, "as_matrix": 0}
 
 
 class TestParsePtn:

@@ -380,6 +380,25 @@ class TestApplyRows:
         assert got.tobytes() == want.tobytes() and got_t.tobytes() == want_t.tobytes()
         assert c == c_one
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 27])
+    def test_stack_bitwise_per_row_dot(self, k):
+        """An (n, k, k) stack, one matrix per row (the sweep's group of leaves
+        that each use their own matrix): the stacked `np.matmul` is bitwise
+        `ndarray.dot` row by row, in both directions, and counts one `apply`
+        per row."""
+        rng = np.random.default_rng(30 + k)
+        m = rng.random((40, k, k))
+        v = rng.random((40, k)) * 10.0 ** rng.uniform(-200, 200, (40, 1))
+        c, c_one = OpCounter(), OpCounter()
+        got = linalg.apply_rows(m, v, c)
+        got_t = linalg.apply_transpose_rows(m, v, c)
+        want = np.array([linalg.apply(a, row, c_one) for a, row in zip(m, v)])
+        want_t = np.array([linalg.apply_transpose(a, row, c_one) for a, row in zip(m, v)])
+        assert got.tobytes() == want.tobytes() and got_t.tobytes() == want_t.tobytes()
+        assert got.tobytes() == np.array([a.dot(row) for a, row in zip(m, v)]).tobytes()
+        assert got_t.tobytes() == np.array([row.dot(a) for a, row in zip(m, v)]).tobytes()
+        assert c == c_one
+
 
 class TestRakeCompose:
     def test_dense_matches_explicit(self):

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treebelief import exact, linalg
+from treebelief import exact, linalg, protein
 from treebelief.bench import ENGINES, make_engine, random_stochastic
 from treebelief.errors import DimensionError, StructureError, UsageError
 from treebelief.dynamic import DynamicEngine
+from treebelief.formats import parse_btn, serialize_btn
 from treebelief.jointree import CliqueNode, FactoredMatrix, build_projection
 from treebelief.tree import ROW_SUM_TOL, CausalTree, RawTree, binarize
 from util import (
@@ -19,6 +20,7 @@ from util import (
     random_join_tree,
     random_raw_tree,
     relink_edge,
+    split_order_btn,
 )
 
 
@@ -641,6 +643,72 @@ class TestValidate:
                 f"edge matrix into {c} has entries outside [0,1]",
             )
         ]
+
+
+def table_rows(t):
+    """The row of t's edge table that each edge matrix is, in `matrix`
+    order; None for one that is not a row."""
+    table = t._table
+    start = table.__array_interface__["data"][0]
+    return [
+        (m.__array_interface__["data"][0] - start) // table.strides[0]
+        if isinstance(m, np.ndarray) and m.base is table
+        else None
+        for m in t.matrix.values()
+    ]
+
+
+class TestEdgeTable:
+    """`binarize` keeps the distinct k x k edge matrices as the rows of one
+    table, in link order; `parse_btn` reads a tree-online shaped text, whose
+    edge lines come in split order, into it with no per-edge copy."""
+
+    @staticmethod
+    def parsed(k=4):
+        lines = split_order_btn(np.random.default_rng(7), 200, k)
+        return lines, parse_btn(lines)
+
+    def test_dense_edges_are_rows_of_one_table_in_link_order(self):
+        lines, t = self.parsed()
+        edges = [line.split() for line in lines if line.startswith("edge ")]
+        assert [int(f[2]) for f in edges] != list(t.matrix)  # read in another order
+        assert t._table.shape == (400, 4, 4) and t._table.flags.c_contiguous
+        assert table_rows(t) == list(range(400))
+        for f in edges:
+            want = np.array([float(x) for x in f[3:]]).reshape(4, 4)
+            assert t.matrix[int(f[2])].tobytes() == want.tobytes()
+
+    def test_round_trip_re_parses_bitwise(self):
+        """Links and edge tables re-parse bitwise.  The prior is left out:
+        `RawTree.set_root` divides it by its sum again on every parse."""
+        lines, t = self.parsed()
+        text = serialize_btn(t)
+        again = parse_btn(text.splitlines())
+        not_prior = lambda s: [line for line in s.splitlines() if not line.startswith("prior")]
+        assert not_prior(serialize_btn(again)) == not_prior(text)
+        assert list(again.matrix) == list(t.matrix)
+        assert again._table.tobytes() == t._table.tobytes()
+
+    def test_edges_sharing_a_raw_matrix_share_one_view(self):
+        chain = protein.ProteinChain("GSAT" * 10, protein.train([("GSAT", "cchh")], w=2))
+        t = chain.tree
+        views = {id(m): m for m in t.matrix.values()}
+        assert len(views) == 3  # emission identity, transition, the last pad's identity
+        rows = [r for r in table_rows(t) if r is not None]
+        assert sorted(set(rows)) == [0, 1] and len(rows) == len(t.matrix) - 1
+        assert len({id(t.matrix[e]) for e in chain.ev_nodes}) == 1
+        assert [len(g[1]) for g in t.numbering().groups] == [chain.n_windows, 1]
+
+    def test_failing_rows_named_as_per_edge(self):
+        """Rows of the table that fail, beside a relinked matrix that is no
+        row, are named edge by edge in edge order, as a per-edge check would."""
+        _, t = self.parsed(k=3)
+        t._table[5, 0] = [0.5, 0.1, 0.1]  # row 0 sums to 0.7
+        t._table[9, 2, 1] = -0.25  # row 2 off, and an entry outside [0,1]
+        t._table[17, 1, 2] = np.nan
+        relink_edge(t, list(t.matrix)[30], np.ones((2, 3)))
+        want = per_edge_messages(t, set(t.names))
+        assert edge_messages(t) == want and len(want) == 7
 
 
 def edge_messages(t):

@@ -47,6 +47,25 @@ def factored_identity(size: int) -> FactoredMatrix:
     return FactoredMatrix(eye, eye.copy())
 
 
+def split_order_btn(rng, internal: int, k: int) -> list[str]:
+    """BTN lines of a random binary tree grown by splitting uniformly random
+    leaves, 2 * internal + 1 nodes, with its edge lines in split order, which
+    is not node order: `parse_btn` reads the edges in another order than it
+    links them."""
+    open_leaves, splits = [0], []
+    for _ in range(internal):
+        node = open_leaves.pop(int(rng.integers(len(open_leaves))))
+        nxt = 2 * len(splits) + 1
+        splits.append((node, nxt, nxt + 1))
+        open_leaves += [nxt, nxt + 1]
+    fields = lambda v: " ".join(f"{x:.17g}" for x in v)
+    lines = ["BTN 1", f"k {k}"] + [f"node {i} n{i}" for i in range(2 * internal + 1)]
+    lines += ["root 0", f"prior 0 {fields(random_stochastic(rng, 1, k)[0])}"]
+    for p, *pair in splits:
+        lines += (f"edge {p} {c} {fields(random_stochastic(rng, k, k).ravel())}" for c in pair)
+    return lines
+
+
 def random_binarized_tree(rng, n_raw_nodes: int, k: int) -> CausalTree:
     return binarize(random_raw_tree(rng, n_raw_nodes, k))
 
