@@ -19,8 +19,11 @@ the logarithmic engine:
   leaves leave that run: messages before it and pi after it, as one
   row-wise product per edge matrix object several of them share (a protein
   chain's evidence leaves share one identity) and one over the stack of the
-  dense matrices one leaf uses alone, bitwise the per-leaf products.
-  One matrix-vector product per edge per direction either way.
+  dense matrices one leaf uses alone.  Every stacked product is
+  `linalg.apply_rows` or `apply_transpose_rows` and every row-wise rescale
+  `rescale_rows`, bitwise their per-node forms, so the sweep is bitwise the
+  two-pass recursion node by node, with one matrix-vector product per edge
+  per direction.
 * PropagationState -- the depth-bounded incremental engine that keeps only
   the bottom-up vectors current, O(k^2 D) per operation.  It answers the
   engine protocol (update_evidence, bel_query, counter) that
@@ -87,7 +90,7 @@ def lambda_pass(tree: CausalTree, counter: OpCounter | None = None):
             if step.inner.size:
                 end = stop + 2 * step.inner.size
                 lam[step.inner] = linalg.rescale_rows(msg[stop:end:2] * msg[stop + 1 : end : 2])
-            msg[start:stop] = linalg.apply_stacked(step.stack, lam[start:stop], counter)
+            msg[start:stop] = linalg.apply_rows(step.stack, lam[start:stop], counter)
         else:
             for i, l, _, _, m in reversed(step):
                 lam[i] = linalg.rescale_if_tiny(msg[l] * msg[l + 1])
@@ -116,7 +119,7 @@ def propagate_all(
             v[0::2] = p * msg[start + 1 : stop : 2]
             v[1::2] = p * msg[start:stop:2]
             pi[start:stop] = linalg.rescale_rows(
-                linalg.apply_transpose_stacked(step.stack, v, counter)
+                linalg.apply_transpose_rows(step.stack, v, counter)
             )
         else:
             for i, _, p, s, m in step:

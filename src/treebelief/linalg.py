@@ -15,6 +15,11 @@ Products are `ndarray.dot` calls, not the `@` operator.  At the sizes here
 and `dot` reaches the same BLAS routine as `@` with less dispatch (less than
 half the time of `@` for a 4 x 4 matrix-vector product); the results are
 bitwise equal.  A transpose is never built: `v.dot(m)` is m^T v.
+
+Many rows at once (the full sweep) take one stacked family,
+`apply_rows`/`apply_transpose_rows`: a broadcast `np.matmul` per factor,
+over one shared matrix or a stack of them, bitwise `dot` row by row; and
+`rescale_rows`, bitwise `rescale_if_tiny` row by row.
 """
 
 from __future__ import annotations
@@ -209,47 +214,30 @@ def rescale_if_tiny(v: np.ndarray) -> np.ndarray:
 
 def rescale_rows(v: np.ndarray) -> np.ndarray:
     """`rescale_if_tiny` applied to each row of a 2-D array at once, bitwise
-    equal to it row by row; returns v itself when no row is rescaled."""
-    m = v.max(axis=1, initial=0.0)
+    equal to it row by row: its one-product accept, row-wise, then the max
+    test on the rows not accepted, and a shift, in a copy, of those found
+    out of range; returns v itself when no row is rescaled."""
+    s = np.einsum("ij,ij->i", v, v)  # no overflow warning; an inf fails the accept
+    fail = np.flatnonzero(~((v.shape[1] * _FAST_MIN <= s) & (s <= _FAST_MAX)))
+    if not fail.size:
+        return v
+    m = v[fail].max(axis=1, initial=0.0)
     out = ((m < SCALE_MIN) | (m > SCALE_MAX)) & (0.0 < m) & (m < math.inf)
     if not out.any():
         return v
-    return np.ldexp(v, -np.where(out, np.frexp(m)[1], 0)[:, np.newaxis])
-
-
-def apply_stacked(factors, v: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Row-wise `apply` over stacked matrices: result[n] = M_n . v[n], where
-    M_n = factors[0][n] . factors[1][n] ... (one (n, a, b) stack per factor,
-    as for a run of dense or of equally shaped factored matrices).  Counts
-    one mat-vec per factor per row, as `apply` does."""
-    for f in reversed(factors):
-        v = np.einsum("nij,nj->ni", f, v)
-    _count_stacked(factors, counter)
+    fail = fail[out]
+    v = v.copy()
+    v[fail] = np.ldexp(v[fail], -np.frexp(m[out])[1][:, np.newaxis])
     return v
-
-
-def apply_transpose_stacked(
-    factors, v: np.ndarray, counter: OpCounter | None = None
-) -> np.ndarray:
-    """Row-wise `apply_transpose` over stacked matrices: result[n] = M_n^T . v[n]."""
-    for f in factors:
-        v = np.einsum("nji,nj->ni", f, v)
-    _count_stacked(factors, counter)
-    return v
-
-
-def _count_stacked(factors, counter: OpCounter | None) -> None:
-    if counter is not None:
-        counter.mat_vec += len(factors) * len(factors[0])
-        counter.flops += sum(f.size for f in factors)
 
 
 def apply_rows(m, rows: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Row-wise `apply` of one shared edge matrix, result[n] = m . rows[n],
-    or of an (n, k, k) stack of dense ones, result[n] = m[n] . rows[n].
-    Each factor is one broadcast `np.matmul`, which makes the same product
-    per row as `ndarray.dot`, so the result is bitwise `apply` row by row;
-    it counts as `apply` does, once per row."""
+    """Row-wise `apply`: result[n] = m . rows[n] for one shared edge matrix,
+    or result[n] = m[n] . rows[n] for a stack, an (n, k, k) array or a
+    `FactoredMatrix` of an (n, k, l) and an (n, l, k) factor stack.  Each
+    factor is one broadcast `np.matmul`, which makes the same product per
+    row as `ndarray.dot`, so the result is bitwise `apply` row by row; it
+    counts as `apply` does, once per row."""
     v = rows[:, :, np.newaxis]
     for f in reversed(_counted_factors(m, len(rows), counter)):
         v = np.matmul(f, v)

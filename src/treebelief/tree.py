@@ -372,7 +372,8 @@ class Levels:
     The schedule lists the depths below the root bottom-up in `steps`, with
     positions and edge matrices resolved here, once per tree:
     * a `Stacked` depth: at least BATCH_MIN_WIDTH nodes whose edge matrices
-      stack (`_stack`), swept as one stacked product per direction;
+      stack (`_stack`), swept as one `linalg.apply_rows` product per
+      direction;
     * a run: the internal nodes of consecutive other depths, as a list of
       (position, left child, parent, sibling, edge matrix) in position
       order, swept one node at a time.
@@ -382,7 +383,8 @@ class Levels:
     parents, siblings) with int arrays for those leaves, and for the dense
     matrices that one of them uses alone, one such group per shape whose
     matrix is their (n, k, k) stack.  Each group is swept as one product per
-    direction (`linalg.apply_rows`, bitwise `apply` row by row).
+    direction too.  `linalg.apply_rows` is bitwise `apply` row by row, so the
+    whole sweep is bitwise the two-pass recursion node by node.
     """
 
     def __init__(self, tree: CausalTree):
@@ -444,9 +446,10 @@ class Levels:
 
 class Stacked:
     """A depth of the sweep schedule swept as stacked products: its nodes sit
-    at positions start:stop with edge matrices `stack` (see `_stack`); its
-    internal nodes at `inner`, whose children start at `stop`; and the
-    parents of its node pairs at `up`."""
+    at positions start:stop with edge matrices `stack`, one edge-matrix
+    operand for all of them (see `_stack`); its internal nodes at `inner`,
+    whose children start at `stop`; and the parents of its node pairs at
+    `up`."""
 
     __slots__ = ("start", "stop", "stack", "inner", "up")
 
@@ -455,19 +458,20 @@ class Stacked:
 
 
 def _stack(mats):
-    """A level's edge matrices as one (n, k, k) stack when all are dense, or
-    as a left and a right factor stack when all are factored with equal
-    factor shapes; None when the level is narrow or mixed."""
+    """A depth's edge matrices as one operand of `linalg.apply_rows`: their
+    (n, k, k) stack when all are dense, or a `FactoredMatrix` of a left and a
+    right factor stack when all are factored with equal factor shapes; None
+    when the depth is narrow or mixed."""
     if len(mats) < BATCH_MIN_WIDTH:
         return None
     factored = sum(isinstance(m, FactoredMatrix) for m in mats)
     if not factored:
-        return (_stacked(mats),)
+        return _stacked(mats)
     if factored == len(mats):
         lefts = [m.left for m in mats]
         rights = [m.right for m in mats]
         if len(set(map(np.shape, lefts))) == 1 == len(set(map(np.shape, rights))):
-            return _stacked(lefts), _stacked(rights)
+            return FactoredMatrix.of(_stacked(lefts), _stacked(rights))
     return None
 
 

@@ -17,6 +17,7 @@ from util import (
     attach_evidence_leaf,
     depth,
     fraction_marginals,
+    per_node_sweep,
     post_random_evidence,
     random_binarized_tree,
     random_join_tree,
@@ -138,14 +139,17 @@ class TestPropagateAllBatched:
 
     @pytest.fixture
     def stacked_calls(self, monkeypatch):
+        """Rows per `apply_rows` call of at least BATCH_MIN_WIDTH rows: the
+        message pass of a stacked depth, or of a leaf group as wide."""
         calls = []
-        stacked = linalg.apply_stacked
+        kernel = linalg.apply_rows
 
-        def counted(factors, v, counter=None):
-            calls.append(len(v))
-            return stacked(factors, v, counter)
+        def counted(m, rows, counter=None):
+            if len(rows) >= tree_mod.BATCH_MIN_WIDTH:
+                calls.append(len(rows))
+            return kernel(m, rows, counter)
 
-        monkeypatch.setattr(linalg, "apply_stacked", counted)
+        monkeypatch.setattr(linalg, "apply_rows", counted)
         return calls
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -155,7 +159,7 @@ class TestPropagateAllBatched:
             post_random_evidence(t, rng, 60)
             stacked_calls.clear()
             check_sweep(t)
-            assert stacked_calls and min(stacked_calls) >= tree_mod.BATCH_MIN_WIDTH
+            assert stacked_calls
 
     def test_batched_equals_per_node_loop(self, monkeypatch):
         def model():
@@ -171,7 +175,7 @@ class TestPropagateAllBatched:
         loop = exact.propagate_all(t, c_loop)
         assert c_batched == c_loop
         for x in t.names:
-            assert np.allclose(batched[x], loop[x], rtol=0.0, atol=1e-12)
+            assert batched[x].tobytes() == loop[x].tobytes(), x
 
     @pytest.mark.parametrize("c", [1, 2])
     def test_factored_join_tree(self, c, stacked_calls):
@@ -183,7 +187,7 @@ class TestPropagateAllBatched:
         check_sweep(t, {x: 2 for x in t.matrix})
         assert max(stacked_calls) == 16
 
-    def test_mixed_level_runs_per_node(self, stacked_calls):
+    def test_mixed_level_runs_per_node(self):
         rng = np.random.default_rng(53)
         t = mixed_join_tree(rng)
         for leaf in updatable_leaves(t)[::2]:
@@ -199,7 +203,8 @@ class TestPropagateAllBatched:
             for ks in at_depth.values()
         )
         check_sweep(t, {x: 2 if kinds[x] is FactoredMatrix else 1 for x in t.matrix})
-        assert stacked_calls == []
+        # its leaf groups may be as wide, so the schedule is read directly
+        assert not any(isinstance(step, tree_mod.Stacked) for step in t.numbering().steps)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e200, 1e-200])
     def test_extreme_scales_on_wide_tree(self, scale):
@@ -273,31 +278,6 @@ def shared_evidence_chain(rng, length: int, edge, k: int = 3):
     return binarize(raw)
 
 
-def per_node_sweep(tree, counter: OpCounter) -> dict:
-    """Bel(x) for every node by the two-pass recursion over the tree's dicts,
-    one `linalg.apply`, `apply_transpose` and `rescale_if_tiny` per node and
-    direction: the compiled sweep's reference where no depth is stacked."""
-    order = [tree.root]  # breadth-first: each node before its children
-    for x in order:
-        order += tree.kids.get(x, ())
-    lam, msg = {}, {}
-    for x in reversed(order):
-        if tree.is_leaf(x):
-            lam[x] = tree.leaf_lambda(x)
-        else:
-            l, r = tree.kids[x]
-            lam[x] = linalg.rescale_if_tiny(msg[l] * msg[r])
-        if x != tree.root:
-            msg[x] = linalg.apply(tree.matrix[x], lam[x], counter)
-    pi = {tree.root: tree.prior}
-    for p in order:
-        for x, sib in zip(tree.kids.get(p, ()), reversed(tree.kids.get(p, ()))):
-            v = linalg.apply_transpose(tree.matrix[x], pi[p] * msg[sib], counter)
-            pi[x] = linalg.rescale_if_tiny(v)
-    bel = {x: lam[x] * pi[x] for x in order}
-    return {x: b / b.sum() for x, b in bel.items()}
-
-
 class TestSchedule:
     """The sweep schedule compiled into `Levels`: consecutive narrow depths
     run node by node, and their leaves are applied before and after that
@@ -317,11 +297,10 @@ class TestSchedule:
 
     @staticmethod
     def per_node_equal(t):
-        """The sweep of t, which has no stacked depth, is bitwise the two-pass
-        recursion node by node, with the same op counts."""
+        """The sweep of t is bitwise the two-pass recursion node by node,
+        with the same op counts."""
         c_batched, c_loop = OpCounter(), OpCounter()
         batched = exact.propagate_all(t, c_batched)
-        assert not any(isinstance(step, tree_mod.Stacked) for step in t.numbering().steps)
         loop = per_node_sweep(t, c_loop)
         assert c_batched == c_loop
         assert batched.keys() == loop.keys()
@@ -391,6 +370,27 @@ class TestSchedule:
         assert sorted(sizes) == [1] * (len(sizes) - 1) + [len(at)]
         assert row_calls == sizes * 2
         self.per_node_equal(make())
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-120, 2.0**120])
+    @pytest.mark.parametrize("shape", ["random", "balanced", "join", "dense join"])
+    def test_stacked_depths(self, shape, scale):
+        """Wide depths go through the same row kernels as the leaf groups, so
+        the sweep stays bitwise the per-node recursion on trees with stacked
+        depths, dense or factored.  Likelihoods at 2**-120 or 2**120 pass
+        the leaf guard as posted, and the products of two of them make the
+        row guard shift."""
+        rng = np.random.default_rng(96)
+        if shape == "random":
+            t = make_random(300, 3, rng)
+        elif shape == "balanced":
+            t = make_balanced(256, 4, rng)
+        else:
+            factored, dense, _, _ = random_join_tree(rng, k=2, n=3, c=1, depth=5)
+            t = factored if shape == "join" else dense
+        leaves = updatable_leaves(t)
+        t.set_evidence((leaf, (rng.random(t.k) + 0.05) * scale) for leaf in leaves[::2])
+        assert any(isinstance(step, tree_mod.Stacked) for step in t.numbering().steps)
+        self.per_node_equal(t)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_extreme_evidence(self, scale):

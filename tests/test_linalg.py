@@ -309,15 +309,33 @@ ROW_ENTRY = st.one_of(
 
 
 class TestRescaleRows:
-    @given(st.integers(1, 5).flatmap(
-        lambda k: st.lists(st.lists(ROW_ENTRY, min_size=k, max_size=k), min_size=1, max_size=8)
+    """`rescale_rows` is `rescale_if_tiny` row by row: each row bitwise the
+    max-only rule, and v itself returned exactly when no row shifts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.integers(1, 27)),
+        elements=st.one_of(GUARD_ENTRY, ROW_ENTRY),
     ))
-    def test_rows_bitwise_equal_rescale_if_tiny(self, rows):
-        v = np.array(rows)
+    @example(np.array([[2.0**-126, 2.0**-126], [2.0**129, 1.0], [1.0, 0.5]]))
+    @example(np.array([[0.0, 0.0], [5e-324, 0.0], [2.0**125, 2.0**-125]]))
+    @example(np.array([[np.nextafter(2.0**-128, 0.0), 1e-310], [0.5, 0.25]]))
+    def test_rows_bitwise_equal_rescale_if_tiny(self, v):
         out = linalg.rescale_rows(v)
         assert out.shape == v.shape
-        for row, got in zip(v, out):
-            assert np.array_equal(got, linalg.rescale_if_tiny(row))
+        shifted = False
+        for got, row in zip(out, v):
+            want = max_only_rescale(row)
+            assert bits(got) == bits(want) == bits(linalg.rescale_if_tiny(row))
+            shifted |= want is not row
+        assert (out is v) == (not shifted)
+
+    @pytest.mark.parametrize("v", [
+        np.zeros((0, 3)), np.zeros((3, 0)), np.array([[np.nan, 1.0], [np.inf, 0.0]]),
+    ])
+    def test_degenerate_inputs_returned_as_given(self, v):
+        assert linalg.rescale_rows(v) is v
 
     def test_untouched_rows_return_input(self):
         v = np.array([[0.5, 0.25], [0.0, 0.0], [linalg.SCALE_MIN, linalg.SCALE_MAX]])
@@ -325,43 +343,28 @@ class TestRescaleRows:
 
     def test_only_out_of_range_rows_scaled(self):
         v = np.array([[1e-300, 2e-300], [0.5, 0.25], [0.0, 0.0], [3e300, 1.0]])
+        before = v.copy()
         out = linalg.rescale_rows(v)
-        assert np.array_equal(out[1:3], v[1:3])
+        assert np.array_equal(out[1:3], v[1:3]) and bits(v) == bits(before)
         assert 0.5 <= out[0].max() < 1.0 and 0.5 <= out[3].max() < 1.0
 
 
-class TestApplyStacked:
-    def test_dense_rows_match_apply(self):
-        rng = np.random.default_rng(7)
-        m, v = rng.random((5, 3, 3)), rng.random((5, 3))
-        c, c_one = OpCounter(), OpCounter()
-        got = linalg.apply_stacked((m,), v, c)
-        got_t = linalg.apply_transpose_stacked((m,), v, c)
-        for i in range(5):
-            assert np.allclose(got[i], linalg.apply(m[i], v[i], c_one), atol=1e-15)
-            assert np.allclose(got_t[i], linalg.apply_transpose(m[i], v[i], c_one), atol=1e-15)
-        assert c == c_one
-
-    def test_factored_rows_match_mv(self):
-        from treebelief.jointree import FactoredMatrix
-
-        rng = np.random.default_rng(8)
-        left, right, v = rng.random((4, 6, 2)), rng.random((4, 2, 6)), rng.random((4, 6))
-        c, c_one = OpCounter(), OpCounter()
-        got = linalg.apply_stacked((left, right), v, c)
-        got_t = linalg.apply_transpose_stacked((left, right), v, c)
-        for i in range(4):
-            fm = FactoredMatrix(left[i], right[i])
-            assert np.allclose(got[i], fm.mv(v[i], c_one), atol=1e-15)
-            assert np.allclose(got_t[i], fm.mv_t(v[i], c_one), atol=1e-15)
-        assert c == c_one
+def stack_operand(rng, n: int, k: int, factored: bool):
+    """n random k x k edge matrices as one row-kernel operand and as a list:
+    an (n, k, k) stack, or a `FactoredMatrix` of (n, k, 2) and (n, 2, k)
+    factor stacks, as a stacked depth of the sweep holds them."""
+    if not factored:
+        m = rng.random((n, k, k))
+        return m, list(m)
+    left, right = rng.random((n, k, 2)), rng.random((n, 2, k))
+    return FactoredMatrix.of(left, right), list(map(FactoredMatrix, left, right))
 
 
 class TestApplyRows:
-    """One shared edge matrix applied to many rows: bitwise `apply` and
-    `apply_transpose` row by row, and counted the same.  The broadcast
-    `np.matmul` makes the per-row product of `ndarray.dot`; a numpy release
-    that changes that fails here."""
+    """Many rows at once: bitwise `apply` and `apply_transpose` row by row,
+    and counted the same, for one shared edge matrix or a stack of them.
+    The broadcast `np.matmul` makes the per-row product of `ndarray.dot`; a
+    numpy release that changes that fails here."""
 
     @pytest.mark.parametrize("k", [2, 3, 4, 27])
     @pytest.mark.parametrize("factored", [False, True])
@@ -382,22 +385,37 @@ class TestApplyRows:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 27])
     def test_stack_bitwise_per_row_dot(self, k):
-        """An (n, k, k) stack, one matrix per row (the sweep's group of leaves
-        that each use their own matrix): the stacked `np.matmul` is bitwise
-        `ndarray.dot` row by row, in both directions, and counts one `apply`
-        per row."""
+        """A stack, one matrix per row (a stacked depth, or the leaves that
+        each use their own matrix), dense or factored: bitwise `apply` row by
+        row, in both directions, and one `apply` counted per row.  A dense
+        row's `apply` is `ndarray.dot`, so this is the mat-vec pin."""
         rng = np.random.default_rng(30 + k)
-        m = rng.random((40, k, k))
         v = rng.random((40, k)) * 10.0 ** rng.uniform(-200, 200, (40, 1))
-        c, c_one = OpCounter(), OpCounter()
-        got = linalg.apply_rows(m, v, c)
-        got_t = linalg.apply_transpose_rows(m, v, c)
-        want = np.array([linalg.apply(a, row, c_one) for a, row in zip(m, v)])
-        want_t = np.array([linalg.apply_transpose(a, row, c_one) for a, row in zip(m, v)])
-        assert got.tobytes() == want.tobytes() and got_t.tobytes() == want_t.tobytes()
-        assert got.tobytes() == np.array([a.dot(row) for a, row in zip(m, v)]).tobytes()
-        assert got_t.tobytes() == np.array([row.dot(a) for a, row in zip(m, v)]).tobytes()
-        assert c == c_one
+        for factored in (False, True):
+            m, mats = stack_operand(rng, 40, k, factored)
+            c, c_one = OpCounter(), OpCounter()
+            got = linalg.apply_rows(m, v, c)
+            got_t = linalg.apply_transpose_rows(m, v, c)
+            want = np.array([linalg.apply(a, row, c_one) for a, row in zip(mats, v)])
+            want_t = np.array([linalg.apply_transpose(a, row, c_one) for a, row in zip(mats, v)])
+            assert got.tobytes() == want.tobytes() and got_t.tobytes() == want_t.tobytes()
+            assert c == c_one
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 27])
+    def test_stack_matmul_bitwise_per_row_dot(self, k):
+        """The mat-mat pin: `np.matmul` of two (n, k, k) stacks, and of one
+        shared matrix against a stack on either side, is `ndarray.dot` row by
+        row."""
+        rng = np.random.default_rng(70 + k)
+        a, b = (rng.random((40, k, k)) * 10.0 ** rng.uniform(-100, 100, (40, 1, 1))
+                for _ in range(2))
+        shared = rng.random((k, k))
+        for got, pairs in [
+            (np.matmul(a, b), zip(a, b)),
+            (np.matmul(shared, b), ((shared, y) for y in b)),
+            (np.matmul(a, shared), ((x, shared) for x in a)),
+        ]:
+            assert got.tobytes() == np.array([x.dot(y) for x, y in pairs]).tobytes()
 
 
 class TestRakeCompose:

@@ -15,7 +15,9 @@ re-post step reads a likelihood back from the reference and posts it again,
 scaled on the engines, and every tree must hold each likelihood as posted
 and read it through the scale guard taken at the write.  A wide post gives
 the engines a likelihood whose entries span the whole double range, and the
-reference the same divided by its max.
+reference the same divided by its max.  On every tree, after every step,
+`exact.propagate_all` must be bitwise the two-pass recursion node by node
+(`per_node_sweep`), with equal op counts.
 
 The machine runs three tenths of the loaded hypothesis profile's examples
 (`tests/conftest.py`): 30 under `default`, 300 under `slow`.
@@ -32,7 +34,7 @@ from treebelief.bench import ENGINE_CLASSES, make_balanced, make_chain, random_s
 from treebelief.contract import build_hierarchy
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import DimensionError
-from treebelief.linalg import FactoredMatrix, rescale_if_tiny
+from treebelief.linalg import FactoredMatrix, OpCounter, rescale_if_tiny
 from treebelief.tree import RawTree, binarize
 from test_dynamic import assert_same_cells
 from test_exact import mixed_join_tree
@@ -41,6 +43,7 @@ from util import (
     attach_evidence_leaf,
     by_max,
     evidence_state,
+    per_node_sweep,
     random_binarized_tree,
     same_bits,
     updatable_leaves,
@@ -237,6 +240,19 @@ class EngineProtocol(RuleBasedStateMachine):
                 assert np.allclose(eng.bel_query(x), bel[x], rtol=0.0, atol=TOL), (name, x)
         root = self.reference.root
         assert np.allclose(self.engines["full"].bel_query(root), bel[root], rtol=0.0, atol=TOL)
+
+    @invariant()
+    def sweep_is_the_per_node_recursion(self):
+        """On every tree, stacked depths included, the compiled sweep is
+        bitwise the two-pass recursion node by node, with equal op counts."""
+        for tree in [self.reference] + [eng.tree for eng in self.engines.values()]:
+            c_sweep, c_node = OpCounter(), OpCounter()
+            bel = exact.propagate_all(tree, c_sweep)
+            want = per_node_sweep(tree, c_node)
+            assert c_sweep == c_node
+            assert bel.keys() == want.keys()
+            for x, b in want.items():
+                assert same_bits(bel[x], b), x
 
     @invariant()
     def engines_agree_with_enumeration(self):

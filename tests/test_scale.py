@@ -13,6 +13,7 @@ from treebelief import exact
 from treebelief.bench import ENGINES, POLYTREE_ENGINE_CLASSES, make_chain, make_engine, make_model
 from treebelief.tree import RawTree, binarize
 from treebelief.dynamic import DynamicEngine
+from treebelief.errors import InconsistentEvidenceError
 from util import by_max, random_polytree, updatable_leaves, wide_likelihood
 
 
@@ -155,6 +156,27 @@ def test_two_wide_leaves_answer(engine, lik):
         eng.update_evidence(leaf, lik)
     for x in range(3):
         assert np.allclose(eng.bel_query(x), want[x], rtol=0.0, atol=1e-9), x
+
+
+@pytest.mark.xfail(strict=True, raises=InconsistentEvidenceError)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_identity_linked_wide_pair(engine):
+    """The stated limit of the scale guard: two identity-linked leaves posted
+    [1e300, 1e-300] and [1e-300, 1e300] under a [0.5, 0.5] root have exact
+    beliefs [0.5, 0.5], but each leaf's shift rounds its far entry to zero,
+    the two supports are disjoint and every engine raises.  Answering needs
+    an exponent per entry; a fix that does flips this test."""
+    raw = RawTree(2)
+    for x in range(3):
+        raw.add_node(x)
+    raw.set_root(0, [0.5, 0.5])
+    for leaf in (1, 2):
+        raw.add_edge(0, leaf, np.eye(2))
+    eng = make_engine(engine, binarize(raw))
+    eng.update_evidence(1, [1e300, 1e-300])
+    eng.update_evidence(2, [1e-300, 1e300])
+    for x in range(3):
+        assert np.allclose(eng.bel_query(x), [0.5, 0.5], rtol=0.0, atol=1e-9), x
 
 
 def test_many_large_likelihoods_on_polytree_full_engine():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from treebelief import exact, linalg, protein
 from treebelief.bench import random_stochastic
 from treebelief.jointree import CliqueNode, build_projection
-from treebelief.linalg import FactoredMatrix
+from treebelief.linalg import FactoredMatrix, OpCounter
 from treebelief.polytree import Polytree
 from treebelief.tree import CausalTree, RawTree, binarize
 
@@ -303,3 +303,28 @@ def fraction_marginals(tree: CausalTree) -> dict:
         factors += [((p, c), linalg.dense(tree.matrix[c])) for c in pair]
     factors += [((leaf,), v) for leaf, v in tree.evidence.items()]
     return exact.enumerate_marginals(tree.k, [(vs, exact_table(t)) for vs, t in factors])
+
+
+def per_node_sweep(tree: CausalTree, counter: OpCounter | None = None) -> dict:
+    """Bel(x) for every node by the two-pass recursion over the tree's dicts,
+    one `linalg.apply`, `apply_transpose` and `rescale_if_tiny` per node and
+    direction: the compiled sweep's bitwise reference."""
+    order = [tree.root]  # breadth-first: each node before its children
+    for x in order:
+        order += tree.kids.get(x, ())
+    lam, msg = {}, {}
+    for x in reversed(order):
+        if tree.is_leaf(x):
+            lam[x] = tree.leaf_lambda(x)
+        else:
+            l, r = tree.kids[x]
+            lam[x] = linalg.rescale_if_tiny(msg[l] * msg[r])
+        if x != tree.root:
+            msg[x] = linalg.apply(tree.matrix[x], lam[x], counter)
+    pi = {tree.root: tree.prior}
+    for p in order:
+        for x, sib in zip(tree.kids.get(p, ()), reversed(tree.kids.get(p, ()))):
+            v = linalg.apply_transpose(tree.matrix[x], pi[p] * msg[sib], counter)
+            pi[x] = linalg.rescale_if_tiny(v)
+    bel = {x: lam[x] * pi[x] for x in order}
+    return {x: b / b.sum() for x, b in bel.items()}
