@@ -360,6 +360,35 @@ def stack_operand(rng, n: int, k: int, factored: bool):
     return FactoredMatrix.of(left, right), list(map(FactoredMatrix, left, right))
 
 
+class TestApplyStacked:
+    """A stacked depth's operand, as the sweep builds it, through the row
+    kernels: each row bitwise its own matrix's `apply` (dense) or `mv`
+    (factored), and counted the same."""
+
+    def test_dense_rows_match_apply(self):
+        rng = np.random.default_rng(7)
+        m, v = rng.random((5, 3, 3)), rng.random((5, 3))
+        c, c_one = OpCounter(), OpCounter()
+        got = linalg.apply_rows(m, v, c)
+        got_t = linalg.apply_transpose_rows(m, v, c)
+        for i in range(5):
+            assert bits(got[i]) == bits(linalg.apply(m[i], v[i], c_one))
+            assert bits(got_t[i]) == bits(linalg.apply_transpose(m[i], v[i], c_one))
+        assert c == c_one
+
+    def test_factored_rows_match_mv(self):
+        rng = np.random.default_rng(8)
+        left, right, v = rng.random((4, 6, 2)), rng.random((4, 2, 6)), rng.random((4, 6))
+        c, c_one = OpCounter(), OpCounter()
+        got = linalg.apply_rows(FactoredMatrix.of(left, right), v, c)
+        got_t = linalg.apply_transpose_rows(FactoredMatrix.of(left, right), v, c)
+        for i in range(4):
+            fm = FactoredMatrix(left[i], right[i])
+            assert bits(got[i]) == bits(fm.mv(v[i], c_one))
+            assert bits(got_t[i]) == bits(fm.mv_t(v[i], c_one))
+        assert c == c_one
+
+
 class TestApplyRows:
     """Many rows at once: bitwise `apply` and `apply_transpose` row by row,
     and counted the same, for one shared edge matrix or a stack of them.
