@@ -7,15 +7,20 @@ defining equation in terms of lower-level matrices and one leaf likelihood --
 and each matrix or leaf likelihood feeds at most one Recipe at the next level,
 so an evidence update touches a single chain of recipes.  Leaf likelihoods are
 not copied: recipes read the tree's guarded form (`CausalTree.leaf_lambda`).
+A rake makes only structure; a pass fills its targets with one
+`linalg.rake_rows` per operand form, bitwise the `rake_compose` of updates.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
+
+import numpy as np
 
 from . import linalg
 from .errors import StructureError
-from .linalg import OpCounter
+from .linalg import FactoredMatrix, OpCounter
 from .tree import BinaryLinks, CausalTree
 
 
@@ -28,7 +33,8 @@ class MatCell:
     splice that re-parents a node (`rake`'s z under u) gives it a new cell.
     `consumer` is the position in `ContractionHierarchy.recipes` of the recipe
     that reads the cell, if any (not the Recipe, which holds the cell: no
-    reference cycles to collect).
+    reference cycles to collect).  A derived value owns its data (array or
+    right factor), so replacing it frees the old one.
     """
 
     __slots__ = ("value", "parent", "consumer")
@@ -132,15 +138,10 @@ class ContractionHierarchy:
         return out
 
 
-def rake(
-    hier: ContractionHierarchy,
-    cur: LevelTree,
-    nxt: LevelTree,
-    e: int,
-    counter: OpCounter | None = None,
-) -> Recipe:
+def rake(hier: ContractionHierarchy, cur: LevelTree, nxt: LevelTree, e: int) -> Recipe:
     """Apply one rake of leaf e (read from T_i `cur`, applied to `nxt`); e is
-    one of `contract_pass`'s eligible leaves, so its parent is not the root."""
+    one of `contract_pass`'s eligible leaves, so its parent is not the root.
+    Its target is left empty, for `contract_pass` to fill."""
     x = cur.cell[e].parent
     u = cur.cell[x].parent
     xl, xr = cur.kids[x]
@@ -148,7 +149,6 @@ def rake(
 
     target = MatCell(None, u)
     recipe = Recipe(cur.level, target, cur.cell[x], cur.cell[e], cur.cell[z], e)
-    recipe.recompute(hier.tree, counter)
 
     # single-consumer audit; a leaf raked twice fails it too (its rake read its edge)
     pos = len(hier.recipes)  # where `recipe` is appended below
@@ -180,13 +180,15 @@ def contract_pass(
 
     Parity is decided once on the eligible list before any raking; a candidate
     is skipped (without shifting parity) when an earlier rake this pass
-    already removed its parent or refreshed one of its input matrices.
+    already removed its parent or refreshed one of its input matrices.  The
+    rakes read only cells of `cur`, so their targets are filled after them.
     """
     eligible = [e for e in leaves[1:-1] if cur.cell[e].parent != cur.root]
     if not eligible:
         return None
 
     nxt = cur.copy_next()
+    first = len(hier.recipes)
     removed: set[int] = set()
     fresh_targets: set[int] = set()
     for idx, e in enumerate(eligible):
@@ -196,12 +198,74 @@ def contract_pass(
         u = cur.cell[x].parent
         if x in removed or x in fresh_targets or u in removed:
             continue
-        rake(hier, cur, nxt, e, counter)
+        rake(hier, cur, nxt, e)
         removed.update((x, e))
         fresh_targets.add(u)
+    _fill(hier.tree, hier.recipes[first:], counter)
     # fresh copies drop the room the rakes' deletions left
     nxt.kids, nxt.cell = dict(nxt.kids), dict(nxt.cell)
     return nxt, [e for e in leaves if e not in removed]
+
+
+def _form(m) -> int:
+    """An edge matrix's operand form: 0 when dense, else the inner size L of
+    its k x L and L x k factors (in a valid tree every matrix is k x k, so L
+    fixes the factor shapes)."""
+    return len(m.right) if isinstance(m, FactoredMatrix) else 0
+
+
+def _operands(m_u: list, m_diag: list, m_pass: list, lams: list) -> list:
+    """A group's `rake_rows` operands (`_operand`) and the stack of lams.
+    The stacks share one allocation, as the kernel's products do: several
+    blocks of one size freed together after each pass let glibc's heap trim
+    its top, and every build then faulted its stacks in again (about 3,000
+    page faults, 5-12 ms of system time per protein build)."""
+    # room for every column stacked; a shared operand's part is never touched
+    free = np.empty(sum(len(c) * _size(c[0]) for c in (m_u, m_diag, m_pass, lams)))
+
+    def stack(values: list) -> np.ndarray:
+        nonlocal free
+        out, free = np.split(free, [len(values) * values[0].size])
+        np.concatenate(values, out=out.reshape(-1, *values[0].shape[1:]))
+        return out.reshape(len(values), *values[0].shape)
+
+    return [_operand(m_u, stack), _operand(m_diag, stack), _operand(m_pass, stack), stack(lams)]
+
+
+def _operand(values: list, stack):
+    """One `rake_rows` operand: the one object all values are, not gathered,
+    or their stack, factor by factor when factored."""
+    first = values[0]
+    if all(v is first for v in values):
+        return first
+    if isinstance(first, FactoredMatrix):
+        left, right = [v.left for v in values], [v.right for v in values]
+        return FactoredMatrix.of(_operand(left, stack), _operand(right, stack))
+    return stack(values)
+
+
+def _size(m) -> int:
+    return m.left.size + m.right.size if isinstance(m, FactoredMatrix) else m.size
+
+
+def _fill(tree: CausalTree, recipes: list[Recipe], counter: OpCounter | None) -> None:
+    """Fill one pass's targets, one `linalg.rake_rows` per operand form (the
+    forms of m_u, m_diag and m_pass); each target gets its own copy of its
+    row, so a later recomputation frees the old value."""
+    cols = (
+        [r.m_u.value for r in recipes], [r.m_diag.value for r in recipes],
+        [r.m_pass.value for r in recipes], [tree.leaf_lambda(r.leaf) for r in recipes],
+    )
+    forms = list(zip(*(map(_form, col) for col in cols[:3])))
+    for form in dict.fromkeys(forms):
+        mask = list(map(form.__eq__, forms))
+        m_u, m_diag, m_pass, lams = (list(compress(col, mask)) for col in cols)
+        result = linalg.rake_rows(*_operands(m_u, m_diag, m_pass, lams), counter)
+        rows = map(np.ndarray.copy, result)
+        if form[0]:  # a factored m_u's left factor carries over
+            rows = map(FactoredMatrix.of, [u.left for u in m_u], rows)
+        for r, value in zip(compress(recipes, mask), rows):
+            r.target.value = value
 
 
 def build_hierarchy(
@@ -215,6 +279,7 @@ def build_hierarchy(
     level, which `copy_next` copies from its predecessor.  T_0's cells take
     their parents from the tree's `kids` pairs, the tree's one link store.
     The leaves are walked once, on T_0; each pass derives the next level's.
+    Values are filled per pass; `counter` counts one `rake_compose` per rake.
     """
     hier = ContractionHierarchy(tree)
 

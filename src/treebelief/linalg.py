@@ -16,10 +16,10 @@ and `dot` reaches the same BLAS routine as `@` with less dispatch (less than
 half the time of `@` for a 4 x 4 matrix-vector product); the results are
 bitwise equal.  A transpose is never built: `v.dot(m)` is m^T v.
 
-Many rows at once (the full sweep) take one stacked family,
-`apply_rows`/`apply_transpose_rows`: a broadcast `np.matmul` per factor,
-over one shared matrix or a stack of them, bitwise `dot` row by row; and
-`rescale_rows`, bitwise `rescale_if_tiny` row by row.
+Many rows at once (the full sweep, a CONTRACT pass) take one stacked family,
+`apply_rows`/`apply_transpose_rows` and `rake_rows`: a broadcast `np.matmul`
+per factor, over one shared matrix or a stack of them, bitwise `dot` row by
+row; and `rescale_rows`, bitwise `rescale_if_tiny` row by row.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def rake_compose(m_u, m_diag, m_pass, lam_e, counter: OpCounter | None = None):
     """The rake matrix equation: m_u . Diag(m_diag . lam_e) . m_pass.
 
     Evaluated strictly left-to-right so an incremental recomputation is
-    bitwise identical to a from-scratch rebuild.  The diagonal is applied as a
+    bitwise identical to the build's `rake_rows`.  The diagonal is applied as a
     column scaling of m_u (of its right factor when m_u is factored, whose
     left factor carries over untouched), then multiplied by each factor of
     m_pass; `apply` and `matmul` count every true product.
@@ -283,3 +283,26 @@ def rake_compose(m_u, m_diag, m_pass, lam_e, counter: OpCounter | None = None):
         core = matmul(core, factor, counter)
     core = rescale_if_tiny(core)
     return FactoredMatrix.of(m_u.left, core) if factored else core
+
+
+def rake_rows(m_u, m_diag, m_pass, lams: np.ndarray, counter: OpCounter | None = None):
+    """Row-wise `rake_compose`, each operand one shared edge matrix or a
+    stack as `apply_rows` takes them, bitwise `rake_compose` row by row and
+    counted as n calls of it.  Returns the (n, a, b) stack of results, or of
+    their right factors when m_u is factored (its left factor carries over)."""
+    n = len(lams)
+    d = apply_rows(m_diag, lams, counter)
+    u = m_u.right if isinstance(m_u, FactoredMatrix) else m_u
+    passing = (m_pass.left, m_pass.right) if isinstance(m_pass, FactoredMatrix) else (m_pass,)
+    a = u.shape[-2]
+    shapes = [(n, a, f.shape[-1]) for f in (u, *passing)]
+    sizes = [math.prod(shape) for shape in shapes]
+    if counter is not None:
+        counter.mat_mat += len(passing) * n
+        counter.flops += sizes[0] + sum(a * f.shape[-2] * f.shape[-1] for f in passing) * n
+    # the scaled m_u and each product share one allocation (see contract._operands)
+    outs = np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1]))
+    core = np.multiply(u, d[:, np.newaxis, :], out=outs[0].reshape(shapes[0]))
+    for factor, out, shape in zip(passing, outs[1:], shapes[1:]):
+        core = np.matmul(core, factor, out=out.reshape(shape))
+    return rescale_rows(core.reshape(n, -1)).reshape(core.shape)

@@ -5,12 +5,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from treebelief import contract, exact
+from treebelief import contract, exact, linalg
 from treebelief.bench import make_balanced, make_chain, make_random, random_stochastic
 from treebelief.contract import build_hierarchy, contract_pass, rake
 from treebelief.errors import StructureError
+from treebelief.linalg import FactoredMatrix, OpCounter
 from treebelief.tree import RawTree, binarize
-from util import level_lambdas, post_random_evidence, random_binarized_tree
+from test_exact import mixed_join_tree, shared_evidence_chain
+from util import (
+    level_lambdas,
+    per_rake_build,
+    post_random_evidence,
+    random_binarized_tree,
+    random_join_tree,
+    updatable_leaves,
+)
 
 
 def golden_raw(rng=None, identity=False):
@@ -338,3 +347,112 @@ class TestBuildHierarchy:
         lines = hier.dump_lines()
         assert sum(1 for l in lines if l.startswith("level 0 nodes")) == 1
         assert sum(1 for l in lines if "<-" in l) == len(hier.recipes)
+
+
+def form(m) -> tuple:
+    return (m.left.shape, m.right.shape) if isinstance(m, FactoredMatrix) else m.shape
+
+
+def value_bits(m) -> tuple:
+    if isinstance(m, FactoredMatrix):
+        return form(m), m.left.tobytes(), m.right.tobytes()
+    return form(m), m.tobytes()
+
+
+STACKED_BUILD_TREES = {
+    "random": lambda rng: random_binarized_tree(rng, 300, 3),
+    "balanced": lambda rng: make_balanced(256, 4, rng),
+    "chain": lambda rng: make_chain(200, 2, rng),
+    "k27 chain": lambda rng: make_chain(60, 27, rng),
+    "k27 shared chain": lambda rng: shared_evidence_chain(rng, 60, random_stochastic(rng, 27, 27), k=27),
+    "factored join": lambda rng: random_join_tree(rng, k=3, n=3, c=1, depth=5)[0],
+    "mixed join": lambda rng: mixed_join_tree(rng, k=2, n=2, c=1, depth=6),
+    "varied join": lambda rng: mixed_join_tree(rng, k=2, n=3, c=(1, 2), depth=10),
+}
+
+
+def scaled_evidence_tree(shape: str):
+    """A `STACKED_BUILD_TREES` tree whose leaves are posted in turn at scales
+    1, 2**-120, 2**120, 1e-300 and 1e300, and a few left without evidence,
+    so that the build's guard shifts some targets."""
+    rng = np.random.default_rng(sorted(STACKED_BUILD_TREES).index(shape))
+    t = STACKED_BUILD_TREES[shape](rng)
+    scales = [1.0, 2.0**-120, 2.0**120, 1e-300, 1e300, None]
+    t.set_evidence(
+        (leaf, (rng.random(t.k) + 0.05) * scales[i % 6])
+        for i, leaf in enumerate(updatable_leaves(t)) if scales[i % 6] is not None
+    )
+    return t
+
+
+class TestStackedBuild:
+    """A pass fills its targets with one `linalg.rake_rows` per operand form:
+    every cell is bitwise the per-rake build (`tests/util.py::per_rake_build`),
+    with equal `build_counter` totals and `dump_lines()`, and each target
+    owns its data.  Counting wrappers pin that no per-rake product comes
+    back into the build."""
+
+    @pytest.mark.parametrize("shape", sorted(STACKED_BUILD_TREES))
+    def test_cells_bitwise_per_rake_build(self, shape, monkeypatch):
+        t = scaled_evidence_tree(shape)
+        shifts = []
+        guard = linalg.rescale_rows
+
+        def recorded(v):
+            out = guard(v)
+            shifts.append(out is not v)
+            return out
+
+        monkeypatch.setattr(linalg, "rescale_rows", recorded)
+        c, c_ref = OpCounter(), OpCounter()
+        hier = build_hierarchy(t, c)
+        assert any(shifts)  # the guard shifted some target
+        ref = per_rake_build(t, c_ref)
+        assert c == c_ref
+        assert hier.dump_lines() == ref.dump_lines()
+        for lt, lt_ref in zip(hier.levels, ref.levels, strict=True):
+            assert lt.cell.keys() == lt_ref.cell.keys()
+            for x, cell in lt.cell.items():
+                assert value_bits(cell.value) == value_bits(lt_ref.cell[x].value), (lt.level, x)
+        for r in hier.recipes:
+            v = r.target.value
+            assert (v.right if isinstance(v, FactoredMatrix) else v).base is None
+
+    @pytest.mark.parametrize("shape", sorted(STACKED_BUILD_TREES))
+    def test_one_rake_rows_per_form_per_pass(self, shape, monkeypatch):
+        """During a build `linalg.rake_compose` is never called, each pass
+        calls `rake_rows` once per operand form among its recipes, and
+        `rake` still runs once per recipe (the traced `contract.rake.calls`
+        is unchanged).  Join trees with pads, or with two factor shapes, have
+        passes of several forms."""
+        t = scaled_evidence_tree(shape)
+        calls = {"rake_compose": 0, "rake": 0}
+        per_pass = []  # rake_rows calls of each pass
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        def rake_rows(*args):
+            per_pass[-1] += 1
+            return kernel(*args)
+
+        def each_pass(*args):
+            per_pass.append(0)
+            return step(*args)
+
+        kernel, step = linalg.rake_rows, contract.contract_pass
+        monkeypatch.setattr(linalg, "rake_compose", counted("rake_compose", linalg.rake_compose))
+        monkeypatch.setattr(contract, "rake", counted("rake", contract.rake))
+        monkeypatch.setattr(linalg, "rake_rows", rake_rows)
+        monkeypatch.setattr(contract, "contract_pass", each_pass)
+        hier = build_hierarchy(t, OpCounter())
+        assert calls == {"rake_compose": 0, "rake": len(hier.recipes)}
+        forms = [set() for _ in per_pass]
+        for r in hier.recipes:
+            forms[r.level].add(tuple(form(c.value) for c in r.inputs()))
+        assert per_pass == [len(f) for f in forms]
+        if shape in ("mixed join", "varied join"):
+            assert max(per_pass) > 1

@@ -20,6 +20,7 @@ from util import (
     random_binarized_tree,
     random_join_tree,
     random_polytree,
+    same_bits,
     split_order_btn,
     updatable_leaves,
 )
@@ -30,11 +31,11 @@ def assert_same_cells(hier_a, hier_b):
     names_a, names_b = hier_a.names(), hier_b.names()
     for a, b in zip(hier_a.recipes, hier_b.recipes):
         assert names_a[a.target] == names_b[b.target]
-        if isinstance(a.target.value, FactoredMatrix):
-            assert np.array_equal(a.target.value.left, b.target.value.left)
-            assert np.array_equal(a.target.value.right, b.target.value.right)
+        va, vb = a.target.value, b.target.value
+        if isinstance(va, FactoredMatrix):
+            assert same_bits(va.left, vb.left) and same_bits(va.right, vb.right)
         else:
-            assert np.array_equal(a.target.value, b.target.value)
+            assert same_bits(va, vb)
 
 
 def sibling_rake_tree(rng):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from treebelief import exact, linalg
+from treebelief import dynamic, exact, linalg
 from treebelief import tree as tree_mod
 from treebelief.bench import FullEngine, make_balanced, make_chain, make_random, random_stochastic
 from treebelief.dynamic import DynamicEngine
@@ -90,7 +90,9 @@ class TestPropagateAll:
 
 def mixed_join_tree(rng, k=2, n=2, c=1, depth=5):
     """Join tree whose cliques have one to three children, so `binarize` puts
-    dense identity pads and copies beside the factored clique edges."""
+    dense identity pads and copies beside the factored clique edges.  `c` is
+    the intersection size, or a tuple of sizes to draw one from per clique
+    (factored edges of several factor shapes)."""
     K = k**n
     fresh = iter(range(10**6))  # variable names
     cliques = {0: CliqueNode(members=tuple(next(fresh) for _ in range(n)), k=k)}
@@ -102,16 +104,17 @@ def mixed_join_tree(rng, k=2, n=2, c=1, depth=5):
         below = []
         for p in frontier:
             for _ in range(int(rng.integers(1, 4))):
+                size = c if isinstance(c, int) else int(rng.choice(c))
                 members = cliques[p].members
-                shared = tuple(members[i] for i in sorted(rng.choice(n, size=c, replace=False)))
+                shared = tuple(members[i] for i in sorted(rng.choice(n, size=size, replace=False)))
                 clique = CliqueNode(
-                    members=shared + tuple(next(fresh) for _ in range(n - c)),
+                    members=shared + tuple(next(fresh) for _ in range(n - size)),
                     k=k, intersection=shared,
                 )
                 nid = len(cliques)
                 cliques[nid] = clique
                 raw.add_node(nid)
-                table = random_stochastic(rng, k**c, K)
+                table = random_stochastic(rng, k**size, K)
                 raw.add_edge(p, nid, build_projection(clique, cliques[p], table))
                 below.append(nid)
         frontier = below
@@ -286,6 +289,8 @@ class TestSchedule:
 
     @pytest.fixture
     def row_calls(self, monkeypatch):
+        """Rows per row-kernel call of the sweep; the hierarchy build's
+        `rake_rows` calls `apply_rows` too, and a build's calls are dropped."""
         calls = []
         for name in ("apply_rows", "apply_transpose_rows"):
             def counted(m, rows, counter=None, kernel=getattr(linalg, name)):
@@ -293,6 +298,14 @@ class TestSchedule:
                 return kernel(m, rows, counter)
 
             monkeypatch.setattr(linalg, name, counted)
+
+        def uncounted(*args, build=dynamic.build_hierarchy):
+            before = len(calls)
+            hier = build(*args)
+            del calls[before:]
+            return hier
+
+        monkeypatch.setattr(dynamic, "build_hierarchy", uncounted)
         return calls
 
     @staticmethod

@@ -447,6 +447,99 @@ class TestApplyRows:
             assert got.tobytes() == np.array([x.dot(y) for x, y in pairs]).tobytes()
 
 
+def rake_operand(rng, n: int, K: int, L: int | None, stacked: bool):
+    """One `rake_rows` operand for n rows, and its matrix for each row: a
+    shared K x K matrix (L None) or `FactoredMatrix` of K x L and L x K
+    factors, at scale 10**3, or a stack of n of them at per-row scales
+    10**-3..10**3.  A factored stack shares one left factor, as interned
+    selection factors do, when n is even.  Every array is read-only."""
+    def frozen(a):
+        a.flags.writeable = False
+        return a
+
+    scale = 10.0 ** rng.uniform(-3, 3, (n, 1, 1)) if stacked else 1e3
+    if L is None:
+        m = frozen(rng.random((n, K, K) if stacked else (K, K)) * scale)
+        return m, list(m) if stacked else [m] * n
+    right = frozen(rng.random((n, L, K) if stacked else (L, K)) * scale)
+    if stacked and n % 2:
+        left = frozen(rng.random((n, K, L)))
+        return FactoredMatrix.of(left, right), list(map(FactoredMatrix.of, left, right))
+    left = frozen(rng.random((K, L)))
+    if stacked:
+        return FactoredMatrix.of(left, right), [FactoredMatrix.of(left, r) for r in right]
+    m = FactoredMatrix.of(left, right)
+    return m, [m] * n
+
+
+def rake_lams(rng, n: int, K: int) -> np.ndarray:
+    """n read-only likelihood rows, in turn at 1, 2**-120 and 2**120, and
+    guarded posts of 1e-300 and 1e300 (shifted into [0.5, 1) at the write)."""
+    rows = []
+    for i in range(n):
+        v = rng.random(K) + 0.01
+        rows.append([v, v * 2.0**-120, v * 2.0**120,
+                     linalg.rescale_if_tiny(v * 1e-300), linalg.rescale_if_tiny(v * 1e300)][i % 5])
+    lams = np.array(rows)
+    lams.flags.writeable = False
+    return lams
+
+
+def unguarded_rake(m_u, m_diag, m_pass, lam) -> np.ndarray:
+    """`rake_compose`'s product, or its right factor, before the guard."""
+    core = (m_u.right if isinstance(m_u, FactoredMatrix) else m_u) * linalg.apply(m_diag, lam)
+    for f in (m_pass.left, m_pass.right) if isinstance(m_pass, FactoredMatrix) else (m_pass,):
+        core = core.dot(f)
+    return core
+
+
+SIDES = [(a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)]
+
+
+class TestRakeRows:
+    """`rake_rows` is `rake_compose` row by row, bitwise, with equal counts,
+    each operand shared or stacked: the kernel of the hierarchy build, whose
+    rows an update recomputes one at a time.  The likelihoods are far from
+    1, so the guard shifts some rows and not others.  Every input is
+    read-only, so a write into one raises, and the suite turns a
+    RuntimeWarning into an error."""
+
+    @staticmethod
+    def check(operands, lams):
+        (m_u, us), (m_diag, diags), (m_pass, passes) = operands
+        c, c_one = OpCounter(), OpCounter()
+        got = linalg.rake_rows(m_u, m_diag, m_pass, lams, c)
+        shifted = []
+        for row, u, d, p, lam in zip(got, us, diags, passes, lams, strict=True):
+            want = linalg.rake_compose(u, d, p, lam, c_one)
+            if isinstance(u, FactoredMatrix):
+                assert want.left is u.left
+                want = want.right
+            assert got.shape[1:] == want.shape and bits(row) == bits(want)
+            raw = unguarded_rake(u, d, p, lam)
+            shifted.append(linalg.rescale_if_tiny(raw) is not raw)
+        assert c == c_one
+        assert any(shifted) and not all(shifted)
+
+    @pytest.mark.parametrize("K,L", [(2, None), (3, None), (4, None), (27, None), (27, 3)])
+    @pytest.mark.parametrize("sides", SIDES)
+    def test_rows_bitwise_rake_compose(self, K, L, sides):
+        """Dense at k in {2, 3, 4, 27} or factored at K = 27, L = 3; each of
+        the three operands one shared matrix or a stack."""
+        rng = np.random.default_rng([K, *sides])
+        n = 31 if sides[0] else 30  # a factored m_u stack with its own left factors
+        self.check([rake_operand(rng, n, K, L, stacked) for stacked in sides], rake_lams(rng, n, K))
+
+    @pytest.mark.parametrize("kinds", SIDES)
+    def test_mixed_forms_bitwise_rake_compose(self, kinds):
+        """Dense and factored operands side by side, as a dense identity pad
+        meets factored join-tree edges, K = 27 and L = 3."""
+        rng = np.random.default_rng([100, *kinds])
+        n = 25
+        operands = [rake_operand(rng, n, 27, 3 if f else None, i != 1) for i, f in enumerate(kinds)]
+        self.check(operands, rake_lams(rng, n, 27))
+
+
 class TestRakeCompose:
     def test_dense_matches_explicit(self):
         rng = np.random.default_rng(2)

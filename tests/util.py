@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from treebelief import exact, linalg, protein
+from treebelief import contract, exact, linalg, protein
 from treebelief.bench import random_stochastic
 from treebelief.jointree import CliqueNode, build_projection
 from treebelief.linalg import FactoredMatrix, OpCounter
@@ -328,3 +328,16 @@ def per_node_sweep(tree: CausalTree, counter: OpCounter | None = None) -> dict:
             pi[x] = linalg.rescale_if_tiny(v)
     bel = {x: lam[x] * pi[x] for x in order}
     return {x: b / b.sum() for x, b in bel.items()}
+
+
+def per_rake_build(tree: CausalTree, counter: OpCounter | None = None):
+    """The hierarchy with its derived matrices made one rake at a time: each
+    recipe's own `rake_compose`, in recipe order (level order, so every
+    input is made before it is read), from emptied targets.  The stacked
+    build's bitwise reference, counting one `rake_compose` per recipe."""
+    hier = contract.build_hierarchy(tree)
+    for r in hier.recipes:
+        r.target.value = None
+    for r in hier.recipes:
+        r.recompute(tree, counter)
+    return hier
