@@ -8,7 +8,8 @@ and each matrix or leaf likelihood feeds at most one Recipe at the next level,
 so an evidence update touches a single chain of recipes.  Leaf likelihoods are
 not copied: recipes read the tree's guarded form (`CausalTree.leaf_lambda`).
 A rake makes only structure; a pass fills its targets with one
-`linalg.rake_rows` per operand form, bitwise the `rake_compose` of updates.
+`linalg.rake_rows` per operand form (`linalg.form`), on the operands that
+`linalg.row_operands` builds, bitwise the `rake_compose` of updates.
 """
 
 from __future__ import annotations
@@ -207,47 +208,6 @@ def contract_pass(
     return nxt, [e for e in leaves if e not in removed]
 
 
-def _form(m) -> int:
-    """An edge matrix's operand form: 0 when dense, else the inner size L of
-    its k x L and L x k factors (in a valid tree every matrix is k x k, so L
-    fixes the factor shapes)."""
-    return len(m.right) if isinstance(m, FactoredMatrix) else 0
-
-
-def _operands(m_u: list, m_diag: list, m_pass: list, lams: list) -> list:
-    """A group's `rake_rows` operands (`_operand`) and the stack of lams.
-    The stacks share one allocation, as the kernel's products do: several
-    blocks of one size freed together after each pass let glibc's heap trim
-    its top, and every build then faulted its stacks in again (about 3,000
-    page faults, 5-12 ms of system time per protein build)."""
-    # room for every column stacked; a shared operand's part is never touched
-    free = np.empty(sum(len(c) * _size(c[0]) for c in (m_u, m_diag, m_pass, lams)))
-
-    def stack(values: list) -> np.ndarray:
-        nonlocal free
-        out, free = np.split(free, [len(values) * values[0].size])
-        np.concatenate(values, out=out.reshape(-1, *values[0].shape[1:]))
-        return out.reshape(len(values), *values[0].shape)
-
-    return [_operand(m_u, stack), _operand(m_diag, stack), _operand(m_pass, stack), stack(lams)]
-
-
-def _operand(values: list, stack):
-    """One `rake_rows` operand: the one object all values are, not gathered,
-    or their stack, factor by factor when factored."""
-    first = values[0]
-    if all(v is first for v in values):
-        return first
-    if isinstance(first, FactoredMatrix):
-        left, right = [v.left for v in values], [v.right for v in values]
-        return FactoredMatrix.of(_operand(left, stack), _operand(right, stack))
-    return stack(values)
-
-
-def _size(m) -> int:
-    return m.left.size + m.right.size if isinstance(m, FactoredMatrix) else m.size
-
-
 def _fill(tree: CausalTree, recipes: list[Recipe], counter: OpCounter | None) -> None:
     """Fill one pass's targets, one `linalg.rake_rows` per operand form (the
     forms of m_u, m_diag and m_pass); each target gets its own copy of its
@@ -256,14 +216,15 @@ def _fill(tree: CausalTree, recipes: list[Recipe], counter: OpCounter | None) ->
         [r.m_u.value for r in recipes], [r.m_diag.value for r in recipes],
         [r.m_pass.value for r in recipes], [tree.leaf_lambda(r.leaf) for r in recipes],
     )
-    forms = list(zip(*(map(_form, col) for col in cols[:3])))
+    forms = list(zip(*(map(linalg.form, col) for col in cols[:3])))
     for form in dict.fromkeys(forms):
         mask = list(map(form.__eq__, forms))
         m_u, m_diag, m_pass, lams = (list(compress(col, mask)) for col in cols)
-        result = linalg.rake_rows(*_operands(m_u, m_diag, m_pass, lams), counter)
+        u = [m.right for m in m_u] if form[0] else m_u  # all the rake reads of m_u
+        result = linalg.rake_rows(*linalg.row_operands(u, m_diag, m_pass, lams), counter)
         rows = map(np.ndarray.copy, result)
         if form[0]:  # a factored m_u's left factor carries over
-            rows = map(FactoredMatrix.of, [u.left for u in m_u], rows)
+            rows = map(FactoredMatrix.of, [m.left for m in m_u], rows)
         for r, value in zip(compress(recipes, mask), rows):
             r.target.value = value
 

@@ -12,14 +12,14 @@ the logarithmic engine:
   schedule is compiled with the numbering (`CausalTree.numbering`, `Levels`);
   lambda (leaf rows: `evidence_rows`), the edge messages and pi are (N, k)
   arrays in that order.  A depth of at least BATCH_MIN_WIDTH nodes whose
-  edge matrices are all dense, or all factored with one pair of factor
-  shapes, runs each direction as one stacked product and one row-wise
-  rescale.  The internal nodes of the other depths (a chain has two nodes
+  edge matrices are all of one `linalg.form` (all dense, or all factored
+  with one pair of factor shapes) runs each direction as one stacked
+  product and one row-wise rescale.  The internal nodes of the other depths (a chain has two nodes
   per depth) run node by node, one run per stretch of such depths.  Their
   leaves leave that run: messages before it and pi after it, as one
   row-wise product per edge matrix object several of them share (a protein
-  chain's evidence leaves share one identity) and one over the stack of the
-  dense matrices one leaf uses alone.  Every stacked product is
+  chain's evidence leaves share one identity) and one per form over the
+  stack of the matrices one leaf uses alone.  Every stacked product is
   `linalg.apply_rows` or `apply_transpose_rows` and every row-wise rescale
   `rescale_rows`, bitwise their per-node forms, so the sweep is bitwise the
   two-pass recursion node by node, with one matrix-vector product per edge

@@ -19,7 +19,8 @@ bitwise equal.  A transpose is never built: `v.dot(m)` is m^T v.
 Many rows at once (the full sweep, a CONTRACT pass) take one stacked family,
 `apply_rows`/`apply_transpose_rows` and `rake_rows`: a broadcast `np.matmul`
 per factor, over one shared matrix or a stack of them, bitwise `dot` row by
-row; and `rescale_rows`, bitwise `rescale_if_tiny` row by row.
+row; and `rescale_rows`, bitwise `rescale_if_tiny` row by row.  Their
+operands are built by one function, `row_operands`.
 """
 
 from __future__ import annotations
@@ -133,6 +134,12 @@ class FactoredMatrix:
         return v.dot(self.left).dot(self.right)
 
 
+def form(m) -> int:
+    """An edge matrix's operand form: 0 when dense, else the inner size L of
+    its factors, which in a valid tree are k x L and L x k."""
+    return len(m.right) if isinstance(m, FactoredMatrix) else 0
+
+
 def dense(m) -> np.ndarray:
     """An edge matrix of either kind as a 2-D array (a factored one expanded)."""
     return m.expand() if isinstance(m, FactoredMatrix) else m
@@ -231,6 +238,39 @@ def rescale_rows(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def row_operands(*columns) -> list:
+    """One operand of the row kernels per column of equally formed values
+    (edge matrices of one `form`, or vectors of one length): the one object
+    a column of edge matrices is, not gathered, or else the column's stack,
+    factor by factor when factored, with a factor they all share passed as
+    that one array; vectors are always stacked.  The stacks of one call are
+    views of one allocation: blocks of one size freed together after a
+    CONTRACT pass let glibc trim its heap, and each build faulted them in."""
+    parts = [  # the factor columns of each column: a factored one's lefts and rights
+        ([m.left for m in col], [m.right for m in col])
+        if isinstance(col[0], FactoredMatrix) and _one(col) is None else (col,)
+        for col in columns
+    ]
+    flat = [(f, _one(f)) for fs in parts for f in fs]
+    free = np.empty(sum(len(f) * f[0].size for f, one in flat if one is None))
+    ops = []
+    for f, one in flat:
+        if one is None:
+            one = free[: len(f) * f[0].size].reshape(len(f), *f[0].shape)
+            free = free[one.size :]
+            np.concatenate(f, out=one.reshape(-1, *f[0].shape[1:]))
+        ops.append(one)
+    ops = iter(ops)
+    return [FactoredMatrix.of(next(ops), next(ops)) if len(fs) == 2 else next(ops) for fs in parts]
+
+
+def _one(values: list):
+    """The one matrix or factor that all of `values` are, else None; never a vector."""
+    first = values[0]
+    vector = isinstance(first, np.ndarray) and first.ndim == 1
+    return None if vector or any(v is not first for v in values) else first
+
+
 def apply_rows(m, rows: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     """Row-wise `apply`: result[n] = m . rows[n] for one shared edge matrix,
     or result[n] = m[n] . rows[n] for a stack, an (n, k, k) array or a
@@ -285,14 +325,14 @@ def rake_compose(m_u, m_diag, m_pass, lam_e, counter: OpCounter | None = None):
     return FactoredMatrix.of(m_u.left, core) if factored else core
 
 
-def rake_rows(m_u, m_diag, m_pass, lams: np.ndarray, counter: OpCounter | None = None):
+def rake_rows(u, m_diag, m_pass, lams: np.ndarray, counter: OpCounter | None = None):
     """Row-wise `rake_compose`, each operand one shared edge matrix or a
     stack as `apply_rows` takes them, bitwise `rake_compose` row by row and
-    counted as n calls of it.  Returns the (n, a, b) stack of results, or of
-    their right factors when m_u is factored (its left factor carries over)."""
+    counted as n calls of it.  `u` is the dense m_u, or a factored m_u's
+    right factor (its left factor carries over); returns the (n, a, b) stack
+    of results, or of their right factors."""
     n = len(lams)
     d = apply_rows(m_diag, lams, counter)
-    u = m_u.right if isinstance(m_u, FactoredMatrix) else m_u
     passing = (m_pass.left, m_pass.right) if isinstance(m_pass, FactoredMatrix) else (m_pass,)
     a = u.shape[-2]
     shapes = [(n, a, f.shape[-1]) for f in (u, *passing)]
@@ -300,7 +340,7 @@ def rake_rows(m_u, m_diag, m_pass, lams: np.ndarray, counter: OpCounter | None =
     if counter is not None:
         counter.mat_mat += len(passing) * n
         counter.flops += sizes[0] + sum(a * f.shape[-2] * f.shape[-1] for f in passing) * n
-    # the scaled m_u and each product share one allocation (see contract._operands)
+    # the scaled u and each product share one allocation (see `row_operands`)
     outs = np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1]))
     core = np.multiply(u, d[:, np.newaxis, :], out=outs[0].reshape(shapes[0]))
     for factor, out, shape in zip(passing, outs[1:], shapes[1:]):

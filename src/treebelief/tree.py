@@ -118,11 +118,11 @@ class CausalTree(BinaryLinks):
     `kids` (each internal node's (left, right) pair) and `matrix` (the edge
     matrix into each child) are read-only views too: `link` is their one
     writer, and it drops the cached `numbering`.  Edges may share a matrix
-    object or factor array, never written in place (`rake_compose`,
-    `rescale_if_tiny` and `_stack` return new arrays).  The k x k matrices
-    that `binarize` links are row views of one C-contiguous (n, k, k) edge
-    table, `_table`, one row per distinct raw matrix in link order; `validate`
-    checks those rows as one array.
+    object or factor array, never written in place (`rake_compose` and
+    `rescale_if_tiny` return new arrays).  The k x k matrices that `binarize`
+    links are row views of one C-contiguous (n, k, k) edge table, `_table`,
+    one row per distinct raw matrix in link order; `validate` checks those
+    rows as one array.
     """
 
     def __init__(self, k: int):
@@ -268,7 +268,7 @@ class CausalTree(BinaryLinks):
         posted = list(self._posted.values())
         sound = np.array([v.shape == (self.k,) for v in posted], dtype=bool)
         if sound.any():
-            rows = _stacked(list(compress(posted, sound)))
+            rows, = linalg.row_operands(list(compress(posted, sound)))
             sound[sound] = (np.isfinite(rows) & (rows >= 0)).all(axis=1)
         return sound.tolist()
 
@@ -339,24 +339,24 @@ def _sound_factored(mats: dict, k: int) -> set[int]:
     """Ids of the k x k factored matrices in `mats` that pass `validate`
     without a K x K product: both factors nonnegative (so the product is), and
     every row sum, taken as left . (right . 1), within ROW_SUM_TOL of 1 and at
-    most 1 + 1e-12 (so no entry of the product is above it).  Factors of one
-    shape are checked as one stack."""
-    groups: dict[tuple, list[int]] = {}
+    most 1 + 1e-12 (so no entry of the product is above it).  The matrices
+    of one form are checked as one `linalg.row_operands` operand, so a factor
+    they all share is checked once."""
+    groups: dict[int, list[int]] = {}
     for i, m in mats.items():
         if isinstance(m, FactoredMatrix) and m.shape == (k, k):
-            groups.setdefault((m.left.shape, m.right.shape), []).append(i)
+            groups.setdefault(linalg.form(m), []).append(i)
     sound = set()
     for ids in groups.values():
-        left = _stacked([mats[i].left for i in ids])
-        right = _stacked([mats[i].right for i in ids])
-        sums = np.matmul(left, right.sum(axis=2)[:, :, None])[:, :, 0]
+        m, = linalg.row_operands([mats[i] for i in ids])
+        sums = np.matmul(m.left, m.right.sum(axis=-1)[..., None])[..., 0]
         ok = (
-            (left >= 0).all(axis=(1, 2))
-            & (right >= 0).all(axis=(1, 2))
-            & (np.abs(sums - 1.0) <= ROW_SUM_TOL).all(axis=1)
-            & (sums <= 1.0 + 1e-12).all(axis=1)
+            (m.left >= 0).all(axis=(-2, -1))
+            & (m.right >= 0).all(axis=(-2, -1))
+            & (np.abs(sums - 1.0) <= ROW_SUM_TOL).all(axis=-1)
+            & (sums <= 1.0 + 1e-12).all(axis=-1)
         )
-        sound.update(compress(ids, ok))
+        sound.update(compress(ids, np.broadcast_to(ok, len(ids))))
     return sound
 
 
@@ -372,7 +372,7 @@ class Levels:
     The schedule lists the depths below the root bottom-up in `steps`, with
     positions and edge matrices resolved here, once per tree:
     * a `Stacked` depth: at least BATCH_MIN_WIDTH nodes whose edge matrices
-      stack (`_stack`), swept as one `linalg.apply_rows` product per
+      are of one `linalg.form`, swept as one `linalg.apply_rows` product per
       direction;
     * a run: the internal nodes of consecutive other depths, as a list of
       (position, left child, parent, sibling, edge matrix) in position
@@ -380,11 +380,12 @@ class Levels:
     The leaves of those other depths stay off the runs, since their messages
     need only evidence and no node needs their pi: `groups` holds, for each
     edge matrix object that several of them use, (matrix, positions,
-    parents, siblings) with int arrays for those leaves, and for the dense
-    matrices that one of them uses alone, one such group per shape whose
-    matrix is their (n, k, k) stack.  Each group is swept as one product per
-    direction too.  `linalg.apply_rows` is bitwise `apply` row by row, so the
-    whole sweep is bitwise the two-pass recursion node by node.
+    parents, siblings) with int arrays for those leaves, and for the
+    matrices that one of them uses alone, one such group per form whose
+    matrix is their `linalg.row_operands` stack.  Each group is swept as one
+    product per direction too.  `linalg.apply_rows` is bitwise `apply` row
+    by row, so the whole sweep is bitwise the two-pass recursion node by
+    node.
     """
 
     def __init__(self, tree: CausalTree):
@@ -410,8 +411,8 @@ class Levels:
         groups: dict[int, tuple] = {}  # id(m) -> (m, positions, parents, siblings)
         for start, stop, first, last in depths[1:]:
             mats = list(map(tree.matrix.__getitem__, order[start:stop]))
-            stack = _stack(mats)
-            if stack is not None:
+            if len(mats) >= BATCH_MIN_WIDTH and len(set(map(linalg.form, mats))) == 1:
+                stack, = linalg.row_operands(mats)
                 up = self.inner[(start - 1) // 2 : first]
                 self.steps.append(Stacked(start, stop, stack, self.inner[first:last], up))
                 run = None
@@ -432,52 +433,29 @@ class Levels:
                     sib.append(s)
         self.steps.reverse()
         self.groups = []
-        lone: dict[tuple, list] = {}  # shape -> the dense groups of one leaf
+        lone: dict[int, list] = {}  # form -> the groups of one leaf
         for m, *cols in groups.values():
-            if len(cols[0]) == 1 and not isinstance(m, FactoredMatrix):
-                lone.setdefault(m.shape, []).append((m, *cols))
+            if len(cols[0]) == 1:
+                lone.setdefault(linalg.form(m), []).append((m, *cols))
             else:
                 self.groups.append((m, *(np.array(col, dtype=np.intp) for col in cols)))
         for same in lone.values():
             mats, *cols = zip(*same)
             cols = (np.array(col, dtype=np.intp).ravel() for col in cols)
-            self.groups.append((_stacked(mats), *cols))
+            self.groups.append((*linalg.row_operands(mats), *cols))
 
 
 class Stacked:
     """A depth of the sweep schedule swept as stacked products: its nodes sit
-    at positions start:stop with edge matrices `stack`, one edge-matrix
-    operand for all of them (see `_stack`); its internal nodes at `inner`,
-    whose children start at `stop`; and the parents of its node pairs at
-    `up`."""
+    at positions start:stop with edge matrices `stack`, their one
+    `linalg.row_operands` operand (the one matrix they all are, or their
+    stack); its internal nodes at `inner`, whose children start at `stop`;
+    and the parents of its node pairs at `up`."""
 
     __slots__ = ("start", "stop", "stack", "inner", "up")
 
     def __init__(self, start: int, stop: int, stack, inner: np.ndarray, up: np.ndarray):
         self.start, self.stop, self.stack, self.inner, self.up = start, stop, stack, inner, up
-
-
-def _stack(mats):
-    """A depth's edge matrices as one operand of `linalg.apply_rows`: their
-    (n, k, k) stack when all are dense, or a `FactoredMatrix` of a left and a
-    right factor stack when all are factored with equal factor shapes; None
-    when the depth is narrow or mixed."""
-    if len(mats) < BATCH_MIN_WIDTH:
-        return None
-    factored = sum(isinstance(m, FactoredMatrix) for m in mats)
-    if not factored:
-        return _stacked(mats)
-    if factored == len(mats):
-        lefts = [m.left for m in mats]
-        rights = [m.right for m in mats]
-        if len(set(map(np.shape, lefts))) == 1 == len(set(map(np.shape, rights))):
-            return FactoredMatrix.of(_stacked(lefts), _stacked(rights))
-    return None
-
-
-def _stacked(mats) -> np.ndarray:
-    """Equally shaped matrices as one (n, a, b) array."""
-    return np.concatenate(mats).reshape(len(mats), *mats[0].shape)
 
 
 def binarize(raw: RawTree) -> CausalTree:

@@ -22,6 +22,7 @@ from util import (
     random_binarized_tree,
     random_join_tree,
     relink_edge,
+    same_bits,
     updatable_leaves,
 )
 
@@ -374,13 +375,24 @@ class TestSchedule:
         assert any(sum(depth(t, x) == d for x in t.matrix) < tree_mod.BATCH_MIN_WIDTH for d in narrow)
         check_sweep(t, {x: 2 if kinds[x] else 1 for x in t.matrix})
         lv = t.numbering()
-        # the dense pads share one identity; each factored leaf edge is its
-        # own object, a group of one
-        (m, at, _, _), = (g for g in lv.groups if not isinstance(g[0], FactoredMatrix))
+        # the dense pads share one identity; the factored leaf edges, each its
+        # own object, join one group of their one form, in position order
+        (m, at, _, _), (f, f_at, _, _) = sorted(
+            lv.groups, key=lambda g: isinstance(g[0], FactoredMatrix)
+        )
         assert all(lv.order[i] in t.dummies for i in at)
         assert np.array_equal(m, np.eye(t.k))
+        wide = {i for s in lv.steps if isinstance(s, tree_mod.Stacked) for i in range(s.start, s.stop)}
+        off_runs = [
+            i for i, x in enumerate(lv.order)
+            if t.is_leaf(x) and kinds.get(x) and i not in wide
+        ]
+        assert isinstance(f, FactoredMatrix) and f_at.tolist() == off_runs and len(off_runs) > 1
+        for side in ("left", "right"):
+            edge = [getattr(t.matrix[lv.order[i]], side) for i in f_at]
+            rows = np.broadcast_to(getattr(f, side), (len(edge), *edge[0].shape))
+            assert all(same_bits(row, e) for row, e in zip(rows, edge))
         sizes = [len(g[1]) for g in lv.groups]
-        assert sorted(sizes) == [1] * (len(sizes) - 1) + [len(at)]
         assert row_calls == sizes * 2
         self.per_node_equal(make())
 
@@ -403,6 +415,26 @@ class TestSchedule:
         leaves = updatable_leaves(t)
         t.set_evidence((leaf, (rng.random(t.k) + 0.05) * scale) for leaf in leaves[::2])
         assert any(isinstance(step, tree_mod.Stacked) for step in t.numbering().steps)
+        self.per_node_equal(t)
+
+    def test_wide_depth_of_one_shared_matrix(self):
+        """A balanced tree whose edges all use one array: each wide depth's
+        operand is the tree's one edge object, not a copy, and the sweep is
+        the per-node recursion, bitwise and with equal counts."""
+        rng = np.random.default_rng(97)
+        m = random_stochastic(rng, 3, 3)
+        raw = RawTree(3)
+        raw.add_node(0)
+        raw.set_root(0, [0.2, 0.3, 0.5])
+        for c in range(1, 63):  # six depths: 2, 4, ..., 32 nodes
+            raw.add_node(c)
+            raw.add_edge((c - 1) // 2, c, m)
+        t = binarize(raw)
+        (edge,) = {id(a): a for a in t.matrix.values()}.values()
+        t.set_evidence((leaf, rng.random(3) + 0.05) for leaf in updatable_leaves(t)[::3])
+        steps = t.numbering().steps
+        assert [s.stop - s.start for s in steps if isinstance(s, tree_mod.Stacked)] == [32, 16, 8]
+        assert all(s.stack is edge for s in steps if isinstance(s, tree_mod.Stacked))
         self.per_node_equal(t)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])

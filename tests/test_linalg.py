@@ -11,7 +11,7 @@ from treebelief.bench import make_random
 from treebelief.dynamic import DynamicEngine
 from treebelief.errors import InconsistentEvidenceError
 from treebelief.linalg import FactoredMatrix, OpCounter
-from util import updatable_leaves
+from util import same_bits, updatable_leaves
 
 
 def vec(k):
@@ -350,14 +350,58 @@ class TestRescaleRows:
 
 
 def stack_operand(rng, n: int, k: int, factored: bool):
-    """n random k x k edge matrices as one row-kernel operand and as a list:
-    an (n, k, k) stack, or a `FactoredMatrix` of (n, k, 2) and (n, 2, k)
-    factor stacks, as a stacked depth of the sweep holds them."""
+    """n random k x k edge matrices as one row-kernel operand, built by
+    `row_operands` as a stacked depth of the sweep is, and as a list: an
+    (n, k, k) stack, or a `FactoredMatrix` of (n, k, 2) and (n, 2, k) factor
+    stacks."""
     if not factored:
-        m = rng.random((n, k, k))
-        return m, list(m)
-    left, right = rng.random((n, k, 2)), rng.random((n, 2, k))
-    return FactoredMatrix.of(left, right), list(map(FactoredMatrix, left, right))
+        mats = list(rng.random((n, k, k)))
+    else:
+        mats = list(map(FactoredMatrix, rng.random((n, k, 2)), rng.random((n, 2, k))))
+    m, = linalg.row_operands(mats)
+    return m, mats
+
+
+class TestRowOperands:
+    """`row_operands` builds the row kernels' operands: a column that is one
+    object passes as it, anything else is stacked, factor by factor, bitwise
+    the inputs and into one allocation per call."""
+
+    def test_shared_matrix_is_the_object(self):
+        rng = np.random.default_rng(40)
+        dense = rng.random((3, 3))
+        fm = FactoredMatrix(rng.random((3, 2)), rng.random((2, 3)))
+        got = linalg.row_operands([dense] * 9, [fm] * 9, [dense], [fm])
+        assert all(op is want for op, want in zip(got, [dense, fm, dense, fm], strict=True))
+
+    def test_one_vector_is_still_stacked(self):
+        ones = np.ones(4)
+        ones.flags.writeable = False
+        for n in (1, 5):
+            rows, = linalg.row_operands([ones] * n)
+            assert rows.shape == (n, 4) and not np.shares_memory(rows, ones)
+            assert same_bits(rows, np.ones((n, 4)))
+
+    def test_shared_left_factor_beside_distinct_right_factors(self):
+        rng = np.random.default_rng(41)
+        left, rights = rng.random((5, 2)), rng.random((6, 2, 5))
+        got, = linalg.row_operands([FactoredMatrix.of(left, r) for r in rights])
+        assert isinstance(got, FactoredMatrix) and got.left is left
+        assert same_bits(got.right, rights)
+
+    def test_stacks_are_the_inputs_in_one_allocation(self):
+        rng = np.random.default_rng(42)
+        n, shared = 7, rng.random((4, 4))
+        dense = list(rng.random((n, 4, 4)))
+        lefts, rights = rng.random((n, 4, 3)), rng.random((n, 3, 4))
+        factored = list(map(FactoredMatrix.of, lefts, rights))
+        vectors = list(rng.random((n, 4)) * 10.0 ** rng.uniform(-300, 300, (n, 1)))
+        ops = linalg.row_operands(dense, [shared] * n, factored, vectors)
+        stacks = [ops[0], ops[2].left, ops[2].right, ops[3]]
+        for got, want in zip(stacks, [np.array(dense), lefts, rights, np.array(vectors)]):
+            assert same_bits(got, want) and got.flags.c_contiguous
+            assert got.base is stacks[0].base and np.shares_memory(got.base, stacks[0])
+        assert ops[1] is shared and stacks[0].base.size == sum(a.size for a in stacks)
 
 
 class TestApplyStacked:
@@ -508,7 +552,8 @@ class TestRakeRows:
     def check(operands, lams):
         (m_u, us), (m_diag, diags), (m_pass, passes) = operands
         c, c_one = OpCounter(), OpCounter()
-        got = linalg.rake_rows(m_u, m_diag, m_pass, lams, c)
+        read = m_u.right if isinstance(m_u, FactoredMatrix) else m_u  # all a rake reads of m_u
+        got = linalg.rake_rows(read, m_diag, m_pass, lams, c)
         shifted = []
         for row, u, d, p, lam in zip(got, us, diags, passes, lams, strict=True):
             want = linalg.rake_compose(u, d, p, lam, c_one)
